@@ -1,16 +1,16 @@
-// Micro-benchmarks: Eq. (1) force evaluation throughput in both precisions
-// (host side). The FP32/FP64 gap here is the *compute* side of Improvement
-// I; the device-side gap also includes halved memory traffic.
+// Micro-benchmarks: Eq. (1) force evaluation throughput in both precisions.
+// BM_ForceFp32 is the float force law the GPU ladder's FP32 versions run;
+// the FP32/FP64 gap here is the *compute* side of Improvement I, the
+// device-side gap also includes halved memory traffic.
 //
 // `--json PATH` additionally writes BENCH_cpu.json — the perf-trajectory
 // record CI archives per commit: wall time of one mechanical-forces pass
 // over a clustered-sphere population through the generic callback path,
-// the fused CSR fast path (docs/perf.md), the vectorized fused kernel
-// (simd_path; physics/simd_force_kernel.h) and its FP32 precision mode
-// (fp32_path), plus their speedups. The scalar paths owe bitwise-identical
-// displacement buffers; the vector paths owe their documented tolerance
-// (1e-12 SIMD / 2e-2 FP32 on one pass) — and every path owes the same
-// force-evaluation count. The run exits non-zero if any bound is ever
+// the fused CSR fast path (docs/perf.md) and the vectorized fused kernel
+// (simd_path; physics/simd_force_kernel.h), plus their speedups. The
+// scalar paths owe bitwise-identical displacement buffers; the vector path
+// owes its documented tolerance (1e-12 on one pass) — and every path owes
+// the same force-evaluation count. The run exits non-zero if any bound is ever
 // exceeded, so the CI perf-smoke job doubles as a parity gate.
 // `--agents N` / `--reps N` resize the scenario (defaults: 32768 agents,
 // best of 5 reps).
@@ -156,7 +156,7 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
   namespace json = biosim::obs::json;
 
   Param param;
-  param.bound_space = false;
+  param.boundary_mode = BoundaryMode::kOpen;
   ResourceManager rm;
   FillClusteredSphere(&rm, agents, /*seed=*/1234);
   UniformGridEnvironment env;
@@ -182,18 +182,14 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
                 fused.force_evals == fused_mt.force_evals &&
                 generic_op.displacements() == fused_op.displacements();
 
-  // The vectorized kernel (physics/simd_force_kernel.h) and its FP32 mode.
-  // Same traversal and hit decisions, so the evaluation counts stay equal;
-  // the displacement buffers owe a tolerance instead of bitwise equality
-  // (FMA-contracted distances; narrowed pair math for FP32). One pass of
-  // FMA contraction is ulp-level noise — 1e-12 is generous by orders; the
-  // FP32 bound matches the cpu_fp32 parity row.
+  // The vectorized kernel (physics/simd_force_kernel.h). Same traversal
+  // and hit decisions, so the evaluation counts stay equal; the
+  // displacement buffers owe a tolerance instead of bitwise equality
+  // (FMA-contracted distances). One pass of FMA contraction is ulp-level
+  // noise — 1e-12 is generous by orders.
   MechanicalForcesOp simd_op;
-  MechanicalForcesOp fp32_op;
   Param simd_param = fused_param;
   simd_param.cpu_simd = true;
-  Param fp32_param = simd_param;
-  fp32_param.precision = Precision::kFp32;
 
   PathTiming simd =
       TimePath(rm, env, simd_param, ExecMode::kSerial, reps, &simd_op);
@@ -201,14 +197,8 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
       TimePath(rm, env, simd_param, ExecMode::kParallel, reps, &simd_op);
   const double simd_delta =
       MaxAbsDelta(fused_op.displacements(), simd_op.displacements());
-  PathTiming fp32 =
-      TimePath(rm, env, fp32_param, ExecMode::kSerial, reps, &fp32_op);
-  const double fp32_delta =
-      MaxAbsDelta(fused_op.displacements(), fp32_op.displacements());
   parity = parity && simd.force_evals == fused.force_evals &&
-           simd_mt.force_evals == fused.force_evals &&
-           fp32.force_evals == fused.force_evals && simd_delta <= 1e-12 &&
-           fp32_delta <= 2e-2;
+           simd_mt.force_evals == fused.force_evals && simd_delta <= 1e-12;
 
   // A fused pass over the same population after a Z-order row permutation:
   // the cache-locality headroom of [simulation] zorder_every.
@@ -242,13 +232,8 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
   sv.Set("wall_ms_parallel", simd_mt.best_ms);
   sv.Set("max_abs_delta", simd_delta);
   doc.Set("simd_path", std::move(sv));
-  json::Value f32 = json::Value::MakeObject();
-  f32.Set("wall_ms", fp32.best_ms);
-  f32.Set("max_abs_delta", fp32_delta);
-  doc.Set("fp32_path", std::move(f32));
   doc.Set("speedup", fused.best_ms > 0.0 ? generic.best_ms / fused.best_ms : 0.0);
   doc.Set("speedup_simd", simd.best_ms > 0.0 ? fused.best_ms / simd.best_ms : 0.0);
-  doc.Set("speedup_fp32", fp32.best_ms > 0.0 ? fused.best_ms / fp32.best_ms : 0.0);
   doc.Set("force_eval_parity", parity);
 
   if (!biosim::obs::WriteReportFile(doc, path)) {
@@ -258,22 +243,19 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
   std::printf("wrote %s: callback %.2f ms, fused %.2f ms (%.2fx), "
               "fused parallel %.2f ms, fused+zorder %.2f ms, "
               "simd %.2f ms (%.2fx over fused, delta %.1e), "
-              "simd parallel %.2f ms, fp32 %.2f ms (%.2fx, delta %.1e), "
-              "%zu force evals, parity %s\n",
+              "simd parallel %.2f ms, %zu force evals, parity %s\n",
               path.c_str(), generic.best_ms, fused.best_ms,
               fused.best_ms > 0.0 ? generic.best_ms / fused.best_ms : 0.0,
               fused_mt.best_ms, fused_z.best_ms, simd.best_ms,
               simd.best_ms > 0.0 ? fused.best_ms / simd.best_ms : 0.0,
-              simd_delta, simd_mt.best_ms, fp32.best_ms,
-              fp32.best_ms > 0.0 ? fused.best_ms / fp32.best_ms : 0.0,
-              fp32_delta, generic.force_evals, parity ? "OK" : "FAIL");
+              simd_delta, simd_mt.best_ms, generic.force_evals,
+              parity ? "OK" : "FAIL");
   if (!parity) {
     std::fprintf(stderr,
                  "error: a force path diverged from its reference "
-                 "(evals generic %zu fused %zu simd %zu fp32 %zu, "
-                 "simd delta %.3e, fp32 delta %.3e)\n",
+                 "(evals generic %zu fused %zu simd %zu, simd delta %.3e)\n",
                  generic.force_evals, fused.force_evals, simd.force_evals,
-                 fp32.force_evals, simd_delta, fp32_delta);
+                 simd_delta);
     return 2;
   }
   return 0;

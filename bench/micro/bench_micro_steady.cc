@@ -1,21 +1,17 @@
 // Steady-state pipeline benchmark: the workload the incremental grid
-// rebuild (Param::incremental_grid) and the overlapped mechanics/diffusion
-// graph (Param::overlap_ops) are built for — a slow-moving random-walk
-// population on a torus whose grid geometry never changes, so almost every
-// step only a few agents cross a box boundary while the box count dwarfs
-// the agent count (grid maintenance dominates the step).
+// rebuild (Param::incremental_grid) is built for — a slow-moving
+// random-walk population on a torus whose grid geometry never changes, so
+// almost every step only a few agents cross a box boundary while the box
+// count dwarfs the agent count (grid maintenance dominates the step).
 //
 // `--json PATH` writes the BENCH_cpu.json "steady" record CI gates on:
-// wall time of the stepped pipeline under three knob settings over the SAME
-// seeded scenario —
-//   full        incremental_grid off, overlap_ops off (the historical path)
-//   incremental incremental_grid on,  overlap_ops off
-//   overlap     incremental_grid on,  overlap_ops on
-// plus their speedups and the grid maintenance counters. All three runs owe
-// the identical final StateHash (both knobs are bitwise-neutral by
-// contract) and the incremental runs owe a nonzero incremental_updates
-// count (proof the patch path engaged, not silently fell back); the run
-// exits 2 if either invariant breaks, so the CI perf job doubles as a
+// wall time of the stepped pipeline with incremental_grid off (full, the
+// historical path) and on (incremental) over the SAME seeded scenario,
+// plus the speedup and the grid maintenance counters. Both runs owe the
+// identical final StateHash (the knob is bitwise-neutral by contract) and
+// the incremental run owes a nonzero incremental_updates count (proof the
+// patch path engaged, not silently fell back); the run exits 2 if either
+// invariant breaks, so the CI perf job doubles as a
 // correctness gate. `--agents N` / `--steps N` resize the scenario
 // (defaults: 32768 agents, 30 timed steps).
 #include <benchmark/benchmark.h>
@@ -52,15 +48,13 @@ constexpr double kSecretionRate = 0.5;
 constexpr size_t kSecretionStride = 16;
 constexpr uint64_t kWarmupSteps = 2;
 
-std::unique_ptr<Simulation> BuildSteady(size_t agents, bool incremental,
-                                        bool overlap) {
+std::unique_ptr<Simulation> BuildSteady(size_t agents, bool incremental) {
   Param param;
   param.boundary_mode = BoundaryMode::kTorus;
   param.min_bound = 0.0;
   param.max_bound = kEdge;
   param.random_seed = 42;
   param.incremental_grid = incremental;
-  param.overlap_ops = overlap;
   auto sim = std::make_unique<Simulation>(param);
   sim->CreateRandomCells(agents, kDiameter);
   sim->AddDiffusionGrid(std::make_unique<DiffusionGrid>(
@@ -82,9 +76,8 @@ struct SteadyResult {
   UniformGridEnvironment::UpdateStats grid;
 };
 
-SteadyResult RunSteady(size_t agents, uint64_t steps, bool incremental,
-                       bool overlap) {
-  auto sim = BuildSteady(agents, incremental, overlap);
+SteadyResult RunSteady(size_t agents, uint64_t steps, bool incremental) {
+  auto sim = BuildSteady(agents, incremental);
   sim->Simulate(kWarmupSteps);  // first grid build + buffer growth
   Timer t;
   sim->Simulate(steps);
@@ -92,8 +85,7 @@ SteadyResult RunSteady(size_t agents, uint64_t steps, bool incremental,
   r.wall_ms = t.ElapsedMs();
   r.final_hash = sim->StateHash();
   if (std::getenv("STEADY_PROFILE") != nullptr) {
-    std::fprintf(stderr, "--- incremental=%d overlap=%d ---\n%s\n",
-                 incremental ? 1 : 0, overlap ? 1 : 0,
+    std::fprintf(stderr, "--- incremental=%d ---\n%s\n", incremental ? 1 : 0,
                  sim->profile().ToString().c_str());
   }
   if (const auto* ug =
@@ -106,7 +98,7 @@ SteadyResult RunSteady(size_t agents, uint64_t steps, bool incremental,
 // Micro view of the same trade: one grid Update over an unchanged steady
 // population — the incremental path collapses to the mover scan.
 void GridUpdateThroughput(benchmark::State& state, bool incremental) {
-  auto sim = BuildSteady(8192, incremental, false);
+  auto sim = BuildSteady(8192, incremental);
   const Param param = sim->param();
   UniformGridEnvironment env;
   env.Update(sim->rm(), param, ExecMode::kSerial);
@@ -129,20 +121,15 @@ BENCHMARK(BM_GridUpdateIncremental);
 int WriteBenchJson(const std::string& path, size_t agents, uint64_t steps) {
   namespace json = biosim::obs::json;
 
-  SteadyResult full = RunSteady(agents, steps, false, false);
-  SteadyResult incremental = RunSteady(agents, steps, true, false);
-  SteadyResult overlap = RunSteady(agents, steps, true, true);
+  SteadyResult full = RunSteady(agents, steps, false);
+  SteadyResult incremental = RunSteady(agents, steps, true);
 
-  const bool hash_parity = full.final_hash == incremental.final_hash &&
-                           full.final_hash == overlap.final_hash;
+  const bool hash_parity = full.final_hash == incremental.final_hash;
   // kWarmupSteps + steps updates total; the first is always a full rebuild.
   const bool engaged = incremental.grid.incremental_updates > 0 &&
-                       overlap.grid.incremental_updates > 0 &&
                        full.grid.incremental_updates == 0;
   const double speedup_incremental =
       incremental.wall_ms > 0.0 ? full.wall_ms / incremental.wall_ms : 0.0;
-  const double speedup_total =
-      overlap.wall_ms > 0.0 ? full.wall_ms / overlap.wall_ms : 0.0;
 
   json::Value doc = biosim::obs::MakeRunReport("bench_micro_steady");
   doc.Set("bench", "bench_micro_steady");
@@ -166,12 +153,7 @@ int WriteBenchJson(const std::string& path, size_t agents, uint64_t steps) {
   inc.Set("incremental_updates", incremental.grid.incremental_updates);
   inc.Set("rebinned_agents", incremental.grid.rebinned_agents);
   doc.Set("incremental", std::move(inc));
-  json::Value ov = json::Value::MakeObject();
-  ov.Set("wall_ms", overlap.wall_ms);
-  ov.Set("incremental_updates", overlap.grid.incremental_updates);
-  doc.Set("overlap", std::move(ov));
   doc.Set("speedup_incremental", speedup_incremental);
-  doc.Set("speedup_total", speedup_total);
   doc.Set("hash_parity", hash_parity);
   doc.Set("incremental_engaged", engaged);
 
@@ -181,24 +163,21 @@ int WriteBenchJson(const std::string& path, size_t agents, uint64_t steps) {
   }
   std::printf(
       "wrote %s: full %.2f ms, incremental %.2f ms (%.2fx, %llu patches, "
-      "%llu rebinned), incremental+overlap %.2f ms (%.2fx total), "
-      "hash parity %s, incremental engaged %s\n",
+      "%llu rebinned), hash parity %s, incremental engaged %s\n",
       path.c_str(), full.wall_ms, incremental.wall_ms, speedup_incremental,
       static_cast<unsigned long long>(incremental.grid.incremental_updates),
       static_cast<unsigned long long>(incremental.grid.rebinned_agents),
-      overlap.wall_ms, speedup_total, hash_parity ? "OK" : "FAIL",
+      hash_parity ? "OK" : "FAIL",
       engaged ? "OK" : "FAIL");
   if (!hash_parity || !engaged) {
     std::fprintf(
         stderr,
-        "error: steady invariants broken (hashes %016llx / %016llx / "
-        "%016llx, incremental updates %llu / %llu)\n",
+        "error: steady invariants broken (hashes %016llx / %016llx, "
+        "incremental updates %llu)\n",
         static_cast<unsigned long long>(full.final_hash),
         static_cast<unsigned long long>(incremental.final_hash),
-        static_cast<unsigned long long>(overlap.final_hash),
         static_cast<unsigned long long>(
-            incremental.grid.incremental_updates),
-        static_cast<unsigned long long>(overlap.grid.incremental_updates));
+            incremental.grid.incremental_updates));
     return 2;
   }
   return 0;

@@ -76,10 +76,6 @@ void RunConfig::Validate() const {
     fail("zorder_every is a CPU-path knob (GPU versions 2+ already Z-order "
          "sort on the device)");
   }
-  if (overlap_ops && backend_type == "gpu") {
-    fail("overlap_ops is a CPU-pipeline knob (the GPU backend schedules its "
-         "own kernel stream)");
-  }
   if (substance_resolution == 1) {
     fail("substance_resolution must be 0 (no substance) or >= 2");
   }
@@ -101,20 +97,12 @@ void RunConfig::Validate() const {
     fail("shards drives the fused CSR kernel per shard and requires "
          "cpu_fast_path");
   }
-  if (shards > 0 && overlap_ops) {
-    fail("shards and overlap_ops cannot be combined: the sharded pipeline "
-         "schedules mechanics/diffusion itself; disable one");
+  if (simd && backend_type == "gpu") {
+    fail("simd is a CPU force-kernel knob (the GPU ladder has its own FP32 "
+         "versions)");
   }
-  if (precision != "fp64" && precision != "fp32") {
-    fail("precision must be fp64 or fp32, got '" + precision + "'");
-  }
-  if ((simd || precision == "fp32") && backend_type == "gpu") {
-    fail("simd / precision are CPU force-kernel knobs (the GPU ladder has "
-         "its own FP32 versions)");
-  }
-  if ((simd || precision == "fp32") && !cpu_fast_path) {
-    fail("simd / fp32 precision vectorize the fused kernel and require "
-         "cpu_fast_path");
+  if (simd && !cpu_fast_path) {
+    fail("simd vectorizes the fused kernel and requires cpu_fast_path");
   }
   if (gpu_device != "1080ti" && gpu_device != "v100") {
     fail("gpu device must be 1080ti or v100, got '" + gpu_device + "'");
@@ -191,8 +179,6 @@ RunConfig ParseConfigString(const std::string& text) {
        }},
       {"simd",
        [&](const std::string& v, size_t l) { cfg.simd = ToBool(v, l); }},
-      {"precision",
-       [&](const std::string& v, size_t) { cfg.precision = v; }},
       {"zorder_every",
        [&](const std::string& v, size_t l) {
          cfg.zorder_every = ToU64(v, l);
@@ -200,10 +186,6 @@ RunConfig ParseConfigString(const std::string& text) {
       {"incremental_grid",
        [&](const std::string& v, size_t l) {
          cfg.incremental_grid = ToBool(v, l);
-       }},
-      {"overlap_ops",
-       [&](const std::string& v, size_t l) {
-         cfg.overlap_ops = ToBool(v, l);
        }},
       {"shards",
        [&](const std::string& v, size_t l) {

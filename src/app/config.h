@@ -9,10 +9,8 @@
 //   threads = 0                   ; CPU workers; 0 = hardware concurrency
 //   cpu_fast_path = true          ; fused CSR force kernel (docs/perf.md)
 //   simd = false                  ; vectorize the fused kernel (docs/perf.md)
-//   precision = fp64              ; fp64 | fp32 force-kernel pair math
 //   zorder_every = 0              ; re-sort agents into Z-order every N steps
 //   incremental_grid = true       ; patch the uniform grid instead of rebuilding
-//   overlap_ops = false           ; overlap mechanics and diffusion (CPU only)
 //   shards = 0                    ; spatial domain shards (docs/sharding.md); 0=off
 //   shard_balance = static        ; static | adaptive plane-range sizing
 //
@@ -84,11 +82,6 @@ struct RunConfig {
   /// still bitwise reproducible run-to-run, across thread counts and
   /// across vector widths. Requires cpu_fast_path; CPU backend only.
   bool simd = false;
-  /// Pair-math precision of the CPU force kernel: "fp64" (default) or
-  /// "fp32" (the paper's Improvement I on the host; implies the vectorized
-  /// kernel and the cpu_fp32 parity bound). CPU backend only — the GPU
-  /// ladder has its own FP32 versions.
-  std::string precision = "fp64";
   /// Re-sort agents into Z-order every N steps on the CPU pipeline
   /// (0 = never). Cache-locality knob; permutes rows uid-stably.
   uint64_t zorder_every = 0;
@@ -98,14 +91,10 @@ struct RunConfig {
   /// (Param::incremental_grid) — the knob only trades speed, kept here so
   /// the CI determinism sweep can exercise both paths.
   bool incremental_grid = true;
-  /// Overlap mechanics and diffusion as a two-node task graph
-  /// (Param::overlap_ops). CPU backend only; bitwise-neutral; no-op
-  /// without a substance grid.
-  bool overlap_ops = false;
   /// Spatial domain shards along the grid's z-planes (Param::num_shards,
   /// docs/sharding.md). 0 disables. StateHash is bitwise-identical for any
   /// shard count (the CI shard sweep enforces it). CPU backend only;
-  /// requires cpu_fast_path; mutually exclusive with overlap_ops.
+  /// requires cpu_fast_path.
   uint32_t shards = 0;
   /// Plane-range sizing when shards > 0: "static" (equal plane counts) or
   /// "adaptive" (greedy split over the per-plane agent histogram).
@@ -120,8 +109,7 @@ struct RunConfig {
   double divide_threshold = 16.0;
   double growth_rate = 40000.0;
   /// Attach one "oxygen" DiffusionGrid with this resolution per axis
-  /// (0 disables — the historical default: no substances). Needed to give
-  /// overlap_ops a diffusion op to overlap from the CLI.
+  /// (0 disables — the historical default: no substances).
   size_t substance_resolution = 0;
   /// Diffusion coefficient D (µm²/h) of the attached substance.
   double substance_diffusion = 50.0;

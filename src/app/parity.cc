@@ -40,9 +40,6 @@ constexpr double kGpuFp32Tol = 2e-2;
 // ulp from the scalar dot product, so a five-step trajectory stays far
 // below the kd-tree-style 1e-9 bound it shares.
 constexpr double kCpuSimdTol = 1e-9;
-// Host FP32 pair math mirrors the GPU FP32 ladder (same narrowing, double
-// accumulation), so it owes the same 2e-2 bound as gpu_v1..v3.
-constexpr double kCpuFp32Tol = 2e-2;
 
 struct BackendSpec {
   const char* name;
@@ -57,8 +54,6 @@ struct BackendSpec {
   bool fast_path = false;
   /// Vectorize the fused kernel (Param::cpu_simd); tolerance contract.
   bool simd = false;
-  /// FP32 pair math (Param::precision = kFp32); tolerance contract.
-  bool fp32 = false;
   /// Spatial shard count (Param::num_shards); 0 = unsharded. The sharded
   /// pipeline owes bitwise identity (docs/sharding.md), so its row carries
   /// tolerance 0 like the fast-path rows.
@@ -73,7 +68,6 @@ std::unique_ptr<Simulation> MakeSim(const ParityScenario& sc,
   param.max_bound = sc.space;
   param.cpu_fast_path = b.fast_path;
   param.cpu_simd = b.simd;
-  param.precision = b.fp32 ? Precision::kFp32 : Precision::kFp64;
   param.num_shards = b.shards;
   auto sim = std::make_unique<Simulation>(param);
   sim->CreateRandomCells(sc.agents, sc.diameter);
@@ -143,11 +137,9 @@ ParityReport RunParity(const ParityScenario& scenario) {
       {"cpu_fast", Kind::kCpuGrid, ExecMode::kSerial, 0, true, 0.0, true},
       {"cpu_fast_mt", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0, true},
       {"cpu_sharded", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0, true,
-       false, false, 2},
+       false, 2},
       {"cpu_simd", Kind::kCpuGrid, ExecMode::kSerial, 0, false, kCpuSimdTol,
        true, true},
-      {"cpu_fp32", Kind::kCpuGrid, ExecMode::kSerial, 0, false, kCpuFp32Tol,
-       true, true, true},
       {"kdtree", Kind::kCpuKdTree, ExecMode::kSerial, 0, false, kKdTreeTol},
       {"gpu_v0", Kind::kGpu, ExecMode::kSerial, 0, false, kGpuFp64Tol},
       {"gpu_v1", Kind::kGpu, ExecMode::kSerial, 1, false, kGpuFp32Tol},

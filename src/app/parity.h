@@ -4,8 +4,8 @@
 // combination the engine ships — kd-tree, uniform grid serial, uniform grid
 // parallel, the fused CSR fast path (serial and parallel), the spatially
 // sharded pipeline (cpu_sharded: two shards with halo exchange,
-// docs/sharding.md), the vectorized fused kernel (cpu_simd, and its FP32
-// precision mode cpu_fp32), and the GPU version ladder v0..v3 — and
+// docs/sharding.md), the vectorized fused kernel (cpu_simd), and the GPU
+// version ladder v0..v3 — and
 // compares each trajectory against the uniform-grid serial reference (which
 // pins the fast path *off*, so the cpu_fast rows prove fused == legacy):
 //
@@ -16,7 +16,7 @@
 //     sequences;
 //   * backends that legitimately alter individual FP operations
 //     (kd-tree traversal order; the SIMD kernel's FMA-contracted
-//     distances; host/GPU FP32 kernels) are compared by the final
+//     distances; GPU FP32 kernels) are compared by the final
 //     per-agent positions, keyed by uid, against a documented tolerance
 //     bound.
 //

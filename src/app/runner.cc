@@ -46,10 +46,8 @@ obs::json::Value ConfigJson(const RunConfig& cfg) {
   v.Set("threads", cfg.num_threads);
   v.Set("cpu_fast_path", cfg.cpu_fast_path);
   v.Set("simd", cfg.simd);
-  v.Set("precision", cfg.precision);
   v.Set("zorder_every", cfg.zorder_every);
   v.Set("incremental_grid", cfg.incremental_grid);
-  v.Set("overlap_ops", cfg.overlap_ops);
   if (cfg.shards > 0) {
     v.Set("shards", cfg.shards);
     v.Set("shard_balance", cfg.shard_balance);
@@ -153,11 +151,8 @@ std::unique_ptr<Simulation> BuildSimulation(const RunConfig& cfg) {
   param.num_threads = cfg.num_threads;
   param.cpu_fast_path = cfg.cpu_fast_path;
   param.cpu_simd = cfg.simd;
-  param.precision =
-      cfg.precision == "fp32" ? Precision::kFp32 : Precision::kFp64;
   param.zorder_cadence = static_cast<uint32_t>(cfg.zorder_every);
   param.incremental_grid = cfg.incremental_grid;
-  param.overlap_ops = cfg.overlap_ops;
   param.num_shards = cfg.shards;
   param.shard_balance = cfg.shard_balance == "adaptive"
                             ? ShardBalance::kAdaptive
@@ -169,7 +164,7 @@ std::unique_ptr<Simulation> BuildSimulation(const RunConfig& cfg) {
   if (cfg.boundary == "torus") {
     param.boundary_mode = BoundaryMode::kTorus;
   } else if (cfg.boundary == "open") {
-    param.bound_space = false;
+    param.boundary_mode = BoundaryMode::kOpen;
   }
   if (cfg.model_type == "random_cloud") {
     // Size the cube for the requested density (benchmark-B style).
@@ -189,7 +184,7 @@ std::unique_ptr<Simulation> BuildSimulation(const RunConfig& cfg) {
 
   if (cfg.substance_resolution > 0) {
     // One extracellular substance spanning the (possibly density-derived)
-    // simulation cube; gives overlap_ops a diffusion op to run against.
+    // simulation cube.
     sim->AddDiffusionGrid(std::make_unique<DiffusionGrid>(
         "oxygen", sim->param().min_bound, sim->param().max_bound,
         cfg.substance_resolution, cfg.substance_diffusion,

@@ -20,15 +20,6 @@ enum class BoundaryMode : uint8_t {
   kTorus,  // periodic: positions wrap, distances are minimum-image
 };
 
-/// Floating-point width of the CPU force kernel's pair math (the paper's
-/// Improvement I applied to the host). kFp32 narrows positions/diameters
-/// into the gather scratch and evaluates Eq. (1) in float; accumulation
-/// stays double. Tolerance contract, not bitwise (docs/determinism.md).
-enum class Precision : uint8_t {
-  kFp64,
-  kFp32,
-};
-
 /// How the spatial shard partition sizes its z-plane ranges
 /// (docs/sharding.md). Lives here rather than in spatial/ because Param
 /// carries it and core cannot depend on spatial.
@@ -51,13 +42,7 @@ struct Param {
   /// the CPU mechanics; the kd-tree baseline and the GPU kernels implement
   /// the paper's clamped space only.
   BoundaryMode boundary_mode = BoundaryMode::kClamp;
-  /// Legacy switch: false is shorthand for kOpen. Kept because the paper's
-  /// benchmarks phrase it this way.
-  bool bound_space = true;
 
-  BoundaryMode EffectiveBoundary() const {
-    return bound_space ? boundary_mode : BoundaryMode::kOpen;
-  }
   double SpaceEdge() const { return max_bound - min_bound; }
 
   // --- time ------------------------------------------------------------
@@ -111,11 +96,6 @@ struct Param {
   /// environment.
   bool cpu_simd = false;
 
-  /// Pair-math precision of the CPU force kernel. kFp32 implies the
-  /// vectorized kernel (same requirements as cpu_simd) and owes the
-  /// cpu_fp32 parity bound of 2e-2, mirroring the FP32 GPU rows.
-  Precision precision = Precision::kFp64;
-
   /// Maintain the uniform grid incrementally (spatial/uniform_grid.h): when
   /// the grid geometry and population are unchanged since the previous
   /// step, only agents that crossed a box boundary are re-binned and the
@@ -126,18 +106,6 @@ struct Param {
   /// knob only trades speed, never results. Ignored by non-grid
   /// environments.
   bool incremental_grid = true;
-
-  /// Run mechanical forces and substance diffusion as a two-node task graph
-  /// (core/thread_pool.h TaskGraph) instead of back-to-back: once the
-  /// behaviors pass's deposit merge has retired, mechanics touches only
-  /// positions/grid while diffusion touches only concentration fields, so
-  /// the two may overlap. Bitwise-neutral (each op runs unchanged, exactly
-  /// once; docs/determinism.md) and gated by the thread-sweep determinism
-  /// test. CPU pipeline only — the runner's config validation enforces
-  /// backend cpu — and a no-op without diffusion grids. Off by default:
-  /// per-op hardware-counter attribution collapses into one combined
-  /// "mechanics+diffusion" scope while overlapped.
-  bool overlap_ops = false;
 
   /// Re-sort agents into Z-order (spatial/zorder_sort.h) every N steps of
   /// the CPU pipeline; 0 disables. The paper's Improvement II applied to
@@ -193,25 +161,13 @@ struct Param {
     if (interaction_radius_margin < 0.0) {
       fail("interaction_radius_margin must be non-negative");
     }
-    if (boundary_mode == BoundaryMode::kTorus && !bound_space) {
-      fail("torus boundaries require bound_space");
-    }
-    if ((cpu_simd || precision == Precision::kFp32) && !cpu_fast_path) {
-      fail("cpu_simd / fp32 precision vectorize the fused kernel and "
-           "require cpu_fast_path");
+    if (cpu_simd && !cpu_fast_path) {
+      fail("cpu_simd vectorizes the fused kernel and requires "
+           "cpu_fast_path");
     }
     if (num_shards > 0 && !cpu_fast_path) {
       fail("spatial sharding drives the fused CSR kernel per shard and "
            "requires cpu_fast_path");
-    }
-    if (num_shards > 0 && overlap_ops) {
-      // The sharded step already interleaves its phases around the halo
-      // barriers; composing it with the overlap task graph would run
-      // diffusion concurrently with per-shard force passes whose merge
-      // discipline assumes exclusive SoA access. Reject loudly rather than
-      // silently ignoring one of the knobs (ISSUE 10 satellite).
-      fail("overlap_ops and num_shards cannot be combined: the sharded "
-           "pipeline schedules mechanics/diffusion itself; disable one");
     }
   }
 };

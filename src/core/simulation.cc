@@ -1,6 +1,7 @@
 #include "core/simulation.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "core/analysis.h"
@@ -256,56 +257,47 @@ void Simulation::RunBehaviorsSharded() {
 }
 
 void Simulation::RunShardedOps() {
-  if (!rm_.empty()) {
-    {
-      // Partition B: commit / z-order may have moved, added or permuted
-      // rows; ownership and the halo protocol need the post-commit
-      // positions.
-      TRACE_SCOPE("partition");
-      PERF_SCOPE("partition");
-      ScopedTimer t(profile_.Hist("partition"));
-      shard_runtime_->Repartition(rm_, param_);
-    }
-    {
-      TRACE_SCOPE("halo exchange");
-      PERF_SCOPE("halo exchange");
-      ScopedTimer t(profile_.Hist("halo exchange"));
-      shard_runtime_->ExchangeHalos(rm_, mode_);
-    }
-    {
-      // The sharded counterpart of "neighborhood update": per-shard
-      // occupancy-compacted CSRs instead of the one global grid.
-      TRACE_SCOPE("shard grids");
-      PERF_SCOPE("shard grids");
-      ScopedTimer t(profile_.Hist("shard grids"));
-      shard_runtime_->UpdateGrids(rm_, mode_);
-    }
-    {
-      TRACE_SCOPE("mechanical forces");
-      PERF_SCOPE("mechanical forces");
-      ScopedTimer t(profile_.Hist("mechanical forces"));
-      auto* cpu = dynamic_cast<CpuMechanicsBackend*>(backend_.get());
-      if (cpu == nullptr) {
-        throw std::invalid_argument(
-            "Simulation: num_shards > 0 requires the CPU mechanics backend "
-            "(the sharded force pass drives the fused CSR kernel directly)");
-      }
-      MechanicalForcesOp& op = cpu->mutable_op();
-      op.ComputeDisplacementsSharded(
-          rm_, shard_runtime_->ForceInputs(),
-          shard_runtime_->geometry().interaction_radius,
-          shard_runtime_->geometry().box_length, param_, mode_);
-      op.ApplyDisplacements(rm_, param_, mode_);
-    }
+  if (rm_.empty()) {
+    return;
   }
-  if (!diffusion_grids_.empty()) {
-    TRACE_SCOPE("diffusion");
-    PERF_SCOPE("diffusion");
-    ScopedTimer t(profile_.Hist("diffusion"));
-    for (auto& g : diffusion_grids_) {
-      g->Step(param_.simulation_time_step, mode_);
-    }
+  {
+    // Partition B: commit / z-order may have moved, added or permuted
+    // rows; ownership and the halo protocol need the post-commit
+    // positions.
+    TRACE_SCOPE("partition");
+    PERF_SCOPE("partition");
+    ScopedTimer t(profile_.Hist("partition"));
+    shard_runtime_->Repartition(rm_, param_);
   }
+  {
+    TRACE_SCOPE("halo exchange");
+    PERF_SCOPE("halo exchange");
+    ScopedTimer t(profile_.Hist("halo exchange"));
+    shard_runtime_->ExchangeHalos(rm_, mode_);
+  }
+  {
+    // The sharded counterpart of "neighborhood update": per-shard
+    // occupancy-compacted CSRs instead of the one global grid.
+    TRACE_SCOPE("shard grids");
+    PERF_SCOPE("shard grids");
+    ScopedTimer t(profile_.Hist("shard grids"));
+    shard_runtime_->UpdateGrids(rm_, mode_);
+  }
+  TRACE_SCOPE("mechanical forces");
+  PERF_SCOPE("mechanical forces");
+  ScopedTimer t(profile_.Hist("mechanical forces"));
+  auto* cpu = dynamic_cast<CpuMechanicsBackend*>(backend_.get());
+  if (cpu == nullptr) {
+    throw std::invalid_argument(
+        "Simulation: num_shards > 0 requires the CPU mechanics backend "
+        "(the sharded force pass drives the fused CSR kernel directly)");
+  }
+  MechanicalForcesOp& op = cpu->mutable_op();
+  op.ComputeDisplacementsSharded(
+      rm_, shard_runtime_->ForceInputs(),
+      shard_runtime_->geometry().interaction_radius,
+      shard_runtime_->geometry().box_length, param_, mode_);
+  op.ApplyDisplacements(rm_, param_, mode_);
 }
 
 uint64_t Simulation::StateHash() const {
@@ -318,79 +310,38 @@ uint64_t Simulation::StateHash() const {
 }
 
 void Simulation::Simulate(uint64_t steps) {
-  if (param_.num_shards > 0) {
-    if (!shard_runtime_ || shard_runtime_->shards() != param_.num_shards) {
-      shard_runtime_ = std::make_unique<ShardRuntime>(param_.num_shards,
-                                                      param_.shard_balance);
-    }
-    for (uint64_t s = 0; s < steps; ++s) {
-      TRACE_SCOPE("step");
-      const bool have_agents = !rm_.empty();
-      if (have_agents) {
-        // Partition A: ownership for the behaviors pass, derived from the
-        // positions the behaviors will read.
-        TRACE_SCOPE("partition");
-        PERF_SCOPE("partition");
-        ScopedTimer t(profile_.Hist("partition"));
-        shard_runtime_->Repartition(rm_, param_);
-      }
-      {
-        TRACE_SCOPE("cell behaviors");
-        PERF_SCOPE("cell behaviors");
-        ScopedTimer t(profile_.Hist("cell behaviors"));
-        if (have_agents) {
-          RunBehaviorsSharded();
-        }
-      }
-      {
-        TRACE_SCOPE("commit");
-        PERF_SCOPE("commit");
-        ScopedTimer t(profile_.Hist("commit"));
-        rm_.CommitStructuralChanges();
-      }
-      if (param_.zorder_cadence > 0 && !rm_.empty() &&
-          step_ % param_.zorder_cadence == 0) {
-        TRACE_SCOPE("z-order sort");
-        PERF_SCOPE("z-order sort");
-        ScopedTimer t(profile_.Hist("z-order sort"));
-        double cell = rm_.LargestDiameter() + param_.interaction_radius_margin;
-        SortAgentsByZOrder(rm_, cell, mode_);
-      }
-      RunShardedOps();
-      ++step_;
-    }
-    return;
-  }
-  const bool overlap = param_.overlap_ops && !diffusion_grids_.empty();
-  if (overlap) {
-    // Pre-create every op histogram the overlapped nodes will touch:
-    // OpProfile::Hist mutates its name->index map on first use, and the
-    // diffusion node runs on a spawned thread. Creating the entries here —
-    // before any fork — makes the later lookups read-only. (The deque
-    // storage keeps Histogram addresses stable.)
-    profile_.Hist("z-order sort");
-    profile_.Hist("neighborhood update");
-    profile_.Hist("mechanical forces");
-    profile_.Hist("diffusion");
+  const bool sharded = param_.num_shards > 0;
+  if (sharded &&
+      (!shard_runtime_ || shard_runtime_->shards() != param_.num_shards)) {
+    shard_runtime_ = std::make_unique<ShardRuntime>(param_.num_shards,
+                                                    param_.shard_balance);
   }
   for (uint64_t s = 0; s < steps; ++s) {
     TRACE_SCOPE("step");
+    const bool have_agents = !rm_.empty();
+    if (sharded && have_agents) {
+      // Partition A: ownership for the behaviors pass, derived from the
+      // positions the behaviors will read.
+      TRACE_SCOPE("partition");
+      PERF_SCOPE("partition");
+      ScopedTimer t(profile_.Hist("partition"));
+      shard_runtime_->Repartition(rm_, param_);
+    }
     {
       TRACE_SCOPE("cell behaviors");
       PERF_SCOPE("cell behaviors");
       ScopedTimer t(profile_.Hist("cell behaviors"));
-      RunBehaviors();
+      if (!sharded) {
+        RunBehaviors();
+      } else if (have_agents) {
+        RunBehaviorsSharded();
+      }
     }
     {
       TRACE_SCOPE("commit");
       PERF_SCOPE("commit");
       ScopedTimer t(profile_.Hist("commit"));
       rm_.CommitStructuralChanges();
-    }
-    if (overlap) {
-      RunOverlappedOps();
-      ++step_;
-      continue;
     }
     if (param_.zorder_cadence > 0 && !rm_.empty() &&
         step_ % param_.zorder_cadence == 0) {
@@ -406,13 +357,15 @@ void Simulation::Simulate(uint64_t steps) {
       double cell = rm_.LargestDiameter() + param_.interaction_radius_margin;
       SortAgentsByZOrder(rm_, cell, mode_);
     }
-    {
-      TRACE_SCOPE("neighborhood update");
-      PERF_SCOPE("neighborhood update");
-      ScopedTimer t(profile_.Hist("neighborhood update"));
-      env_->Update(rm_, param_, mode_);
-    }
-    {
+    if (sharded) {
+      RunShardedOps();
+    } else {
+      {
+        TRACE_SCOPE("neighborhood update");
+        PERF_SCOPE("neighborhood update");
+        ScopedTimer t(profile_.Hist("neighborhood update"));
+        env_->Update(rm_, param_, mode_);
+      }
       TRACE_SCOPE("mechanical forces");
       PERF_SCOPE("mechanical forces");
       ScopedTimer t(profile_.Hist("mechanical forces"));
@@ -428,58 +381,6 @@ void Simulation::Simulate(uint64_t steps) {
     }
     ++step_;
   }
-}
-
-void Simulation::RunOverlappedOps() {
-  // One combined perf scope on the calling thread: PerfSession counters are
-  // per-opening-thread and not safe to nest from spawned threads, so while
-  // overlapped the per-op hardware attribution collapses into this scope
-  // (param.h documents the trade). Trace scopes ARE per-thread-safe and stay
-  // inside the node bodies — the timeline shows the two ops as overlapping
-  // tracks. Mechanics touches positions + the spatial index; diffusion
-  // touches only the concentration fields (the behaviors pass's deposit
-  // merge retired before this fork) — disjoint state, so overlap is
-  // bitwise-neutral (docs/determinism.md).
-  PERF_SCOPE("mechanics+diffusion");
-  // On a single hardware thread overlap cannot win — the two node bodies
-  // would time-slice one core while paying a thread spawn per step — so run
-  // the graph serially there. Bitwise-identical either way (TaskGraph
-  // contract), purely a cost decision.
-  const ExecMode graph_mode =
-      HardwareThreads() > 1 ? mode_ : ExecMode::kSerial;
-  TaskGraph graph;
-  graph.AddNode("mechanics", [this] {
-    // A fresh native thread starts from the global OpenMP ICVs, not the
-    // main thread's — re-apply the configured width before any parallel
-    // region.
-    SetNumThreads(param_.num_threads);
-    if (param_.zorder_cadence > 0 && !rm_.empty() &&
-        step_ % param_.zorder_cadence == 0) {
-      TRACE_SCOPE("z-order sort");
-      ScopedTimer t(profile_.Hist("z-order sort"));
-      double cell = rm_.LargestDiameter() + param_.interaction_radius_margin;
-      SortAgentsByZOrder(rm_, cell, mode_);
-    }
-    {
-      TRACE_SCOPE("neighborhood update");
-      ScopedTimer t(profile_.Hist("neighborhood update"));
-      env_->Update(rm_, param_, mode_);
-    }
-    {
-      TRACE_SCOPE("mechanical forces");
-      ScopedTimer t(profile_.Hist("mechanical forces"));
-      backend_->Step(rm_, *env_, param_, mode_, &profile_);
-    }
-  });
-  graph.AddNode("diffusion", [this] {
-    SetNumThreads(param_.num_threads);
-    TRACE_SCOPE("diffusion");
-    ScopedTimer t(profile_.Hist("diffusion"));
-    for (auto& g : diffusion_grids_) {
-      g->Step(param_.simulation_time_step, mode_);
-    }
-  });
-  graph.Run(graph_mode);
 }
 
 }  // namespace biosim

@@ -111,15 +111,9 @@ class Simulation {
   /// (ascending); substance deposits are tagged with their row and merged
   /// globally in row order — the exact sequence the unsharded pass applies.
   void RunBehaviorsSharded();
-  /// One full sharded step after the behaviors+commit phases: partition,
-  /// halo exchange, per-shard grids, sharded force pass, diffusion.
+  /// The sharded counterpart of "neighborhood update" + "mechanical
+  /// forces": partition, halo exchange, per-shard grids, sharded force pass.
   void RunShardedOps();
-  /// The post-commit ops of one step as a two-node task graph: mechanics
-  /// (z-order sort, environment update, force step — positions and grid)
-  /// overlapped with diffusion (concentration fields). Used instead of the
-  /// serial op sequence when param_.overlap_ops is set and a diffusion grid
-  /// exists; bitwise-identical results (docs/determinism.md).
-  void RunOverlappedOps();
 
   Param param_;
   ResourceManager rm_;

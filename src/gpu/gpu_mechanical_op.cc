@@ -177,7 +177,7 @@ void GpuMechanicalOp::Step(ResourceManager& rm, const Environment& env,
                            const Param& param, ExecMode mode,
                            OpProfile* profile) {
   (void)env;  // the grid is rebuilt on the device each step
-  if (param.EffectiveBoundary() == BoundaryMode::kTorus) {
+  if (param.boundary_mode == BoundaryMode::kTorus) {
     throw std::invalid_argument(
         "the GPU kernels implement the paper's clamped space; torus "
         "boundaries are CPU-only");
@@ -424,7 +424,7 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
     // SyncToHost().
     T lo = static_cast<T>(param.min_bound);
     T hi = static_cast<T>(param.max_bound);
-    bool bound = param.bound_space;
+    const bool bound = param.boundary_mode != BoundaryMode::kOpen;
     LaunchN("apply_displacement", n, [&](gpusim::BlockCtx& blk) {
       blk.for_each_lane([&](gpusim::Lane& t) {
         size_t i = t.gtid();

@@ -28,39 +28,15 @@ void CheckRadiusFitsBox(double radius, double box_length) {
   }
 }
 
-/// Flattened inputs of one scalar fused pass over one CSR view (the global
-/// grid's, or a single shard's). Mirrors detail::FusedSimdArgs; kept in this
-/// TU so the sharded and unsharded entries run the identical compiled loop.
-struct FusedScalarArgs {
-  CsrGridView view;
-  const std::pair<uint64_t, uint32_t>* boxes = nullptr;
-  size_t num_boxes = 0;
-  const Double3* positions = nullptr;
-  const double* diameters = nullptr;
-  const double* adherences = nullptr;
-  const Double3* tractor = nullptr;
-  ForceParams<double> fp{0.0, 0.0};
-  ForceLaw law = ForceLaw::kCortex3D;
-  double dt = 0.0;
-  double max_disp = 0.0;
-  double r2 = 0.0;
-  bool torus = false;
-  double edge = 0.0;
-  ExecMode mode = ExecMode::kSerial;
-  Double3* displacements = nullptr;
-  std::atomic<size_t>* evals = nullptr;
-};
-
-/// The scalar fused kernel body, shared verbatim by ComputeDisplacementsFused
-/// and ComputeDisplacementsSharded: per box, gather the 27-block candidates
+/// The scalar fused kernel body: per box, gather the 27-block candidates
 /// once, then stream them per resident in canonical order. Writes each
 /// resident row's displacement exactly once — rows are disjoint across
 /// shards, so per-shard invocations never race or reorder any FP work.
-void RunFusedScalarPass(const FusedScalarArgs& a) {
+void RunFusedScalarPass(const detail::FusedPassArgs& a) {
   const int32_t* starts = a.view.box_starts;
   const int32_t* agents = a.view.box_agents;
   const ForceLaw law = a.law;
-  const ForceParams<double> fp = a.fp;
+  const ForceParams<double> fp{a.repulsion, a.attraction};
   const double dt = a.dt;
   const double max_disp = a.max_disp;
   const double r2 = a.r2;
@@ -144,12 +120,11 @@ void RunFusedScalarPass(const FusedScalarArgs& a) {
             }
           }
         }
-        a.displacements[i] =
-            ComputeDisplacement(force, a.adherences[i], dt, max_disp);
+        a.out[i] = ComputeDisplacement(force, a.adherences[i], dt, max_disp);
       }
       BIOSIM_HOT_LOOP_END();
     }
-    a.evals->fetch_add(local_evals, std::memory_order_relaxed);
+    a.force_evaluations->fetch_add(local_evals, std::memory_order_relaxed);
   });
 }
 
@@ -159,28 +134,26 @@ void MechanicalForcesOp::ComputeDisplacements(const ResourceManager& rm,
                                               const Environment& env,
                                               const Param& param,
                                               ExecMode mode) {
-  const bool vector_mode =
-      param.cpu_simd || param.precision == Precision::kFp32;
-  if (param.cpu_fast_path || vector_mode) {
+  if (param.cpu_fast_path || param.cpu_simd) {
     // One dynamic_cast per step, not per query: the fused paths only exist
     // for the uniform grid (they consume the CSR layout); kd-tree and null
     // environments fall through to the generic path below.
     if (const auto* grid = dynamic_cast<const UniformGridEnvironment*>(&env)) {
-      used_fast_path_ = true;
-      if (vector_mode) {
-        ComputeDisplacementsSimd(rm, *grid, param, mode);
-      } else {
-        ComputeDisplacementsFused(rm, *grid, param, mode);
+      if (!rm.empty()) {
+        BuildMortonBoxes(*grid, rm.size());
       }
+      const ShardForceInput whole{MakeCsrGridView(*grid), morton_boxes_.data(),
+                                  morton_boxes_.size()};
+      RunFusedPasses(rm, {&whole, 1}, grid->interaction_radius(),
+                     grid->box_length(), param, mode);
       return;
     }
-    if (vector_mode) {
-      // No silent precision/summation-order change on a path the parity
-      // rows don't cover: vector modes are uniform-grid only.
+    if (param.cpu_simd) {
+      // No silent summation-order change on a path the parity rows don't
+      // cover: the vector kernel is uniform-grid only.
       throw std::invalid_argument(
-          "MechanicalForcesOp: cpu_simd / fp32 precision require the "
-          "uniform-grid environment (the vector kernel consumes its CSR "
-          "layout)");
+          "MechanicalForcesOp: cpu_simd requires the uniform-grid "
+          "environment (the vector kernel consumes its CSR layout)");
     }
   }
   used_fast_path_ = false;
@@ -198,7 +171,7 @@ void MechanicalForcesOp::ComputeDisplacements(const ResourceManager& rm,
   const double dt = param.simulation_time_step;
   const double max_disp = param.simulation_max_displacement;
   const double radius = env.interaction_radius();
-  const bool torus = param.EffectiveBoundary() == BoundaryMode::kTorus;
+  const bool torus = param.boundary_mode == BoundaryMode::kTorus;
   const double edge = param.SpaceEdge();
 
   std::atomic<size_t> evals{0};
@@ -254,115 +227,15 @@ void MechanicalForcesOp::BuildMortonBoxes(const UniformGridEnvironment& grid,
   std::sort(morton_boxes_.begin(), morton_boxes_.end());
 }
 
-namespace {
-
-/// Fill the non-view fields of a FusedScalarArgs from the SoA arrays and
-/// parameters (shared by the unsharded and sharded scalar entries).
-FusedScalarArgs MakeScalarArgs(const ResourceManager& rm, const Param& param,
-                               ForceLaw law, double radius, ExecMode mode,
-                               Double3* displacements,
-                               std::atomic<size_t>* evals) {
-  FusedScalarArgs a;
-  a.positions = rm.positions().data();
-  a.diameters = rm.diameters().data();
-  a.adherences = rm.adherences().data();
-  a.tractor = rm.tractor_forces().data();
-  a.fp = ForceParams<double>{param.repulsion_coefficient,
-                             param.attraction_coefficient};
-  a.law = law;
-  a.dt = param.simulation_time_step;
-  a.max_disp = param.simulation_max_displacement;
-  a.r2 = radius * radius;
-  a.torus = param.EffectiveBoundary() == BoundaryMode::kTorus;
-  a.edge = param.SpaceEdge();
-  a.mode = mode;
-  a.displacements = displacements;
-  a.evals = evals;
-  return a;
-}
-
-}  // namespace
-
-void MechanicalForcesOp::ComputeDisplacementsFused(
-    const ResourceManager& rm, const UniformGridEnvironment& grid,
-    const Param& param, ExecMode mode) {
-  const size_t n = rm.size();
-  displacements_.assign(n, Double3{});
-  if (n == 0) {
-    force_evaluations_ = 0;
-    return;
-  }
-  CheckRadiusFitsBox(grid.interaction_radius(), grid.box_length());
-
-  BuildMortonBoxes(grid, n);
-
-  std::atomic<size_t> evals{0};
-  FusedScalarArgs args =
-      MakeScalarArgs(rm, param, force_law_, grid.interaction_radius(), mode,
-                     displacements_.data(), &evals);
-  args.view = MakeCsrGridView(grid);
-  args.boxes = morton_boxes_.data();
-  args.num_boxes = morton_boxes_.size();
-  RunFusedScalarPass(args);
-
-  force_evaluations_ = evals.load(std::memory_order_relaxed);
-}
-
-void MechanicalForcesOp::ComputeDisplacementsSimd(
-    const ResourceManager& rm, const UniformGridEnvironment& grid,
-    const Param& param, ExecMode mode) {
-  const size_t n = rm.size();
-  displacements_.assign(n, Double3{});
-  if (n == 0) {
-    force_evaluations_ = 0;
-    return;
-  }
-  CheckRadiusFitsBox(grid.interaction_radius(), grid.box_length());
-
-  BuildMortonBoxes(grid, n);
-
-  const double radius = grid.interaction_radius();
-  std::atomic<size_t> evals{0};
-
-  detail::FusedSimdArgs args;
-  args.positions = rm.positions().data();
-  args.diameters = rm.diameters().data();
-  args.tractor = rm.tractor_forces().data();
-  args.view = MakeCsrGridView(grid);
-  args.boxes = morton_boxes_.data();
-  args.num_boxes = morton_boxes_.size();
-  args.law = force_law_;
-  args.repulsion = param.repulsion_coefficient;
-  args.attraction = param.attraction_coefficient;
-  args.r2 = radius * radius;
-  args.torus = param.EffectiveBoundary() == BoundaryMode::kTorus;
-  args.edge = param.SpaceEdge();
-  args.mode = mode;
-  args.out_forces = displacements_.data();
-  args.force_evaluations = &evals;
-
-  // Function-pointer dispatch happens once per pass, outside the hot-loop
-  // markers; WidthModeFromEnv is re-read per pass so tests can flip
-  // BIOSIM_SIMD in-process.
-  const detail::FusedSimdKernelFn kernel = detail::SelectFusedSimdKernel(
-      param.precision == Precision::kFp32, simd::WidthModeFromEnv());
-  kernel(args);
-
-  // Force -> displacement epilogue, in this baseline-compiled TU (see
-  // FusedSimdArgs): elementwise, so chunking cannot reorder any FP work.
-  const double* adherences = rm.adherences().data();
-  const double dt = param.simulation_time_step;
-  const double max_disp = param.simulation_max_displacement;
-  Double3* disp = displacements_.data();
-  ParallelFor(mode, n, [&](size_t i) {
-    disp[i] = ComputeDisplacement(disp[i], adherences[i], dt, max_disp);
-  });
-
-  force_evaluations_ = evals.load(std::memory_order_relaxed);
-}
-
 void MechanicalForcesOp::ComputeDisplacementsSharded(
     const ResourceManager& rm, const std::vector<ShardForceInput>& shards,
+    double interaction_radius, double box_length, const Param& param,
+    ExecMode mode) {
+  RunFusedPasses(rm, shards, interaction_radius, box_length, param, mode);
+}
+
+void MechanicalForcesOp::RunFusedPasses(
+    const ResourceManager& rm, std::span<const ShardForceInput> inputs,
     double interaction_radius, double box_length, const Param& param,
     ExecMode mode) {
   const size_t n = rm.size();
@@ -375,53 +248,46 @@ void MechanicalForcesOp::ComputeDisplacementsSharded(
   CheckRadiusFitsBox(interaction_radius, box_length);
 
   std::atomic<size_t> evals{0};
-  const bool vector_mode =
-      param.cpu_simd || param.precision == Precision::kFp32;
+  detail::FusedPassArgs args;
+  args.positions = rm.positions().data();
+  args.diameters = rm.diameters().data();
+  args.tractor = rm.tractor_forces().data();
+  args.adherences = rm.adherences().data();
+  args.dt = param.simulation_time_step;
+  args.max_disp = param.simulation_max_displacement;
+  args.law = force_law_;
+  args.repulsion = param.repulsion_coefficient;
+  args.attraction = param.attraction_coefficient;
+  args.r2 = interaction_radius * interaction_radius;
+  args.torus = param.boundary_mode == BoundaryMode::kTorus;
+  args.edge = param.SpaceEdge();
+  args.mode = mode;
+  args.out = displacements_.data();
+  args.force_evaluations = &evals;
 
-  if (!vector_mode) {
-    // Scalar fused pass per shard: the shared kernel body writes the final
-    // displacement of every row resident in the shard's owned boxes. Owned
-    // boxes partition the global non-empty box set, so each row is written
-    // once, with the same candidate stream as the unsharded pass.
-    FusedScalarArgs args =
-        MakeScalarArgs(rm, param, force_law_, interaction_radius, mode,
-                       displacements_.data(), &evals);
-    for (const ShardForceInput& s : shards) {
-      args.view = s.view;
-      args.boxes = s.boxes;
-      args.num_boxes = s.num_boxes;
-      RunFusedScalarPass(args);
-    }
-  } else {
-    // Vector pass per shard, one kernel selection for all of them. The
-    // kernel writes net *forces* into the displacement buffer for resident
-    // rows only; the force->displacement epilogue below runs ONCE, globally,
-    // after every shard — elementwise over rows, exactly the unsharded
-    // epilogue, so sharding cannot reorder any of its FP work.
-    detail::FusedSimdArgs args;
-    args.positions = rm.positions().data();
-    args.diameters = rm.diameters().data();
-    args.tractor = rm.tractor_forces().data();
-    args.law = force_law_;
-    args.repulsion = param.repulsion_coefficient;
-    args.attraction = param.attraction_coefficient;
-    args.r2 = interaction_radius * interaction_radius;
-    args.torus = param.EffectiveBoundary() == BoundaryMode::kTorus;
-    args.edge = param.SpaceEdge();
-    args.mode = mode;
-    args.out_forces = displacements_.data();
-    args.force_evaluations = &evals;
-    const detail::FusedSimdKernelFn kernel = detail::SelectFusedSimdKernel(
-        param.precision == Precision::kFp32, simd::WidthModeFromEnv());
-    for (const ShardForceInput& s : shards) {
-      args.view = s.view;
-      args.boxes = s.boxes;
-      args.num_boxes = s.num_boxes;
-      kernel(args);
-    }
-    const double* adherences = rm.adherences().data();
-    const double dt = param.simulation_time_step;
-    const double max_disp = param.simulation_max_displacement;
+  // Function-pointer dispatch happens once per pass, outside the hot-loop
+  // markers; WidthModeFromEnv is re-read per pass so tests can flip
+  // BIOSIM_SIMD in-process. Each input's owned boxes present the candidate
+  // sequence the global grid would, and the inputs' boxes partition the
+  // non-empty box set, so every row is written by exactly one pass.
+  const detail::FusedPassFn pass =
+      param.cpu_simd ? detail::SelectFusedSimdKernel(simd::WidthModeFromEnv())
+                     : &RunFusedScalarPass;
+  for (const ShardForceInput& in : inputs) {
+    args.view = in.view;
+    args.boxes = in.boxes;
+    args.num_boxes = in.num_boxes;
+    pass(args);
+  }
+
+  if (param.cpu_simd) {
+    // The vector kernels wrote net forces; the force -> displacement
+    // epilogue runs once, globally, in this baseline-compiled TU (see
+    // FusedPassArgs): elementwise, so neither chunking nor sharding can
+    // reorder any of its FP work.
+    const double* adherences = args.adherences;
+    const double dt = args.dt;
+    const double max_disp = args.max_disp;
     Double3* disp = displacements_.data();
     ParallelFor(mode, n, [&](size_t i) {
       disp[i] = ComputeDisplacement(disp[i], adherences[i], dt, max_disp);

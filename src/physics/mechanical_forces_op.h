@@ -7,31 +7,28 @@
 // the same two-phase structure the GPU offload uses (compute on device,
 // apply on host).
 //
-// Three compute paths (docs/perf.md):
+// Two compute paths (docs/perf.md):
 //
 //   * generic: per-agent virtual ForEachNeighborWithinRadius with a
 //     function_ref callback — works against any Environment;
 //   * fused (param.cpu_fast_path, uniform grid only): box-by-box traversal
-//     in Morton order over the grid's CSR layout. Each box resolves its
-//     27-neighbor block once and reuses it for every resident agent, and the
-//     inner loop streams contiguous box_agents runs with no indirect calls.
-//     Bitwise-identical to the generic path: both visit each agent's
-//     neighbors in the identical canonical order (NeighborBoxesOf block
-//     order, ascending agent index within a box) and evaluate the same FP
-//     expressions on them;
-//   * SIMD (param.cpu_simd and/or Precision::kFp32, uniform grid only):
-//     the fused traversal with the per-agent candidate sweep vectorized
-//     over width-padded SoA scratch (physics/simd_force_kernel.h),
-//     optionally with the pair math narrowed to FP32 (the paper's
-//     Improvement I on the host). FMA-contracted distances mean this path
-//     owes only a *tolerance* against the scalar reference — but it is
-//     bitwise independent of the dispatched vector width, the worker
-//     count, and the run (docs/determinism.md, parity rows cpu_simd /
-//     cpu_fp32).
+//     over CSR views — the global grid in Morton order, or one view per
+//     spatial shard. Each box resolves its 27-neighbor block once and
+//     reuses it for every resident agent. Its candidate sweep is either
+//     scalar — bitwise-identical to the generic path: both visit each
+//     agent's neighbors in the identical canonical order (NeighborBoxesOf
+//     block order, ascending agent index within a box) and evaluate the
+//     same FP expressions on them — or, with param.cpu_simd, vectorized
+//     over width-padded SoA scratch (physics/simd_force_kernel.h).
+//     FMA-contracted distances mean the SIMD sweep owes only a *tolerance*
+//     against the scalar reference — but it is bitwise independent of the
+//     dispatched vector width, the worker count, and the run
+//     (docs/determinism.md, parity row cpu_simd).
 #ifndef BIOSIM_PHYSICS_MECHANICAL_FORCES_OP_H_
 #define BIOSIM_PHYSICS_MECHANICAL_FORCES_OP_H_
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -65,10 +62,10 @@ class MechanicalForcesOp {
       : force_law_(law) {}
 
   /// Compute per-agent displacements into an internal buffer. The
-  /// environment must be up to date. Throws std::invalid_argument when a
-  /// vector mode (param.cpu_simd / FP32 precision) is requested but the
-  /// environment is not a uniform grid — the vector kernel consumes the
-  /// grid's CSR layout and has no generic fallback.
+  /// environment must be up to date. Throws std::invalid_argument when
+  /// param.cpu_simd is requested but the environment is not a uniform
+  /// grid — the vector kernel consumes the grid's CSR layout and has no
+  /// generic fallback.
   void ComputeDisplacements(const ResourceManager& rm, const Environment& env,
                             const Param& param, ExecMode mode);
 
@@ -77,8 +74,8 @@ class MechanicalForcesOp {
   void ApplyDisplacements(ResourceManager& rm, const Param& param,
                           ExecMode mode);
 
-  /// Sharded twin of ComputeDisplacements: run the fused (or SIMD) pass once
-  /// per shard over that shard's CSR view and owned boxes. Each owned box
+  /// Sharded twin of ComputeDisplacements: run the fused pass once per
+  /// shard over that shard's CSR view and owned boxes. Each owned box
   /// presents the identical candidate sequence the global grid would (the
   /// halo exchange ships every agent within one box of a shard face), and
   /// each agent row is owned by exactly one shard, so the displacement
@@ -108,16 +105,12 @@ class MechanicalForcesOp {
   bool last_used_fast_path() const { return used_fast_path_; }
 
  private:
-  /// The fused fast path: requires an up-to-date uniform grid.
-  void ComputeDisplacementsFused(const ResourceManager& rm,
-                                 const UniformGridEnvironment& grid,
-                                 const Param& param, ExecMode mode);
-
-  /// The vectorized fused path (and FP32 mode); dispatches to the widest
-  /// kernel the CPU supports unless BIOSIM_SIMD=scalar narrows it.
-  void ComputeDisplacementsSimd(const ResourceManager& rm,
-                                const UniformGridEnvironment& grid,
-                                const Param& param, ExecMode mode);
+  /// The fused pass driver: one scalar or SIMD pass per CSR input (the
+  /// whole grid is a single input), then the SIMD displacement epilogue.
+  void RunFusedPasses(const ResourceManager& rm,
+                      std::span<const ShardForceInput> inputs,
+                      double interaction_radius, double box_length,
+                      const Param& param, ExecMode mode);
 
   /// Rebuild morton_boxes_ (the shared fused traversal order) for the
   /// grid's current non-empty boxes.

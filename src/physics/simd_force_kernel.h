@@ -1,15 +1,14 @@
 // Width-agnostic SIMD instantiation of the fused CSR force kernel.
 //
-// Same traversal as MechanicalForcesOp::ComputeDisplacementsFused
+// Same traversal as the scalar fused pass of MechanicalForcesOp
 // (docs/perf.md): Morton-ordered walk over the non-empty boxes, one
 // 27-neighbor candidate gather per box, one sweep over the gathered
 // stream per resident agent. What changes is the gather layout and the
 // sweep:
 //
 //   * the candidate block is gathered into padded, 64-byte-aligned SoA
-//     component arrays (x/y/z/diameter in `T`, the compute precision) —
-//     the layout a vector loop wants, instead of the scalar path's
-//     array-of-Double3;
+//     component arrays (x/y/z/diameter) — the layout a vector loop wants,
+//     instead of the scalar path's array-of-Double3;
 //   * the per-agent sweep is two passes. Pass 1 is the vector loop: W
 //     candidates at a time, compute the squared distance stream into an
 //     aligned scratch array — pure straight-line lane math, no masks, no
@@ -21,29 +20,26 @@
 //     of the sweep's work, so vectorizing pass 1 is where the speedup
 //     lives; keeping the contact math scalar avoids paying vector sqrt
 //     and division on mostly-empty lane groups;
-//   * pair math runs in `T` (double, or float for the paper's
-//     Improvement-I FP32 mode), but accumulation is always double, in
-//     candidate order.
+//   * accumulation runs in candidate order.
 //
 // Determinism contract (docs/determinism.md): each lane's d² is a pure
 // per-candidate value (FMA is correctly rounded, so grouping candidates
 // W at a time cannot change it) and pass 2 accumulates in candidate
 // order — the result is *independent of W*. BIOSIM_SIMD=scalar, the
 // baseline TU and the AVX2 TU all produce bitwise-identical forces, and
-// boxes never share accumulation state, so every (precision, width) mode
-// is also bitwise self-consistent at any worker count. Against the
-// scalar fused reference the modes owe a *tolerance*: d² here is
-// FMA-contracted where the scalar path's dot product is not (plus
-// narrowed inputs for FP32), enforced by the cpu_simd / cpu_fp32 parity
-// rows and tests/physics/simd_force_diff_test.
+// boxes never share accumulation state, so every width is also bitwise
+// self-consistent at any worker count. Against the scalar fused
+// reference the kernel owes a *tolerance*: d² here is FMA-contracted
+// where the scalar path's dot product is not, enforced by the cpu_simd
+// parity row and tests/physics/simd_force_diff_test.
 //
 // Two deliberate count-exactness choices:
 //   * d² is computed with explicit Fma (correctly rounded everywhere),
 //     so the hit decision d² <= r² cannot drift between the per-ISA TUs
 //     or compilers — the force_evaluations_ parity gate depends on it;
 //   * the agent's own slot is NOT skipped: its distance is exactly zero
-//     (its coordinates round-trip through `T` identically for the query
-//     and the gather), so it always counts as a hit and contributes zero
+//     (the query and its gathered slot hold the same coordinates), so it
+//     always counts as a hit and contributes zero
 //     force (the d² > 0 guard). The guaranteed one self-hit per resident
 //     is subtracted from the evaluation count afterwards, which keeps an
 //     index compare out of the sweep.
@@ -66,16 +62,23 @@
 
 namespace biosim::detail {
 
-/// Flattened inputs of one SIMD force pass. Plain pointers so the
-/// per-ISA kernel TUs need no view of ResourceManager/Param. The kernel
-/// writes *net forces* (tractor + pair sum); the caller converts them to
-/// displacements afterwards — that epilogue must not live in the per-ISA
-/// TUs, where its inline helpers would be emitted as weak symbols that
-/// the linker could fold with copies compiled for a different ISA.
-struct FusedSimdArgs {
+/// Flattened inputs of one fused force pass over one CSR view, shared by
+/// the scalar pass (physics/mechanical_forces_op.cc) and the per-ISA SIMD
+/// kernels. Plain pointers so the per-ISA kernel TUs need no view of
+/// ResourceManager/Param. The SIMD kernels write *net forces* (tractor +
+/// pair sum); the caller converts them to displacements afterwards — that
+/// epilogue must not live in the per-ISA TUs, where its inline helpers
+/// would be emitted as weak symbols that the linker could fold with copies
+/// compiled for a different ISA. The scalar pass writes final
+/// displacements directly.
+struct FusedPassArgs {
   const Double3* positions = nullptr;
   const double* diameters = nullptr;
   const Double3* tractor = nullptr;
+  /// Displacement epilogue inputs (scalar pass only).
+  const double* adherences = nullptr;
+  double dt = 0.0;
+  double max_disp = 0.0;
   /// CSR layout + neighbor-slot resolver: the global grid's, or one spatial
   /// shard's occupancy-compacted CSR (spatial/csr_grid_view.h). Both present
   /// each box's candidates in the identical canonical order, so the kernel
@@ -94,34 +97,33 @@ struct FusedSimdArgs {
   bool torus = false;
   double edge = 0.0;
   ExecMode mode = ExecMode::kSerial;
-  /// Output: per-agent net force.
-  Double3* out_forces = nullptr;
+  /// Output: per-agent net force (SIMD) or displacement (scalar).
+  Double3* out = nullptr;
   std::atomic<size_t>* force_evaluations = nullptr;
 };
 
 /// Coordinate written into the gather padding lanes: far enough from any
 /// real agent that a padded lane could never pass the d² <= r² test.
 /// Pass 2 stops at the unpadded candidate count, so pad lanes are only
-/// ever touched by pass-1 arithmetic — their d² may even overflow to
-/// +inf in FP32, which is harmless (finite math never traps).
+/// ever touched by pass-1 arithmetic.
 inline constexpr double kPadCoordinate = 1e18;
 
 /// The kernel template. `Tag` exists purely to keep instantiations from
 /// different translation units distinct: each per-ISA TU passes its own
 /// internal-linkage tag type, so a baseline-ISA body and an AVX2 body
 /// can never be folded into one weak symbol by the linker.
-template <typename T, int W, typename Tag>
-void RunFusedSimdKernel(const FusedSimdArgs& a) {
-  using V = simd::Vec<T, W>;
+template <int W, typename Tag>
+void RunFusedSimdKernel(const FusedPassArgs& a) {
+  using V = simd::Vec<double, W>;
 
   const int32_t* starts = a.view.box_starts;
   const int32_t* agents = a.view.box_agents;
 
-  const T r2s = static_cast<T>(a.r2);
-  const T kappa = static_cast<T>(a.repulsion);
-  const T gamma = static_cast<T>(a.attraction);
-  const T edge = static_cast<T>(a.edge);
-  const T half_edge = edge / T{2};
+  const double r2 = a.r2;
+  const double kappa = a.repulsion;
+  const double gamma = a.attraction;
+  const double edge = a.edge;
+  const double half_edge = edge / 2.0;
   const V edgev = V::Broadcast(edge);
   const V half_edgev = V::Broadcast(half_edge);
   const V neg_half_edgev = V::Broadcast(-half_edge);
@@ -131,11 +133,11 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
   ParallelForChunks(a.mode, a.num_boxes, [&](size_t begin, size_t end) {
     // Per-chunk gather scratch; uninitialized capacity-managed storage,
     // overwritten for every box (core/aligned_buffer.h).
-    AlignedBuffer<T> xs_buf;
-    AlignedBuffer<T> ys_buf;
-    AlignedBuffer<T> zs_buf;
-    AlignedBuffer<T> ds_buf;
-    AlignedBuffer<T> d2s_buf;
+    AlignedBuffer<double> xs_buf;
+    AlignedBuffer<double> ys_buf;
+    AlignedBuffer<double> zs_buf;
+    AlignedBuffer<double> ds_buf;
+    AlignedBuffer<double> d2s_buf;
     AlignedBuffer<uint32_t> hidx_buf;
     size_t hits = 0;       // candidates with d² <= r², self-hits included
     size_t residents = 0;  // one guaranteed self-hit per resident agent
@@ -153,11 +155,11 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
       const size_t padded =
           (cand_n + static_cast<size_t>(W) - 1) / static_cast<size_t>(W) *
           static_cast<size_t>(W);
-      T* xs = xs_buf.EnsureCapacity(padded);
-      T* ys = ys_buf.EnsureCapacity(padded);
-      T* zs = zs_buf.EnsureCapacity(padded);
-      T* ds = ds_buf.EnsureCapacity(padded);
-      T* d2s = d2s_buf.EnsureCapacity(padded);
+      double* xs = xs_buf.EnsureCapacity(padded);
+      double* ys = ys_buf.EnsureCapacity(padded);
+      double* zs = zs_buf.EnsureCapacity(padded);
+      double* ds = ds_buf.EnsureCapacity(padded);
+      double* d2s = d2s_buf.EnsureCapacity(padded);
       uint32_t* hidx = hidx_buf.EnsureCapacity(cand_n);
       size_t w = 0;
       for (int k = 0; k < block_count; ++k) {
@@ -165,30 +167,30 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
         const int32_t nb_end = starts[nb + 1];
         for (int32_t u = starts[nb]; u < nb_end; ++u, ++w) {
           const int32_t j = agents[u];
-          xs[w] = static_cast<T>(a.positions[j].x);
-          ys[w] = static_cast<T>(a.positions[j].y);
-          zs[w] = static_cast<T>(a.positions[j].z);
-          ds[w] = static_cast<T>(a.diameters[j]);
+          xs[w] = a.positions[j].x;
+          ys[w] = a.positions[j].y;
+          zs[w] = a.positions[j].z;
+          ds[w] = a.diameters[j];
         }
       }
       for (size_t p = cand_n; p < padded; ++p) {
-        xs[p] = static_cast<T>(kPadCoordinate);
-        ys[p] = static_cast<T>(kPadCoordinate);
-        zs[p] = static_cast<T>(kPadCoordinate);
-        ds[p] = T{0};
+        xs[p] = kPadCoordinate;
+        ys[p] = kPadCoordinate;
+        zs[p] = kPadCoordinate;
+        ds[p] = 0.0;
       }
 
       BIOSIM_HOT_LOOP_BEGIN();
       const int32_t row_end = starts[b + 1];
       for (int32_t t = starts[b]; t < row_end; ++t) {
         const int32_t i = agents[t];
-        // The query position is narrowed through T exactly like its own
-        // gathered slot, so the self-distance is exactly zero in every
-        // precision (the self-hit accounting above relies on this).
-        const T pix = static_cast<T>(a.positions[i].x);
-        const T piy = static_cast<T>(a.positions[i].y);
-        const T piz = static_cast<T>(a.positions[i].z);
-        const T ri = static_cast<T>(a.diameters[i]) / T{2};
+        // The query position is bitwise its own gathered slot, so the
+        // self-distance is exactly zero (the self-hit accounting above
+        // relies on this).
+        const double pix = a.positions[i].x;
+        const double piy = a.positions[i].y;
+        const double piz = a.positions[i].z;
+        const double ri = a.diameters[i] / 2.0;
         // Pass 1: the vector loop — squared distance of every candidate
         // into the d² scratch. Each lane is a pure function of its
         // candidate, so the stream's values do not depend on W.
@@ -222,40 +224,40 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
         size_t m = 0;
         for (size_t c = 0; c < cand_n; ++c) {
           hidx[m] = static_cast<uint32_t>(c);
-          m += static_cast<size_t>(d2s[c] <= r2s);
+          m += static_cast<size_t>(d2s[c] <= r2);
         }
         hits += m;
         // Pass 3: contact math on the hits only, in candidate order,
         // mirroring the scalar force law's expression sequence
-        // (physics/force_law.h). Double accumulation regardless of T.
+        // (physics/force_law.h).
         double fx = 0.0;
         double fy = 0.0;
         double fz = 0.0;
         for (size_t h = 0; h < m; ++h) {
           const size_t c = hidx[h];
-          const T d2 = d2s[c];
-          if (!(d2 > T{0})) {
+          const double d2 = d2s[c];
+          if (!(d2 > 0.0)) {
             continue;  // self lane or exactly coincident centers
           }
-          const T dist = std::sqrt(d2);
-          const T rj = ds[c] * T{0.5};
-          const T delta = ri + rj - dist;
-          if (!(delta > T{0})) {
+          const double dist = std::sqrt(d2);
+          const double rj = ds[c] * 0.5;
+          const double delta = ri + rj - dist;
+          if (!(delta > 0.0)) {
             continue;
           }
-          const T reduced = (ri * rj) / (ri + rj);
-          T magnitude;
+          const double reduced = (ri * rj) / (ri + rj);
+          double magnitude;
           if (hertz) {
             magnitude = kappa * std::sqrt(reduced) * delta * std::sqrt(delta);
           } else {
             magnitude = kappa * delta - gamma * std::sqrt(reduced * delta);
           }
-          const T scale = magnitude / dist;
+          const double scale = magnitude / dist;
           // Recompute the (wrapped) separation for this hit; same inputs
           // and operations as its pass-1 lane, so bitwise the same.
-          T dx = pix - xs[c];
-          T dy = piy - ys[c];
-          T dz = piz - zs[c];
+          double dx = pix - xs[c];
+          double dy = piy - ys[c];
+          double dz = piz - zs[c];
           if (torus) {
             if (dx > half_edge) {
               dx -= edge;
@@ -273,11 +275,11 @@ void RunFusedSimdKernel(const FusedSimdArgs& a) {
               dz += edge;
             }
           }
-          fx += static_cast<double>(dx * scale);
-          fy += static_cast<double>(dy * scale);
-          fz += static_cast<double>(dz * scale);
+          fx += dx * scale;
+          fy += dy * scale;
+          fz += dz * scale;
         }
-        a.out_forces[i] = a.tractor[i] + Double3{fx, fy, fz};
+        a.out[i] = a.tractor[i] + Double3{fx, fy, fz};
       }
       BIOSIM_HOT_LOOP_END();
       residents += static_cast<size_t>(row_end - starts[b]);

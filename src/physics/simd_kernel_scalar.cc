@@ -14,12 +14,8 @@ namespace {
 struct ScalarWidthTag {};
 }  // namespace
 
-void FusedSimdScalarWidthFp64(const FusedSimdArgs& args) {
-  RunFusedSimdKernel<double, 1, ScalarWidthTag>(args);
-}
-
-void FusedSimdScalarWidthFp32(const FusedSimdArgs& args) {
-  RunFusedSimdKernel<float, 1, ScalarWidthTag>(args);
+void FusedSimdScalarWidth(const FusedPassArgs& args) {
+  RunFusedSimdKernel<1, ScalarWidthTag>(args);
 }
 
 }  // namespace biosim::detail

@@ -8,7 +8,7 @@ namespace biosim {
 
 void KdTreeEnvironment::Update(const ResourceManager& rm, const Param& param,
                                ExecMode mode) {
-  if (param.EffectiveBoundary() == BoundaryMode::kTorus) {
+  if (param.boundary_mode == BoundaryMode::kTorus) {
     throw std::invalid_argument(
         "kd-tree environment does not support torus boundaries; use the "
         "uniform grid");

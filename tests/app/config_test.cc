@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <string>
+#include <utility>
 
 namespace biosim::app {
 namespace {
@@ -83,6 +85,19 @@ TEST(ConfigTest, UnknownSectionFailsWithLineNumber) {
 TEST(ConfigTest, UnknownKeyFails) {
   EXPECT_THROW(ParseConfigString("[simulation]\nstepz = 5\n"),
                std::runtime_error);
+  // Settings that no longer exist fail as loudly as typos, naming the key.
+  const std::pair<std::string, std::string> removed[] = {
+      {"overlap_ops", "true"}, {"precision", "fp32"}};
+  for (const auto& [key, value] : removed) {
+    try {
+      ParseConfigString("[simulation]\n" + key + " = " + value + "\n");
+      ADD_FAILURE() << "accepted removed key " << key;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key '" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ConfigTest, KeyOutsideSectionFails) {
@@ -140,47 +155,27 @@ TEST(ConfigTest, ParallelBlocksAndRacyGridBuildParseAndRequireGpu) {
                std::invalid_argument);
 }
 
-TEST(ConfigTest, SimdAndPrecisionKeysParseAndValidate) {
-  RunConfig cfg = ParseConfigString(
-      "[simulation]\nsimd = true\nprecision = fp32\n");
+TEST(ConfigTest, SimdKeyParsesAndValidates) {
+  RunConfig cfg = ParseConfigString("[simulation]\nsimd = true\n");
   EXPECT_TRUE(cfg.simd);
-  EXPECT_EQ(cfg.precision, "fp32");
   EXPECT_FALSE(ParseConfigString("").simd);
-  EXPECT_EQ(ParseConfigString("").precision, "fp64");
-  // The only precisions the kernel implements.
-  EXPECT_THROW(ParseConfigString("[simulation]\nprecision = fp16\n"),
-               std::invalid_argument);
-  // Both knobs vectorize the *CPU* fused kernel: the GPU ladder has its
-  // own FP32 versions, and without the fused path there is nothing to
+  // simd vectorizes the *CPU* fused kernel: the GPU ladder has its own
+  // FP32 versions, and without the fused path there is nothing to
   // vectorize.
   EXPECT_THROW(ParseConfigString(
                    "[simulation]\nsimd = true\n[backend]\ntype = gpu\n"),
                std::invalid_argument);
   EXPECT_THROW(ParseConfigString(
-                   "[simulation]\nprecision = fp32\n[backend]\ntype = gpu\n"),
-               std::invalid_argument);
-  EXPECT_THROW(ParseConfigString(
                    "[simulation]\nsimd = true\ncpu_fast_path = false\n"),
                std::invalid_argument);
-  EXPECT_THROW(
-      ParseConfigString(
-          "[simulation]\nprecision = fp32\ncpu_fast_path = false\n"),
-      std::invalid_argument);
 }
 
 TEST(ConfigTest, SchedulerKnobsParseAndValidate) {
-  RunConfig cfg = ParseConfigString(
-      "[simulation]\nincremental_grid = false\noverlap_ops = true\n");
+  RunConfig cfg =
+      ParseConfigString("[simulation]\nincremental_grid = false\n");
   EXPECT_FALSE(cfg.incremental_grid);
-  EXPECT_TRUE(cfg.overlap_ops);
-  // Defaults: incremental maintenance on (pure win), overlap opt-in.
+  // Default: incremental maintenance on (pure win).
   EXPECT_TRUE(ParseConfigString("").incremental_grid);
-  EXPECT_FALSE(ParseConfigString("").overlap_ops);
-  // The overlapped task graph schedules *host* ops; the simulated-GPU
-  // backend runs its own pipeline.
-  EXPECT_THROW(ParseConfigString(
-                   "[simulation]\noverlap_ops = true\n[backend]\ntype = gpu\n"),
-               std::invalid_argument);
 }
 
 TEST(ConfigTest, ShardKeysParseAndValidate) {
@@ -202,11 +197,6 @@ TEST(ConfigTest, ShardKeysParseAndValidate) {
                std::invalid_argument);
   EXPECT_THROW(ParseConfigString(
                    "[simulation]\nshards = 2\ncpu_fast_path = false\n"),
-               std::invalid_argument);
-  // The sharded pipeline schedules mechanics/diffusion itself; combining
-  // it with the overlapped task graph must fail loudly, not race.
-  EXPECT_THROW(ParseConfigString(
-                   "[simulation]\nshards = 2\noverlap_ops = true\n"),
                std::invalid_argument);
 }
 

@@ -64,15 +64,6 @@ TEST(ParamTest, ShardingRequiresTheFusedFastPath) {
   EXPECT_THROW(p.Validate(), std::invalid_argument);
 }
 
-TEST(ParamTest, ShardingAndOverlapOpsRejectLoudly) {
-  Param p;
-  p.num_shards = 4;
-  p.overlap_ops = true;
-  EXPECT_THROW(p.Validate(), std::invalid_argument);
-  p.overlap_ops = false;
-  EXPECT_NO_THROW(p.Validate());
-}
-
 TEST(ParamTest, SimulationConstructorValidates) {
   Param bad;
   bad.simulation_time_step = -1.0;

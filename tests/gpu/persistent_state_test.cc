@@ -148,6 +148,41 @@ TEST(PersistentStateTest, BoundSpaceEnforcedOnDevice) {
   EXPECT_GE(rm.positions()[0].x, 0.0);
 }
 
+TEST(PersistentStateTest, OpenBoundaryLeavesDevicePositionsUnclamped) {
+  // boundary_mode = kOpen must mean the same on the device-side apply as on
+  // the host apply: an agent pushed across max_bound stays outside.
+  Param param;
+  param.min_bound = 0.0;
+  param.max_bound = 100.0;
+  param.boundary_mode = BoundaryMode::kOpen;
+  auto fill = [](ResourceManager* rm) {
+    // The first cell sits on the +x face, overlapped from the inside.
+    NewAgentSpec a, b;
+    a.position = {99.9, 50, 50};
+    b.position = {94.9, 50, 50};
+    a.diameter = b.diameter = 10.0;
+    a.adherence = b.adherence = 0.001;
+    rm->AddAgent(std::move(a));
+    rm->AddAgent(std::move(b));
+  };
+  ResourceManager host_apply, device_apply;
+  fill(&host_apply);
+  fill(&device_apply);
+  GpuMechanicalOp normal(GpuMechanicsOptions::Version(1));
+  GpuMechanicalOp persistent(PersistentOpts(1));
+  NullEnvironment env;
+  for (int step = 0; step < 10; ++step) {
+    env.Update(host_apply, param, ExecMode::kSerial);
+    normal.Step(host_apply, env, param, ExecMode::kSerial, nullptr);
+    env.Update(device_apply, param, ExecMode::kSerial);
+    persistent.Step(device_apply, env, param, ExecMode::kSerial, nullptr);
+  }
+  persistent.SyncToHost(device_apply);
+  EXPECT_GT(host_apply.positions()[0].x, param.max_bound + 0.1);
+  EXPECT_NEAR(device_apply.positions()[0].x, host_apply.positions()[0].x,
+              1e-3);
+}
+
 TEST(PersistentStateTest, SyncIsNoopForNonPersistentOp) {
   Param param;
   ResourceManager rm;

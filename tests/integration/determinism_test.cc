@@ -36,18 +36,15 @@ std::vector<uint64_t> HashTrajectory(uint32_t num_threads, uint64_t steps,
                                      uint64_t seed = 42,
                                      uint32_t zorder_cadence = 0,
                                      bool cpu_fast_path = true,
-                                     bool cpu_simd = false, bool fp32 = false,
-                                     bool incremental_grid = true,
-                                     bool overlap_ops = false) {
+                                     bool cpu_simd = false,
+                                     bool incremental_grid = true) {
   Param p;
   p.random_seed = seed;
   p.num_threads = num_threads;
   p.zorder_cadence = zorder_cadence;
   p.cpu_fast_path = cpu_fast_path;
   p.cpu_simd = cpu_simd;
-  p.precision = fp32 ? Precision::kFp32 : Precision::kFp64;
   p.incremental_grid = incremental_grid;
-  p.overlap_ops = overlap_ops;
   p.max_bound = 120.0;
   Simulation sim(p);
   // Benchmark-A lattice: diameter 8 with threshold 16 so cells roughly
@@ -108,40 +105,14 @@ TEST(DeterminismTest, SimdPathThreadSweepIsBitwiseSelfConsistent) {
   EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, true), reference);
 }
 
-TEST(DeterminismTest, Fp32PathThreadSweepIsBitwiseSelfConsistent) {
-  // Same self-consistency for the FP32 compute mode (the paper's
-  // Improvement I on the host): narrowed arithmetic, unchanged ordering.
-  auto reference =
-      HashTrajectory(1, 10, 42, 0, true, /*cpu_simd=*/true, /*fp32=*/true);
-  EXPECT_EQ(HashTrajectory(2, 10, 42, 0, true, true, true), reference);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, true, true), reference);
-}
-
-TEST(DeterminismTest, OverlappedOpsThreadSweepIsBitwiseIdentical) {
-  // Both scheduler knobs on — incremental grid maintenance plus the
-  // overlapped mechanics/diffusion task graph. Mechanics and diffusion
-  // touch disjoint state after the deposit-merge barrier, and the patched
-  // grid is byte-identical to a rebuild, so the full contract must survive.
-  auto reference = HashTrajectory(1, 10, 42, 0, true, false, false,
-                                  /*incremental_grid=*/true,
-                                  /*overlap_ops=*/true);
-  EXPECT_EQ(HashTrajectory(2, 10, 42, 0, true, false, false, true, true),
-            reference);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, false, false, true, true),
-            reference);
-}
-
 TEST(DeterminismTest, SchedulerKnobsAreBitwiseNeutral) {
-  // The knobs are pure performance switches: turning either off must not
+  // incremental_grid is a pure performance switch: turning it off must not
   // change a single per-step hash. This is the cross-path equality the
   // steady bench re-checks on every CI run.
-  auto baseline = HashTrajectory(8, 10, 42, 0, true, false, false,
-                                 /*incremental_grid=*/false,
-                                 /*overlap_ops=*/false);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, false, false, true, false),
-            baseline);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, false, false, true, true),
-            baseline);
+  auto baseline = HashTrajectory(8, 10, 42, 0, true, false,
+                                 /*incremental_grid=*/false);
+  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, false, true), baseline);
+  EXPECT_EQ(HashTrajectory(1, 10, 42, 0, true, false, true), baseline);
 }
 
 TEST(DeterminismTest, RunToRunRepeatIsBitwiseIdentical) {

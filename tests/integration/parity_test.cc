@@ -45,7 +45,7 @@ TEST_F(ParityHarnessTest, CoversEveryBackend) {
   }
   EXPECT_EQ(names, (std::set<std::string>{
                        "ug_serial", "ug_parallel", "cpu_fast", "cpu_fast_mt",
-                       "cpu_sharded", "cpu_simd", "cpu_fp32", "kdtree",
+                       "cpu_sharded", "cpu_simd", "kdtree",
                        "gpu_v0", "gpu_v1", "gpu_v2", "gpu_v3"}));
 }
 
@@ -94,15 +94,12 @@ TEST_F(ParityHarnessTest, ShardedPipelineIsBitwise) {
 TEST_F(ParityHarnessTest, SimdRowsOweToleranceNotBitwise) {
   // The vectorized kernel regroups the per-agent pair sum into lane
   // partials (physics/simd_force_kernel.h), so it owes a tolerance, not
-  // hashes — and the FP64 SIMD row must sit at summation-order noise,
-  // orders under the FP32 row's bound (same taxonomy as kdtree vs gpu_v1).
+  // hashes — and it must sit at summation-order noise, orders under the
+  // GPU FP32 rows' bound (same taxonomy as kdtree vs gpu_v1).
   const ParityResult& simd = Result("cpu_simd");
   EXPECT_FALSE(simd.bitwise_required);
   EXPECT_LE(simd.max_abs_delta, 1e-9) << report_->ToString();
-  const ParityResult& fp32 = Result("cpu_fp32");
-  EXPECT_FALSE(fp32.bitwise_required);
-  EXPECT_LE(fp32.max_abs_delta, 2e-2) << report_->ToString();
-  EXPECT_LT(simd.tolerance, fp32.tolerance);
+  EXPECT_LT(simd.tolerance, Result("gpu_v1").tolerance);
 }
 
 TEST_F(ParityHarnessTest, Fp64BackendsFarTighterThanFp32Bound) {

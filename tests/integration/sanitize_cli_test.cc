@@ -8,10 +8,12 @@
 // The hazardous workload is the deliberately racy grid-build kernel
 // (gpu/diagnostic_kernels.h) selected with `racy_grid_build = true` — the
 // same simulation exits 0 without --sanitize and 2 with it, which is
-// exactly the CLI promise documented in docs/sanitizer.md.
+// exactly the CLI promise documented in docs/sanitizer.md. Flags of removed
+// settings take the usage-error exit too.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -85,6 +87,25 @@ TEST(SanitizeCliTest, ConfigErrorExitsOne) {
   EXPECT_EQ(RunBiosim(path), 1);
   EXPECT_EQ(RunBiosim(std::string()), 1);  // no config at all: usage error
   std::remove(path.c_str());
+}
+
+TEST(RunnerCliTest, RemovedFlagsAreUnknownArguments) {
+  // Flags of settings the runner no longer has fail as usage errors that
+  // name the cause; they are never silently ignored.
+  const std::string err_file = ::testing::TempDir() + "removed_flag.err";
+  for (const char* flag : {"--overlap-ops on", "--precision fp32"}) {
+    const std::string cmd = std::string(BIOSIM_RUN_BIN) + " --steps 1 " +
+                            flag + " > /dev/null 2> " + err_file;
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_NE(WEXITSTATUS(status), 0) << cmd;
+    std::ifstream f(err_file);
+    std::stringstream err;
+    err << f.rdbuf();
+    EXPECT_NE(err.str().find("unknown argument"), std::string::npos)
+        << cmd << ": " << err.str();
+  }
+  std::remove(err_file.c_str());
 }
 
 }  // namespace

@@ -234,13 +234,6 @@ TEST(ShardingTest, MoreShardsThanPlanesIsRejectedLoudly) {
   }
 }
 
-TEST(ShardingTest, OverlapOpsComposeIsRejectedLoudly) {
-  Param p;
-  p.num_shards = 2;
-  p.overlap_ops = true;
-  EXPECT_THROW({ Simulation sim(p); }, std::invalid_argument);
-}
-
 TEST(ShardingTest, ShardRuntimeExposesLoadAndHaloStats) {
   Param p;
   p.num_shards = 4;

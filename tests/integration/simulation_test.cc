@@ -197,29 +197,6 @@ TEST(SimulationTest, NamedSecretionRoutesToItsOwnGrid) {
   EXPECT_NO_THROW(sim.Simulate(1));
 }
 
-TEST(SimulationTest, OverlapOpsRunsTheSamePipeline) {
-  // Smoke-level: with the overlap knob on, a diffusing + secreting + moving
-  // scenario produces the identical final state hash as the serial
-  // schedule. (The determinism suite sweeps threads; this pins the flag's
-  // wiring through Param.)
-  auto run = [](bool overlap) {
-    Param p;
-    p.random_seed = 7;
-    p.overlap_ops = overlap;
-    p.max_bound = 120.0;
-    Simulation sim(p);
-    sim.Create3DCellGrid(3, 20.0, 8.0, 16.0, 120000.0);
-    sim.AddDiffusionGrid(std::make_unique<DiffusionGrid>(
-        "oxygen", 0.0, 120.0, 12, 80.0, 0.01));
-    for (AgentIndex i = 0; i < sim.rm().size(); ++i) {
-      sim.rm().AttachBehavior(i, std::make_unique<Secretion>(0.5));
-    }
-    sim.Simulate(8);
-    return sim.StateHash();
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
 TEST(SimulationTest, ChemotaxisPullsCellUpGradient) {
   Param p;
   p.default_adherence = 0.0;

@@ -1,18 +1,17 @@
 // Differential battery for the vectorized force kernel
-// (physics/simd_force_kernel.h): the SIMD and FP32 paths versus the
-// scalar fused reference, across seeded populations chosen to exercise
+// (physics/simd_force_kernel.h): the SIMD path versus the scalar fused
+// reference, across seeded populations chosen to exercise
 // every branch of the sweep — clustered (dense boxes), uniform (sparse),
 // torus wrap-around, coincident centers, single agents, empty worlds,
 // both force laws. The contracts under test (docs/determinism.md):
 //
 //   * cpu_simd displacements stay within 1e-12 of the scalar fused path
 //     per component (the only FP difference is the FMA-contracted d²);
-//   * cpu_fp32 displacements stay within an absolute FP32 bound;
-//   * every path — generic, fused, SIMD, FP32 — reports the *identical*
+//   * every path — generic, fused, SIMD — reports the *identical*
 //     force-evaluation count (the hit decision is exact in every mode);
 //   * results are bitwise independent of the dispatched vector width
 //     (BIOSIM_SIMD=scalar == native, lane for lane);
-//   * vector modes refuse non-uniform-grid environments and unknown
+//   * the vector mode refuses non-uniform-grid environments and unknown
 //     BIOSIM_SIMD values instead of silently falling back.
 //
 // Populations set adherence = 0 so the displacement gate (|F| must
@@ -44,15 +43,13 @@ struct PathResult {
   bool used_fast_path = false;
 };
 
-enum class Path { kGeneric, kFused, kSimd, kFp32 };
+enum class Path { kGeneric, kFused, kSimd };
 
 PathResult RunPath(const ResourceManager& rm, Param param, Path path,
                    ExecMode mode = ExecMode::kSerial,
                    ForceLaw law = ForceLaw::kCortex3D) {
   param.cpu_fast_path = path != Path::kGeneric;
-  param.cpu_simd = path == Path::kSimd || path == Path::kFp32;
-  param.precision =
-      path == Path::kFp32 ? Precision::kFp32 : Precision::kFp64;
+  param.cpu_simd = path == Path::kSimd;
   UniformGridEnvironment env;
   env.Update(rm, param, mode);
   MechanicalForcesOp op(law);
@@ -74,7 +71,6 @@ double MaxAbsComponentDiff(const std::vector<Double3>& a,
 }
 
 constexpr double kSimdTol = 1e-12;  // one pass, FMA-contraction noise only
-constexpr double kFp32Tol = 1e-3;   // one pass of narrowed pair math
 
 void AddAgent(ResourceManager* rm, const Double3& pos, double diameter) {
   NewAgentSpec spec;
@@ -126,8 +122,8 @@ class SimdForceDiffTest : public ::testing::Test {
     }
   }
 
-  /// The core differential: all four paths over one population; equal
-  /// eval counts everywhere, displacement bounds per mode.
+  /// The core differential: all three paths over one population; equal
+  /// eval counts everywhere, displacement bound for the vector mode.
   void CheckAllPaths(const ResourceManager& rm, const Param& param,
                      ForceLaw law = ForceLaw::kCortex3D) {
     const PathResult generic =
@@ -136,30 +132,24 @@ class SimdForceDiffTest : public ::testing::Test {
         RunPath(rm, param, Path::kFused, ExecMode::kSerial, law);
     const PathResult simd =
         RunPath(rm, param, Path::kSimd, ExecMode::kSerial, law);
-    const PathResult fp32 =
-        RunPath(rm, param, Path::kFp32, ExecMode::kSerial, law);
 
     EXPECT_FALSE(generic.used_fast_path);
     EXPECT_TRUE(fused.used_fast_path);
     EXPECT_TRUE(simd.used_fast_path);
-    EXPECT_TRUE(fp32.used_fast_path);
 
     EXPECT_EQ(generic.force_evals, fused.force_evals);
     EXPECT_EQ(fused.force_evals, simd.force_evals);
-    EXPECT_EQ(fused.force_evals, fp32.force_evals);
 
     // fused == generic is the existing bitwise contract; the vector
-    // modes owe their tolerance against that shared reference.
+    // mode owes its tolerance against that shared reference.
     EXPECT_EQ(MaxAbsComponentDiff(generic.displacements,
                                   fused.displacements),
               0.0);
     EXPECT_LE(MaxAbsComponentDiff(fused.displacements, simd.displacements),
               kSimdTol);
-    EXPECT_LE(MaxAbsComponentDiff(fused.displacements, fp32.displacements),
-              kFp32Tol);
 
-    // Parallel execution of the vector modes is bitwise-identical to
-    // their serial run (per-box accumulation; chunking changes nothing).
+    // Parallel execution of the vector mode is bitwise-identical to its
+    // serial run (per-box accumulation; chunking changes nothing).
     const PathResult simd_mt =
         RunPath(rm, param, Path::kSimd, ExecMode::kParallel, law);
     EXPECT_EQ(simd.displacements, simd_mt.displacements);
@@ -176,7 +166,7 @@ TEST_F(SimdForceDiffTest, ClusteredBallAllPathsAgree) {
     ResourceManager rm;
     FillClusteredBall(&rm, 2000, seed);
     Param param;
-    param.bound_space = false;
+    param.boundary_mode = BoundaryMode::kOpen;
     CheckAllPaths(rm, param);
   }
 }
@@ -220,13 +210,13 @@ TEST_F(SimdForceDiffTest, HertzLawAllPathsAgree) {
   ResourceManager rm;
   FillClusteredBall(&rm, 1000, 41);
   Param param;
-  param.bound_space = false;
+  param.boundary_mode = BoundaryMode::kOpen;
   CheckAllPaths(rm, param, ForceLaw::kHertz);
 }
 
 TEST_F(SimdForceDiffTest, DegeneratePopulations) {
   Param param;
-  param.bound_space = false;
+  param.boundary_mode = BoundaryMode::kOpen;
 
   {
     // Empty world: no evaluations, no crash, empty buffer.
@@ -239,7 +229,7 @@ TEST_F(SimdForceDiffTest, DegeneratePopulations) {
     // Single agent: its self-slot must not count as an evaluation.
     ResourceManager rm;
     AddAgent(&rm, {50, 50, 50}, 8.0);
-    for (Path p : {Path::kFused, Path::kSimd, Path::kFp32}) {
+    for (Path p : {Path::kFused, Path::kSimd}) {
       const PathResult r = RunPath(rm, param, p);
       EXPECT_EQ(r.force_evals, 0u);
       ASSERT_EQ(r.displacements.size(), 1u);
@@ -255,7 +245,7 @@ TEST_F(SimdForceDiffTest, DegeneratePopulations) {
     ResourceManager rm;
     AddAgent(&rm, {50, 50, 50}, 8.0);
     AddAgent(&rm, {50, 50, 50}, 8.0);
-    for (Path p : {Path::kFused, Path::kSimd, Path::kFp32}) {
+    for (Path p : {Path::kFused, Path::kSimd}) {
       const PathResult r = RunPath(rm, param, p);
       EXPECT_EQ(r.force_evals, 2u);
       EXPECT_EQ(MaxAbsComponentDiff(
@@ -284,26 +274,22 @@ TEST_F(SimdForceDiffTest, ResultsAreBitwiseIndependentOfVectorWidth) {
   ResourceManager rm;
   FillClusteredBall(&rm, 1200, 51);
   Param param;
-  param.bound_space = false;
+  param.boundary_mode = BoundaryMode::kOpen;
 
   setenv("BIOSIM_SIMD", "scalar", 1);
   const PathResult w1 = RunPath(rm, param, Path::kSimd);
-  const PathResult w1_fp32 = RunPath(rm, param, Path::kFp32);
   setenv("BIOSIM_SIMD", "native", 1);
   const PathResult native = RunPath(rm, param, Path::kSimd);
-  const PathResult native_fp32 = RunPath(rm, param, Path::kFp32);
 
   EXPECT_EQ(w1.displacements, native.displacements);
   EXPECT_EQ(w1.force_evals, native.force_evals);
-  EXPECT_EQ(w1_fp32.displacements, native_fp32.displacements);
-  EXPECT_EQ(w1_fp32.force_evals, native_fp32.force_evals);
 }
 
 TEST_F(SimdForceDiffTest, UnknownWidthOverrideThrows) {
   ResourceManager rm;
   AddAgent(&rm, {50, 50, 50}, 8.0);
   Param param;
-  param.bound_space = false;
+  param.boundary_mode = BoundaryMode::kOpen;
   setenv("BIOSIM_SIMD", "avx512", 1);
   EXPECT_THROW(RunPath(rm, param, Path::kSimd), std::invalid_argument);
   // The scalar paths never consult the override; a bad value must not
@@ -322,13 +308,9 @@ TEST_F(SimdForceDiffTest, VectorModesRequireTheUniformGrid) {
   MechanicalForcesOp op;
   EXPECT_THROW(op.ComputeDisplacements(rm, kd, param, ExecMode::kSerial),
                std::invalid_argument);
-  param.cpu_simd = false;
-  param.precision = Precision::kFp32;
-  EXPECT_THROW(op.ComputeDisplacements(rm, kd, param, ExecMode::kSerial),
-               std::invalid_argument);
   // cpu_fast_path alone falls back to the generic path silently — that
-  // contract predates the vector modes and must not change.
-  param.precision = Precision::kFp64;
+  // contract predates the vector mode and must not change.
+  param.cpu_simd = false;
   EXPECT_NO_THROW(op.ComputeDisplacements(rm, kd, param, ExecMode::kSerial));
   EXPECT_FALSE(op.last_used_fast_path());
 }
@@ -341,19 +323,18 @@ TEST_F(SimdForceDiffTest, ReusedOpOnShrinkingPopulationMatchesFreshOp) {
   // bytes beyond the new prefix. Any read past the freshly gathered
   // region shows up as a difference against a never-used op.
   Param param;
-  param.bound_space = false;
+  param.boundary_mode = BoundaryMode::kOpen;
 
   ResourceManager big;
   FillClusteredBall(&big, 3000, 61);
   ResourceManager small;
   FillClusteredBall(&small, 200, 62);
 
-  for (Path path : {Path::kFused, Path::kSimd, Path::kFp32}) {
+  for (Path path : {Path::kFused, Path::kSimd}) {
     UniformGridEnvironment env;
     Param p = param;
     p.cpu_fast_path = true;
-    p.cpu_simd = path == Path::kSimd || path == Path::kFp32;
-    p.precision = path == Path::kFp32 ? Precision::kFp32 : Precision::kFp64;
+    p.cpu_simd = path == Path::kSimd;
 
     MechanicalForcesOp reused;
     env.Update(big, p, ExecMode::kSerial);

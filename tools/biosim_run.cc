@@ -1,9 +1,8 @@
 // biosim_run: config-driven simulation runner.
 //
 //   biosim_run [config.ini] [--steps N] [--backend cpu|gpu] [--threads N]
-//              [--cpu-fast-path BOOL] [--simd BOOL] [--precision fp64|fp32]
-//              [--zorder-every N] [--incremental-grid BOOL]
-//              [--overlap-ops BOOL] [--shards N]
+//              [--cpu-fast-path BOOL] [--simd BOOL] [--zorder-every N]
+//              [--incremental-grid BOOL] [--shards N]
 //              [--shard-balance static|adaptive] [--print-config]
 //              [--sanitize] [--trace FILE] [--metrics FILE]
 //              [--metrics-every N] [--report FILE] [--json]
@@ -103,8 +102,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s [config.ini] [--steps N] [--backend cpu|gpu] "
                  "[--threads N] [--cpu-fast-path BOOL] [--simd BOOL] "
-                 "[--precision fp64|fp32] [--zorder-every N] "
-                 "[--incremental-grid BOOL] [--overlap-ops BOOL] "
+                 "[--zorder-every N] [--incremental-grid BOOL] "
                  "[--shards N] [--shard-balance static|adaptive] "
                  "[--print-config] [--sanitize] [--trace FILE] "
                  "[--metrics FILE] [--metrics-every N] [--report FILE] "
@@ -142,15 +140,11 @@ int main(int argc, char** argv) {
         cfg.cpu_fast_path = value == "1" || value == "true" || value == "on";
       } else if (FlagValue(argc, argv, &i, "--simd", &value)) {
         cfg.simd = value == "1" || value == "true" || value == "on";
-      } else if (FlagValue(argc, argv, &i, "--precision", &value)) {
-        cfg.precision = value;
       } else if (FlagValue(argc, argv, &i, "--zorder-every", &value)) {
         cfg.zorder_every = static_cast<uint64_t>(std::atoll(value.c_str()));
       } else if (FlagValue(argc, argv, &i, "--incremental-grid", &value)) {
         cfg.incremental_grid =
             value == "1" || value == "true" || value == "on";
-      } else if (FlagValue(argc, argv, &i, "--overlap-ops", &value)) {
-        cfg.overlap_ops = value == "1" || value == "true" || value == "on";
       } else if (FlagValue(argc, argv, &i, "--shards", &value)) {
         cfg.shards = static_cast<uint32_t>(std::atoll(value.c_str()));
       } else if (FlagValue(argc, argv, &i, "--shard-balance", &value)) {
