@@ -1,19 +1,18 @@
-// Steady-state pipeline benchmark: the workload the incremental grid
-// rebuild (Param::incremental_grid) is built for — a slow-moving
-// random-walk population on a torus whose grid geometry never changes, so
-// almost every step only a few agents cross a box boundary while the box
-// count dwarfs the agent count (grid maintenance dominates the step).
+// Steady-state pipeline benchmark: a slow-moving random-walk population on
+// a torus whose grid geometry never changes while the box count dwarfs the
+// agent count — the regime where a grid that paid for every box each step
+// spent most of the step on empty boxes (docs/perf.md "Compacted CSR").
 //
-// `--json PATH` writes the BENCH_cpu.json "steady" record CI gates on:
-// wall time of the stepped pipeline with incremental_grid off (full, the
-// historical path) and on (incremental) over the SAME seeded scenario,
-// plus the speedup and the grid maintenance counters. Both runs owe the
-// identical final StateHash (the knob is bitwise-neutral by contract) and
-// the incremental run owes a nonzero incremental_updates count (proof the
-// patch path engaged, not silently fell back); the run exits 2 if either
-// invariant breaks, so the CI perf job doubles as a
-// correctness gate. `--agents N` / `--steps N` resize the scenario
-// (defaults: 32768 agents, 30 timed steps).
+// `--json PATH` writes the BENCH_cpu.json "steady" record CI gates on: wall
+// time of the stepped pipeline, the grid update's share of it, and
+// `patch_ceiling` = 1 / (1 - share) — the speedup even a free incremental
+// grid patch could buy over the compacted rebuild, which is the measurement
+// the deleted incremental path was judged on. A second run of the SAME
+// seeded scenario on one worker owes the identical final StateHash (the
+// parallel radix build is thread-count independent); the run exits 2 if it
+// does not, so the CI perf job doubles as a correctness gate.
+// `--agents N` / `--steps N` resize the scenario (defaults: 32768 agents,
+// 30 timed steps).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -48,13 +47,13 @@ constexpr double kSecretionRate = 0.5;
 constexpr size_t kSecretionStride = 16;
 constexpr uint64_t kWarmupSteps = 2;
 
-std::unique_ptr<Simulation> BuildSteady(size_t agents, bool incremental) {
+std::unique_ptr<Simulation> BuildSteady(size_t agents, uint32_t threads) {
   Param param;
   param.boundary_mode = BoundaryMode::kTorus;
   param.min_bound = 0.0;
   param.max_bound = kEdge;
   param.random_seed = 42;
-  param.incremental_grid = incremental;
+  param.num_threads = threads;
   auto sim = std::make_unique<Simulation>(param);
   sim->CreateRandomCells(agents, kDiameter);
   sim->AddDiffusionGrid(std::make_unique<DiffusionGrid>(
@@ -72,33 +71,36 @@ std::unique_ptr<Simulation> BuildSteady(size_t agents, bool incremental) {
 
 struct SteadyResult {
   double wall_ms = 0.0;
+  double grid_update_ms = 0.0;
   uint64_t final_hash = 0;
-  UniformGridEnvironment::UpdateStats grid;
+  uint64_t rebuilds = 0;
 };
 
-SteadyResult RunSteady(size_t agents, uint64_t steps, bool incremental) {
-  auto sim = BuildSteady(agents, incremental);
+// `threads` 0 keeps the runtime's worker count.
+SteadyResult RunSteady(size_t agents, uint64_t steps, uint32_t threads) {
+  auto sim = BuildSteady(agents, threads);
   sim->Simulate(kWarmupSteps);  // first grid build + buffer growth
+  sim->profile().Reset();
   Timer t;
   sim->Simulate(steps);
   SteadyResult r;
   r.wall_ms = t.ElapsedMs();
+  r.grid_update_ms = sim->profile().TotalMs("neighborhood update");
   r.final_hash = sim->StateHash();
   if (std::getenv("STEADY_PROFILE") != nullptr) {
-    std::fprintf(stderr, "--- incremental=%d ---\n%s\n", incremental ? 1 : 0,
+    std::fprintf(stderr, "--- threads=%u ---\n%s\n", threads,
                  sim->profile().ToString().c_str());
   }
   if (const auto* ug =
           dynamic_cast<const UniformGridEnvironment*>(&sim->environment())) {
-    r.grid = ug->update_stats();
+    r.rebuilds = ug->rebuilds();
   }
   return r;
 }
 
-// Micro view of the same trade: one grid Update over an unchanged steady
-// population — the incremental path collapses to the mover scan.
-void GridUpdateThroughput(benchmark::State& state, bool incremental) {
-  auto sim = BuildSteady(8192, incremental);
+// Micro view: one grid Update over an unchanged steady population.
+void BM_GridUpdate(benchmark::State& state) {
+  auto sim = BuildSteady(8192, 0);
   const Param param = sim->param();
   UniformGridEnvironment env;
   env.Update(sim->rm(), param, ExecMode::kSerial);
@@ -107,29 +109,20 @@ void GridUpdateThroughput(benchmark::State& state, bool incremental) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 8192);
 }
-
-void BM_GridUpdateFull(benchmark::State& state) {
-  GridUpdateThroughput(state, false);
-}
-BENCHMARK(BM_GridUpdateFull);
-
-void BM_GridUpdateIncremental(benchmark::State& state) {
-  GridUpdateThroughput(state, true);
-}
-BENCHMARK(BM_GridUpdateIncremental);
+BENCHMARK(BM_GridUpdate);
 
 int WriteBenchJson(const std::string& path, size_t agents, uint64_t steps) {
   namespace json = biosim::obs::json;
 
-  SteadyResult full = RunSteady(agents, steps, false);
-  SteadyResult incremental = RunSteady(agents, steps, true);
+  SteadyResult full = RunSteady(agents, steps, 0);
+  // One worker last: SetNumThreads(0) would keep it for any later run.
+  SteadyResult serial = RunSteady(agents, steps, 1);
 
-  const bool hash_parity = full.final_hash == incremental.final_hash;
-  // kWarmupSteps + steps updates total; the first is always a full rebuild.
-  const bool engaged = incremental.grid.incremental_updates > 0 &&
-                       full.grid.incremental_updates == 0;
-  const double speedup_incremental =
-      incremental.wall_ms > 0.0 ? full.wall_ms / incremental.wall_ms : 0.0;
+  const bool hash_parity = full.final_hash == serial.final_hash;
+  const double grid_share =
+      full.wall_ms > 0.0 ? full.grid_update_ms / full.wall_ms : 0.0;
+  const double patch_ceiling = grid_share < 1.0 ? 1.0 / (1.0 - grid_share)
+                                                : 0.0;
 
   json::Value doc = biosim::obs::MakeRunReport("bench_micro_steady");
   doc.Set("bench", "bench_micro_steady");
@@ -145,39 +138,28 @@ int WriteBenchJson(const std::string& path, size_t agents, uint64_t steps) {
   doc.Set("scenario", std::move(sc));
   json::Value fu = json::Value::MakeObject();
   fu.Set("wall_ms", full.wall_ms);
-  fu.Set("full_rebuilds", full.grid.full_rebuilds);
+  fu.Set("grid_update_ms", full.grid_update_ms);
+  fu.Set("full_rebuilds", full.rebuilds);
   doc.Set("full", std::move(fu));
-  json::Value inc = json::Value::MakeObject();
-  inc.Set("wall_ms", incremental.wall_ms);
-  inc.Set("full_rebuilds", incremental.grid.full_rebuilds);
-  inc.Set("incremental_updates", incremental.grid.incremental_updates);
-  inc.Set("rebinned_agents", incremental.grid.rebinned_agents);
-  doc.Set("incremental", std::move(inc));
-  doc.Set("speedup_incremental", speedup_incremental);
+  doc.Set("grid_share", grid_share);
+  doc.Set("patch_ceiling", patch_ceiling);
   doc.Set("hash_parity", hash_parity);
-  doc.Set("incremental_engaged", engaged);
 
   if (!biosim::obs::WriteReportFile(doc, path)) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return 1;
   }
   std::printf(
-      "wrote %s: full %.2f ms, incremental %.2f ms (%.2fx, %llu patches, "
-      "%llu rebinned), hash parity %s, incremental engaged %s\n",
-      path.c_str(), full.wall_ms, incremental.wall_ms, speedup_incremental,
-      static_cast<unsigned long long>(incremental.grid.incremental_updates),
-      static_cast<unsigned long long>(incremental.grid.rebinned_agents),
-      hash_parity ? "OK" : "FAIL",
-      engaged ? "OK" : "FAIL");
-  if (!hash_parity || !engaged) {
-    std::fprintf(
-        stderr,
-        "error: steady invariants broken (hashes %016llx / %016llx, "
-        "incremental updates %llu)\n",
-        static_cast<unsigned long long>(full.final_hash),
-        static_cast<unsigned long long>(incremental.final_hash),
-        static_cast<unsigned long long>(
-            incremental.grid.incremental_updates));
+      "wrote %s: full %.2f ms, grid update %.2f ms (%.1f%% of the step, "
+      "patch ceiling %.3fx), hash parity vs one worker %s\n",
+      path.c_str(), full.wall_ms, full.grid_update_ms, 100.0 * grid_share,
+      patch_ceiling, hash_parity ? "OK" : "FAIL");
+  if (!hash_parity) {
+    std::fprintf(stderr,
+                 "error: steady hash diverged across worker counts "
+                 "(%016llx / %016llx)\n",
+                 static_cast<unsigned long long>(full.final_hash),
+                 static_cast<unsigned long long>(serial.final_hash));
     return 2;
   }
   return 0;

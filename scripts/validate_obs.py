@@ -76,6 +76,28 @@ def validate_trace(path):
           f"{doc['otherData']['dropped_events']} dropped")
 
 
+GRID_COUNTERS = ("grid/full_rebuilds", "grid/boxes", "grid/occupied_boxes")
+# Exported by the incremental grid patch path, which no longer exists.
+REMOVED_GRID_COUNTERS = ("grid/incremental_updates", "grid/rebinned_agents")
+
+
+def validate_grid_counters(path, lineno, counters):
+    """Uniform-grid runs export all three grid/* counters, consistently."""
+    for name in REMOVED_GRID_COUNTERS:
+        if name in counters:
+            fail(f"{path}:{lineno}: removed counter {name} is still exported")
+    present = [c for c in GRID_COUNTERS if c in counters]
+    if not present:
+        return
+    if len(present) != len(GRID_COUNTERS):
+        missing = sorted(set(GRID_COUNTERS) - set(present))
+        fail(f"{path}:{lineno}: grid counters incomplete, missing {missing}")
+    if counters["grid/occupied_boxes"] > counters["grid/boxes"]:
+        fail(f"{path}:{lineno}: grid/occupied_boxes "
+             f"{counters['grid/occupied_boxes']} exceeds grid/boxes "
+             f"{counters['grid/boxes']}")
+
+
 def validate_metrics(path):
     lines = 0
     prev_step = 0
@@ -94,6 +116,7 @@ def validate_metrics(path):
             if not any(k in snap for k in
                        ("counters", "gauges", "histograms")):
                 fail(f"{path}:{lineno}: snapshot has no metric sections")
+            validate_grid_counters(path, lineno, snap.get("counters", {}))
             lines += 1
     if lines == 0:
         fail(f"{path}: no snapshots")

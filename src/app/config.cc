@@ -183,10 +183,6 @@ RunConfig ParseConfigString(const std::string& text) {
        [&](const std::string& v, size_t l) {
          cfg.zorder_every = ToU64(v, l);
        }},
-      {"incremental_grid",
-       [&](const std::string& v, size_t l) {
-         cfg.incremental_grid = ToBool(v, l);
-       }},
       {"shards",
        [&](const std::string& v, size_t l) {
          cfg.shards = static_cast<uint32_t>(ToU64(v, l));

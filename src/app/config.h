@@ -10,7 +10,6 @@
 //   cpu_fast_path = true          ; fused CSR force kernel (docs/perf.md)
 //   simd = false                  ; vectorize the fused kernel (docs/perf.md)
 //   zorder_every = 0              ; re-sort agents into Z-order every N steps
-//   incremental_grid = true       ; patch the uniform grid instead of rebuilding
 //   shards = 0                    ; spatial domain shards (docs/sharding.md); 0=off
 //   shard_balance = static        ; static | adaptive plane-range sizing
 //
@@ -85,12 +84,6 @@ struct RunConfig {
   /// Re-sort agents into Z-order every N steps on the CPU pipeline
   /// (0 = never). Cache-locality knob; permutes rows uid-stably.
   uint64_t zorder_every = 0;
-  /// Maintain the uniform grid incrementally: re-bin only agents that
-  /// crossed a box boundary, falling back to a full rebuild whenever the
-  /// grid shape/bounds/population changed. Byte-identical results
-  /// (Param::incremental_grid) — the knob only trades speed, kept here so
-  /// the CI determinism sweep can exercise both paths.
-  bool incremental_grid = true;
   /// Spatial domain shards along the grid's z-planes (Param::num_shards,
   /// docs/sharding.md). 0 disables. StateHash is bitwise-identical for any
   /// shard count (the CI shard sweep enforces it). CPU backend only;

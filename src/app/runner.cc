@@ -47,7 +47,6 @@ obs::json::Value ConfigJson(const RunConfig& cfg) {
   v.Set("cpu_fast_path", cfg.cpu_fast_path);
   v.Set("simd", cfg.simd);
   v.Set("zorder_every", cfg.zorder_every);
-  v.Set("incremental_grid", cfg.incremental_grid);
   if (cfg.shards > 0) {
     v.Set("shards", cfg.shards);
     v.Set("shard_balance", cfg.shard_balance);
@@ -152,7 +151,6 @@ std::unique_ptr<Simulation> BuildSimulation(const RunConfig& cfg) {
   param.cpu_fast_path = cfg.cpu_fast_path;
   param.cpu_simd = cfg.simd;
   param.zorder_cadence = static_cast<uint32_t>(cfg.zorder_every);
-  param.incremental_grid = cfg.incremental_grid;
   param.num_shards = cfg.shards;
   param.shard_balance = cfg.shard_balance == "adaptive"
                             ? ShardBalance::kAdaptive

@@ -96,17 +96,6 @@ struct Param {
   /// environment.
   bool cpu_simd = false;
 
-  /// Maintain the uniform grid incrementally (spatial/uniform_grid.h): when
-  /// the grid geometry and population are unchanged since the previous
-  /// step, only agents that crossed a box boundary are re-binned and the
-  /// CSR is re-derived from the patched occupancy. Byte-identical to a full
-  /// rebuild by construction (property-tested in
-  /// tests/spatial/incremental_grid_test.cc), with an automatic full-rebuild
-  /// fallback when the grid shape, bounds or population changed — so this
-  /// knob only trades speed, never results. Ignored by non-grid
-  /// environments.
-  bool incremental_grid = true;
-
   /// Re-sort agents into Z-order (spatial/zorder_sort.h) every N steps of
   /// the CPU pipeline; 0 disables. The paper's Improvement II applied to
   /// host cache locality: spatially adjacent agents become memory-adjacent,

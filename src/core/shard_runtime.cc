@@ -170,8 +170,9 @@ std::vector<ShardForceInput> ShardRuntime::ForceInputs() const {
   std::vector<ShardForceInput> inputs(shards_);
   for (uint32_t k = 0; k < shards_; ++k) {
     inputs[k].view = grids_[k].View();
-    inputs[k].boxes = grids_[k].owned_boxes().data();
-    inputs[k].num_boxes = grids_[k].owned_boxes().size();
+    inputs[k].first_box = grids_[k].owned_slot_begin();
+    inputs[k].num_boxes =
+        grids_[k].owned_slot_end() - grids_[k].owned_slot_begin();
   }
   return inputs;
 }

@@ -180,14 +180,9 @@ void CollectDiffusionGrid(const DiffusionGrid& grid, MetricsRegistry* reg) {
 
 void CollectUniformGrid(const UniformGridEnvironment& env,
                         MetricsRegistry* reg) {
-  const UniformGridEnvironment::UpdateStats& st = env.update_stats();
-  reg->GetCounter("grid/full_rebuilds")->Set(st.full_rebuilds);
-  reg->GetCounter("grid/incremental_updates")->Set(st.incremental_updates);
-  reg->GetCounter("grid/rebinned_agents")->Set(st.rebinned_agents);
-  const Int3& nb = env.num_boxes_axis();
-  reg->GetCounter("grid/boxes")
-      ->Set(static_cast<uint64_t>(nb.x) * static_cast<uint64_t>(nb.y) *
-            static_cast<uint64_t>(nb.z));
+  reg->GetCounter("grid/full_rebuilds")->Set(env.rebuilds());
+  reg->GetCounter("grid/boxes")->Set(env.total_boxes());
+  reg->GetCounter("grid/occupied_boxes")->Set(env.occupied_boxes());
 }
 
 void CollectRuntime(MetricsRegistry* reg, int worker_threads) {

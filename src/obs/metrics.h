@@ -138,10 +138,9 @@ void CollectDevice(const gpusim::Device& dev, MetricsRegistry* reg);
 /// max_concentration,dropped_deposits}".
 void CollectDiffusionGrid(const DiffusionGrid& grid, MetricsRegistry* reg);
 
-/// Uniform-grid maintenance counters: "grid/{full_rebuilds,
-/// incremental_updates,rebinned_agents,boxes}". Shows whether the
-/// incremental path (Param::incremental_grid) is actually engaging and how
-/// much re-binning it does.
+/// Uniform-grid counters: "grid/{full_rebuilds,boxes,occupied_boxes}" —
+/// updates so far, the lattice's box count, and how many of those boxes
+/// the last update's compacted CSR stores (the rest cost nothing).
 void CollectUniformGrid(const UniformGridEnvironment& env,
                         MetricsRegistry* reg);
 

@@ -11,7 +11,6 @@
 #include "physics/displacement.h"
 #include "physics/interaction_force.h"
 #include "physics/simd_kernel_dispatch.h"
-#include "spatial/morton.h"
 #include "spatial/uniform_grid.h"
 
 namespace biosim {
@@ -58,7 +57,7 @@ void RunFusedScalarPass(const detail::FusedPassArgs& a) {
     AlignedBuffer<Double3> cand_pos_buf;
     AlignedBuffer<double> cand_diam_buf;
     for (size_t bi = begin; bi < end; ++bi) {
-      const size_t b = a.boxes[bi].second;
+      const size_t b = a.first_box + bi;
       // Resolve the 3x3x3 block once per box and reuse it for every
       // resident agent — the per-query box math and torus wrapping the
       // callback path re-derives per agent.
@@ -139,11 +138,10 @@ void MechanicalForcesOp::ComputeDisplacements(const ResourceManager& rm,
     // for the uniform grid (they consume the CSR layout); kd-tree and null
     // environments fall through to the generic path below.
     if (const auto* grid = dynamic_cast<const UniformGridEnvironment*>(&env)) {
-      if (!rm.empty()) {
-        BuildMortonBoxes(*grid, rm.size());
-      }
-      const ShardForceInput whole{MakeCsrGridView(*grid), morton_boxes_.data(),
-                                  morton_boxes_.size()};
+      const ShardGrid& csr = grid->csr();
+      const ShardForceInput whole{csr.View(), csr.owned_slot_begin(),
+                                  csr.owned_slot_end() -
+                                      csr.owned_slot_begin()};
       RunFusedPasses(rm, {&whole, 1}, grid->interaction_radius(),
                      grid->box_length(), param, mode);
       return;
@@ -203,30 +201,6 @@ void MechanicalForcesOp::ComputeDisplacements(const ResourceManager& rm,
   force_evaluations_ = evals.load(std::memory_order_relaxed);
 }
 
-void MechanicalForcesOp::BuildMortonBoxes(const UniformGridEnvironment& grid,
-                                          size_t n) {
-  // Traverse boxes along the Z-curve: consecutive boxes are spatially
-  // adjacent, so their 27-neighbor blocks overlap heavily and the position
-  // rows they stream stay hot in cache (the paper's Improvement II applied
-  // to the host). Only the traversal *order* changes — each agent's own
-  // neighbor sequence is fixed by NeighborBoxesOf + ascending CSR runs — so
-  // displacements are bitwise independent of this ordering choice.
-  const int32_t* starts = grid.box_starts().data();
-  const size_t total = grid.total_boxes();
-  morton_boxes_.clear();
-  morton_boxes_.reserve(std::min(total, n));
-  for (size_t b = 0; b < total; ++b) {
-    if (starts[b + 1] > starts[b]) {
-      const Int3 c = grid.BoxCoordinatesOfIndex(b);
-      morton_boxes_.emplace_back(
-          MortonEncode(static_cast<uint32_t>(c.x), static_cast<uint32_t>(c.y),
-                       static_cast<uint32_t>(c.z)),
-          static_cast<uint32_t>(b));
-    }
-  }
-  std::sort(morton_boxes_.begin(), morton_boxes_.end());
-}
-
 void MechanicalForcesOp::ComputeDisplacementsSharded(
     const ResourceManager& rm, const std::vector<ShardForceInput>& shards,
     double interaction_radius, double box_length, const Param& param,
@@ -275,7 +249,7 @@ void MechanicalForcesOp::RunFusedPasses(
                      : &RunFusedScalarPass;
   for (const ShardForceInput& in : inputs) {
     args.view = in.view;
-    args.boxes = in.boxes;
+    args.first_box = in.first_box;
     args.num_boxes = in.num_boxes;
     pass(args);
   }

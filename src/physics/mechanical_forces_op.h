@@ -12,14 +12,15 @@
 //   * generic: per-agent virtual ForEachNeighborWithinRadius with a
 //     function_ref callback — works against any Environment;
 //   * fused (param.cpu_fast_path, uniform grid only): box-by-box traversal
-//     over CSR views — the global grid in Morton order, or one view per
-//     spatial shard. Each box resolves its 27-neighbor block once and
-//     reuses it for every resident agent. Its candidate sweep is either
-//     scalar — bitwise-identical to the generic path: both visit each
-//     agent's neighbors in the identical canonical order (NeighborBoxesOf
-//     block order, ascending agent index within a box) and evaluate the
-//     same FP expressions on them — or, with param.cpu_simd, vectorized
-//     over width-padded SoA scratch (physics/simd_force_kernel.h).
+//     over occupancy-compacted CSR views in ascending box order — the
+//     whole-lattice grid, or one view per spatial shard. Each box resolves
+//     its 27-neighbor block once and reuses it for every resident agent.
+//     Its candidate sweep is either scalar — bitwise-identical to the
+//     generic path: both visit each agent's neighbors in the identical
+//     canonical order (ForEachNeighborCoord block order, ascending agent
+//     index within a box) and evaluate the same FP expressions on them —
+//     or, with param.cpu_simd, vectorized over width-padded SoA scratch
+//     (physics/simd_force_kernel.h).
 //     FMA-contracted distances mean the SIMD sweep owes only a *tolerance*
 //     against the scalar reference — but it is bitwise independent of the
 //     dispatched vector width, the worker count, and the run
@@ -29,7 +30,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/param.h"
@@ -41,16 +41,15 @@
 
 namespace biosim {
 
-class UniformGridEnvironment;
-
-/// One spatial shard's slice of a sharded force pass (docs/sharding.md):
-/// its occupancy-compacted CSR (owned + halo members) and the list of its
-/// owned occupied boxes as (sort key, slot) pairs. The shard runtime
-/// guarantees the owned boxes of all shards partition the global non-empty
-/// box set, so every agent row is written by exactly one shard.
+/// One CSR window's slice of a fused force pass (docs/sharding.md): its
+/// occupancy-compacted CSR (owned + halo members) and its owned occupied
+/// boxes, the slots [first_box, first_box + num_boxes). The whole-lattice
+/// grid is one input owning every slot; the shard runtime guarantees the
+/// owned boxes of all shards partition the global non-empty box set, so
+/// every agent row is written by exactly one input.
 struct ShardForceInput {
   CsrGridView view;
-  const std::pair<uint64_t, uint32_t>* boxes = nullptr;
+  uint32_t first_box = 0;
   size_t num_boxes = 0;
 };
 
@@ -112,17 +111,10 @@ class MechanicalForcesOp {
                       double interaction_radius, double box_length,
                       const Param& param, ExecMode mode);
 
-  /// Rebuild morton_boxes_ (the shared fused traversal order) for the
-  /// grid's current non-empty boxes.
-  void BuildMortonBoxes(const UniformGridEnvironment& grid, size_t n);
-
   ForceLaw force_law_;
   std::vector<Double3> displacements_;
   size_t force_evaluations_ = 0;
   bool used_fast_path_ = false;
-  /// Scratch reused across steps by the fused paths: non-empty boxes sorted
-  /// by the Morton code of their coordinates.
-  std::vector<std::pair<uint64_t, uint32_t>> morton_boxes_;
 };
 
 }  // namespace biosim

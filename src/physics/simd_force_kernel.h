@@ -1,7 +1,7 @@
 // Width-agnostic SIMD instantiation of the fused CSR force kernel.
 //
 // Same traversal as the scalar fused pass of MechanicalForcesOp
-// (docs/perf.md): Morton-ordered walk over the non-empty boxes, one
+// (docs/perf.md): ascending-key walk over the occupied boxes, one
 // 27-neighbor candidate gather per box, one sweep over the gathered
 // stream per resident agent. What changes is the gather layout and the
 // sweep:
@@ -79,15 +79,15 @@ struct FusedPassArgs {
   const double* adherences = nullptr;
   double dt = 0.0;
   double max_disp = 0.0;
-  /// CSR layout + neighbor-slot resolver: the global grid's, or one spatial
-  /// shard's occupancy-compacted CSR (spatial/csr_grid_view.h). Both present
-  /// each box's candidates in the identical canonical order, so the kernel
-  /// body is shared bit-for-bit.
+  /// CSR layout + neighbor-slot resolver: an occupancy-compacted CSR over
+  /// the whole lattice or one spatial shard's window
+  /// (spatial/shard_grid.h). Both present each box's candidates in the
+  /// identical canonical order, so the kernel body is shared bit-for-bit.
   CsrGridView view;
-  /// Non-empty boxes as (sort key, slot) pairs, in traversal order (Morton
-  /// for the global grid; traversal order never affects any box's own
+  /// Owned occupied boxes: slots [first_box, first_box + num_boxes), in
+  /// ascending key order (traversal order never affects any box's own
   /// candidate sequence, so it is bitwise-free).
-  const std::pair<uint64_t, uint32_t>* boxes = nullptr;
+  uint32_t first_box = 0;
   size_t num_boxes = 0;
   ForceLaw law = ForceLaw::kCortex3D;
   double repulsion = 0.0;
@@ -144,7 +144,7 @@ void RunFusedSimdKernel(const FusedPassArgs& a) {
     size_t blocks[27];
 
     for (size_t bi = begin; bi < end; ++bi) {
-      const size_t b = a.boxes[bi].second;
+      const size_t b = a.first_box + bi;
       const int block_count = a.view.neighbor_slots(
           a.view.self, static_cast<uint32_t>(b), blocks);
       size_t cand_n = 0;

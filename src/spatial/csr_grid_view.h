@@ -3,13 +3,14 @@
 //
 // The scalar and SIMD force passes only ever touch three things: the
 // exclusive-scan offsets, the member rows, and "which slots form the 3x3x3
-// block around slot s". The global uniform grid satisfies that with slot ==
-// flat box index; a spatial shard satisfies it with slot == occupied-box
-// index into its occupancy-compacted CSR (spatial/shard_grid.h). Handing the
-// kernels this view instead of a UniformGridEnvironment& means ONE compiled
-// kernel body serves both — which is precisely what makes the sharded force
-// pass bitwise-identical to the unsharded one: same instructions, same
-// candidate values in the same canonical order (docs/sharding.md).
+// block around slot s". The occupancy-compacted CSR (spatial/shard_grid.h)
+// provides it with slot == occupied-box index, whether its window is the
+// whole lattice (the uniform grid) or one spatial shard. Handing the
+// kernels this view keeps the per-ISA kernel TUs free of the grid class and
+// means ONE compiled kernel body serves every window — which is precisely
+// what makes the sharded force pass bitwise-identical to the unsharded one:
+// same instructions, same candidate values in the same canonical order
+// (docs/sharding.md).
 //
 // The neighbor resolver is a plain function pointer (not std::function, not
 // virtual — biosim-lint's hot-loop rule stays happy), called once per box,

@@ -87,7 +87,9 @@ TEST(ConfigTest, UnknownKeyFails) {
                std::runtime_error);
   // Settings that no longer exist fail as loudly as typos, naming the key.
   const std::pair<std::string, std::string> removed[] = {
-      {"overlap_ops", "true"}, {"precision", "fp32"}};
+      {"overlap_ops", "true"},
+      {"precision", "fp32"},
+      {"incremental_grid", "false"}};
   for (const auto& [key, value] : removed) {
     try {
       ParseConfigString("[simulation]\n" + key + " = " + value + "\n");
@@ -171,11 +173,10 @@ TEST(ConfigTest, SimdKeyParsesAndValidates) {
 }
 
 TEST(ConfigTest, SchedulerKnobsParseAndValidate) {
-  RunConfig cfg =
-      ParseConfigString("[simulation]\nincremental_grid = false\n");
-  EXPECT_FALSE(cfg.incremental_grid);
-  // Default: incremental maintenance on (pure win).
-  EXPECT_TRUE(ParseConfigString("").incremental_grid);
+  RunConfig cfg = ParseConfigString("[simulation]\nzorder_every = 5\n");
+  EXPECT_EQ(cfg.zorder_every, 5u);
+  // Default: no periodic re-sort.
+  EXPECT_EQ(ParseConfigString("").zorder_every, 0u);
 }
 
 TEST(ConfigTest, ShardKeysParseAndValidate) {

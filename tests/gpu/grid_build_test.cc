@@ -1,9 +1,13 @@
-// Device-side uniform-grid construction must agree with the host-side grid.
+// Device-side uniform-grid construction (the paper's Fig. 5 chains, built
+// with atomics) must agree with the host-side compacted CSR grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
+#include "../spatial/grid_oracle.h"
 #include "../test_util.h"
 #include "gpu/grid_build_kernels.h"
 #include "gpusim/cuda_like.h"
@@ -109,18 +113,22 @@ TEST_F(GridBuildTest, MatchesHostGridOccupancy) {
   ASSERT_EQ(static_cast<int32_t>(host.num_boxes_axis().y), g_.ny);
   ASSERT_EQ(static_cast<int32_t>(host.num_boxes_axis().z), g_.nz);
 
-  // Same membership per box (order may differ).
+  // The host CSR holds the brute-force member sets...
+  testutil::ExpectGridMatchesOracle(host, rm);
+  const testutil::BoxMembers oracle =
+      testutil::BruteForceBoxMembers(rm, host.geometry());
+  // ...and so does every device chain, in whatever order the atomics
+  // linked it.
   for (size_t b = 0; b < g_.total_boxes(); ++b) {
-    std::set<int32_t> device_members;
+    std::vector<int32_t> device_members;
     for (int32_t j = s_.box_start[b]; j != kEmptyBox; j = s_.successors[j]) {
-      device_members.insert(j);
+      device_members.push_back(j);
     }
-    std::set<int32_t> host_members;
-    for (int32_t j = host.box_start(b); j != UniformGridEnvironment::kEmpty;
-         j = host.successors()[j]) {
-      host_members.insert(j);
-    }
-    ASSERT_EQ(device_members, host_members) << "box " << b;
+    std::sort(device_members.begin(), device_members.end());
+    const auto it = oracle.find(b);
+    ASSERT_EQ(device_members,
+              it == oracle.end() ? std::vector<int32_t>{} : it->second)
+        << "box " << b;
   }
 }
 

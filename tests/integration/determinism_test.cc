@@ -2,13 +2,16 @@
 // must produce bitwise-identical per-step state hashes at any worker count
 // and across repeated runs. The scenario deliberately exercises every
 // order-sensitive subsystem at once — growth + division (deferred
-// structural changes), the parallel uniform-grid rebuild (canonicalized box
-// chains), force accumulation, and substance deposits from behaviors
-// (chunk-ordered deposit sink) on a diffusing field.
+// structural changes), the parallel uniform-grid rebuild (stable radix
+// sort into ascending box runs), force accumulation, and substance
+// deposits from behaviors (chunk-ordered deposit sink) on a diffusing
+// field.
 //
 // The CLI contract rides along: `biosim_run --verify-determinism` exits 0
 // on a deterministic config and prints the final state hash, which the CI
 // thread sweep compares across BIOSIM_THREADS values.
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -36,15 +39,13 @@ std::vector<uint64_t> HashTrajectory(uint32_t num_threads, uint64_t steps,
                                      uint64_t seed = 42,
                                      uint32_t zorder_cadence = 0,
                                      bool cpu_fast_path = true,
-                                     bool cpu_simd = false,
-                                     bool incremental_grid = true) {
+                                     bool cpu_simd = false) {
   Param p;
   p.random_seed = seed;
   p.num_threads = num_threads;
   p.zorder_cadence = zorder_cadence;
   p.cpu_fast_path = cpu_fast_path;
   p.cpu_simd = cpu_simd;
-  p.incremental_grid = incremental_grid;
   p.max_bound = 120.0;
   Simulation sim(p);
   // Benchmark-A lattice: diameter 8 with threshold 16 so cells roughly
@@ -106,13 +107,13 @@ TEST(DeterminismTest, SimdPathThreadSweepIsBitwiseSelfConsistent) {
 }
 
 TEST(DeterminismTest, SchedulerKnobsAreBitwiseNeutral) {
-  // incremental_grid is a pure performance switch: turning it off must not
-  // change a single per-step hash. This is the cross-path equality the
-  // steady bench re-checks on every CI run.
-  auto baseline = HashTrajectory(8, 10, 42, 0, true, false,
-                                 /*incremental_grid=*/false);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, false, true), baseline);
-  EXPECT_EQ(HashTrajectory(1, 10, 42, 0, true, false, true), baseline);
+  // How the step is scheduled must not change a single per-step hash: the
+  // worker count sets how the grid's radix build and the force pass are
+  // chunked, and the callback and fused traversals read the same CSR runs.
+  auto baseline = HashTrajectory(8, 10, 42, 0, /*cpu_fast_path=*/false);
+  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true), baseline);
+  EXPECT_EQ(HashTrajectory(3, 10, 42, 0, true), baseline);
+  EXPECT_EQ(HashTrajectory(1, 10, 42, 0, true), baseline);
 }
 
 TEST(DeterminismTest, RunToRunRepeatIsBitwiseIdentical) {
@@ -154,8 +155,13 @@ TEST(VerifyDeterminismTest, FinalHashIndependentOfConfiguredThreads) {
 }
 
 int RunBiosim(const std::string& args, std::string* stdout_text = nullptr) {
-  std::string out_path =
-      std::string(::testing::TempDir()) + "/determinism_cli.out";
+  // One file per test and process: ctest -j runs the cases of this suite
+  // concurrently, and a shared path let one case read the other's output.
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string out_path = std::string(::testing::TempDir()) + "/" +
+                         test->test_suite_name() + "." + test->name() + "." +
+                         std::to_string(getpid()) + ".out";
   std::string cmd = std::string(BIOSIM_RUN_BIN) + " " + args + " > " +
                     out_path + " 2>/dev/null";
   int status = std::system(cmd.c_str());

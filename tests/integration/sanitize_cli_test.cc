@@ -93,7 +93,8 @@ TEST(RunnerCliTest, RemovedFlagsAreUnknownArguments) {
   // Flags of settings the runner no longer has fail as usage errors that
   // name the cause; they are never silently ignored.
   const std::string err_file = ::testing::TempDir() + "removed_flag.err";
-  for (const char* flag : {"--overlap-ops on", "--precision fp32"}) {
+  for (const char* flag :
+       {"--overlap-ops on", "--precision fp32", "--incremental-grid off"}) {
     const std::string cmd = std::string(BIOSIM_RUN_BIN) + " --steps 1 " +
                             flag + " > /dev/null 2> " + err_file;
     const int status = std::system(cmd.c_str());

@@ -1,9 +1,10 @@
-// CSR traversal property tests (docs/perf.md): the CSR flattening of the
-// canonical box chains must be structurally exact, and the CSR-based
-// neighbor traversal must visit *exactly* the same (neighbor, d²) sequence
-// as the linked-chain traversal — same order, same indices, equal distances
-// — on random, clustered, torus-wrapped, and degenerate (1–2 boxes per
-// axis) inputs. This is the contract the fused force kernel's bitwise
+// CSR traversal property tests (docs/perf.md): the compacted CSR must hold
+// exactly the brute-force per-box member sets, and the grid's neighbor
+// traversal must visit *exactly* the (neighbor, d²) sequence of a reference
+// walk over those member sets — Fig. 5's box chains, built here by brute
+// force — in the canonical block order: same order, same indices, equal
+// distances, on random, clustered, torus-wrapped, and degenerate (1–2 boxes
+// per axis) inputs. This is the contract the fused force kernel's bitwise
 // equality rests on.
 #include <gtest/gtest.h>
 
@@ -14,6 +15,8 @@
 #include "core/param.h"
 #include "core/random.h"
 #include "core/resource_manager.h"
+#include "grid_oracle.h"
+#include "physics/displacement.h"
 #include "spatial/uniform_grid.h"
 
 namespace biosim {
@@ -21,12 +24,32 @@ namespace {
 
 using Visit = std::pair<AgentIndex, double>;
 
+/// Reference traversal: the 27-block in canonical (dz, dy, dx) order over
+/// the oracle's ascending member lists, with the grid's distance formula.
 std::vector<Visit> CollectChain(const UniformGridEnvironment& env,
+                                const testutil::BoxMembers& chains,
                                 const ResourceManager& rm, AgentIndex q,
                                 double radius) {
+  const GridGeometry& g = env.geometry();
+  const Double3 p = rm.positions()[q];
   std::vector<Visit> out;
-  env.ForEachNeighborWithinRadius(
-      q, rm, radius, [&](AgentIndex j, double d2) { out.emplace_back(j, d2); });
+  g.ForEachNeighborCoord(g.BoxCoordinatesOf(p), [&](const Int3& c) {
+    const auto it = chains.find(g.FlatBoxIndex(c));
+    if (it == chains.end()) {
+      return;
+    }
+    for (int32_t j : it->second) {
+      if (static_cast<AgentIndex>(j) == q) {
+        continue;
+      }
+      const Double3 pj = rm.positions()[static_cast<size_t>(j)];
+      const double d2 = g.torus ? MinImageVector(p, pj, g.edge).SquaredNorm()
+                                : SquaredDistance(p, pj);
+      if (d2 <= radius * radius) {
+        out.emplace_back(static_cast<AgentIndex>(j), d2);
+      }
+    }
+  });
   return out;
 }
 
@@ -34,7 +57,7 @@ std::vector<Visit> CollectCsr(const UniformGridEnvironment& env,
                               const ResourceManager& rm, AgentIndex q,
                               double radius) {
   std::vector<Visit> out;
-  env.ForEachNeighborWithinRadiusCsr(
+  env.ForEachNeighborWithinRadius(
       q, rm, radius, [&](AgentIndex j, double d2) { out.emplace_back(j, d2); });
   return out;
 }
@@ -43,9 +66,11 @@ std::vector<Visit> CollectCsr(const UniformGridEnvironment& env,
 /// visit sequence (order, indices, and d² values all equal).
 void ExpectIdenticalSequences(const UniformGridEnvironment& env,
                               const ResourceManager& rm) {
+  const testutil::BoxMembers chains =
+      testutil::BruteForceBoxMembers(rm, env.geometry());
   const double radius = env.interaction_radius();
   for (AgentIndex q = 0; q < rm.size(); ++q) {
-    std::vector<Visit> chain = CollectChain(env, rm, q, radius);
+    std::vector<Visit> chain = CollectChain(env, chains, rm, q, radius);
     std::vector<Visit> csr = CollectCsr(env, rm, q, radius);
     ASSERT_EQ(chain.size(), csr.size()) << "agent " << q;
     for (size_t k = 0; k < chain.size(); ++k) {
@@ -56,35 +81,9 @@ void ExpectIdenticalSequences(const UniformGridEnvironment& env,
   }
 }
 
-/// CSR structural invariants: a valid exclusive prefix sum over box
-/// occupancy, rows ascending, and row contents identical to the chains.
-void ExpectValidCsr(const UniformGridEnvironment& env, size_t n) {
-  const auto& starts = env.box_starts();
-  const auto& agents = env.box_agents();
-  ASSERT_EQ(starts.size(), env.total_boxes() + 1);
-  ASSERT_EQ(agents.size(), n);
-  EXPECT_EQ(starts.front(), 0);
-  EXPECT_EQ(static_cast<size_t>(starts.back()), n);
-  std::vector<bool> seen(n, false);
-  for (size_t b = 0; b < env.total_boxes(); ++b) {
-    ASSERT_LE(starts[b], starts[b + 1]);
-    EXPECT_EQ(starts[b + 1] - starts[b], env.box_count(b)) << "box " << b;
-    int32_t chain = env.box_start(b);
-    for (int32_t t = starts[b]; t < starts[b + 1]; ++t) {
-      if (t > starts[b]) {
-        EXPECT_LT(agents[t - 1], agents[t]) << "box " << b;  // ascending
-      }
-      ASSERT_EQ(agents[t], chain) << "box " << b;  // same content as chain
-      ASSERT_FALSE(seen[static_cast<size_t>(agents[t])]);
-      seen[static_cast<size_t>(agents[t])] = true;
-      chain = env.successors()[static_cast<size_t>(chain)];
-    }
-    EXPECT_EQ(chain, UniformGridEnvironment::kEmpty) << "box " << b;
-  }
-  // Every agent appears exactly once: a permutation of 0..n-1.
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(seen[i]) << "agent " << i << " missing from box_agents";
-  }
+void ExpectValidCsr(const UniformGridEnvironment& env,
+                    const ResourceManager& rm) {
+  testutil::ExpectGridMatchesOracle(env, rm);
 }
 
 Param ClampParam(double hi) {
@@ -105,7 +104,7 @@ TEST(CsrTraversalTest, RandomUniformMatchesChain) {
   testutil::FillRandomCells(&rm, 400, 0.0, 100.0, 10.0, /*seed=*/7);
   UniformGridEnvironment env;
   env.Update(rm, ClampParam(100.0), ExecMode::kSerial);
-  ExpectValidCsr(env, rm.size());
+  ExpectValidCsr(env, rm);
   ExpectIdenticalSequences(env, rm);
 }
 
@@ -125,7 +124,7 @@ TEST(CsrTraversalTest, ClusteredBallMatchesChain) {
   }
   UniformGridEnvironment env;
   env.Update(rm, ClampParam(200.0), ExecMode::kSerial);
-  ExpectValidCsr(env, rm.size());
+  ExpectValidCsr(env, rm);
   ExpectIdenticalSequences(env, rm);
 }
 
@@ -135,7 +134,7 @@ TEST(CsrTraversalTest, TorusWrapMatchesChain) {
   UniformGridEnvironment env;
   env.Update(rm, TorusParam(100.0), ExecMode::kSerial);
   ASSERT_TRUE(env.is_torus());
-  ExpectValidCsr(env, rm.size());
+  ExpectValidCsr(env, rm);
   ExpectIdenticalSequences(env, rm);
 }
 
@@ -148,7 +147,7 @@ TEST(CsrTraversalTest, DegenerateTwoBoxTorusAxesMatchChain) {
   UniformGridEnvironment env;
   env.Update(rm, TorusParam(100.0), ExecMode::kSerial);
   ASSERT_EQ(env.num_boxes_axis().x, 2);
-  ExpectValidCsr(env, rm.size());
+  ExpectValidCsr(env, rm);
   ExpectIdenticalSequences(env, rm);
 }
 
@@ -160,7 +159,7 @@ TEST(CsrTraversalTest, DegenerateSingleBoxTorusAxesMatchChain) {
   UniformGridEnvironment env;
   env.Update(rm, TorusParam(100.0), ExecMode::kSerial);
   ASSERT_EQ(env.num_boxes_axis().x, 1);
-  ExpectValidCsr(env, rm.size());
+  ExpectValidCsr(env, rm);
   ExpectIdenticalSequences(env, rm);
 }
 
@@ -171,7 +170,7 @@ TEST(CsrTraversalTest, SmallClampedDomainMatchesChain) {
   UniformGridEnvironment env;
   env.Update(rm, ClampParam(50.0), ExecMode::kSerial);
   ASSERT_LE(env.num_boxes_axis().x, 2);
-  ExpectValidCsr(env, rm.size());
+  ExpectValidCsr(env, rm);
   ExpectIdenticalSequences(env, rm);
 }
 
@@ -184,18 +183,18 @@ TEST(CsrTraversalTest, ParallelBuildProducesIdenticalCsr) {
   serial_env.Update(rm, ClampParam(100.0), ExecMode::kSerial);
   UniformGridEnvironment parallel_env;
   parallel_env.Update(rm, ClampParam(100.0), ExecMode::kParallel);
-  EXPECT_EQ(serial_env.box_starts(), parallel_env.box_starts());
-  EXPECT_EQ(serial_env.box_agents(), parallel_env.box_agents());
+  testutil::ExpectSameCsr(serial_env.csr(), parallel_env.csr());
 }
 
 TEST(CsrTraversalTest, EmptyPopulationHasEmptyCsr) {
   ResourceManager rm;
   UniformGridEnvironment env;
   env.Update(rm, ClampParam(100.0), ExecMode::kSerial);
-  EXPECT_EQ(env.box_agents().size(), 0u);
-  ASSERT_GE(env.box_starts().size(), 2u);
-  EXPECT_EQ(env.box_starts().front(), 0);
-  EXPECT_EQ(env.box_starts().back(), 0);
+  EXPECT_EQ(env.csr().box_agents().size(), 0u);
+  EXPECT_EQ(env.occupied_boxes(), 0u);
+  ASSERT_EQ(env.csr().box_starts().size(), 1u);
+  EXPECT_EQ(env.csr().box_starts().front(), 0);
+  ExpectValidCsr(env, rm);
 }
 
 }  // namespace

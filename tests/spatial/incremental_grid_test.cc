@@ -1,16 +1,16 @@
-// Property battery for the incremental grid rebuild (docs/perf.md
-// "Incremental grid rebuilds"): after every Update, an incrementally
-// maintained environment must be byte-identical — chains, counts, successor
-// links AND the CSR flattening — to a from-scratch build of the same
-// population. Anything less would break PR 4's bitwise determinism
-// contract, because the fused force kernel streams the CSR runs directly.
+// Step-to-step battery for the grid's reused state (docs/perf.md
+// "Compacted CSR"): one UniformGridEnvironment updated step after step keeps
+// its buffers and its never-cleared slot map, whose stale entries from
+// earlier builds must stay invisible. After every Update the reused grid
+// must be byte-identical — occupied keys, CSR runs, traversal list — to a
+// from-scratch build of the same population, and must match the brute-force
+// member sets. Anything less would break the bitwise determinism contract,
+// because the fused force kernel streams the CSR runs directly.
 //
-// Each scenario steps a population under a different motion regime and
-// compares the patched grid against a fresh reference environment after
-// every step. The stats counters double as path assertions: scenarios that
-// are supposed to exercise the patch path assert incremental_updates
-// advanced, and scenarios that must fall back (population change, mass
-// motion) assert full_rebuilds advanced.
+// Each scenario steps a population under a different motion regime: drift
+// on a torus, a bounded cloud whose lattice stays fixed, hoppers between
+// clusters, a one-box domain, growth, removal, mass motion and a
+// stationary population.
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
@@ -25,35 +25,30 @@
 #include "spatial/uniform_grid.h"
 
 #include "../test_util.h"
+#include "grid_oracle.h"
 
 namespace biosim {
 namespace {
 
-/// Assert every queryable structure of `inc` equals `ref` bit for bit.
-/// gtest prints vector diffs, so the raw arrays are compared directly.
+/// Assert every queryable structure of `inc` equals `ref` bit for bit, and
+/// both match the brute-force member sets.
 void ExpectGridsIdentical(const UniformGridEnvironment& inc,
                           const UniformGridEnvironment& ref,
-                          const char* where) {
-  ASSERT_EQ(inc.total_boxes(), ref.total_boxes()) << where;
-  EXPECT_EQ(inc.box_length(), ref.box_length()) << where;
-  EXPECT_EQ(inc.grid_min().x, ref.grid_min().x) << where;
-  EXPECT_EQ(inc.grid_min().y, ref.grid_min().y) << where;
-  EXPECT_EQ(inc.grid_min().z, ref.grid_min().z) << where;
-  EXPECT_EQ(inc.is_torus(), ref.is_torus()) << where;
-  // The CSR pair is what the fused kernel consumes.
-  EXPECT_EQ(inc.box_starts(), ref.box_starts()) << where;
-  EXPECT_EQ(inc.box_agents(), ref.box_agents()) << where;
-  // The linked-chain view must stay in lockstep with it.
-  EXPECT_EQ(inc.successors(), ref.successors()) << where;
-  for (size_t b = 0; b < inc.total_boxes(); ++b) {
-    ASSERT_EQ(inc.box_start(b), ref.box_start(b)) << where << " box " << b;
-    ASSERT_EQ(inc.box_count(b), ref.box_count(b)) << where << " box " << b;
-  }
+                          const ResourceManager& rm, const char* where) {
+  SCOPED_TRACE(where);
+  ASSERT_EQ(inc.total_boxes(), ref.total_boxes());
+  EXPECT_EQ(inc.box_length(), ref.box_length());
+  EXPECT_EQ(inc.grid_min().x, ref.grid_min().x);
+  EXPECT_EQ(inc.grid_min().y, ref.grid_min().y);
+  EXPECT_EQ(inc.grid_min().z, ref.grid_min().z);
+  EXPECT_EQ(inc.is_torus(), ref.is_torus());
+  testutil::ExpectSameCsr(inc.csr(), ref.csr());
+  testutil::ExpectGridMatchesOracle(inc, rm);
 }
 
-/// Step `rm` `steps` times through `move`, updating `inc` in place (the
-/// incremental path) and rebuilding a fresh environment as reference after
-/// each move. `move(step)` mutates positions (or the population) arbitrarily.
+/// Step `rm` `steps` times through `move`, updating `inc` in place (reused
+/// state) and rebuilding a fresh environment as reference after each move.
+/// `move(step)` mutates positions (or the population) arbitrarily.
 template <typename MoveFn>
 void RunMotionProperty(ResourceManager& rm, const Param& param,
                        UniformGridEnvironment& inc, uint64_t steps,
@@ -65,7 +60,7 @@ void RunMotionProperty(ResourceManager& rm, const Param& param,
     UniformGridEnvironment ref;
     ref.Update(rm, param, ExecMode::kSerial);
     std::string where = "step " + std::to_string(s);
-    ExpectGridsIdentical(inc, ref, where.c_str());
+    ExpectGridsIdentical(inc, ref, rm, where.c_str());
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
@@ -98,17 +93,14 @@ TEST(IncrementalGridTest, TorusRandomWalkMatchesFullRebuildEveryStep) {
       }
     }
   });
-  // The whole run must have been served by the patch path (after the
-  // initial build), else the property held vacuously.
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 1u);
-  EXPECT_EQ(inc.update_stats().incremental_updates, 12u);
-  EXPECT_GT(inc.update_stats().rebinned_agents, 0u);
+  EXPECT_EQ(inc.rebuilds(), 13u);
 }
 
 TEST(IncrementalGridTest, BoundedCloudWithCornerSentinelsStaysIncremental) {
-  // Non-torus grids derive grid_min from rm.Bounds(), so the patch path
-  // only engages while the bounding box is bit-stable. Eight stationary
-  // sentinel agents pin the corners; everyone else jitters inside.
+  // Non-torus grids derive grid_min from rm.Bounds(), so the window (and
+  // its slot map) is only reused while the bounding box is bit-stable.
+  // Eight stationary sentinel agents pin the corners; everyone else
+  // jitters inside, so every step rebuilds over the same reused window.
   Param param;  // open boundary
   ResourceManager rm;
   for (double x : {0.0, 80.0}) {
@@ -123,6 +115,8 @@ TEST(IncrementalGridTest, BoundedCloudWithCornerSentinelsStaysIncremental) {
   }
   testutil::FillRandomCells(&rm, 300, 4.0, 76.0, 8.0, /*seed=*/13);
   UniformGridEnvironment inc;
+  inc.Update(rm, param, ExecMode::kSerial);
+  const Double3 pinned = inc.grid_min();
   Random rng(5);
   RunMotionProperty(rm, param, inc, 10, [&](uint64_t) {
     auto& pos = rm.positions();
@@ -132,8 +126,9 @@ TEST(IncrementalGridTest, BoundedCloudWithCornerSentinelsStaysIncremental) {
       }
     }
   });
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 1u);
-  EXPECT_EQ(inc.update_stats().incremental_updates, 10u);
+  EXPECT_EQ(inc.grid_min().x, pinned.x);
+  EXPECT_EQ(inc.grid_min().y, pinned.y);
+  EXPECT_EQ(inc.grid_min().z, pinned.z);
 }
 
 TEST(IncrementalGridTest, ClusteredHoppingMatchesFullRebuild) {
@@ -157,16 +152,15 @@ TEST(IncrementalGridTest, ClusteredHoppingMatchesFullRebuild) {
     }
     (void)s;
   });
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 1u);
-  EXPECT_GT(inc.update_stats().rebinned_agents, 0u);
 }
 
 TEST(IncrementalGridTest, DegenerateSingleBoxDomainIsHandled) {
-  // Everything lives in one box (domain smaller than the interaction
-  // radius): deltas degenerate to one box's chain rewritten in place.
+  // Everything lives in one box (the torus edge is less than two
+  // interaction radii): the sort has no key bits and the single run is
+  // rewritten in place.
   Param param = TorusParam(16.0);
   ResourceManager rm;
-  testutil::FillRandomCells(&rm, 24, 0.0, 16.0, 8.0, /*seed=*/9);
+  testutil::FillRandomCells(&rm, 24, 0.0, 16.0, 10.0, /*seed=*/9);
   UniformGridEnvironment inc;
   Random rng(23);
   RunMotionProperty(rm, param, inc, 6, [&](uint64_t) {
@@ -176,14 +170,13 @@ TEST(IncrementalGridTest, DegenerateSingleBoxDomainIsHandled) {
       if (p.x >= 16.0) p.x -= 16.0;
     }
   });
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 1u);
-  EXPECT_EQ(inc.update_stats().incremental_updates, 6u);
+  EXPECT_EQ(inc.total_boxes(), 1u);
 }
 
 TEST(IncrementalGridTest, PopulationGrowthForcesFullRebuild) {
   // A division (deferred insertion committed between steps) changes the
-  // agent count; the patch path must refuse and the full rebuild must
-  // produce the reference structures.
+  // agent count; the reused buffers must grow and the rebuild must produce
+  // the reference structures.
   Param param = TorusParam(64.0);
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 100, 0.0, 64.0, 8.0, /*seed=*/21);
@@ -200,14 +193,12 @@ TEST(IncrementalGridTest, PopulationGrowthForcesFullRebuild) {
       rm.positions()[s].x = 32.0;  // keep some motion in the quiet steps
     }
   });
-  // Initial build + the two growth steps rebuilt; the rest patched.
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 3u);
-  EXPECT_EQ(inc.update_stats().incremental_updates, 4u);
+  EXPECT_EQ(inc.rebuilds(), 7u);
 }
 
 TEST(IncrementalGridTest, RemovalForcesFullRebuild) {
-  // Swap-with-last removal renumbers rows, so the previous agent->box map
-  // is meaningless; the count gate catches it before any stale patch.
+  // Swap-with-last removal renumbers rows and shrinks the population: the
+  // previous build's runs and slots must not leak into the next one.
   Param param = TorusParam(64.0);
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 100, 0.0, 64.0, 8.0, /*seed=*/31);
@@ -219,13 +210,12 @@ TEST(IncrementalGridTest, RemovalForcesFullRebuild) {
       rm.CommitStructuralChanges();
     }
   });
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 2u);
+  EXPECT_EQ(inc.csr().box_agents().size(), 98u);
 }
 
 TEST(IncrementalGridTest, MassMotionFallsBackToFullRebuild) {
-  // When most agents cross boxes, patching costs more than rebuilding; the
-  // fallback threshold must hand the step to the full path — and the
-  // structures must still match the reference afterwards.
+  // Every agent crosses a box face: the whole occupied set moves, so every
+  // stale slot entry of the previous build must be rejected.
   Param param = TorusParam(64.0);
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 200, 0.0, 64.0, 8.0, /*seed=*/37);
@@ -236,30 +226,22 @@ TEST(IncrementalGridTest, MassMotionFallsBackToFullRebuild) {
       if (p.x >= 64.0) p.x -= 64.0;
     }
   });
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 3u);
-  EXPECT_EQ(inc.update_stats().incremental_updates, 0u);
+  EXPECT_EQ(inc.rebuilds(), 3u);
 }
 
 TEST(IncrementalGridTest, StationaryPopulationIsANoOpPatch) {
+  // Nothing moves: each rebuild over the reused state reproduces the
+  // previous step's bytes exactly.
   Param param = TorusParam(64.0);
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 100, 0.0, 64.0, 8.0, /*seed=*/41);
   UniformGridEnvironment inc;
+  inc.Update(rm, param, ExecMode::kSerial);
+  const std::vector<int32_t> agents = inc.csr().box_agents();
+  const std::vector<uint32_t> keys = inc.csr().occupied_keys();
   RunMotionProperty(rm, param, inc, 3, [&](uint64_t) {});
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 1u);
-  EXPECT_EQ(inc.update_stats().incremental_updates, 3u);
-  EXPECT_EQ(inc.update_stats().rebinned_agents, 0u);
-}
-
-TEST(IncrementalGridTest, DisablingTheKnobAlwaysRebuilds) {
-  Param param = TorusParam(64.0);
-  param.incremental_grid = false;
-  ResourceManager rm;
-  testutil::FillRandomCells(&rm, 50, 0.0, 64.0, 8.0, /*seed=*/43);
-  UniformGridEnvironment inc;
-  RunMotionProperty(rm, param, inc, 3, [&](uint64_t) {});
-  EXPECT_EQ(inc.update_stats().full_rebuilds, 4u);
-  EXPECT_EQ(inc.update_stats().incremental_updates, 0u);
+  EXPECT_EQ(inc.csr().box_agents(), agents);
+  EXPECT_EQ(inc.csr().occupied_keys(), keys);
 }
 
 TEST(IncrementalGridTest, CsrAgentCountGuardThrowsPastInt32) {

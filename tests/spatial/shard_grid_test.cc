@@ -1,6 +1,6 @@
-// ShardGrid: the per-shard occupancy-compacted CSR must present, for every
-// owned box, exactly the candidate runs the global uniform grid's CSR
-// presents — same rows, same ascending order, same canonical 27-block
+// ShardGrid: a shard window's occupancy-compacted CSR must present, for
+// every owned box, exactly the candidate runs the whole-lattice uniform
+// grid presents — same rows, same ascending order, same canonical 27-block
 // enumeration — while storing only occupied boxes (spatial/shard_grid.h).
 #include <algorithm>
 #include <cstdint>
@@ -19,6 +19,19 @@
 
 namespace biosim {
 namespace {
+
+/// The uniform grid's member run for flat box `box` (empty when no agent
+/// lives there).
+std::vector<int32_t> GlobalRun(const UniformGridEnvironment& grid,
+                               size_t box) {
+  const ShardGrid& csr = grid.csr();
+  const int32_t s = csr.slot_of(box);
+  if (s < 0) {
+    return {};
+  }
+  return {csr.box_agents().begin() + csr.box_starts()[s],
+          csr.box_agents().begin() + csr.box_starts()[s + 1]};
+}
 
 ResourceManager MakePopulation(size_t n, double lo, double hi, uint64_t seed,
                                double diameter = 8.0) {
@@ -51,8 +64,9 @@ TEST(ShardGridTest, SingleShardReproducesTheGlobalCsrRuns) {
   // Every agent present exactly once, in a box-run that matches the global
   // grid's run for the same box.
   EXPECT_EQ(sg.box_agents().size(), rm.size());
-  ASSERT_EQ(sg.owned_boxes().size(), sg.occupied_boxes());
-  for (const auto& [wb, slot] : sg.owned_boxes()) {
+  ASSERT_EQ(sg.owned_slot_begin(), 0u);
+  ASSERT_EQ(sg.owned_slot_end(), sg.occupied_boxes());
+  for (uint32_t slot = 0; slot < sg.occupied_boxes(); ++slot) {
     const int32_t begin = sg.box_starts()[slot];
     const int32_t end = sg.box_starts()[slot + 1];
     ASSERT_LT(begin, end);
@@ -63,15 +77,9 @@ TEST(ShardGridTest, SingleShardReproducesTheGlobalCsrRuns) {
     // The global grid bins the first resident into the same box as the rest.
     const auto c = g.BoxCoordinatesOf(
         rm.positions()[static_cast<size_t>(sg.box_agents()[begin])]);
-    const size_t global_box = g.FlatBoxIndex(c);
-    const auto& starts = grid.box_starts();
-    const auto& agents = grid.box_agents();
-    const int32_t gb = starts[global_box];
-    const int32_t ge = starts[global_box + 1];
-    ASSERT_EQ(ge - gb, end - begin) << "run length mismatch";
-    for (int32_t i = 0; i < end - begin; ++i) {
-      EXPECT_EQ(agents[gb + i], sg.box_agents()[begin + i]);
-    }
+    const std::vector<int32_t> run(sg.box_agents().begin() + begin,
+                                   sg.box_agents().begin() + end);
+    EXPECT_EQ(GlobalRun(grid, g.FlatBoxIndex(c)), run);
   }
 }
 
@@ -91,7 +99,8 @@ TEST(ShardGridTest, NeighborSlotsEnumerateCanonicalOrderSkippingEmpties) {
   sg.Update(members, rm.positions().data());
 
   CsrGridView view = sg.View();
-  for (const auto& [wb, slot] : sg.owned_boxes()) {
+  for (uint32_t slot = sg.owned_slot_begin(); slot < sg.owned_slot_end();
+       ++slot) {
     size_t shard_slots[27];
     const int shard_count = view.neighbor_slots(view.self, slot, shard_slots);
 
@@ -104,20 +113,17 @@ TEST(ShardGridTest, NeighborSlotsEnumerateCanonicalOrderSkippingEmpties) {
     const int global_count = g.NeighborBoxesOf(c, global_boxes);
     int matched = 0;
     for (int b = 0; b < global_count; ++b) {
-      const int32_t gb = grid.box_starts()[global_boxes[b]];
-      const int32_t ge = grid.box_starts()[global_boxes[b] + 1];
-      if (gb == ge) {
+      const std::vector<int32_t> global = GlobalRun(grid, global_boxes[b]);
+      if (global.empty()) {
         continue;  // empty in the global grid -> shard has no slot for it
       }
       ASSERT_LT(matched, shard_count);
       const size_t s2 = shard_slots[matched++];
       // Same resident run.
-      const int32_t sb = sg.box_starts()[s2];
-      const int32_t se = sg.box_starts()[s2 + 1];
-      ASSERT_EQ(se - sb, ge - gb);
-      for (int32_t i = 0; i < ge - gb; ++i) {
-        EXPECT_EQ(sg.box_agents()[sb + i], grid.box_agents()[gb + i]);
-      }
+      const std::vector<int32_t> run(
+          sg.box_agents().begin() + sg.box_starts()[s2],
+          sg.box_agents().begin() + sg.box_starts()[s2 + 1]);
+      EXPECT_EQ(run, global);
     }
     EXPECT_EQ(matched, shard_count);
   }
@@ -160,9 +166,17 @@ TEST(ShardGridTest, PartitionedShardsCoverEveryGlobalRunExactlyOnce) {
       ShardGrid sg;
       sg.Configure(g, part.first_plane(k), part.end_plane(k));
       sg.Update(members[k], rm.positions().data());
-      for (const auto& [wb, slot] : sg.owned_boxes()) {
-        rows_covered += static_cast<size_t>(sg.box_starts()[slot + 1] -
-                                            sg.box_starts()[slot]);
+      rows_covered +=
+          static_cast<size_t>(sg.box_starts()[sg.owned_slot_end()] -
+                              sg.box_starts()[sg.owned_slot_begin()]);
+      // Owned slots are exactly the boxes in owned planes.
+      for (uint32_t slot = 0; slot < sg.occupied_boxes(); ++slot) {
+        const int32_t row = sg.box_agents()[sg.box_starts()[slot]];
+        const int32_t z = g.BoxCoordinatesOf(rm.positions()[row]).z;
+        const bool owned = z >= part.first_plane(k) && z < part.end_plane(k);
+        EXPECT_EQ(owned, slot >= sg.owned_slot_begin() &&
+                             slot < sg.owned_slot_end())
+            << "shards=" << shards << " shard " << k << " slot " << slot;
       }
     }
     // The owned boxes of all shards partition the population: every row in
@@ -212,11 +226,13 @@ TEST(ShardGridTest, UpdateIsIdempotentAcrossRebuilds) {
   sg.Update(members, rm.positions().data());
   const auto starts = sg.box_starts();
   const auto agents = sg.box_agents();
-  const auto owned = sg.owned_boxes();
+  const uint32_t owned_begin = sg.owned_slot_begin();
+  const uint32_t owned_end = sg.owned_slot_end();
   sg.Update(members, rm.positions().data());
   EXPECT_EQ(sg.box_starts(), starts);
   EXPECT_EQ(sg.box_agents(), agents);
-  EXPECT_EQ(sg.owned_boxes(), owned);
+  EXPECT_EQ(sg.owned_slot_begin(), owned_begin);
+  EXPECT_EQ(sg.owned_slot_end(), owned_end);
 }
 
 TEST(ShardPartitionTest, StaticSplitCoversAllPlanesContiguously) {

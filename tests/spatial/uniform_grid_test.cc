@@ -7,6 +7,9 @@
 #include <vector>
 
 #include "../test_util.h"
+#include "physics/displacement.h"
+#include "grid_oracle.h"
+#include "spatial/shard_grid.h"
 
 namespace biosim {
 namespace {
@@ -30,29 +33,148 @@ TEST(UniformGridTest, FixedBoxLengthOverrides) {
   EXPECT_DOUBLE_EQ(env.box_length(), 25.0);
 }
 
+/// Run `fn` with the OpenMP worker count set to `threads`, restoring the
+/// previous count afterwards.
+template <typename Fn>
+void WithThreads(uint32_t threads, Fn fn) {
+  const uint32_t before = HardwareThreads();
+  SetNumThreads(threads);
+  fn();
+  SetNumThreads(before);
+}
+
+Param TorusParam(double edge) {
+  Param p;
+  p.boundary_mode = BoundaryMode::kTorus;
+  p.min_bound = 0.0;
+  p.max_bound = edge;
+  return p;
+}
+
 TEST(UniformGridTest, EveryAgentIsInItsBoxChain) {
+  // Each box's member list (Fig. 5's chain, stored as one CSR run) holds
+  // exactly the agents whose position maps to that box, each once.
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 200, 0.0, 50.0, 8.0);
   Param param;
   UniformGridEnvironment env;
   env.Update(rm, param, ExecMode::kSerial);
+  testutil::ExpectGridMatchesOracle(env, rm);
+  std::set<int32_t> seen(env.csr().box_agents().begin(),
+                         env.csr().box_agents().end());
+  EXPECT_EQ(seen.size(), rm.size());
+}
 
-  // Walk all box chains and check each agent appears exactly once, in the
-  // box its position maps to.
-  std::set<int32_t> seen;
-  size_t total = 0;
-  for (size_t b = 0; b < env.total_boxes(); ++b) {
-    size_t chain_len = 0;
-    for (int32_t j = env.box_start(b); j != UniformGridEnvironment::kEmpty;
-         j = env.successors()[j]) {
-      EXPECT_TRUE(seen.insert(j).second) << "agent " << j << " linked twice";
-      EXPECT_EQ(env.BoxIndexOf(rm.positions()[j]), b);
-      ++chain_len;
-      ++total;
+TEST(UniformGridTest, OracleMatchesAcrossThreadsAndBoundaries) {
+  // 20k agents split the build into several chunks in every phase (bin,
+  // radix passes, run extraction), so chunk seams are exercised — in the
+  // dense case (20 agents per box) every seam falls inside a box's run.
+  // The result must equal the brute-force member sets and be
+  // byte-identical for every worker count, on open and periodic lattices.
+  for (const double edge : {400.0, 100.0}) {
+    ResourceManager rm;
+    testutil::FillRandomCells(&rm, 20000, 0.0, edge, 10.0, /*seed=*/5);
+    for (const Param& param : {Param{}, TorusParam(edge)}) {
+      UniformGridEnvironment reference;
+      reference.Update(rm, param, ExecMode::kSerial);
+      testutil::ExpectGridMatchesOracle(reference, rm);
+      for (uint32_t threads : {1u, 2u, 4u}) {
+        UniformGridEnvironment env;
+        WithThreads(threads,
+                    [&] { env.Update(rm, param, ExecMode::kParallel); });
+        SCOPED_TRACE(::testing::Message() << "edge " << edge << " threads "
+                                          << threads << " torus "
+                                          << env.is_torus());
+        testutil::ExpectGridMatchesOracle(env, rm);
+        testutil::ExpectSameCsr(env.csr(), reference.csr());
+      }
     }
-    EXPECT_EQ(static_cast<int32_t>(chain_len), env.box_count(b));
   }
-  EXPECT_EQ(total, rm.size());
+}
+
+TEST(UniformGridTest, OracleMatchesOnShortAxes) {
+  // Axes with fewer than 3 boxes: a 2- and a 1-box torus (reduced offset
+  // ranges) and a clamped domain of 1-2 boxes per axis.
+  struct Case {
+    Param param;
+    double hi;
+    double diameter;
+  };
+  Param clamp;
+  clamp.max_bound = 50.0;
+  for (const Case& c : {Case{TorusParam(100.0), 100.0, 40.0},
+                        Case{TorusParam(100.0), 100.0, 60.0},
+                        Case{clamp, 50.0, 30.0}}) {
+    ResourceManager rm;
+    testutil::FillRandomCells(&rm, 120, 0.0, c.hi, c.diameter, /*seed=*/3);
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      UniformGridEnvironment env;
+      WithThreads(threads,
+                  [&] { env.Update(rm, c.param, ExecMode::kParallel); });
+      ASSERT_LE(env.num_boxes_axis().x, 2);
+      testutil::ExpectGridMatchesOracle(env, rm);
+    }
+  }
+}
+
+TEST(UniformGridTest, EmptyAndSingleAgentPopulations) {
+  for (size_t n : {size_t{0}, size_t{1}}) {
+    ResourceManager rm;
+    testutil::FillRandomCells(&rm, n, 0.0, 50.0, 10.0);
+    for (const Param& param : {Param{}, TorusParam(50.0)}) {
+      UniformGridEnvironment env;
+      env.Update(rm, param, ExecMode::kParallel);
+      testutil::ExpectGridMatchesOracle(env, rm);
+      EXPECT_EQ(env.occupied_boxes(), n);
+      if (n == 1) {
+        EXPECT_TRUE(testutil::CollectNeighbors(env, rm, 0, env.box_length())
+                        .empty());
+      }
+    }
+  }
+}
+
+TEST(UniformGridTest, MatchesWholeLatticeShardGridByteForByte) {
+  // The uniform grid is the one-window, no-ghost case of the shard CSR:
+  // a ShardGrid configured over every plane of the same lattice and fed
+  // every row must build the identical bytes.
+  ResourceManager rm;
+  testutil::FillRandomCells(&rm, 3000, 0.0, 150.0, 10.0, /*seed=*/8);
+  for (const Param& param : {Param{}, TorusParam(150.0)}) {
+    UniformGridEnvironment env;
+    env.Update(rm, param, ExecMode::kParallel);
+    ShardGrid whole;
+    whole.Configure(env.geometry(), 0, env.num_boxes_axis().z);
+    std::vector<int32_t> rows(rm.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      rows[i] = static_cast<int32_t>(i);
+    }
+    whole.Update(rows, rm.positions().data());
+    testutil::ExpectSameCsr(env.csr(), whole);
+  }
+}
+
+TEST(UniformGridTest, TorusNeighborsMatchMinimumImageBruteForce) {
+  // O(n^2) reference under periodic wrap: every agent within the radius by
+  // minimum-image distance, including neighbors across the faces.
+  const double edge = 60.0;
+  ResourceManager rm;
+  testutil::FillRandomCells(&rm, 300, 0.0, edge, 10.0, /*seed=*/19);
+  UniformGridEnvironment env;
+  env.Update(rm, TorusParam(edge), ExecMode::kParallel);
+  const double r = env.interaction_radius();
+  for (AgentIndex q = 0; q < rm.size(); ++q) {
+    std::vector<AgentIndex> brute;
+    for (AgentIndex j = 0; j < rm.size(); ++j) {
+      if (j != q &&
+          MinImageVector(rm.positions()[q], rm.positions()[j], edge)
+                  .SquaredNorm() <= r * r) {
+        brute.push_back(j);
+      }
+    }
+    ASSERT_EQ(testutil::CollectNeighbors(env, rm, q, r), brute)
+        << "query " << q;
+  }
 }
 
 TEST(UniformGridTest, ParallelBuildFindsSameSets) {
@@ -208,21 +330,21 @@ TEST(UniformGridTest, UpdateRejectsFixedBoxSmallerThanInteractionRadius) {
 }
 
 TEST(UniformGridTest, BoxChainsAreCanonicalAscendingAfterParallelBuild) {
-  // The determinism tentpole's spatial half: whatever interleaving built
-  // the linked lists, Update leaves every chain sorted by agent index.
+  // The determinism tentpole's spatial half: however the build is chunked,
+  // every box's member run comes out sorted by agent index.
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 500, 0.0, 30.0, 10.0, /*seed=*/3);
   Param param;
   UniformGridEnvironment env;
   env.Update(rm, param, ExecMode::kParallel);
-  for (size_t b = 0; b < env.total_boxes(); ++b) {
-    int32_t prev = -1;
-    for (int32_t j = env.box_start(b); j != UniformGridEnvironment::kEmpty;
-         j = env.successors()[j]) {
-      EXPECT_GT(j, prev) << "box " << b << " chain is not ascending";
-      prev = j;
+  const auto& starts = env.csr().box_starts();
+  const auto& agents = env.csr().box_agents();
+  for (size_t s = 0; s + 1 < starts.size(); ++s) {
+    for (int32_t t = starts[s] + 1; t < starts[s + 1]; ++t) {
+      EXPECT_GT(agents[t], agents[t - 1]) << "slot " << s;
     }
   }
+  testutil::ExpectGridMatchesOracle(env, rm);
 }
 
 TEST(UniformGridTest, TraversalOrderIsIdenticalSerialVsParallel) {

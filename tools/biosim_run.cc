@@ -2,9 +2,8 @@
 //
 //   biosim_run [config.ini] [--steps N] [--backend cpu|gpu] [--threads N]
 //              [--cpu-fast-path BOOL] [--simd BOOL] [--zorder-every N]
-//              [--incremental-grid BOOL] [--shards N]
-//              [--shard-balance static|adaptive] [--print-config]
-//              [--sanitize] [--trace FILE] [--metrics FILE]
+//              [--shards N] [--shard-balance static|adaptive]
+//              [--print-config] [--sanitize] [--trace FILE] [--metrics FILE]
 //              [--metrics-every N] [--report FILE] [--json]
 //              [--perf-counters] [--flight-recorder FILE]
 //              [--flight-recorder-depth N] [--progress SEC]
@@ -102,8 +101,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s [config.ini] [--steps N] [--backend cpu|gpu] "
                  "[--threads N] [--cpu-fast-path BOOL] [--simd BOOL] "
-                 "[--zorder-every N] [--incremental-grid BOOL] "
-                 "[--shards N] [--shard-balance static|adaptive] "
+                 "[--zorder-every N] [--shards N] "
+                 "[--shard-balance static|adaptive] "
                  "[--print-config] [--sanitize] [--trace FILE] "
                  "[--metrics FILE] [--metrics-every N] [--report FILE] "
                  "[--json] [--perf-counters] [--flight-recorder FILE] "
@@ -142,9 +141,6 @@ int main(int argc, char** argv) {
         cfg.simd = value == "1" || value == "true" || value == "on";
       } else if (FlagValue(argc, argv, &i, "--zorder-every", &value)) {
         cfg.zorder_every = static_cast<uint64_t>(std::atoll(value.c_str()));
-      } else if (FlagValue(argc, argv, &i, "--incremental-grid", &value)) {
-        cfg.incremental_grid =
-            value == "1" || value == "true" || value == "on";
       } else if (FlagValue(argc, argv, &i, "--shards", &value)) {
         cfg.shards = static_cast<uint32_t>(std::atoll(value.c_str()));
       } else if (FlagValue(argc, argv, &i, "--shard-balance", &value)) {
