@@ -5,13 +5,12 @@
 //
 // `--json PATH` additionally writes BENCH_cpu.json — the perf-trajectory
 // record CI archives per commit: wall time of one mechanical-forces pass
-// over a clustered-sphere population through the generic callback path,
-// the fused CSR fast path (docs/perf.md) and the vectorized fused kernel
-// (simd_path; physics/simd_force_kernel.h), plus their speedups. The
-// scalar paths owe bitwise-identical displacement buffers; the vector path
-// owes its documented tolerance (1e-12 on one pass) — and every path owes
-// the same force-evaluation count. The run exits non-zero if any bound is ever
-// exceeded, so the CI perf-smoke job doubles as a parity gate.
+// over a clustered-sphere population through the generic callback path
+// (the uniform grid behind a ForwardingEnvironment) and through the fused
+// CSR kernel (physics/simd_force_kernel.h, docs/perf.md), plus the speedup.
+// The two owe bitwise-identical displacement buffers (max_abs_delta == 0)
+// and the same force-evaluation count; the run exits non-zero otherwise,
+// so the CI perf-smoke job doubles as a parity gate.
 // `--agents N` / `--reps N` resize the scenario (defaults: 32768 agents,
 // best of 5 reps).
 #include <benchmark/benchmark.h>
@@ -19,6 +18,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,8 +31,8 @@
 #include "physics/displacement.h"
 #include "physics/interaction_force.h"
 #include "physics/mechanical_forces_op.h"
+#include "spatial/forwarding_environment.h"
 #include "spatial/uniform_grid.h"
-#include "spatial/zorder_sort.h"
 
 namespace {
 
@@ -123,7 +123,7 @@ struct PathTiming {
 /// already up to date and positions never change (displacements are only
 /// buffered), so this isolates the force kernel both paths share a contract
 /// for; the grid build is identical work on either path.
-PathTiming TimePath(const ResourceManager& rm, const UniformGridEnvironment& env,
+PathTiming TimePath(const ResourceManager& rm, const Environment& env,
                     const Param& param, ExecMode mode, int reps,
                     MechanicalForcesOp* op) {
   PathTiming t;
@@ -161,56 +161,36 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
   FillClusteredSphere(&rm, agents, /*seed=*/1234);
   UniformGridEnvironment env;
   env.Update(rm, param, ExecMode::kSerial);
+  // The callback oracle: the same grid, hidden from the fused path's
+  // dynamic_cast.
+  ForwardingEnvironment callback_env(std::make_unique<UniformGridEnvironment>());
+  callback_env.Update(rm, param, ExecMode::kSerial);
 
   MechanicalForcesOp generic_op;
   MechanicalForcesOp fused_op;
-  Param generic_param = param;
-  generic_param.cpu_fast_path = false;
-  Param fused_param = param;
-  fused_param.cpu_fast_path = true;
-
   PathTiming generic =
-      TimePath(rm, env, generic_param, ExecMode::kSerial, reps, &generic_op);
-  PathTiming fused =
-      TimePath(rm, env, fused_param, ExecMode::kSerial, reps, &fused_op);
+      TimePath(rm, callback_env, param, ExecMode::kSerial, reps, &generic_op);
+  PathTiming fused = TimePath(rm, env, param, ExecMode::kSerial, reps, &fused_op);
+  const double delta =
+      MaxAbsDelta(generic_op.displacements(), fused_op.displacements());
+  const bool same_bits =
+      generic_op.displacements().size() == fused_op.displacements().size() &&
+      std::memcmp(generic_op.displacements().data(),
+                  fused_op.displacements().data(),
+                  fused_op.displacements().size() * sizeof(Double3)) == 0;
   PathTiming fused_mt =
-      TimePath(rm, env, fused_param, ExecMode::kParallel, reps, &fused_op);
+      TimePath(rm, env, param, ExecMode::kParallel, reps, &fused_op);
 
   // The parity gate: both paths owe the identical (neighbor, d^2) visit
-  // sequence, hence equal evaluation counts and bitwise-equal buffers.
+  // sequence and FP expressions, hence equal evaluation counts and
+  // bitwise-equal buffers.
   bool parity = generic.force_evals == fused.force_evals &&
-                fused.force_evals == fused_mt.force_evals &&
-                generic_op.displacements() == fused_op.displacements();
-
-  // The vectorized kernel (physics/simd_force_kernel.h). Same traversal
-  // and hit decisions, so the evaluation counts stay equal; the
-  // displacement buffers owe a tolerance instead of bitwise equality
-  // (FMA-contracted distances). One pass of FMA contraction is ulp-level
-  // noise — 1e-12 is generous by orders.
-  MechanicalForcesOp simd_op;
-  Param simd_param = fused_param;
-  simd_param.cpu_simd = true;
-
-  PathTiming simd =
-      TimePath(rm, env, simd_param, ExecMode::kSerial, reps, &simd_op);
-  PathTiming simd_mt =
-      TimePath(rm, env, simd_param, ExecMode::kParallel, reps, &simd_op);
-  const double simd_delta =
-      MaxAbsDelta(fused_op.displacements(), simd_op.displacements());
-  parity = parity && simd.force_evals == fused.force_evals &&
-           simd_mt.force_evals == fused.force_evals && simd_delta <= 1e-12;
-
-  // A fused pass over the same population after a Z-order row permutation:
-  // the cache-locality headroom of [simulation] zorder_every.
-  SortAgentsByZOrder(rm, kDiameter, ExecMode::kSerial);
-  env.Update(rm, param, ExecMode::kSerial);
-  PathTiming fused_z =
-      TimePath(rm, env, fused_param, ExecMode::kSerial, reps, &fused_op);
-  parity = parity && fused_z.force_evals == fused.force_evals;
+                fused.force_evals == fused_mt.force_evals && delta == 0.0 &&
+                same_bits;
 
   json::Value doc = biosim::obs::MakeRunReport("bench_micro_force");
   doc.Set("bench", "bench_micro_force");
-  doc.Set("schema", 1);
+  doc.Set("schema", 2);
   json::Value sc = json::Value::MakeObject();
   sc.Set("workload", "clustered sphere, one mechanical-forces pass");
   sc.Set("agents", agents);
@@ -225,15 +205,9 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
   json::Value fu = json::Value::MakeObject();
   fu.Set("wall_ms", fused.best_ms);
   fu.Set("wall_ms_parallel", fused_mt.best_ms);
-  fu.Set("wall_ms_zorder", fused_z.best_ms);
+  fu.Set("max_abs_delta", delta);
   doc.Set("fused_path", std::move(fu));
-  json::Value sv = json::Value::MakeObject();
-  sv.Set("wall_ms", simd.best_ms);
-  sv.Set("wall_ms_parallel", simd_mt.best_ms);
-  sv.Set("max_abs_delta", simd_delta);
-  doc.Set("simd_path", std::move(sv));
   doc.Set("speedup", fused.best_ms > 0.0 ? generic.best_ms / fused.best_ms : 0.0);
-  doc.Set("speedup_simd", simd.best_ms > 0.0 ? fused.best_ms / simd.best_ms : 0.0);
   doc.Set("force_eval_parity", parity);
 
   if (!biosim::obs::WriteReportFile(doc, path)) {
@@ -241,21 +215,18 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
     return 1;
   }
   std::printf("wrote %s: callback %.2f ms, fused %.2f ms (%.2fx), "
-              "fused parallel %.2f ms, fused+zorder %.2f ms, "
-              "simd %.2f ms (%.2fx over fused, delta %.1e), "
-              "simd parallel %.2f ms, %zu force evals, parity %s\n",
+              "fused parallel %.2f ms, %zu force evals, max delta %.1e, "
+              "parity %s\n",
               path.c_str(), generic.best_ms, fused.best_ms,
               fused.best_ms > 0.0 ? generic.best_ms / fused.best_ms : 0.0,
-              fused_mt.best_ms, fused_z.best_ms, simd.best_ms,
-              simd.best_ms > 0.0 ? fused.best_ms / simd.best_ms : 0.0,
-              simd_delta, simd_mt.best_ms, generic.force_evals,
+              fused_mt.best_ms, generic.force_evals, delta,
               parity ? "OK" : "FAIL");
   if (!parity) {
     std::fprintf(stderr,
-                 "error: a force path diverged from its reference "
-                 "(evals generic %zu fused %zu simd %zu, simd delta %.3e)\n",
-                 generic.force_evals, fused.force_evals, simd.force_evals,
-                 simd_delta);
+                 "error: the fused kernel diverged from the callback path "
+                 "(evals %zu vs %zu, max delta %.3e, same bits %d)\n",
+                 generic.force_evals, fused.force_evals, delta,
+                 same_bits ? 1 : 0);
     return 2;
   }
   return 0;

@@ -72,10 +72,6 @@ void RunConfig::Validate() const {
   if (backend_type != "cpu" && backend_type != "gpu") {
     fail("backend type must be cpu or gpu, got '" + backend_type + "'");
   }
-  if (zorder_every > 0 && backend_type == "gpu") {
-    fail("zorder_every is a CPU-path knob (GPU versions 2+ already Z-order "
-         "sort on the device)");
-  }
   if (substance_resolution == 1) {
     fail("substance_resolution must be 0 (no substance) or >= 2");
   }
@@ -92,17 +88,6 @@ void RunConfig::Validate() const {
   if (shards > 0 && backend_type == "gpu") {
     fail("shards is a CPU-pipeline knob (the GPU backend owns the whole "
          "domain)");
-  }
-  if (shards > 0 && !cpu_fast_path) {
-    fail("shards drives the fused CSR kernel per shard and requires "
-         "cpu_fast_path");
-  }
-  if (simd && backend_type == "gpu") {
-    fail("simd is a CPU force-kernel knob (the GPU ladder has its own FP32 "
-         "versions)");
-  }
-  if (simd && !cpu_fast_path) {
-    fail("simd vectorizes the fused kernel and requires cpu_fast_path");
   }
   if (gpu_device != "1080ti" && gpu_device != "v100") {
     fail("gpu device must be 1080ti or v100, got '" + gpu_device + "'");
@@ -172,16 +157,6 @@ RunConfig ParseConfigString(const std::string& text) {
       {"threads",
        [&](const std::string& v, size_t l) {
          cfg.num_threads = static_cast<uint32_t>(ToU64(v, l));
-       }},
-      {"cpu_fast_path",
-       [&](const std::string& v, size_t l) {
-         cfg.cpu_fast_path = ToBool(v, l);
-       }},
-      {"simd",
-       [&](const std::string& v, size_t l) { cfg.simd = ToBool(v, l); }},
-      {"zorder_every",
-       [&](const std::string& v, size_t l) {
-         cfg.zorder_every = ToU64(v, l);
        }},
       {"shards",
        [&](const std::string& v, size_t l) {

@@ -7,9 +7,6 @@
 //   timestep = 0.01
 //   boundary = clamp              ; clamp | torus | open
 //   threads = 0                   ; CPU workers; 0 = hardware concurrency
-//   cpu_fast_path = true          ; fused CSR force kernel (docs/perf.md)
-//   simd = false                  ; vectorize the fused kernel (docs/perf.md)
-//   zorder_every = 0              ; re-sort agents into Z-order every N steps
 //   shards = 0                    ; spatial domain shards (docs/sharding.md); 0=off
 //   shard_balance = static        ; static | adaptive plane-range sizing
 //
@@ -71,23 +68,9 @@ struct RunConfig {
   /// concurrency. Overridable via --threads and the BIOSIM_THREADS env var
   /// (the CI determinism sweep varies this; results must not depend on it).
   uint32_t num_threads = 0;
-  /// Fused CSR force kernel on the uniform-grid CPU path (docs/perf.md);
-  /// bitwise-identical to the generic callback path, so disabling it only
-  /// trades speed. Ignored by the GPU backend.
-  bool cpu_fast_path = true;
-  /// Vectorize the fused force kernel (docs/perf.md). Opt-in: the vector
-  /// kernel FMA-contracts the distance computation, so results are only
-  /// tolerance-equal to the scalar reference (cpu_simd parity row), though
-  /// still bitwise reproducible run-to-run, across thread counts and
-  /// across vector widths. Requires cpu_fast_path; CPU backend only.
-  bool simd = false;
-  /// Re-sort agents into Z-order every N steps on the CPU pipeline
-  /// (0 = never). Cache-locality knob; permutes rows uid-stably.
-  uint64_t zorder_every = 0;
   /// Spatial domain shards along the grid's z-planes (Param::num_shards,
   /// docs/sharding.md). 0 disables. StateHash is bitwise-identical for any
-  /// shard count (the CI shard sweep enforces it). CPU backend only;
-  /// requires cpu_fast_path.
+  /// shard count (the CI shard sweep enforces it). CPU backend only.
   uint32_t shards = 0;
   /// Plane-range sizing when shards > 0: "static" (equal plane counts) or
   /// "adaptive" (greedy split over the per-plane agent histogram).

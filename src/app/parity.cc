@@ -10,8 +10,10 @@
 
 #include "core/simulation.h"
 #include "gpu/gpu_mechanical_op.h"
+#include "spatial/forwarding_environment.h"
 #include "spatial/kd_tree.h"
 #include "spatial/null_environment.h"
+#include "spatial/uniform_grid.h"
 
 namespace biosim::app {
 
@@ -35,25 +37,18 @@ constexpr double kGpuFp64Tol = 1e-9;
 // robustness headroom without hiding real errors (a wrong kernel is off by
 // whole diameters, not hundredths).
 constexpr double kGpuFp32Tol = 2e-2;
-// The SIMD kernel FMA-contracts the squared-distance computation
-// (physics/simd_force_kernel.h); each contracted d² differs by at most one
-// ulp from the scalar dot product, so a five-step trajectory stays far
-// below the kd-tree-style 1e-9 bound it shares.
-constexpr double kCpuSimdTol = 1e-9;
 
 struct BackendSpec {
   const char* name;
-  enum class Kind { kCpuGrid, kCpuKdTree, kGpu } kind;
+  /// kCpuGridCallback wraps the uniform grid in a ForwardingEnvironment, so
+  /// the forces take the generic callback path over the same neighbor
+  /// structure: the reference rows use it, so the cpu_fast rows prove
+  /// fused == callback rather than fused == fused.
+  enum class Kind { kCpuGridCallback, kCpuGrid, kCpuKdTree, kGpu } kind;
   ExecMode mode = ExecMode::kSerial;
   int gpu_version = 0;
   bool bitwise = false;
   double tolerance = 0.0;
-  /// Route the CPU grid backend through the fused CSR force kernel
-  /// (docs/perf.md). The reference rows pin this off so the cpu_fast rows
-  /// prove fused == legacy rather than fused == fused.
-  bool fast_path = false;
-  /// Vectorize the fused kernel (Param::cpu_simd); tolerance contract.
-  bool simd = false;
   /// Spatial shard count (Param::num_shards); 0 = unsharded. The sharded
   /// pipeline owes bitwise identity (docs/sharding.md), so its row carries
   /// tolerance 0 like the fast-path rows.
@@ -66,12 +61,14 @@ std::unique_ptr<Simulation> MakeSim(const ParityScenario& sc,
   param.random_seed = sc.seed;
   param.min_bound = 0.0;
   param.max_bound = sc.space;
-  param.cpu_fast_path = b.fast_path;
-  param.cpu_simd = b.simd;
   param.num_shards = b.shards;
   auto sim = std::make_unique<Simulation>(param);
   sim->CreateRandomCells(sc.agents, sc.diameter);
   switch (b.kind) {
+    case BackendSpec::Kind::kCpuGridCallback:
+      sim->SetEnvironment(std::make_unique<ForwardingEnvironment>(
+          std::make_unique<UniformGridEnvironment>()));
+      break;
     case BackendSpec::Kind::kCpuGrid:
       break;  // the Simulation default
     case BackendSpec::Kind::kCpuKdTree:
@@ -132,14 +129,12 @@ ParityReport RunParity(const ParityScenario& scenario) {
   using Kind = BackendSpec::Kind;
   const BackendSpec specs[] = {
       // First entry is the reference everything else is compared against.
-      {"ug_serial", Kind::kCpuGrid, ExecMode::kSerial, 0, true, 0.0},
-      {"ug_parallel", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0},
-      {"cpu_fast", Kind::kCpuGrid, ExecMode::kSerial, 0, true, 0.0, true},
-      {"cpu_fast_mt", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0, true},
-      {"cpu_sharded", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0, true,
-       false, 2},
-      {"cpu_simd", Kind::kCpuGrid, ExecMode::kSerial, 0, false, kCpuSimdTol,
-       true, true},
+      {"ug_serial", Kind::kCpuGridCallback, ExecMode::kSerial, 0, true, 0.0},
+      {"ug_parallel", Kind::kCpuGridCallback, ExecMode::kParallel, 0, true,
+       0.0},
+      {"cpu_fast", Kind::kCpuGrid, ExecMode::kSerial, 0, true, 0.0},
+      {"cpu_fast_mt", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0},
+      {"cpu_sharded", Kind::kCpuGrid, ExecMode::kParallel, 0, true, 0.0, 2},
       {"kdtree", Kind::kCpuKdTree, ExecMode::kSerial, 0, false, kKdTreeTol},
       {"gpu_v0", Kind::kGpu, ExecMode::kSerial, 0, false, kGpuFp64Tol},
       {"gpu_v1", Kind::kGpu, ExecMode::kSerial, 1, false, kGpuFp32Tol},

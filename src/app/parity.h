@@ -4,10 +4,10 @@
 // combination the engine ships — kd-tree, uniform grid serial, uniform grid
 // parallel, the fused CSR fast path (serial and parallel), the spatially
 // sharded pipeline (cpu_sharded: two shards with halo exchange,
-// docs/sharding.md), the vectorized fused kernel (cpu_simd), and the GPU
-// version ladder v0..v3 — and
-// compares each trajectory against the uniform-grid serial reference (which
-// pins the fast path *off*, so the cpu_fast rows prove fused == legacy):
+// docs/sharding.md), and the GPU version ladder v0..v3 — and compares each
+// trajectory against the uniform-grid serial reference (which wraps the
+// grid in a ForwardingEnvironment, so its forces take the generic callback
+// path and the cpu_fast rows prove fused == callback):
 //
 //   * backends that owe *bitwise* equality (uniform grid parallel, the
 //     fused fast path — same FP operations in the same order at any worker
@@ -15,8 +15,7 @@
 //     shard count invisible) are compared by their per-step state-hash
 //     sequences;
 //   * backends that legitimately alter individual FP operations
-//     (kd-tree traversal order; the SIMD kernel's FMA-contracted
-//     distances; GPU FP32 kernels) are compared by the final
+//     (kd-tree traversal order; GPU FP32 kernels) are compared by the final
 //     per-agent positions, keyed by uid, against a documented tolerance
 //     bound.
 //

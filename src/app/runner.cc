@@ -44,9 +44,6 @@ obs::json::Value ConfigJson(const RunConfig& cfg) {
   v.Set("max_displacement", cfg.max_displacement);
   v.Set("boundary", cfg.boundary);
   v.Set("threads", cfg.num_threads);
-  v.Set("cpu_fast_path", cfg.cpu_fast_path);
-  v.Set("simd", cfg.simd);
-  v.Set("zorder_every", cfg.zorder_every);
   if (cfg.shards > 0) {
     v.Set("shards", cfg.shards);
     v.Set("shard_balance", cfg.shard_balance);
@@ -148,9 +145,6 @@ std::unique_ptr<Simulation> BuildSimulation(const RunConfig& cfg) {
   Param param;
   param.random_seed = cfg.seed;
   param.num_threads = cfg.num_threads;
-  param.cpu_fast_path = cfg.cpu_fast_path;
-  param.cpu_simd = cfg.simd;
-  param.zorder_cadence = static_cast<uint32_t>(cfg.zorder_every);
   param.num_shards = cfg.shards;
   param.shard_balance = cfg.shard_balance == "adaptive"
                             ? ShardBalance::kAdaptive

@@ -77,34 +77,6 @@ struct Param {
   /// Worker threads for CPU-parallel operations; 0 = hardware concurrency.
   uint32_t num_threads = 0;
 
-  /// Use the fused CSR force kernel when the environment is a uniform grid
-  /// (docs/perf.md): box-by-box Morton-ordered traversal over the flattened
-  /// box_starts/box_agents layout instead of the virtual per-query callback
-  /// path. Bitwise-identical displacements by construction (the parity
-  /// harness's cpu_fast backend enforces this); kd-tree and null
-  /// environments always take the generic path.
-  bool cpu_fast_path = true;
-
-  /// Vectorize the fused force kernel's per-agent candidate sweep
-  /// (physics/simd_force_kernel.h): width-padded SoA gather + vector
-  /// distance pass, dispatched to the widest ISA the CPU supports
-  /// (BIOSIM_SIMD=scalar forces width 1). Opt-in because the vector pass
-  /// FMA-contracts the squared distance, changing the last bits vs the
-  /// scalar reference — the cpu_simd parity row bounds the divergence at
-  /// 1e-9. Results are bitwise independent of the dispatched width and of
-  /// the thread count. Requires cpu_fast_path and the uniform-grid
-  /// environment.
-  bool cpu_simd = false;
-
-  /// Re-sort agents into Z-order (spatial/zorder_sort.h) every N steps of
-  /// the CPU pipeline; 0 disables. The paper's Improvement II applied to
-  /// host cache locality: spatially adjacent agents become memory-adjacent,
-  /// so the fused kernel's position streams hit cache. Permutes SoA rows
-  /// (uid-stable); runs stay bitwise reproducible across thread counts, but
-  /// trajectories are only uid-comparable — not row- or hash-comparable —
-  /// with runs at a different cadence.
-  uint32_t zorder_cadence = 0;
-
   /// Partition the domain into this many spatial shards along the grid's
   /// z-plane lattice (docs/sharding.md): each shard owns the agents binned
   /// into its plane range, builds a private occupancy-compacted CSR, and
@@ -115,8 +87,8 @@ struct Param {
   /// degenerate single shard (useful to isolate the machinery). StateHash
   /// is bitwise-identical for every shard count — verified by the parity
   /// harness's cpu_sharded row and the CI shard×thread determinism sweep.
-  /// Requires cpu_fast_path and the uniform-grid environment; rejected when
-  /// the shard count exceeds the lattice's z-plane count.
+  /// Requires the uniform-grid environment; rejected when the shard count
+  /// exceeds the lattice's z-plane count.
   uint32_t num_shards = 0;
 
   /// Plane-range sizing policy when num_shards > 0.
@@ -149,14 +121,6 @@ struct Param {
     }
     if (interaction_radius_margin < 0.0) {
       fail("interaction_radius_margin must be non-negative");
-    }
-    if (cpu_simd && !cpu_fast_path) {
-      fail("cpu_simd vectorizes the fused kernel and requires "
-           "cpu_fast_path");
-    }
-    if (num_shards > 0 && !cpu_fast_path) {
-      fail("spatial sharding drives the fused CSR kernel per shard and "
-           "requires cpu_fast_path");
     }
   }
 };

@@ -13,7 +13,6 @@
 #include "obs/perf_counters.h"
 #include "obs/trace.h"
 #include "spatial/uniform_grid.h"
-#include "spatial/zorder_sort.h"
 
 namespace biosim {
 
@@ -342,20 +341,6 @@ void Simulation::Simulate(uint64_t steps) {
       PERF_SCOPE("commit");
       ScopedTimer t(profile_.Hist("commit"));
       rm_.CommitStructuralChanges();
-    }
-    if (param_.zorder_cadence > 0 && !rm_.empty() &&
-        step_ % param_.zorder_cadence == 0) {
-      // Host-side Improvement II: periodically re-permute the SoA rows into
-      // Z-order so the force pass streams memory-adjacent neighbors. The
-      // permutation is a pure function of the positions (stable sort on
-      // Morton keys), so it is identical at any thread count; quantization
-      // uses the interaction radius — the uniform grid's box size — so the
-      // curve orders agents box-by-box.
-      TRACE_SCOPE("z-order sort");
-      PERF_SCOPE("z-order sort");
-      ScopedTimer t(profile_.Hist("z-order sort"));
-      double cell = rm_.LargestDiameter() + param_.interaction_radius_margin;
-      SortAgentsByZOrder(rm_, cell, mode_);
     }
     if (sharded) {
       RunShardedOps();

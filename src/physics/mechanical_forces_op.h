@@ -7,24 +7,23 @@
 // the same two-phase structure the GPU offload uses (compute on device,
 // apply on host).
 //
-// Two compute paths (docs/perf.md):
+// Two compute paths (docs/perf.md), bitwise interchangeable:
 //
-//   * generic: per-agent virtual ForEachNeighborWithinRadius with a
-//     function_ref callback — works against any Environment;
-//   * fused (param.cpu_fast_path, uniform grid only): box-by-box traversal
-//     over occupancy-compacted CSR views in ascending box order — the
-//     whole-lattice grid, or one view per spatial shard. Each box resolves
-//     its 27-neighbor block once and reuses it for every resident agent.
-//     Its candidate sweep is either scalar — bitwise-identical to the
-//     generic path: both visit each agent's neighbors in the identical
-//     canonical order (ForEachNeighborCoord block order, ascending agent
-//     index within a box) and evaluate the same FP expressions on them —
-//     or, with param.cpu_simd, vectorized over width-padded SoA scratch
-//     (physics/simd_force_kernel.h).
-//     FMA-contracted distances mean the SIMD sweep owes only a *tolerance*
-//     against the scalar reference — but it is bitwise independent of the
-//     dispatched vector width, the worker count, and the run
-//     (docs/determinism.md, parity row cpu_simd).
+//   * fused (uniform grid): box-by-box traversal over occupancy-compacted
+//     CSR views in ascending box order — the whole-lattice grid, or one
+//     view per spatial shard. Each box resolves its 27-neighbor block once
+//     and reuses it for every resident agent; the candidate sweep is the
+//     vector kernel of physics/simd_force_kernel.h, dispatched to the
+//     widest ISA the CPU supports (BIOSIM_SIMD=scalar forces the W = 1
+//     reference; every width writes the same bits);
+//   * generic (kd-tree, null, any other Environment): per-agent virtual
+//     ForEachNeighborWithinRadius with a function_ref callback.
+//
+// Both visit each agent's neighbors in the identical canonical order
+// (ForEachNeighborCoord block order, ascending agent index within a box)
+// and evaluate the same FP expressions on them, so a uniform grid seen
+// through a forwarding Environment (which the dynamic_cast misses) is the
+// fused kernel's test oracle (docs/determinism.md).
 #ifndef BIOSIM_PHYSICS_MECHANICAL_FORCES_OP_H_
 #define BIOSIM_PHYSICS_MECHANICAL_FORCES_OP_H_
 
@@ -61,10 +60,7 @@ class MechanicalForcesOp {
       : force_law_(law) {}
 
   /// Compute per-agent displacements into an internal buffer. The
-  /// environment must be up to date. Throws std::invalid_argument when
-  /// param.cpu_simd is requested but the environment is not a uniform
-  /// grid — the vector kernel consumes the grid's CSR layout and has no
-  /// generic fallback.
+  /// environment must be up to date.
   void ComputeDisplacements(const ResourceManager& rm, const Environment& env,
                             const Param& param, ExecMode mode);
 
@@ -95,17 +91,16 @@ class MechanicalForcesOp {
 
   /// Number of force evaluations in the last ComputeDisplacements call
   /// (work-count diagnostics; also drives CPU-model calibration). Identical
-  /// between the generic, fused, and SIMD paths — the CI perf-smoke job
-  /// fails if they ever diverge.
+  /// between the generic and fused paths — the CI perf-smoke job fails if
+  /// they ever diverge.
   size_t last_force_evaluations() const { return force_evaluations_; }
 
-  /// Whether the last ComputeDisplacements call took the fused CSR path
-  /// (scalar or SIMD).
+  /// Whether the last ComputeDisplacements call took the fused CSR path.
   bool last_used_fast_path() const { return used_fast_path_; }
 
  private:
-  /// The fused pass driver: one scalar or SIMD pass per CSR input (the
-  /// whole grid is a single input), then the SIMD displacement epilogue.
+  /// The fused pass driver: one kernel pass per CSR input (the whole grid
+  /// is a single input).
   void RunFusedPasses(const ResourceManager& rm,
                       std::span<const ShardForceInput> inputs,
                       double interaction_radius, double box_length,
@@ -113,6 +108,7 @@ class MechanicalForcesOp {
 
   ForceLaw force_law_;
   std::vector<Double3> displacements_;
+
   size_t force_evaluations_ = 0;
   bool used_fast_path_ = false;
 };

@@ -1,48 +1,47 @@
-// Width-agnostic SIMD instantiation of the fused CSR force kernel.
+// The fused CSR force kernel: the one implementation of the uniform-grid
+// and per-shard force pass (docs/perf.md), instantiated per vector width.
 //
-// Same traversal as the scalar fused pass of MechanicalForcesOp
-// (docs/perf.md): ascending-key walk over the occupied boxes, one
-// 27-neighbor candidate gather per box, one sweep over the gathered
-// stream per resident agent. What changes is the gather layout and the
-// sweep:
+// Traversal: ascending-key walk over the occupied boxes, one 27-neighbor
+// candidate gather per box, one sweep over the gathered stream per
+// resident agent. The gather copies each neighbor box's contiguous range of
+// the member-ordered inputs MechanicalForcesOp stages once per pass into
+// 64-byte-aligned SoA scratch (x/y/z/radius), and the per-agent sweep runs
+// in three passes:
 //
-//   * the candidate block is gathered into padded, 64-byte-aligned SoA
-//     component arrays (x/y/z/diameter) — the layout a vector loop wants,
-//     instead of the scalar path's array-of-Double3;
-//   * the per-agent sweep is two passes. Pass 1 is the vector loop: W
-//     candidates at a time, compute the squared distance stream into an
-//     aligned scratch array — pure straight-line lane math, no masks, no
-//     branches, which is exactly the shape the per-ISA TUs turn into
-//     packed subs/FMAs. Pass 2 walks the d² stream scalarly in candidate
-//     order and runs the contact math only on hits (~1 in 6 candidates
-//     in the bench population), with the same expression sequence as the
-//     scalar force law (physics/force_law.h). The distance test is ~all
-//     of the sweep's work, so vectorizing pass 1 is where the speedup
-//     lives; keeping the contact math scalar avoids paying vector sqrt
-//     and division on mostly-empty lane groups;
-//   * accumulation runs in candidate order.
+//   * pass 1, the vector loop: W candidates at a time, the squared
+//     distance stream into an aligned scratch array — straight-line lane
+//     math with no branches, which the per-ISA TUs turn into packed
+//     instructions. A ragged end is one more vector over the last W
+//     candidates (no padding lanes); boxes with fewer than W candidates
+//     run one scalar sweep with the same lane math instead;
+//   * pass 2: branchless compaction of the hit indices (d² <= r²);
+//   * pass 3: contact math on the hits only, in candidate order, then the
+//     force -> displacement epilogue. Keeping the contact math scalar
+//     avoids paying vector sqrt and division on mostly-empty lane groups.
 //
-// Determinism contract (docs/determinism.md): each lane's d² is a pure
-// per-candidate value (FMA is correctly rounded, so grouping candidates
-// W at a time cannot change it) and pass 2 accumulates in candidate
-// order — the result is *independent of W*. BIOSIM_SIMD=scalar, the
-// baseline TU and the AVX2 TU all produce bitwise-identical forces, and
-// boxes never share accumulation state, so every width is also bitwise
-// self-consistent at any worker count. Against the scalar fused
-// reference the kernel owes a *tolerance*: d² here is FMA-contracted
-// where the scalar path's dot product is not, enforced by the cpu_simd
-// parity row and tests/physics/simd_force_diff_test.
+// Determinism contract (docs/determinism.md): the kernel is bitwise the
+// generic callback path of MechanicalForcesOp — the same candidates in the
+// same canonical order, the same FP expressions in the same order:
 //
-// Two deliberate count-exactness choices:
-//   * d² is computed with explicit Fma (correctly rounded everywhere),
-//     so the hit decision d² <= r² cannot drift between the per-ISA TUs
-//     or compilers — the force_evaluations_ parity gate depends on it;
-//   * the agent's own slot is NOT skipped: its distance is exactly zero
-//     (the query and its gathered slot hold the same coordinates), so it
-//     always counts as a hit and contributes zero
-//     force (the d² > 0 guard). The guaranteed one self-hit per resident
-//     is subtracted from the evaluation count afterwards, which keeps an
-//     index compare out of the sweep.
+//   * d² is (dx*dx + dy*dy) + dz*dz, exactly Real3::SquaredNorm — no FMA
+//     (the per-ISA TUs compile with -ffp-contract=off);
+//   * the accumulator starts at the tractor force and adds each pair
+//     force in candidate order; hits the force law answers with zero
+//     (coincident centers, no overlap) add +0.0 as the law's zero vector
+//     does;
+//   * on a torus the law sees the separation pi - (pi - miv), per
+//     component, and recomputes d² from it; pass 1's d² (of miv) is the
+//     hit test only;
+//   * the epilogue is ComputeDisplacement/ClampNorm's expression order.
+//
+// Each lane is a pure function of its candidate, so the result is
+// independent of W: BIOSIM_SIMD=scalar (W = 1) is the reference and every
+// width is bitwise equal to it, at any worker count, since boxes never
+// share accumulation state. The agent's own slot is not skipped by the
+// vector loop: its d² is exactly zero, so it is always a hit, and pass 3
+// drops it by candidate index — keeping an index compare out of the
+// vector loop while counting force evaluations exactly as the callback
+// path does.
 #ifndef BIOSIM_PHYSICS_SIMD_FORCE_KERNEL_H_
 #define BIOSIM_PHYSICS_SIMD_FORCE_KERNEL_H_
 
@@ -50,7 +49,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 
 #include "core/aligned_buffer.h"
 #include "core/analysis.h"
@@ -62,20 +60,30 @@
 
 namespace biosim::detail {
 
-/// Flattened inputs of one fused force pass over one CSR view, shared by
-/// the scalar pass (physics/mechanical_forces_op.cc) and the per-ISA SIMD
-/// kernels. Plain pointers so the per-ISA kernel TUs need no view of
-/// ResourceManager/Param. The SIMD kernels write *net forces* (tractor +
-/// pair sum); the caller converts them to displacements afterwards — that
-/// epilogue must not live in the per-ISA TUs, where its inline helpers
-/// would be emitted as weak symbols that the linker could fold with copies
-/// compiled for a different ISA. The scalar pass writes final
-/// displacements directly.
+/// Members the kernel copies per step of a run copy. The staged arrays of
+/// FusedPassArgs must hold kGatherChunk - 1 readable entries past the last
+/// member.
+inline constexpr size_t kGatherChunk = 4;
+
+/// Flattened inputs of one fused force pass over one CSR view. Plain
+/// pointers so the per-ISA kernel TUs need no view of ResourceManager/
+/// Param. The kernel writes final displacements, with the epilogue written
+/// out inside the template: a call to an inline helper (ComputeDisplacement,
+/// Real3 operators) from a per-ISA TU would be emitted as a weak symbol
+/// that the linker could fold with a copy compiled for a different ISA.
 struct FusedPassArgs {
-  const Double3* positions = nullptr;
-  const double* diameters = nullptr;
+  /// The force inputs staged in CSR member order once per pass
+  /// (MechanicalForcesOp): entry u belongs to row view.box_agents[u].
+  /// A box's candidates are then a few contiguous member runs, copied in
+  /// fixed chunks, instead of one scattered positions/diameters read per
+  /// candidate per neighboring box. radius is diameter / 2.0, exactly as
+  /// the force law halves it.
+  const double* x = nullptr;
+  const double* y = nullptr;
+  const double* z = nullptr;
+  const double* radius = nullptr;
+  /// Row-indexed.
   const Double3* tractor = nullptr;
-  /// Displacement epilogue inputs (scalar pass only).
   const double* adherences = nullptr;
   double dt = 0.0;
   double max_disp = 0.0;
@@ -97,16 +105,10 @@ struct FusedPassArgs {
   bool torus = false;
   double edge = 0.0;
   ExecMode mode = ExecMode::kSerial;
-  /// Output: per-agent net force (SIMD) or displacement (scalar).
+  /// Output: per-agent (row-indexed) displacement.
   Double3* out = nullptr;
   std::atomic<size_t>* force_evaluations = nullptr;
 };
-
-/// Coordinate written into the gather padding lanes: far enough from any
-/// real agent that a padded lane could never pass the d² <= r² test.
-/// Pass 2 stops at the unpadded candidate count, so pad lanes are only
-/// ever touched by pass-1 arithmetic.
-inline constexpr double kPadCoordinate = 1e18;
 
 /// The kernel template. `Tag` exists purely to keep instantiations from
 /// different translation units distinct: each per-ISA TU passes its own
@@ -115,6 +117,10 @@ inline constexpr double kPadCoordinate = 1e18;
 template <int W, typename Tag>
 void RunFusedSimdKernel(const FusedPassArgs& a) {
   using V = simd::Vec<double, W>;
+  using Chunk = simd::Vec<double, static_cast<int>(kGatherChunk)>;
+  constexpr size_t kW = static_cast<size_t>(W);
+  // SoA arrays start on cache-line boundaries inside the merged scratch.
+  constexpr size_t kLine = simd::kAlignment / sizeof(double);
 
   const int32_t* starts = a.view.box_starts;
   const int32_t* agents = a.view.box_agents;
@@ -122,6 +128,8 @@ void RunFusedSimdKernel(const FusedPassArgs& a) {
   const double r2 = a.r2;
   const double kappa = a.repulsion;
   const double gamma = a.attraction;
+  const double dt = a.dt;
+  const double max_disp = a.max_disp;
   const double edge = a.edge;
   const double half_edge = edge / 2.0;
   const V edgev = V::Broadcast(edge);
@@ -130,17 +138,26 @@ void RunFusedSimdKernel(const FusedPassArgs& a) {
   const bool hertz = a.law == ForceLaw::kHertz;
   const bool torus = a.torus;
 
+  // Minimum-image wrap of one separation component: MinImageVector's
+  // two-sided test, spelled out here (see FusedPassArgs on helpers).
+  const auto wrap = [edge, half_edge](double d) {
+    if (d > half_edge) {
+      return d - edge;
+    }
+    if (d < -half_edge) {
+      return d + edge;
+    }
+    return d;
+  };
+
   ParallelForChunks(a.mode, a.num_boxes, [&](size_t begin, size_t end) {
-    // Per-chunk gather scratch; uninitialized capacity-managed storage,
-    // overwritten for every box (core/aligned_buffer.h).
-    AlignedBuffer<double> xs_buf;
-    AlignedBuffer<double> ys_buf;
-    AlignedBuffer<double> zs_buf;
-    AlignedBuffer<double> ds_buf;
-    AlignedBuffer<double> d2s_buf;
-    AlignedBuffer<uint32_t> hidx_buf;
-    size_t hits = 0;       // candidates with d² <= r², self-hits included
-    size_t residents = 0;  // one guaranteed self-hit per resident agent
+    // Per-chunk gather scratch, two allocations: the five double streams
+    // share one, the hit indices have the other. Uninitialized
+    // capacity-managed storage, overwritten for every box
+    // (core/aligned_buffer.h).
+    AlignedBuffer<double> scratch;
+    AlignedBuffer<uint32_t> hit_scratch;
+    size_t evals = 0;
     size_t blocks[27];
 
     for (size_t bi = begin; bi < end; ++bi) {
@@ -152,98 +169,82 @@ void RunFusedSimdKernel(const FusedPassArgs& a) {
         cand_n += static_cast<size_t>(starts[blocks[k] + 1] -
                                       starts[blocks[k]]);
       }
-      const size_t padded =
-          (cand_n + static_cast<size_t>(W) - 1) / static_cast<size_t>(W) *
-          static_cast<size_t>(W);
-      double* xs = xs_buf.EnsureCapacity(padded);
-      double* ys = ys_buf.EnsureCapacity(padded);
-      double* zs = zs_buf.EnsureCapacity(padded);
-      double* ds = ds_buf.EnsureCapacity(padded);
-      double* d2s = d2s_buf.EnsureCapacity(padded);
-      uint32_t* hidx = hidx_buf.EnsureCapacity(cand_n);
+      // Each box's members are copied in whole kGatherChunk steps, up to
+      // kGatherChunk - 1 entries past their end: the next box overwrites
+      // them, and the stride leaves room after the last one. A box rarely
+      // holds more than one chunk, so the copy loop is predictable.
+      const size_t stride =
+          (cand_n + kGatherChunk - 1 + kLine - 1) / kLine * kLine;
+      double* xs = scratch.EnsureCapacity(5 * stride);
+      double* ys = xs + stride;
+      double* zs = ys + stride;
+      double* rs = zs + stride;
+      double* d2s = rs + stride;
+      uint32_t* hidx = hit_scratch.EnsureCapacity(cand_n);
+      // Candidate index of the box's first resident: the block lists every
+      // slot once, so each resident sits at exactly one index.
+      size_t self_base = 0;
       size_t w = 0;
       for (int k = 0; k < block_count; ++k) {
         const size_t nb = blocks[k];
-        const int32_t nb_end = starts[nb + 1];
-        for (int32_t u = starts[nb]; u < nb_end; ++u, ++w) {
-          const int32_t j = agents[u];
-          xs[w] = a.positions[j].x;
-          ys[w] = a.positions[j].y;
-          zs[w] = a.positions[j].z;
-          ds[w] = a.diameters[j];
+        const size_t u0 = static_cast<size_t>(starts[nb]);
+        const size_t len = static_cast<size_t>(starts[nb + 1]) - u0;
+        self_base = nb == b ? w : self_base;
+        for (size_t q = 0; q < len; q += kGatherChunk) {
+          Chunk::Load(a.x + u0 + q).Store(xs + w + q);
+          Chunk::Load(a.y + u0 + q).Store(ys + w + q);
+          Chunk::Load(a.z + u0 + q).Store(zs + w + q);
+          Chunk::Load(a.radius + u0 + q).Store(rs + w + q);
         }
-      }
-      for (size_t p = cand_n; p < padded; ++p) {
-        xs[p] = kPadCoordinate;
-        ys[p] = kPadCoordinate;
-        zs[p] = kPadCoordinate;
-        ds[p] = 0.0;
+        w += len;
       }
 
       BIOSIM_HOT_LOOP_BEGIN();
       const int32_t row_end = starts[b + 1];
       for (int32_t t = starts[b]; t < row_end; ++t) {
         const int32_t i = agents[t];
-        // The query position is bitwise its own gathered slot, so the
-        // self-distance is exactly zero (the self-hit accounting above
-        // relies on this).
-        const double pix = a.positions[i].x;
-        const double piy = a.positions[i].y;
-        const double piz = a.positions[i].z;
-        const double ri = a.diameters[i] / 2.0;
-        // Pass 1: the vector loop — squared distance of every candidate
-        // into the d² scratch. Each lane is a pure function of its
-        // candidate, so the stream's values do not depend on W.
-        const V pixv = V::Broadcast(pix);
-        const V piyv = V::Broadcast(piy);
-        const V pizv = V::Broadcast(piz);
-        for (size_t u = 0; u < padded; u += static_cast<size_t>(W)) {
-          V dx = pixv - V::Load(xs + u);
-          V dy = piyv - V::Load(ys + u);
-          V dz = pizv - V::Load(zs + u);
+        const double pix = a.x[t];
+        const double piy = a.y[t];
+        const double piz = a.z[t];
+        const double ri = a.radius[t];
+        const size_t self_c = self_base + static_cast<size_t>(t - starts[b]);
+        double fx = a.tractor[i].x;
+        double fy = a.tractor[i].y;
+        double fz = a.tractor[i].z;
+        // Set when a hit's law answer is zero: adding +0.0 once at the
+        // end equals adding it at each such hit (it only turns -0.0 into
+        // +0.0, and a -0.0 sum stays -0.0 only while every addend is
+        // -0.0), without lengthening the accumulation chain.
+        bool zero_hit = false;
+        // The force law (physics/force_law.h) on hit c, accumulated onto
+        // the tractor force in candidate order. Returns 0 for the agent's
+        // own slot, which is not an evaluation.
+        const auto hit = [&](size_t c) -> size_t {
+          double dx = pix - xs[c];
+          double dy = piy - ys[c];
+          double dz = piz - zs[c];
+          double d2 = d2s[c];
           if (torus) {
-            // Minimum-image wrap per component, same two-sided test as
-            // the scalar MinImageVector. The re-test after the first
-            // select is equivalent to the scalar else-if: a wrapped
-            // lane lands strictly inside (-edge/2, edge/2].
-            dx = simd::Select(simd::Gt(dx, half_edgev), dx - edgev, dx);
-            dx = simd::Select(simd::Lt(dx, neg_half_edgev), dx + edgev, dx);
-            dy = simd::Select(simd::Gt(dy, half_edgev), dy - edgev, dy);
-            dy = simd::Select(simd::Lt(dy, neg_half_edgev), dy + edgev, dy);
-            dz = simd::Select(simd::Gt(dz, half_edgev), dz - edgev, dz);
-            dz = simd::Select(simd::Lt(dz, neg_half_edgev), dz + edgev, dz);
+            // The law sees the neighbor at pi - miv and recomputes the
+            // separation from it.
+            dx = pix - (pix - wrap(dx));
+            dy = piy - (piy - wrap(dy));
+            dz = piz - (piz - wrap(dz));
+            d2 = (dx * dx + dy * dy) + dz * dz;
           }
-          const V d2 = simd::Fma(dz, dz, simd::Fma(dy, dy, dx * dx));
-          d2.Store(d2s + u);
-        }
-        // Pass 2: branchless compaction of the hit indices. A plain
-        // `if (d2 <= r2) continue` scan stalls on one mispredict per
-        // unpredictable candidate (hit rate ~1 in 6, spatially random) —
-        // the unconditional store + conditional increment compiles to
-        // store/setcc/add and retires at pipeline speed.
-        size_t m = 0;
-        for (size_t c = 0; c < cand_n; ++c) {
-          hidx[m] = static_cast<uint32_t>(c);
-          m += static_cast<size_t>(d2s[c] <= r2);
-        }
-        hits += m;
-        // Pass 3: contact math on the hits only, in candidate order,
-        // mirroring the scalar force law's expression sequence
-        // (physics/force_law.h).
-        double fx = 0.0;
-        double fy = 0.0;
-        double fz = 0.0;
-        for (size_t h = 0; h < m; ++h) {
-          const size_t c = hidx[h];
-          const double d2 = d2s[c];
-          if (!(d2 > 0.0)) {
-            continue;  // self lane or exactly coincident centers
+          if (d2 <= 0.0) {
+            if (c == self_c) {
+              return 0;  // the agent's own slot: its d² is exactly zero
+            }
+            zero_hit = true;  // coincident centers
+            return 1;
           }
           const double dist = std::sqrt(d2);
-          const double rj = ds[c] * 0.5;
+          const double rj = rs[c];
           const double delta = ri + rj - dist;
-          if (!(delta > 0.0)) {
-            continue;
+          if (delta <= 0.0) {
+            zero_hit = true;
+            return 1;
           }
           const double reduced = (ri * rj) / (ri + rj);
           double magnitude;
@@ -253,39 +254,105 @@ void RunFusedSimdKernel(const FusedPassArgs& a) {
             magnitude = kappa * delta - gamma * std::sqrt(reduced * delta);
           }
           const double scale = magnitude / dist;
-          // Recompute the (wrapped) separation for this hit; same inputs
-          // and operations as its pass-1 lane, so bitwise the same.
-          double dx = pix - xs[c];
-          double dy = piy - ys[c];
-          double dz = piz - zs[c];
-          if (torus) {
-            if (dx > half_edge) {
-              dx -= edge;
-            } else if (dx < -half_edge) {
-              dx += edge;
-            }
-            if (dy > half_edge) {
-              dy -= edge;
-            } else if (dy < -half_edge) {
-              dy += edge;
-            }
-            if (dz > half_edge) {
-              dz -= edge;
-            } else if (dz < -half_edge) {
-              dz += edge;
-            }
-          }
           fx += dx * scale;
           fy += dy * scale;
           fz += dz * scale;
+          return 1;
+        };
+        if (cand_n < kW) {
+          // Too few candidates for one vector: distance test and law in
+          // one scalar sweep, the same lane math as below.
+          for (size_t c = 0; c < cand_n; ++c) {
+            if (c == self_c) {
+              continue;
+            }
+            double dx = pix - xs[c];
+            double dy = piy - ys[c];
+            double dz = piz - zs[c];
+            if (torus) {
+              dx = wrap(dx);
+              dy = wrap(dy);
+              dz = wrap(dz);
+            }
+            d2s[c] = (dx * dx + dy * dy) + dz * dz;
+            if (d2s[c] <= r2) {
+              evals += hit(c);
+            }
+          }
+        } else {
+          // Pass 1, the vector loop: the squared distance of every
+          // candidate into the d² scratch. Each lane is a pure function of
+          // its candidate, so the ragged end is one more vector over the
+          // last W candidates, rewriting the overlapped lanes' values.
+          const V pixv = V::Broadcast(pix);
+          const V piyv = V::Broadcast(piy);
+          const V pizv = V::Broadcast(piz);
+          for (size_t u0 = 0; u0 < cand_n; u0 += kW) {
+            const size_t u = u0 + kW <= cand_n ? u0 : cand_n - kW;
+            V dx = pixv - V::Load(xs + u);
+            V dy = piyv - V::Load(ys + u);
+            V dz = pizv - V::Load(zs + u);
+            if (torus) {
+              // The scalar if / else-if, lane by lane: both masks are
+              // taken from the unwrapped component.
+              dx = simd::Select(simd::Gt(dx, half_edgev), dx - edgev,
+                                simd::Select(simd::Lt(dx, neg_half_edgev),
+                                             dx + edgev, dx));
+              dy = simd::Select(simd::Gt(dy, half_edgev), dy - edgev,
+                                simd::Select(simd::Lt(dy, neg_half_edgev),
+                                             dy + edgev, dy));
+              dz = simd::Select(simd::Gt(dz, half_edgev), dz - edgev,
+                                simd::Select(simd::Lt(dz, neg_half_edgev),
+                                             dz + edgev, dz));
+            }
+            const V d2 = (dx * dx + dy * dy) + dz * dz;
+            d2.Store(d2s + u);
+          }
+          // Pass 2: branchless compaction of the hit indices. A plain
+          // `if (d2 <= r2)` scan stalls on one mispredict per
+          // unpredictable candidate; the unconditional store + conditional
+          // increment compiles to store/setcc/add.
+          size_t m = 0;
+          for (size_t c = 0; c < cand_n; ++c) {
+            hidx[m] = static_cast<uint32_t>(c);
+            m += static_cast<size_t>(d2s[c] <= r2);
+          }
+          // Pass 3: the law on the hits, in candidate order.
+          for (size_t h = 0; h < m; ++h) {
+            evals += hit(hidx[h]);
+          }
         }
-        a.out[i] = a.tractor[i] + Double3{fx, fy, fz};
+        if (zero_hit) {
+          fx += 0.0;
+          fy += 0.0;
+          fz += 0.0;
+        }
+        // Epilogue: ComputeDisplacement — zero below the adherence
+        // threshold, else force * dt clamped to max_disp (math::ClampNorm).
+        const double adherence = a.adherences[i];
+        Double3& out = a.out[i];
+        out.x = 0.0;
+        out.y = 0.0;
+        out.z = 0.0;
+        if (!((fx * fx + fy * fy) + fz * fz <= adherence * adherence)) {
+          double vx = fx * dt;
+          double vy = fy * dt;
+          double vz = fz * dt;
+          const double n2 = (vx * vx + vy * vy) + vz * vz;
+          if (!(n2 <= max_disp * max_disp || n2 == 0.0)) {
+            const double s = max_disp / std::sqrt(n2);
+            vx = vx * s;
+            vy = vy * s;
+            vz = vz * s;
+          }
+          out.x = vx;
+          out.y = vy;
+          out.z = vz;
+        }
       }
       BIOSIM_HOT_LOOP_END();
-      residents += static_cast<size_t>(row_end - starts[b]);
     }
-    a.force_evaluations->fetch_add(hits - residents,
-                                   std::memory_order_relaxed);
+    a.force_evaluations->fetch_add(evals, std::memory_order_relaxed);
   });
 }
 

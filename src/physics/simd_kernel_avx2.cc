@@ -7,9 +7,9 @@
 // instructions could leak into code reachable on older machines.
 //
 // With -mavx2 -mfma -O3 -fno-math-errno the lane loops compile to
-// 256-bit vmulpd/vsqrtpd/vblendvpd sequences and std::fma becomes
-// vfmadd — the same correctly-rounded operation the other TUs get from
-// libm, so the d² hit test stays bit-identical across kernels.
+// 256-bit vsubpd/vmulpd/vblendvpd sequences; -ffp-contract=off keeps
+// -mfma from fusing any multiply-add, so every lane and the scalar
+// contact math round exactly as the W = 1 reference does.
 #include "physics/simd_force_kernel.h"
 #include "physics/simd_kernel_dispatch.h"
 

@@ -3,8 +3,8 @@
 // One kernel template (simd_force_kernel.h), several translation units:
 //
 //   * simd_kernel_scalar.cc   — W = 1, default flags. The BIOSIM_SIMD=
-//                               scalar reference every width is
-//                               differential-tested against.
+//                               scalar reference: every width must write
+//                               its bits exactly.
 //   * simd_kernel_baseline.cc — native W, the build's baseline ISA.
 //                               Runs everywhere the binary runs.
 //   * simd_kernel_avx2.cc     — native W, compiled with -mavx2 -mfma
@@ -35,8 +35,8 @@ using FusedPassFn = void (*)(const FusedPassArgs&);
 
 /// Pick the kernel: the W = 1 instantiation when BIOSIM_SIMD=scalar,
 /// otherwise the widest ISA this CPU supports. The choice affects
-/// performance and lane regrouping only — every candidate kernel satisfies
-/// the same tolerance and self-consistency contract (docs/determinism.md).
+/// performance only — every candidate kernel writes the same bits
+/// (docs/determinism.md).
 inline FusedPassFn SelectFusedSimdKernel(simd::WidthMode mode) {
   if (mode == simd::WidthMode::kScalar) {
     return FusedSimdScalarWidth;

@@ -1,8 +1,8 @@
-// W = 1 instantiation of the SIMD force kernel — the BIOSIM_SIMD=scalar
-// fallback/reference width. Compiled with the build's default flags and
-// no ISA extensions, so it behaves identically on every machine; std::fma
-// here is the correctly-rounded libm call, which pins the d² hit test to
-// the same bits the wide kernels produce.
+// W = 1 instantiation of the fused force kernel — the BIOSIM_SIMD=scalar
+// reference width. Compiled with the build's default flags, no ISA
+// extensions and -ffp-contract=off, so it evaluates exactly the generic
+// callback path's expressions on every machine; the wide instantiations
+// must reproduce its bits.
 #include "physics/simd_force_kernel.h"
 #include "physics/simd_kernel_dispatch.h"
 

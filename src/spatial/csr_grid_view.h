@@ -1,9 +1,8 @@
 // A minimal, backend-neutral view of a CSR box layout for the fused force
-// kernels.
+// kernel.
 //
-// The scalar and SIMD force passes only ever touch three things: the
-// exclusive-scan offsets, the member rows, and "which slots form the 3x3x3
-// block around slot s". The occupancy-compacted CSR (spatial/shard_grid.h)
+// The kernel only ever touches three things: the exclusive-scan offsets,
+// the member rows, and "which slots form the 3x3x3 block around slot s". The occupancy-compacted CSR (spatial/shard_grid.h)
 // provides it with slot == occupied-box index, whether its window is the
 // whole lattice (the uniform grid) or one spatial shard. Handing the
 // kernels this view keeps the per-ISA kernel TUs free of the grid class and
@@ -31,6 +30,8 @@ struct CsrGridView {
   const int32_t* box_starts = nullptr;
   /// Agent rows grouped by slot, ascending within each slot.
   const int32_t* box_agents = nullptr;
+  /// Entries of box_agents (the window's members).
+  size_t num_members = 0;
   /// Fill `out` with the slots of the (up to 27) neighbor boxes of `slot`,
   /// canonical (dz, dy, dx) order; returns the count. `self` is the backing
   /// structure the resolver reads.

@@ -74,6 +74,7 @@ class ShardGrid {
     CsrGridView v;
     v.box_starts = starts_.data();
     v.box_agents = agents_.data();
+    v.num_members = agents_.size();
     v.neighbor_slots = &ShardGrid::NeighborSlots;
     v.self = this;
     return v;

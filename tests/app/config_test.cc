@@ -6,6 +6,8 @@
 #include <string>
 #include <utility>
 
+#include "../test_util.h"
+
 namespace biosim::app {
 namespace {
 
@@ -89,7 +91,10 @@ TEST(ConfigTest, UnknownKeyFails) {
   const std::pair<std::string, std::string> removed[] = {
       {"overlap_ops", "true"},
       {"precision", "fp32"},
-      {"incremental_grid", "false"}};
+      {"incremental_grid", "false"},
+      {"simd", "true"},
+      {"cpu_fast_path", "false"},
+      {"zorder_every", "5"}};
   for (const auto& [key, value] : removed) {
     try {
       ParseConfigString("[simulation]\n" + key + " = " + value + "\n");
@@ -157,26 +162,15 @@ TEST(ConfigTest, ParallelBlocksAndRacyGridBuildParseAndRequireGpu) {
                std::invalid_argument);
 }
 
-TEST(ConfigTest, SimdKeyParsesAndValidates) {
-  RunConfig cfg = ParseConfigString("[simulation]\nsimd = true\n");
-  EXPECT_TRUE(cfg.simd);
-  EXPECT_FALSE(ParseConfigString("").simd);
-  // simd vectorizes the *CPU* fused kernel: the GPU ladder has its own
-  // FP32 versions, and without the fused path there is nothing to
-  // vectorize.
-  EXPECT_THROW(ParseConfigString(
-                   "[simulation]\nsimd = true\n[backend]\ntype = gpu\n"),
-               std::invalid_argument);
-  EXPECT_THROW(ParseConfigString(
-                   "[simulation]\nsimd = true\ncpu_fast_path = false\n"),
-               std::invalid_argument);
-}
-
 TEST(ConfigTest, SchedulerKnobsParseAndValidate) {
-  RunConfig cfg = ParseConfigString("[simulation]\nzorder_every = 5\n");
-  EXPECT_EQ(cfg.zorder_every, 5u);
-  // Default: no periodic re-sort.
-  EXPECT_EQ(ParseConfigString("").zorder_every, 0u);
+  // The worker count is the scheduling knob left (the row-sort cadence
+  // zorder_every is gone; UnknownKeyFails covers it).
+  RunConfig cfg = ParseConfigString("[simulation]\nthreads = 3\n");
+  EXPECT_EQ(cfg.num_threads, 3u);
+  // Default: hardware concurrency.
+  EXPECT_EQ(ParseConfigString("").num_threads, 0u);
+  EXPECT_THROW(ParseConfigString("[simulation]\nthreads = many\n"),
+               std::runtime_error);
 }
 
 TEST(ConfigTest, ShardKeysParseAndValidate) {
@@ -192,12 +186,9 @@ TEST(ConfigTest, ShardKeysParseAndValidate) {
       ParseConfigString("[simulation]\nshards = 2\nshard_balance = magic\n"),
       std::invalid_argument);
   // Sharding drives the fused CSR kernel per shard on the host: the GPU
-  // backend and the non-fused path have no sharded pipeline.
+  // backend has no sharded pipeline.
   EXPECT_THROW(ParseConfigString(
                    "[simulation]\nshards = 2\n[backend]\ntype = gpu\n"),
-               std::invalid_argument);
-  EXPECT_THROW(ParseConfigString(
-                   "[simulation]\nshards = 2\ncpu_fast_path = false\n"),
                std::invalid_argument);
 }
 
@@ -262,7 +253,7 @@ report = report.json
 }
 
 TEST(ConfigTest, FileRoundTrip) {
-  std::string path = std::string(::testing::TempDir()) + "/cfg.ini";
+  std::string path = testutil::TempPath("cfg.ini");
   {
     std::ofstream out(path);
     out << "[simulation]\nsteps = 77\n";

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "../test_util.h"
 #include "core/checkpoint.h"
 #include "gpu/gpu_mechanical_op.h"
 #include "spatial/uniform_grid.h"
@@ -13,9 +14,7 @@
 namespace biosim::app {
 namespace {
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using testutil::TempPath;
 
 TEST(RunnerTest, BuildsCellDivisionModelOnCpu) {
   RunConfig cfg;

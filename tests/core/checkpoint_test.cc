@@ -11,9 +11,7 @@
 namespace biosim {
 namespace {
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using testutil::TempPath;
 
 TEST(CheckpointTest, RoundTripPreservesEveryAttribute) {
   ResourceManager rm;

@@ -6,8 +6,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "../test_util.h"
+
 namespace biosim {
 namespace {
+
+using testutil::TempPath;
 
 class ExportTest : public ::testing::Test {
  protected:
@@ -28,10 +32,6 @@ class ExportTest : public ::testing::Test {
     std::stringstream ss;
     ss << in.rdbuf();
     return ss.str();
-  }
-
-  std::string TempPath(const char* name) {
-    return std::string(::testing::TempDir()) + "/" + name;
   }
 
   ResourceManager rm_;

@@ -56,14 +56,6 @@ TEST(ParamTest, ZeroMaxDisplacementIsValidBenchmarkBMode) {
   EXPECT_NO_THROW(p.Validate());
 }
 
-TEST(ParamTest, ShardingRequiresTheFusedFastPath) {
-  Param p;
-  p.num_shards = 2;
-  EXPECT_NO_THROW(p.Validate());  // cpu_fast_path defaults on
-  p.cpu_fast_path = false;
-  EXPECT_THROW(p.Validate(), std::invalid_argument);
-}
-
 TEST(ParamTest, SimulationConstructorValidates) {
   Param bad;
   bad.simulation_time_step = -1.0;

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "../test_util.h"
 #include "core/simulation.h"
 
 namespace biosim {
@@ -73,7 +74,7 @@ TEST(TimeSeriesTest, CsvOutput) {
   TimeSeriesRecorder rec;
   rec.AddMetric("population", metrics::PopulationSize);
   rec.Record(sim);
-  std::string path = std::string(::testing::TempDir()) + "/ts.csv";
+  std::string path = testutil::TempPath("ts.csv");
   ASSERT_TRUE(rec.WriteCsv(path));
   std::ifstream in(path);
   std::stringstream ss;

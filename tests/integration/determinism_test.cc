@@ -10,7 +10,6 @@
 // The CLI contract rides along: `biosim_run --verify-determinism` exits 0
 // on a deterministic config and prints the final state hash, which the CI
 // thread sweep compares across BIOSIM_THREADS values.
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -20,10 +19,13 @@
 
 #include <gtest/gtest.h>
 
+#include "../test_util.h"
 #include "app/runner.h"
 #include "core/behaviors/secretion.h"
 #include "core/simulation.h"
 #include "diffusion/diffusion_grid.h"
+#include "spatial/forwarding_environment.h"
+#include "spatial/uniform_grid.h"
 
 #ifndef BIOSIM_RUN_BIN
 #error "BIOSIM_RUN_BIN must point at the biosim_run binary"
@@ -33,21 +35,21 @@ namespace biosim {
 namespace {
 
 /// Hash after construction and after each of `steps` steps, for one run of
-/// the full-pipeline scenario at the given worker count. `zorder_cadence`
-/// and `cpu_fast_path` plumb through the fused-kernel knobs (docs/perf.md).
+/// the full-pipeline scenario at the given worker count. `callback_path`
+/// wraps the uniform grid in a ForwardingEnvironment, so the forces take
+/// the generic callback path instead of the fused kernel.
 std::vector<uint64_t> HashTrajectory(uint32_t num_threads, uint64_t steps,
                                      uint64_t seed = 42,
-                                     uint32_t zorder_cadence = 0,
-                                     bool cpu_fast_path = true,
-                                     bool cpu_simd = false) {
+                                     bool callback_path = false) {
   Param p;
   p.random_seed = seed;
   p.num_threads = num_threads;
-  p.zorder_cadence = zorder_cadence;
-  p.cpu_fast_path = cpu_fast_path;
-  p.cpu_simd = cpu_simd;
   p.max_bound = 120.0;
   Simulation sim(p);
+  if (callback_path) {
+    sim.SetEnvironment(std::make_unique<ForwardingEnvironment>(
+        std::make_unique<UniformGridEnvironment>()));
+  }
   // Benchmark-A lattice: diameter 8 with threshold 16 so cells roughly
   // double in volume before dividing (several divisions over the run).
   sim.Create3DCellGrid(3, 20.0, 8.0, 16.0, /*growth_rate=*/120000.0);
@@ -77,43 +79,43 @@ TEST(DeterminismTest, SameSeedThreadSweepIsBitwiseIdentical) {
   EXPECT_EQ(HashTrajectory(8, 10), reference);
 }
 
-TEST(DeterminismTest, FastPathWithZOrderSortThreadSweepIsBitwiseIdentical) {
-  // The fused CSR kernel plus periodic Z-order row permutation — the full
-  // perf configuration (docs/perf.md) — owes the same thread-count
-  // invariance as the baseline pipeline: the permutation is a pure function
-  // of positions and the fused traversal fixes each agent's FP order.
-  auto reference = HashTrajectory(1, 10, 42, /*zorder_cadence=*/2);
-  EXPECT_EQ(HashTrajectory(2, 10, 42, 2), reference);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 2), reference);
-}
-
 TEST(DeterminismTest, FusedPathMatchesCallbackPathBitwise) {
-  // Cross-path equality over the full pipeline, divisions included: turning
-  // the fast path off must not change a single state hash (the parity
-  // harness proves the same on the benchmark-B scenario).
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, /*cpu_fast_path=*/true),
-            HashTrajectory(8, 10, 42, 0, /*cpu_fast_path=*/false));
+  // Cross-path equality over the full pipeline, divisions included: routing
+  // the forces through the callback path must not change a single state
+  // hash (the parity harness proves the same on the benchmark-B scenario).
+  EXPECT_EQ(HashTrajectory(8, 10),
+            HashTrajectory(8, 10, 42, /*callback_path=*/true));
 }
 
 TEST(DeterminismTest, SimdPathThreadSweepIsBitwiseSelfConsistent) {
-  // The vectorized kernel owes a *tolerance* against the scalar reference
-  // (FMA-contracted distances; docs/determinism.md), but against itself it
-  // owes the full contract: per-agent candidate-order accumulation makes
-  // the trajectory bitwise independent of the worker count and the run.
-  auto reference = HashTrajectory(1, 10, 42, 0, true, /*cpu_simd=*/true);
-  EXPECT_EQ(HashTrajectory(2, 10, 42, 0, true, true), reference);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, true), reference);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true, true), reference);
+  // The fused kernel's width-independence over the full pipeline: the
+  // W = 1 reference (BIOSIM_SIMD=scalar) and the native width end every
+  // step on the same hash, at every worker count (docs/determinism.md).
+  const char* prev = std::getenv("BIOSIM_SIMD");
+  const bool had_prev = prev != nullptr;
+  const std::string saved = had_prev ? prev : "";
+  setenv("BIOSIM_SIMD", "scalar", 1);
+  auto reference = HashTrajectory(1, 10);
+  EXPECT_EQ(HashTrajectory(8, 10), reference);
+  setenv("BIOSIM_SIMD", "native", 1);
+  EXPECT_EQ(HashTrajectory(1, 10), reference);
+  EXPECT_EQ(HashTrajectory(2, 10), reference);
+  EXPECT_EQ(HashTrajectory(8, 10), reference);
+  if (had_prev) {
+    setenv("BIOSIM_SIMD", saved.c_str(), 1);
+  } else {
+    unsetenv("BIOSIM_SIMD");
+  }
 }
 
 TEST(DeterminismTest, SchedulerKnobsAreBitwiseNeutral) {
   // How the step is scheduled must not change a single per-step hash: the
   // worker count sets how the grid's radix build and the force pass are
   // chunked, and the callback and fused traversals read the same CSR runs.
-  auto baseline = HashTrajectory(8, 10, 42, 0, /*cpu_fast_path=*/false);
-  EXPECT_EQ(HashTrajectory(8, 10, 42, 0, true), baseline);
-  EXPECT_EQ(HashTrajectory(3, 10, 42, 0, true), baseline);
-  EXPECT_EQ(HashTrajectory(1, 10, 42, 0, true), baseline);
+  auto baseline = HashTrajectory(8, 10, 42, /*callback_path=*/true);
+  EXPECT_EQ(HashTrajectory(8, 10), baseline);
+  EXPECT_EQ(HashTrajectory(3, 10), baseline);
+  EXPECT_EQ(HashTrajectory(1, 10), baseline);
 }
 
 TEST(DeterminismTest, RunToRunRepeatIsBitwiseIdentical) {
@@ -155,13 +157,7 @@ TEST(VerifyDeterminismTest, FinalHashIndependentOfConfiguredThreads) {
 }
 
 int RunBiosim(const std::string& args, std::string* stdout_text = nullptr) {
-  // One file per test and process: ctest -j runs the cases of this suite
-  // concurrently, and a shared path let one case read the other's output.
-  const ::testing::TestInfo* test =
-      ::testing::UnitTest::GetInstance()->current_test_info();
-  std::string out_path = std::string(::testing::TempDir()) + "/" +
-                         test->test_suite_name() + "." + test->name() + "." +
-                         std::to_string(getpid()) + ".out";
+  const std::string out_path = testutil::TempPath("biosim_run.out");
   std::string cmd = std::string(BIOSIM_RUN_BIN) + " " + args + " > " +
                     out_path + " 2>/dev/null";
   int status = std::system(cmd.c_str());

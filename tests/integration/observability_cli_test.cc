@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../test_util.h"
 #include "obs/json.h"
 
 #ifndef BIOSIM_RUN_BIN
@@ -50,7 +51,7 @@ std::unique_ptr<obs::json::Value> ReadJson(const std::string& path) {
 }
 
 TEST(ObservabilityCliTest, ReportV2CarriesBothThreadCounts) {
-  std::string report = ::testing::TempDir() + "obs_report_v2.json";
+  std::string report = testutil::TempPath("obs_report_v2.json");
   ASSERT_EQ(RunBiosim("--steps 2 --threads 2 --report " + report), 0);
   auto doc = ReadJson(report);
   ASSERT_NE(doc, nullptr);
@@ -69,7 +70,7 @@ TEST(ObservabilityCliTest, PerfCountersSectionDegradedShape) {
   // testable on any host (counter-capable ones included). 10 steps: the
   // default scenario's agents need a few divisions before any contact
   // forces (and thus roofline model flops) exist.
-  std::string report = ::testing::TempDir() + "obs_report_perf_off.json";
+  std::string report = testutil::TempPath("obs_report_perf_off.json");
   ASSERT_EQ(RunBiosim("--steps 10 --perf-counters --report " + report,
                       "BIOSIM_PERF=off"),
             0);
@@ -96,7 +97,7 @@ TEST(ObservabilityCliTest, PerfCountersHostBehavior) {
   // Whatever this host permits, the run must succeed and the section must
   // be internally consistent (available:true => per-op table with the
   // scheduler's op names; available:false => a reason).
-  std::string report = ::testing::TempDir() + "obs_report_perf_host.json";
+  std::string report = testutil::TempPath("obs_report_perf_host.json");
   ASSERT_EQ(RunBiosim("--steps 2 --perf-counters --report " + report), 0);
   auto doc = ReadJson(report);
   ASSERT_NE(doc, nullptr);
@@ -117,7 +118,7 @@ TEST(ObservabilityCliTest, PerfCountersHostBehavior) {
 }
 
 TEST(ObservabilityCliTest, InjectedDivergenceExitsThreeAndDumps) {
-  std::string dump = ::testing::TempDir() + "obs_divergence_dump.json";
+  std::string dump = testutil::TempPath("obs_divergence_dump.json");
   std::remove(dump.c_str());
   EXPECT_EQ(RunBiosim("--steps 4 --verify-determinism --flight-recorder " +
                           dump,
@@ -143,7 +144,7 @@ TEST(ObservabilityCliTest, InjectedDivergenceExitsThreeAndDumps) {
 }
 
 TEST(ObservabilityCliTest, CleanVerifyWithRecorderWritesNothing) {
-  std::string dump = ::testing::TempDir() + "obs_no_dump.json";
+  std::string dump = testutil::TempPath("obs_no_dump.json");
   std::remove(dump.c_str());
   EXPECT_EQ(
       RunBiosim("--steps 3 --verify-determinism --flight-recorder " + dump),
@@ -154,7 +155,7 @@ TEST(ObservabilityCliTest, CleanVerifyWithRecorderWritesNothing) {
 }
 
 TEST(ObservabilityCliTest, ProgressHeartbeatOnStderr) {
-  std::string err_file = ::testing::TempDir() + "obs_progress.err";
+  std::string err_file = testutil::TempPath("obs_progress.err");
   std::string cmd = std::string(BIOSIM_RUN_BIN) +
                     " --steps 3 --progress 0.001 > /dev/null 2> " + err_file;
   int status = std::system(cmd.c_str());

@@ -15,7 +15,7 @@ namespace {
 class ParityHarnessTest : public ::testing::Test {
  protected:
   // One run shared by all assertions: the harness is the expensive part
-  // (twelve backends, five steps each).
+  // (ten backends, five steps each).
   static void SetUpTestSuite() { report_ = new ParityReport(RunParity({})); }
   static void TearDownTestSuite() {
     delete report_;
@@ -45,7 +45,7 @@ TEST_F(ParityHarnessTest, CoversEveryBackend) {
   }
   EXPECT_EQ(names, (std::set<std::string>{
                        "ug_serial", "ug_parallel", "cpu_fast", "cpu_fast_mt",
-                       "cpu_sharded", "cpu_simd", "kdtree",
+                       "cpu_sharded", "kdtree",
                        "gpu_v0", "gpu_v1", "gpu_v2", "gpu_v3"}));
 }
 
@@ -69,7 +69,8 @@ TEST_F(ParityHarnessTest, UniformGridParallelIsBitwise) {
 TEST_F(ParityHarnessTest, CpuFastPathIsBitwise) {
   // The fused CSR kernel claim (docs/perf.md): same neighbor visit order,
   // same FP expressions — so it owes hash-for-hash identity against the
-  // legacy callback reference, serial and parallel alike.
+  // callback reference (the grid behind a ForwardingEnvironment), serial
+  // and parallel alike.
   for (const char* name : {"cpu_fast", "cpu_fast_mt"}) {
     const ParityResult& r = Result(name);
     EXPECT_TRUE(r.bitwise_required) << name;
@@ -89,17 +90,6 @@ TEST_F(ParityHarnessTest, ShardedPipelineIsBitwise) {
   EXPECT_TRUE(r.hashes_equal) << report_->ToString();
   EXPECT_EQ(r.max_abs_delta, 0.0);
   EXPECT_EQ(r.final_hash, Result("ug_serial").final_hash);
-}
-
-TEST_F(ParityHarnessTest, SimdRowsOweToleranceNotBitwise) {
-  // The vectorized kernel regroups the per-agent pair sum into lane
-  // partials (physics/simd_force_kernel.h), so it owes a tolerance, not
-  // hashes — and it must sit at summation-order noise, orders under the
-  // GPU FP32 rows' bound (same taxonomy as kdtree vs gpu_v1).
-  const ParityResult& simd = Result("cpu_simd");
-  EXPECT_FALSE(simd.bitwise_required);
-  EXPECT_LE(simd.max_abs_delta, 1e-9) << report_->ToString();
-  EXPECT_LT(simd.tolerance, Result("gpu_v1").tolerance);
 }
 
 TEST_F(ParityHarnessTest, Fp64BackendsFarTighterThanFp32Bound) {

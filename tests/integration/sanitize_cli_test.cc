@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../test_util.h"
+
 #ifndef BIOSIM_RUN_BIN
 #error "BIOSIM_RUN_BIN must point at the biosim_run binary"
 #endif
@@ -26,7 +28,7 @@ namespace biosim {
 namespace {
 
 std::string WriteConfig(const char* name, const std::string& extra_backend) {
-  std::string path = std::string(::testing::TempDir()) + "/" + name;
+  std::string path = testutil::TempPath(name);
   std::ofstream f(path);
   f << "[simulation]\n"
        "steps = 1\n"
@@ -79,7 +81,7 @@ TEST(SanitizeCliTest, RacyKernelExitsZeroWithoutSanitizer) {
 
 TEST(SanitizeCliTest, ConfigErrorExitsOne) {
   // racy_grid_build swaps a device kernel: rejected on the CPU backend.
-  std::string path = std::string(::testing::TempDir()) + "/bad.ini";
+  std::string path = testutil::TempPath("bad.ini");
   std::ofstream f(path);
   f << "[model]\ntype = random_cloud\nagents = 16\n"
        "[backend]\ntype = cpu\nracy_grid_build = true\n";
@@ -92,9 +94,10 @@ TEST(SanitizeCliTest, ConfigErrorExitsOne) {
 TEST(RunnerCliTest, RemovedFlagsAreUnknownArguments) {
   // Flags of settings the runner no longer has fail as usage errors that
   // name the cause; they are never silently ignored.
-  const std::string err_file = ::testing::TempDir() + "removed_flag.err";
+  const std::string err_file = testutil::TempPath("removed_flag.err");
   for (const char* flag :
-       {"--overlap-ops on", "--precision fp32", "--incremental-grid off"}) {
+       {"--overlap-ops on", "--precision fp32", "--incremental-grid off",
+        "--simd on", "--cpu-fast-path off", "--zorder-every 5"}) {
     const std::string cmd = std::string(BIOSIM_RUN_BIN) + " --steps 1 " +
                             flag + " > /dev/null 2> " + err_file;
     const int status = std::system(cmd.c_str());

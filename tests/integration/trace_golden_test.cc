@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "../test_util.h"
 #include "app/runner.h"
 #include "obs/json.h"
 #include "obs/report.h"
@@ -19,9 +20,7 @@
 namespace biosim::app {
 namespace {
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using testutil::TempPath;
 
 std::string Slurp(const std::string& path) {
   std::ifstream in(path);

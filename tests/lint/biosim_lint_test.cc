@@ -164,6 +164,16 @@ TEST(BiosimLintTest, CrossShardWriteFixtureViolations) {
   EXPECT_EQ(got, want);
 }
 
+TEST(BiosimLintTest, TempPathLiteralFixtureViolations) {
+  auto got = RuleLines(LintFixture("temp_path_literal_bad.cc"));
+  std::vector<std::pair<std::string, int>> want = {
+      {kTempPathLiteral, 9},   // TempDir() + "shared.json"
+      {kTempPathLiteral, 10},  // std::string(TempDir()) + "/" + name
+      {kTempPathLiteral, 14},  // raw string literal
+  };
+  EXPECT_EQ(got, want);
+}
+
 TEST(BiosimLintTest, UnclosedShardScopeIsAFinding) {
   std::string code =
       "#define BIOSIM_SHARD_SCOPE_BEGIN() static_cast<void>(0)\n"
@@ -184,7 +194,7 @@ TEST(BiosimLintTest, CleanFixturesHaveNoFindings) {
       "raw_rand_clean.cc",        "unordered_iter_clean.cc",
       "direct_deposit_clean.cc",  "fp_omp_reduction_clean.cc",
       "unchecked_io_clean.cc",    "hot_loop_virtual_clean.cc",
-      "cross_shard_clean.cc",
+      "cross_shard_clean.cc",     "temp_path_literal_clean.cc",
   };
   for (const char* name : clean) {
     auto findings = LintFixture(name);
@@ -201,7 +211,7 @@ TEST(BiosimLintTest, CorpusCoversAllRules) {
       "raw_rand_bad.cc",        "unordered_iter_bad.cc",
       "direct_deposit_bad.cc",  "fp_omp_reduction_bad.cc",
       "unchecked_io_bad.cc",    "hot_loop_virtual_bad.cc",
-      "cross_shard_bad.cc",
+      "cross_shard_bad.cc",     "temp_path_literal_bad.cc",
   };
   for (const char* name : bad) {
     for (const auto& f : LintFixture(name)) {

@@ -16,6 +16,7 @@
 #include <signal.h>
 
 #include "gtest/gtest.h"
+#include "../test_util.h"
 #include "obs/json.h"
 
 namespace biosim::obs {
@@ -32,9 +33,7 @@ FlightRecorder::StepRecord MakeRecord(uint64_t step) {
   return r;
 }
 
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + name;
-}
+using testutil::TempPath;
 
 json::Value ReadJsonFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "r");
@@ -180,7 +179,21 @@ TEST(FlightRecorder, SignalDumpFromForkedChild) {
   EXPECT_EQ((*doc.Find("steps"))[2].Find("step")->AsDouble(), 3);
 }
 
+/// The handler a disposition dispatches to, whichever union member it uses.
+void* HandlerOf(const struct sigaction& sa) {
+  return (sa.sa_flags & SA_SIGINFO) != 0
+             ? reinterpret_cast<void*>(sa.sa_sigaction)
+             : reinterpret_cast<void*>(sa.sa_handler);
+}
+
 TEST(FlightRecorder, UninstallRestoresDefaultDisposition) {
+  // Uninstall restores whatever disposition was there before install:
+  // SIG_DFL in a plain build, the sanitizer runtime's handler under ASan.
+  // The child inherits the parent's disposition across fork.
+  struct sigaction before;
+  ASSERT_EQ(sigaction(SIGSEGV, nullptr, &before), 0);
+  const bool default_before = HandlerOf(before) ==
+                              reinterpret_cast<void*>(SIG_DFL);
   std::string path = TempPath("flight_uninstall.json");
   std::remove(path.c_str());
   pid_t pid = fork();
@@ -192,13 +205,26 @@ TEST(FlightRecorder, UninstallRestoresDefaultDisposition) {
       _exit(97);
     }
     rec.UninstallSignalHandlers();
+    struct sigaction after;
+    if (sigaction(SIGSEGV, nullptr, &after) != 0 ||
+        HandlerOf(after) != HandlerOf(before)) {
+      _exit(96);
+    }
     raise(SIGSEGV);
     _exit(98);
   }
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFSIGNALED(status));
-  EXPECT_EQ(WTERMSIG(status), SIGSEGV);
+  ASSERT_FALSE(WIFEXITED(status) && WEXITSTATUS(status) == 96)
+      << "uninstall left a different SIGSEGV disposition than install found";
+  ASSERT_FALSE(WIFEXITED(status) && WEXITSTATUS(status) == 97)
+      << "install failed";
+  ASSERT_FALSE(WIFEXITED(status) && WEXITSTATUS(status) == 98)
+      << "SIGSEGV returned to the child";
+  if (default_before) {
+    ASSERT_TRUE(WIFSIGNALED(status));
+    EXPECT_EQ(WTERMSIG(status), SIGSEGV);
+  }
   // No dump: the handler was uninstalled before the crash.
   std::FILE* f = std::fopen(path.c_str(), "r");
   EXPECT_EQ(f, nullptr) << "uninstalled recorder must not dump";

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "../test_util.h"
 #include "core/profiler.h"
 #include "obs/json.h"
 
@@ -104,7 +105,7 @@ TEST(MetricsRegistryTest, CollectRuntimeReportsThreads) {
 }
 
 TEST(MetricsJsonlWriterTest, EmitsOneParseableObjectPerSnapshot) {
-  std::string path = std::string(::testing::TempDir()) + "/metrics.jsonl";
+  std::string path = testutil::TempPath("metrics.jsonl");
   {
     MetricsJsonlWriter writer(path);
     ASSERT_TRUE(writer.ok());

@@ -4,11 +4,15 @@
 // bench/micro/bench_micro_trace.cc; this test only asserts the disabled
 // path stays within a generous multiple of an uninstrumented loop so CI
 // catches an accidental mutex or clock call on the fast path.
+//
+// Both loops are timed in this thread's CPU time and interleaved run by
+// run: under `ctest -j` the host is shared with other test processes, and
+// wall time would charge their preemption to whichever loop was running.
 
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 
 #include "obs/trace.h"
@@ -34,19 +38,16 @@ uint64_t TracedWork(uint64_t iterations) {
   return acc;
 }
 
-double BestOfNs(uint64_t (*fn)(uint64_t), uint64_t iterations, int repeats,
-                uint64_t* sink) {
-  double best = 1e30;
-  for (int r = 0; r < repeats; ++r) {
-    auto t0 = std::chrono::steady_clock::now();
-    *sink += fn(iterations);
-    auto t1 = std::chrono::steady_clock::now();
-    best = std::min(
-        best, static_cast<double>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                      .count()));
-  }
-  return best;
+double ThreadCpuNs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
+}
+
+double CpuNs(uint64_t (*fn)(uint64_t), uint64_t iterations, uint64_t* sink) {
+  const double t0 = ThreadCpuNs();
+  *sink += fn(iterations);
+  return ThreadCpuNs() - t0;
 }
 
 TEST(TraceOverheadTest, DisabledScopesStayNearBaseline) {
@@ -59,8 +60,12 @@ TEST(TraceOverheadTest, DisabledScopesStayNearBaseline) {
   // Warm both paths once so code and branch predictors are resident.
   sink += Work(kIters / 10) + TracedWork(kIters / 10);
 
-  double baseline = BestOfNs(&Work, kIters, kRepeats, &sink);
-  double traced = BestOfNs(&TracedWork, kIters, kRepeats, &sink);
+  double baseline = 1e30;
+  double traced = 1e30;
+  for (int r = 0; r < kRepeats; ++r) {
+    baseline = std::min(baseline, CpuNs(&Work, kIters, &sink));
+    traced = std::min(traced, CpuNs(&TracedWork, kIters, &sink));
+  }
   ASSERT_NE(sink, 0u);  // keep the work observable
 
   // Disabled TRACE_SCOPE measured at ~0 extra ns/iter; 3x leaves ample

@@ -2,10 +2,12 @@
 // produce a displacement buffer *bitwise identical* to the generic callback
 // path — same neighbor visit order, same FP expressions — along with equal
 // force-evaluation counts, at any exec mode, on clamped and torus
-// boundaries. Also covers the dispatch rules: the fast path engages only on
-// a UniformGridEnvironment and only when param.cpu_fast_path is set.
+// boundaries. The oracle is the same grid wrapped in a ForwardingEnvironment,
+// which the fused path's dynamic_cast misses. Also covers the dispatch
+// rule: the fast path engages exactly on a UniformGridEnvironment.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -14,6 +16,7 @@
 #include "core/random.h"
 #include "core/resource_manager.h"
 #include "physics/mechanical_forces_op.h"
+#include "spatial/forwarding_environment.h"
 #include "spatial/kd_tree.h"
 #include "spatial/uniform_grid.h"
 
@@ -44,19 +47,16 @@ void FillClusteredBall(ResourceManager* rm, size_t n, Double3 center,
 /// displacement buffers and equal force-evaluation counts.
 void ExpectFusedMatchesGeneric(const ResourceManager& rm, const Param& param,
                                ExecMode mode) {
-  UniformGridEnvironment env;
-  env.Update(rm, param, mode);
-
-  Param generic_param = param;
-  generic_param.cpu_fast_path = false;
+  ForwardingEnvironment wrapped(std::make_unique<UniformGridEnvironment>());
+  wrapped.Update(rm, param, mode);
   MechanicalForcesOp generic_op;
-  generic_op.ComputeDisplacements(rm, env, generic_param, mode);
+  generic_op.ComputeDisplacements(rm, wrapped, param, mode);
   EXPECT_FALSE(generic_op.last_used_fast_path());
 
-  Param fused_param = param;
-  fused_param.cpu_fast_path = true;
+  UniformGridEnvironment env;
+  env.Update(rm, param, mode);
   MechanicalForcesOp fused_op;
-  fused_op.ComputeDisplacements(rm, env, fused_param, mode);
+  fused_op.ComputeDisplacements(rm, env, param, mode);
   EXPECT_TRUE(fused_op.last_used_fast_path());
 
   EXPECT_EQ(generic_op.last_force_evaluations(),
@@ -125,7 +125,6 @@ TEST(CpuFastPathTest, KdTreeFallsBackToGenericPath) {
   testutil::FillRandomCells(&rm, 100, 0.0, 50.0, 10.0);
   KdTreeEnvironment env;
   Param p = BaseParam(50.0);
-  p.cpu_fast_path = true;  // requested, but no uniform grid to consume
   env.Update(rm, p, ExecMode::kSerial);
   MechanicalForcesOp op;
   op.ComputeDisplacements(rm, env, p, ExecMode::kSerial);
@@ -133,12 +132,11 @@ TEST(CpuFastPathTest, KdTreeFallsBackToGenericPath) {
   EXPECT_GT(op.last_force_evaluations(), 0u);
 }
 
-TEST(CpuFastPathTest, ConfigOffForcesGenericPathOnTheGrid) {
+TEST(CpuFastPathTest, ForwardedGridTakesGenericPath) {
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 100, 0.0, 50.0, 10.0);
-  UniformGridEnvironment env;
+  ForwardingEnvironment env(std::make_unique<UniformGridEnvironment>());
   Param p = BaseParam(50.0);
-  p.cpu_fast_path = false;
   env.Update(rm, p, ExecMode::kSerial);
   MechanicalForcesOp op;
   op.ComputeDisplacements(rm, env, p, ExecMode::kSerial);

@@ -1,36 +1,36 @@
-// Differential battery for the vectorized force kernel
-// (physics/simd_force_kernel.h): the SIMD path versus the scalar fused
-// reference, across seeded populations chosen to exercise
-// every branch of the sweep — clustered (dense boxes), uniform (sparse),
-// torus wrap-around, coincident centers, single agents, empty worlds,
-// both force laws. The contracts under test (docs/determinism.md):
+// Differential battery for the fused force kernel
+// (physics/simd_force_kernel.h) against its oracle, the generic callback
+// path over the same uniform grid (reached by wrapping the grid in a
+// ForwardingEnvironment, which MechanicalForcesOp's dynamic_cast misses).
+// Seeded populations exercise every branch of the sweep — clustered (dense
+// boxes), uniform (sparse), torus wrap-around on each axis, candidate
+// counts around the vector width (the scalar tail), coincident centers,
+// nonzero and negative-zero tractor forces, the adherence gate and the
+// displacement clamp, both force laws. The contracts under test
+// (docs/determinism.md):
 //
-//   * cpu_simd displacements stay within 1e-12 of the scalar fused path
-//     per component (the only FP difference is the FMA-contracted d²);
-//   * every path — generic, fused, SIMD — reports the *identical*
-//     force-evaluation count (the hit decision is exact in every mode);
-//   * results are bitwise independent of the dispatched vector width
-//     (BIOSIM_SIMD=scalar == native, lane for lane);
-//   * the vector mode refuses non-uniform-grid environments and unknown
-//     BIOSIM_SIMD values instead of silently falling back.
-//
-// Populations set adherence = 0 so the displacement gate (|F| must
-// exceed adherence) cannot turn a sub-tolerance force difference into a
-// whole displacement difference; the gate itself is covered by the
-// parity rows, which run the full default-adherence pipeline.
+//   * the kernel's displacements are bitwise the callback path's — at
+//     BIOSIM_SIMD=scalar (W = 1, the reference) and at the native width,
+//     serial and parallel; bits, not values, so signed zeros count;
+//   * every path reports the identical force-evaluation count;
+//   * unknown BIOSIM_SIMD values throw instead of silently falling back.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/param.h"
 #include "core/random.h"
 #include "core/resource_manager.h"
+#include "core/simd.h"
 #include "core/thread_pool.h"
 #include "physics/force_law.h"
 #include "physics/mechanical_forces_op.h"
+#include "spatial/forwarding_environment.h"
 #include "spatial/kd_tree.h"
 #include "spatial/uniform_grid.h"
 
@@ -43,40 +43,44 @@ struct PathResult {
   bool used_fast_path = false;
 };
 
-enum class Path { kGeneric, kFused, kSimd };
+/// kGeneric: the callback path over a wrapped grid. kScalarWidth / kNative:
+/// the fused kernel at BIOSIM_SIMD=scalar / native.
+enum class Path { kGeneric, kScalarWidth, kNative };
 
-PathResult RunPath(const ResourceManager& rm, Param param, Path path,
+PathResult RunPath(const ResourceManager& rm, const Param& param, Path path,
                    ExecMode mode = ExecMode::kSerial,
                    ForceLaw law = ForceLaw::kCortex3D) {
-  param.cpu_fast_path = path != Path::kGeneric;
-  param.cpu_simd = path == Path::kSimd;
-  UniformGridEnvironment env;
-  env.Update(rm, param, mode);
+  setenv("BIOSIM_SIMD", path == Path::kScalarWidth ? "scalar" : "native", 1);
+  std::unique_ptr<Environment> env = std::make_unique<UniformGridEnvironment>();
+  if (path == Path::kGeneric) {
+    env = std::make_unique<ForwardingEnvironment>(std::move(env));
+  }
+  env->Update(rm, param, mode);
   MechanicalForcesOp op(law);
-  op.ComputeDisplacements(rm, env, param, mode);
+  op.ComputeDisplacements(rm, *env, param, mode);
   return {op.displacements(), op.last_force_evaluations(),
           op.last_used_fast_path()};
 }
 
-double MaxAbsComponentDiff(const std::vector<Double3>& a,
-                           const std::vector<Double3>& b) {
-  EXPECT_EQ(a.size(), b.size());
-  double max_diff = 0.0;
-  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    max_diff = std::max(max_diff, std::fabs(a[i].x - b[i].x));
-    max_diff = std::max(max_diff, std::fabs(a[i].y - b[i].y));
-    max_diff = std::max(max_diff, std::fabs(a[i].z - b[i].z));
+/// Bit-pattern equality: EXPECT_EQ on doubles would accept -0.0 == +0.0.
+void ExpectSameBits(const std::vector<Double3>& a,
+                    const std::vector<Double3>& b, const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&a[i], &b[i], sizeof(Double3)), 0)
+        << what << ": agent " << i << " (" << a[i].x << ", " << a[i].y
+        << ", " << a[i].z << ") vs (" << b[i].x << ", " << b[i].y << ", "
+        << b[i].z << ")";
   }
-  return max_diff;
 }
 
-constexpr double kSimdTol = 1e-12;  // one pass, FMA-contraction noise only
-
-void AddAgent(ResourceManager* rm, const Double3& pos, double diameter) {
+void AddAgent(ResourceManager* rm, const Double3& pos, double diameter,
+              double adherence = 0.0, const Double3& tractor = {}) {
   NewAgentSpec spec;
   spec.position = pos;
   spec.diameter = diameter;
-  spec.adherence = 0.0;
+  spec.adherence = adherence;
+  spec.tractor_force = tractor;
   rm->AddAgent(std::move(spec));
 }
 
@@ -105,14 +109,12 @@ void FillUniformCube(ResourceManager* rm, size_t n, double edge,
 class SimdForceDiffTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // The width override would silently change which kernel half these
-    // tests exercise; pin it to the default and restore after.
+    // RunPath sets the width override per path; restore the caller's.
     const char* prev = std::getenv("BIOSIM_SIMD");
     had_env_ = prev != nullptr;
     if (had_env_) {
       env_value_ = prev;
     }
-    unsetenv("BIOSIM_SIMD");
   }
   void TearDown() override {
     if (had_env_) {
@@ -122,38 +124,26 @@ class SimdForceDiffTest : public ::testing::Test {
     }
   }
 
-  /// The core differential: all three paths over one population; equal
-  /// eval counts everywhere, displacement bound for the vector mode.
-  void CheckAllPaths(const ResourceManager& rm, const Param& param,
-                     ForceLaw law = ForceLaw::kCortex3D) {
+  /// The core differential: the callback oracle, the W = 1 reference and
+  /// the native width over one population, serial and parallel. Bitwise
+  /// displacements and equal evaluation counts everywhere.
+  static void CheckAllPaths(const ResourceManager& rm, const Param& param,
+                            ForceLaw law = ForceLaw::kCortex3D) {
     const PathResult generic =
         RunPath(rm, param, Path::kGeneric, ExecMode::kSerial, law);
-    const PathResult fused =
-        RunPath(rm, param, Path::kFused, ExecMode::kSerial, law);
-    const PathResult simd =
-        RunPath(rm, param, Path::kSimd, ExecMode::kSerial, law);
-
     EXPECT_FALSE(generic.used_fast_path);
-    EXPECT_TRUE(fused.used_fast_path);
-    EXPECT_TRUE(simd.used_fast_path);
-
-    EXPECT_EQ(generic.force_evals, fused.force_evals);
-    EXPECT_EQ(fused.force_evals, simd.force_evals);
-
-    // fused == generic is the existing bitwise contract; the vector
-    // mode owes its tolerance against that shared reference.
-    EXPECT_EQ(MaxAbsComponentDiff(generic.displacements,
-                                  fused.displacements),
-              0.0);
-    EXPECT_LE(MaxAbsComponentDiff(fused.displacements, simd.displacements),
-              kSimdTol);
-
-    // Parallel execution of the vector mode is bitwise-identical to its
-    // serial run (per-box accumulation; chunking changes nothing).
-    const PathResult simd_mt =
-        RunPath(rm, param, Path::kSimd, ExecMode::kParallel, law);
-    EXPECT_EQ(simd.displacements, simd_mt.displacements);
-    EXPECT_EQ(simd.force_evals, simd_mt.force_evals);
+    for (Path path : {Path::kScalarWidth, Path::kNative}) {
+      for (ExecMode mode : {ExecMode::kSerial, ExecMode::kParallel}) {
+        const PathResult fused = RunPath(rm, param, path, mode, law);
+        const std::string what =
+            std::string(path == Path::kScalarWidth ? "W=1" : "native") +
+            (mode == ExecMode::kSerial ? " serial" : " parallel");
+        EXPECT_TRUE(fused.used_fast_path) << what;
+        EXPECT_EQ(generic.force_evals, fused.force_evals) << what;
+        ExpectSameBits(generic.displacements, fused.displacements,
+                       what.c_str());
+      }
+    }
   }
 
  private:
@@ -206,11 +196,98 @@ TEST_F(SimdForceDiffTest, TorusWrapAllPathsAgree) {
   CheckAllPaths(rm, param);
 }
 
+TEST_F(SimdForceDiffTest, TorusHitsWrapOnEachAxis) {
+  // Per axis, three overlapping agents whose contacts all cross that
+  // axis's faces: the hits exist only after the minimum-image wrap, and the
+  // law sees the rebuilt separation pi - (pi - miv). For the agent at
+  // 58.8, pi - miv = 64.1 lands in the next binade, so the rebuilt
+  // separation differs from miv in the last bits.
+  const double edge = 64.0;
+  for (size_t axis = 0; axis < 3; ++axis) {
+    ResourceManager rm;
+    Double3 a{30.0 + 0.1 * static_cast<double>(axis), 30.3, 29.7};
+    Double3 b = a;
+    Double3 c = a;
+    a[axis] = 58.817066437304234;
+    b[axis] = 0.12524306354425363;
+    c[axis] = edge - 0.5772156649015329;
+    c[(axis + 1) % 3] += 1.0 / 3.0;
+    AddAgent(&rm, a, 8.0);
+    AddAgent(&rm, b, 8.0);
+    AddAgent(&rm, c, 6.0);
+    Param param;
+    param.max_bound = edge;
+    param.boundary_mode = BoundaryMode::kTorus;
+    const PathResult r = RunPath(rm, param, Path::kNative);
+    EXPECT_EQ(r.force_evals, 6u) << "axis " << axis;
+    CheckAllPaths(rm, param);
+  }
+}
+
+TEST_F(SimdForceDiffTest, CandidateCountsAroundTheVectorWidth) {
+  // An isolated cluster of k agents inside one box: every resident's
+  // candidate stream has exactly k entries, so k = 1, W-1, W, W+1 and
+  // 2W+1 run the vector loop zero, one and two times with and without a
+  // scalar tail. The empty world is the zero-candidate case.
+  constexpr size_t kW = static_cast<size_t>(simd::kNativeLanes<double>);
+  Param param;
+  param.boundary_mode = BoundaryMode::kOpen;
+  {
+    ResourceManager rm;
+    const PathResult r = RunPath(rm, param, Path::kNative);
+    EXPECT_EQ(r.force_evals, 0u);
+    EXPECT_TRUE(r.displacements.empty());
+  }
+  for (size_t k : {size_t{1}, kW - 1, kW, kW + 1, 2 * kW + 1}) {
+    if (k == 0) {
+      continue;
+    }
+    ResourceManager rm;
+    Random rng(100 + k);
+    for (size_t i = 0; i < k; ++i) {
+      AddAgent(&rm, Double3{50, 50, 50} + rng.UnitVector() * rng.Uniform(),
+               8.0);
+    }
+    // A far agent sizes nothing but keeps the grid from being one box.
+    AddAgent(&rm, {200, 200, 200}, 8.0);
+    const PathResult r = RunPath(rm, param, Path::kNative);
+    EXPECT_EQ(r.force_evals, k * (k - 1)) << "k=" << k;
+    CheckAllPaths(rm, param);
+  }
+}
+
+TEST_F(SimdForceDiffTest, TractorForcesAreTheAccumulatorStart) {
+  // Nonzero tractor forces seed the pair sum. Negative-zero components
+  // pin the order: the law's zero answer for a non-overlapping hit adds
+  // +0.0, turning -0.0 into +0.0, and the kernel must do the same. A
+  // small max displacement drives the epilogue's clamp branch, random
+  // adherences its gate.
+  ResourceManager rm;
+  Random rng(71);
+  for (size_t i = 0; i < 600; ++i) {
+    const Double3 tractor =
+        i % 4 == 0 ? Double3{-0.0, 0.0, -0.0}
+                   : Double3{rng.Uniform(-50, 50), rng.Uniform(-50, 50),
+                             rng.Uniform(-50, 50)};
+    AddAgent(&rm, rng.UniformInCube(0.0, 70.0), rng.Uniform(5.0, 9.0),
+             rng.Uniform(0.0, 2.0), tractor);
+  }
+  Param param;
+  param.max_bound = 70.0;
+  param.simulation_max_displacement = 0.05;
+  CheckAllPaths(rm, param);
+  param.boundary_mode = BoundaryMode::kTorus;
+  CheckAllPaths(rm, param);
+}
+
 TEST_F(SimdForceDiffTest, HertzLawAllPathsAgree) {
   ResourceManager rm;
   FillClusteredBall(&rm, 1000, 41);
   Param param;
   param.boundary_mode = BoundaryMode::kOpen;
+  CheckAllPaths(rm, param, ForceLaw::kHertz);
+  param.boundary_mode = BoundaryMode::kTorus;
+  param.max_bound = 60.0;
   CheckAllPaths(rm, param, ForceLaw::kHertz);
 }
 
@@ -219,40 +296,27 @@ TEST_F(SimdForceDiffTest, DegeneratePopulations) {
   param.boundary_mode = BoundaryMode::kOpen;
 
   {
-    // Empty world: no evaluations, no crash, empty buffer.
-    ResourceManager rm;
-    const PathResult simd = RunPath(rm, param, Path::kSimd);
-    EXPECT_EQ(simd.force_evals, 0u);
-    EXPECT_TRUE(simd.displacements.empty());
-  }
-  {
     // Single agent: its self-slot must not count as an evaluation.
     ResourceManager rm;
     AddAgent(&rm, {50, 50, 50}, 8.0);
-    for (Path p : {Path::kFused, Path::kSimd}) {
-      const PathResult r = RunPath(rm, param, p);
-      EXPECT_EQ(r.force_evals, 0u);
-      ASSERT_EQ(r.displacements.size(), 1u);
-      EXPECT_EQ(r.displacements[0].x, 0.0);
-      EXPECT_EQ(r.displacements[0].y, 0.0);
-      EXPECT_EQ(r.displacements[0].z, 0.0);
-    }
+    const PathResult r = RunPath(rm, param, Path::kNative);
+    EXPECT_EQ(r.force_evals, 0u);
+    ASSERT_EQ(r.displacements.size(), 1u);
+    EXPECT_EQ(r.displacements[0], Double3{});
+    CheckAllPaths(rm, param);
   }
   {
     // Exactly coincident centers: direction undefined, force defined as
     // zero (physics/interaction_force.h) — but the pair still counts as
-    // two evaluations, one per agent, in every mode.
+    // two evaluations, one per agent, in every mode. The negative-zero
+    // tractor shows the zero is added, not skipped.
     ResourceManager rm;
-    AddAgent(&rm, {50, 50, 50}, 8.0);
-    AddAgent(&rm, {50, 50, 50}, 8.0);
-    for (Path p : {Path::kFused, Path::kSimd}) {
-      const PathResult r = RunPath(rm, param, p);
-      EXPECT_EQ(r.force_evals, 2u);
-      EXPECT_EQ(MaxAbsComponentDiff(
-                    r.displacements,
-                    std::vector<Double3>{Double3{}, Double3{}}),
-                0.0);
-    }
+    AddAgent(&rm, {50, 50, 50}, 8.0, 0.0, {-0.0, -0.0, -0.0});
+    AddAgent(&rm, {50, 50, 50}, 8.0, 0.0, {1.0, -0.0, 0.0});
+    AddAgent(&rm, {50, 50, 50}, 8.0, 0.0, {-0.0, 2.0, -0.0});
+    const PathResult r = RunPath(rm, param, Path::kNative);
+    EXPECT_EQ(r.force_evals, 6u);
+    CheckAllPaths(rm, param);
   }
   {
     // Touching-but-not-overlapping and far-apart pairs: hit counting at
@@ -266,22 +330,19 @@ TEST_F(SimdForceDiffTest, DegeneratePopulations) {
 }
 
 TEST_F(SimdForceDiffTest, ResultsAreBitwiseIndependentOfVectorWidth) {
-  // The W-independence claim (physics/simd_force_kernel.h): the forced
-  // W=1 kernel and the native-width kernel must produce identical bits,
-  // not merely close ones — d² per candidate is a single correctly
-  // rounded FMA chain regardless of grouping, and accumulation runs in
-  // candidate order.
+  // The W-independence claim (physics/simd_force_kernel.h), on a default-
+  // adherence population so the displacement gate is live too.
   ResourceManager rm;
-  FillClusteredBall(&rm, 1200, 51);
+  Random rng(51);
+  for (size_t i = 0; i < 1200; ++i) {
+    AddAgent(&rm, rng.UniformInCube(0.0, 60.0), rng.Uniform(4.0, 8.0),
+             NewAgentSpec{}.adherence);
+  }
   Param param;
-  param.boundary_mode = BoundaryMode::kOpen;
-
-  setenv("BIOSIM_SIMD", "scalar", 1);
-  const PathResult w1 = RunPath(rm, param, Path::kSimd);
-  setenv("BIOSIM_SIMD", "native", 1);
-  const PathResult native = RunPath(rm, param, Path::kSimd);
-
-  EXPECT_EQ(w1.displacements, native.displacements);
+  param.max_bound = 60.0;
+  const PathResult w1 = RunPath(rm, param, Path::kScalarWidth);
+  const PathResult native = RunPath(rm, param, Path::kNative);
+  ExpectSameBits(w1.displacements, native.displacements, "W=1 vs native");
   EXPECT_EQ(w1.force_evals, native.force_evals);
 }
 
@@ -290,33 +351,32 @@ TEST_F(SimdForceDiffTest, UnknownWidthOverrideThrows) {
   AddAgent(&rm, {50, 50, 50}, 8.0);
   Param param;
   param.boundary_mode = BoundaryMode::kOpen;
+  UniformGridEnvironment env;
+  env.Update(rm, param, ExecMode::kSerial);
   setenv("BIOSIM_SIMD", "avx512", 1);
-  EXPECT_THROW(RunPath(rm, param, Path::kSimd), std::invalid_argument);
-  // The scalar paths never consult the override; a bad value must not
-  // break them.
-  EXPECT_NO_THROW(RunPath(rm, param, Path::kFused));
+  MechanicalForcesOp op;
+  EXPECT_THROW(op.ComputeDisplacements(rm, env, param, ExecMode::kSerial),
+               std::invalid_argument);
 }
 
 TEST_F(SimdForceDiffTest, VectorModesRequireTheUniformGrid) {
+  // The kernel consumes the grid's CSR layout; any other environment takes
+  // the generic path whatever BIOSIM_SIMD says.
   ResourceManager rm;
   AddAgent(&rm, {50, 50, 50}, 8.0);
   Param param;
-  param.cpu_fast_path = true;
-  param.cpu_simd = true;
   KdTreeEnvironment kd;
   kd.Update(rm, param, ExecMode::kSerial);
   MechanicalForcesOp op;
-  EXPECT_THROW(op.ComputeDisplacements(rm, kd, param, ExecMode::kSerial),
-               std::invalid_argument);
-  // cpu_fast_path alone falls back to the generic path silently — that
-  // contract predates the vector mode and must not change.
-  param.cpu_simd = false;
-  EXPECT_NO_THROW(op.ComputeDisplacements(rm, kd, param, ExecMode::kSerial));
-  EXPECT_FALSE(op.last_used_fast_path());
+  for (const char* width : {"scalar", "native"}) {
+    setenv("BIOSIM_SIMD", width, 1);
+    op.ComputeDisplacements(rm, kd, param, ExecMode::kSerial);
+    EXPECT_FALSE(op.last_used_fast_path()) << width;
+  }
 }
 
 TEST_F(SimdForceDiffTest, ReusedOpOnShrinkingPopulationMatchesFreshOp) {
-  // Stale-scratch regression: the kernels' gather buffers are
+  // Stale-scratch regression: the kernel's gather buffers are
   // capacity-managed and deliberately uninitialized
   // (core/aligned_buffer.h), so a second pass over a *smaller*
   // population re-reads scratch that still holds the first population's
@@ -330,23 +390,19 @@ TEST_F(SimdForceDiffTest, ReusedOpOnShrinkingPopulationMatchesFreshOp) {
   ResourceManager small;
   FillClusteredBall(&small, 200, 62);
 
-  for (Path path : {Path::kFused, Path::kSimd}) {
+  for (const char* width : {"scalar", "native"}) {
+    setenv("BIOSIM_SIMD", width, 1);
     UniformGridEnvironment env;
-    Param p = param;
-    p.cpu_fast_path = true;
-    p.cpu_simd = path == Path::kSimd;
-
     MechanicalForcesOp reused;
-    env.Update(big, p, ExecMode::kSerial);
-    reused.ComputeDisplacements(big, env, p, ExecMode::kSerial);
-    env.Update(small, p, ExecMode::kSerial);
-    reused.ComputeDisplacements(small, env, p, ExecMode::kSerial);
+    env.Update(big, param, ExecMode::kSerial);
+    reused.ComputeDisplacements(big, env, param, ExecMode::kSerial);
+    env.Update(small, param, ExecMode::kSerial);
+    reused.ComputeDisplacements(small, env, param, ExecMode::kSerial);
 
     MechanicalForcesOp fresh;
-    fresh.ComputeDisplacements(small, env, p, ExecMode::kSerial);
+    fresh.ComputeDisplacements(small, env, param, ExecMode::kSerial);
 
-    EXPECT_EQ(reused.displacements(), fresh.displacements())
-        << "path " << static_cast<int>(path);
+    ExpectSameBits(reused.displacements(), fresh.displacements(), width);
     EXPECT_EQ(reused.last_force_evaluations(),
               fresh.last_force_evaluations());
   }

@@ -2,7 +2,11 @@
 #ifndef BIOSIM_TESTS_TEST_UTIL_H_
 #define BIOSIM_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/random.h"
@@ -88,6 +92,26 @@ std::vector<AgentIndex> CollectNeighbors(const Env& env,
                                   [&](AgentIndex j, double) { out.push_back(j); });
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// A scratch file path private to the running test case and process:
+/// <TempDir>/<suite>.<test>.<pid>.<name>. ctest runs every case in its own
+/// process, concurrently under -j, so two cases that join TempDir() to the
+/// same literal name clobber each other's files (biosim-lint rule
+/// temp-path-literal rejects that pattern).
+inline std::string TempPath(const std::string& name) {
+  std::string path = ::testing::TempDir();
+  if (!path.empty() && path.back() != '/') {
+    path += '/';
+  }
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string id = test != nullptr ? std::string(test->test_suite_name()) +
+                                         "." + test->name()
+                                   : std::string("no_test");
+  // Parameterized suites and cases carry '/' in their names.
+  std::replace(id.begin(), id.end(), '/', '_');
+  return path + id + "." + std::to_string(getpid()) + "." + name;
 }
 
 }  // namespace biosim::testutil

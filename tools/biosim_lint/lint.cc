@@ -398,6 +398,40 @@ void CheckShardScopes(const std::vector<std::string>& code_lines,
   }
 }
 
+/// temp-path-literal: ctest runs every test case in its own process,
+/// concurrently under -j, and all of them share one TempDir(); joining it to
+/// a fixed name lets two cases clobber each other's files. Matched on the
+/// raw line (the literal is the point) where the stripped view shows the
+/// TempDir call as code — the stripper keeps columns, so the two align.
+void CheckTempPathLiterals(const std::vector<std::string>& raw_lines,
+                           const std::vector<std::string>& code_lines,
+                           const std::vector<std::set<std::string>>& allowed,
+                           const std::string& path, const Options& opts,
+                           std::vector<Finding>* out) {
+  if (!RuleEnabled(opts, kTempPathLiteral)) {
+    return;
+  }
+  static const std::regex kJoin(
+      R"(\bTempDir\s*\(\s*\)\s*\)?\s*\+\s*(u8|u|U|L)?R?")");
+  for (size_t i = 0; i < raw_lines.size() && i < code_lines.size(); ++i) {
+    const std::string& raw = raw_lines[i];
+    for (auto it = std::sregex_iterator(raw.begin(), raw.end(), kJoin);
+         it != std::sregex_iterator(); ++it) {
+      const size_t col = static_cast<size_t>(it->position());
+      if (code_lines[i].compare(col, 7, "TempDir") != 0 ||
+          Suppressed(allowed, i, kTempPathLiteral)) {
+        continue;
+      }
+      out->push_back({path, static_cast<int>(i) + 1, kTempPathLiteral,
+                      "TempDir() joined to a fixed name collides when ctest "
+                      "-j runs test cases concurrently; use "
+                      "testutil::TempPath(name) (tests/test_util.h), unique "
+                      "per test case and process"});
+      break;
+    }
+  }
+}
+
 }  // namespace
 
 const std::vector<RuleInfo>& Rules() {
@@ -424,6 +458,9 @@ const std::vector<RuleInfo>& Rules() {
        "no direct domain-global writes (IncreaseConcentrationBy, "
        "AddAgent/RemoveAgent) or Communicator::Barrier inside "
        "BIOSIM_SHARD_SCOPE regions"},
+      {kTempPathLiteral,
+       "tests build scratch paths with testutil::TempPath, never TempDir() "
+       "joined to a string literal (ctest -j runs cases concurrently)"},
   };
   return kRules;
 }
@@ -567,6 +604,7 @@ std::vector<Finding> LintFile(const std::string& path,
   CheckUncheckedIo(code, line_starts, allowed, path, opts, &out);
   CheckHotLoops(code_lines, allowed, path, opts, &out);
   CheckShardScopes(code_lines, allowed, path, opts, &out);
+  CheckTempPathLiterals(raw_lines, code_lines, allowed, path, opts, &out);
 
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
     return a.line != b.line ? a.line < b.line : a.rule < b.rule;

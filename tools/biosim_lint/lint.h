@@ -34,6 +34,7 @@ inline constexpr char kFpOmpReduction[] = "fp-omp-reduction";
 inline constexpr char kUncheckedIo[] = "unchecked-io";
 inline constexpr char kHotLoopVirtual[] = "hot-loop-virtual";
 inline constexpr char kCrossShardWrite[] = "cross-shard-write";
+inline constexpr char kTempPathLiteral[] = "temp-path-literal";
 
 struct RuleInfo {
   const char* id;

@@ -1,6 +1,7 @@
 // biosim-lint CLI. See lint.h and docs/static-analysis.md.
 //
-//   biosim-lint                       # lint src/ + tools/ via the compile db
+//   biosim-lint                       # lint src/ + tools/ via the compile db,
+//                                     # tests/ for temp-path-literal only
 //   biosim-lint src/core tests/x.cc   # explicit files/directories
 //   biosim-lint --rule=raw-rand src   # restrict to one rule
 //   biosim-lint --list-rules
@@ -58,6 +59,15 @@ bool InDefaultScope(const std::string& path) {
          rel.find("/fixtures/") == std::string::npos;
 }
 
+/// Test sources sit outside the determinism contract, but concurrently
+/// running test processes share one TempDir(): the default mode lints them
+/// for temp-path-literal only.
+bool InTestScope(const std::string& path) {
+  const std::string rel = Relativize(path);
+  return rel.rfind("tests/", 0) == 0 &&
+         rel.find("/fixtures/") == std::string::npos;
+}
+
 int Usage(std::FILE* to) {
   std::fprintf(
       to,
@@ -65,7 +75,8 @@ int Usage(std::FILE* to) {
       "\n"
       "Project determinism/concurrency lint (docs/static-analysis.md).\n"
       "With no paths, lints every src/ and tools/ translation unit from the\n"
-      "compile database plus the headers under src/ and tools/.\n"
+      "compile database plus the headers under src/ and tools/, and the\n"
+      "sources under tests/ for temp-path-literal.\n"
       "\n"
       "options:\n"
       "  -p PATH, --compile-commands=PATH   compile database\n"
@@ -150,6 +161,15 @@ int main(int argc, char** argv) {
         }
       }
     }
+    if (biosimlint::RuleEnabled(opts, biosimlint::kTempPathLiteral)) {
+      std::vector<std::string> tests;
+      CollectFromDir("tests", &tests);
+      for (std::string& f : tests) {
+        if (InTestScope(f)) {
+          files.push_back(std::move(f));
+        }
+      }
+    }
   } else {
     for (const std::string& p : paths) {
       std::error_code ec;
@@ -174,10 +194,13 @@ int main(int argc, char** argv) {
   }
   std::sort(display.begin(), display.end());
 
+  biosimlint::Options test_opts;
+  test_opts.rules = {biosimlint::kTempPathLiteral};
   std::vector<biosimlint::Finding> findings;
   size_t scanned = 0;
   for (const std::string& f : display) {
-    if (biosimlint::LintPath(f, opts, &findings)) {
+    const bool test_only = paths.empty() && InTestScope(f);
+    if (biosimlint::LintPath(f, test_only ? test_opts : opts, &findings)) {
       ++scanned;
     } else {
       std::fprintf(stderr, "biosim-lint: cannot read '%s'\n", f.c_str());

@@ -1,7 +1,6 @@
 // biosim_run: config-driven simulation runner.
 //
 //   biosim_run [config.ini] [--steps N] [--backend cpu|gpu] [--threads N]
-//              [--cpu-fast-path BOOL] [--simd BOOL] [--zorder-every N]
 //              [--shards N] [--shard-balance static|adaptive]
 //              [--print-config] [--sanitize] [--trace FILE] [--metrics FILE]
 //              [--metrics-every N] [--report FILE] [--json]
@@ -100,8 +99,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s [config.ini] [--steps N] [--backend cpu|gpu] "
-                 "[--threads N] [--cpu-fast-path BOOL] [--simd BOOL] "
-                 "[--zorder-every N] [--shards N] "
+                 "[--threads N] [--shards N] "
                  "[--shard-balance static|adaptive] "
                  "[--print-config] [--sanitize] [--trace FILE] "
                  "[--metrics FILE] [--metrics-every N] [--report FILE] "
@@ -135,12 +133,6 @@ int main(int argc, char** argv) {
         cfg.backend_type = value;
       } else if (FlagValue(argc, argv, &i, "--threads", &value)) {
         cfg.num_threads = static_cast<uint32_t>(std::atoll(value.c_str()));
-      } else if (FlagValue(argc, argv, &i, "--cpu-fast-path", &value)) {
-        cfg.cpu_fast_path = value == "1" || value == "true" || value == "on";
-      } else if (FlagValue(argc, argv, &i, "--simd", &value)) {
-        cfg.simd = value == "1" || value == "true" || value == "on";
-      } else if (FlagValue(argc, argv, &i, "--zorder-every", &value)) {
-        cfg.zorder_every = static_cast<uint64_t>(std::atoll(value.c_str()));
       } else if (FlagValue(argc, argv, &i, "--shards", &value)) {
         cfg.shards = static_cast<uint32_t>(std::atoll(value.c_str()));
       } else if (FlagValue(argc, argv, &i, "--shard-balance", &value)) {
