@@ -24,12 +24,14 @@
 //
 //   3. TsanAcquire/TsanRelease happens-before bridges for
 //      -fsanitize=thread builds (BIOSIM_SANITIZE=thread). GCC's libgomp is
-//      not TSan-instrumented, so the end-of-parallel-region barrier is
-//      invisible to the race detector and everything a pool worker touched
-//      looks unsynchronized with the issuing thread afterwards. The
-//      parallel primitives in core/thread_pool.h re-publish that edge
-//      explicitly through these calls; they compile to nothing when TSan is
-//      off.
+//      not TSan-instrumented, so the barriers that start and end a
+//      parallel region are invisible to the race detector: everything the
+//      issuing thread wrote before a region looks unsynchronized with the
+//      pool workers, and everything a worker touched looks unsynchronized
+//      with the issuing thread afterwards. The parallel primitives in
+//      core/thread_pool.h re-publish both edges explicitly through these
+//      calls, on two tokens so that workers of one region never synchronize
+//      with each other; they compile to nothing when TSan is off.
 #ifndef BIOSIM_CORE_ANALYSIS_H_
 #define BIOSIM_CORE_ANALYSIS_H_
 

@@ -61,20 +61,24 @@ template <typename F>
 void ParallelFor(ExecMode mode, size_t n, F&& fn) {
   if (mode == ExecMode::kParallel) {
 #ifdef _OPENMP
-    // `token` re-publishes the end-of-region barrier to TSan (see
-    // core/analysis.h); the split parallel/for form gives each worker a
-    // spot to release after its share of iterations. Identical static
-    // chunking to the combined `parallel for` pragma.
-    char token = 0;
+    // `fork_token` and `join_token` re-publish the region's start and end
+    // barriers to TSan (see core/analysis.h); the split parallel/for form
+    // gives each worker a spot to acquire before and release after its
+    // share of iterations. Identical static chunking to the combined
+    // `parallel for` pragma.
+    char fork_token = 0;
+    char join_token = 0;
+    TsanRelease(&fork_token);
 #pragma omp parallel
     {
+      TsanAcquire(&fork_token);
 #pragma omp for schedule(static) nowait
       for (int64_t i = 0; i < static_cast<int64_t>(n); ++i) {
         fn(static_cast<size_t>(i));
       }
-      TsanRelease(&token);
+      TsanRelease(&join_token);
     }
-    TsanAcquire(&token);
+    TsanAcquire(&join_token);
     return;
 #endif
   }
@@ -89,9 +93,12 @@ template <typename F>
 void ParallelForChunks(ExecMode mode, size_t n, F&& fn) {
   if (mode == ExecMode::kParallel) {
 #ifdef _OPENMP
-    char token = 0;
+    char fork_token = 0;
+    char join_token = 0;
+    TsanRelease(&fork_token);
 #pragma omp parallel
     {
+      TsanAcquire(&fork_token);
       size_t nthreads = static_cast<size_t>(omp_get_num_threads());
       size_t tid = static_cast<size_t>(omp_get_thread_num());
       size_t chunk = (n + nthreads - 1) / nthreads;
@@ -100,9 +107,9 @@ void ParallelForChunks(ExecMode mode, size_t n, F&& fn) {
       if (begin < end) {
         fn(begin, end);
       }
-      TsanRelease(&token);
+      TsanRelease(&join_token);
     }
-    TsanAcquire(&token);
+    TsanAcquire(&join_token);
     return;
 #endif
   }
@@ -119,9 +126,12 @@ T ParallelReduce(ExecMode mode, size_t n, T init, F&& fn, C&& combine) {
 #ifdef _OPENMP
     int nthreads = omp_get_max_threads();
     std::vector<T> partials(static_cast<size_t>(nthreads), init);
-    char token = 0;
+    char fork_token = 0;
+    char join_token = 0;
+    TsanRelease(&fork_token);
 #pragma omp parallel
     {
+      TsanAcquire(&fork_token);
       size_t tid = static_cast<size_t>(omp_get_thread_num());
       T local = init;
 #pragma omp for schedule(static) nowait
@@ -129,11 +139,11 @@ T ParallelReduce(ExecMode mode, size_t n, T init, F&& fn, C&& combine) {
         local = combine(local, fn(static_cast<size_t>(i)));
       }
       partials[tid] = local;
-      TsanRelease(&token);
+      TsanRelease(&join_token);
     }
     // The acquire also orders the workers' partials[] stores before the
     // chunk-ordered merge below.
-    TsanAcquire(&token);
+    TsanAcquire(&join_token);
     T result = init;
     for (const T& p : partials) {
       result = combine(result, p);

@@ -111,8 +111,6 @@ void MechanicalForcesOp::RunFusedPasses(
 
   std::atomic<size_t> evals{0};
   detail::FusedPassArgs args;
-  args.tractor = rm.tractor_forces().data();
-  args.adherences = rm.adherences().data();
   args.dt = param.simulation_time_step;
   args.max_disp = param.simulation_max_displacement;
   args.law = force_law_;
@@ -122,7 +120,6 @@ void MechanicalForcesOp::RunFusedPasses(
   args.torus = param.boundary_mode == BoundaryMode::kTorus;
   args.edge = param.SpaceEdge();
   args.mode = mode;
-  args.out = displacements_.data();
   args.force_evaluations = &evals;
 
   // Function-pointer dispatch happens once per pass, outside the hot-loop
@@ -135,20 +132,33 @@ void MechanicalForcesOp::RunFusedPasses(
       detail::SelectFusedSimdKernel(simd::WidthModeFromEnv());
   const Double3* positions = rm.positions().data();
   const double* diameters = rm.diameters().data();
+  const Double3* tractor = rm.tractor_forces().data();
+  const double* adherences = rm.adherences().data();
   for (const ShardForceInput& in : inputs) {
     // Stage the window's force inputs in member order (see FusedPassArgs):
-    // plain copies and an exact halving, so no FP result changes. One plain
-    // allocation held for this input only: kept across steps, or taken
-    // from the aligned allocator, the block stayed in the heap and raised
-    // tissue_turnover's peak RSS by 2-4 MB; a plain block this size is
-    // mapped and returned whole.
+    // plain copies and an exact halving, so no FP result changes. The
+    // owned members are the contiguous runs of the owned boxes; only they
+    // get a tractor force and adherence, and the kernel leaves their
+    // displacements in the tractor arrays. One plain allocation held for
+    // this input only: kept across steps, or taken from the aligned
+    // allocator, the block stayed in the heap and raised tissue_turnover's
+    // peak RSS by 2-4 MB; a plain block this size is mapped and returned
+    // whole.
     const size_t members = in.view.num_members;
+    const size_t owned_begin =
+        static_cast<size_t>(in.view.box_starts[in.first_box]);
+    const size_t owned_end =
+        static_cast<size_t>(in.view.box_starts[in.first_box + in.num_boxes]);
     const size_t stride = members + detail::kGatherChunk - 1;
-    const auto staged = std::make_unique_for_overwrite<double[]>(4 * stride);
+    const auto staged = std::make_unique_for_overwrite<double[]>(8 * stride);
     double* x = staged.get();
     double* y = x + stride;
     double* z = y + stride;
     double* radius = z + stride;
+    double* adherence = radius + stride;
+    double* fx = adherence + stride;
+    double* fy = fx + stride;
+    double* fz = fy + stride;
     const int32_t* agents = in.view.box_agents;
     ParallelFor(mode, members, [&](size_t u) {
       const int32_t j = agents[u];
@@ -156,6 +166,12 @@ void MechanicalForcesOp::RunFusedPasses(
       y[u] = positions[j].y;
       z[u] = positions[j].z;
       radius[u] = diameters[j] / 2.0;
+      if (u >= owned_begin && u < owned_end) {
+        adherence[u] = adherences[j];
+        fx[u] = tractor[j].x;
+        fy[u] = tractor[j].y;
+        fz[u] = tractor[j].z;
+      }
     });
     for (size_t u = members; u < stride; ++u) {
       x[u] = y[u] = z[u] = radius[u] = 0.0;  // read past a run, never used
@@ -164,10 +180,19 @@ void MechanicalForcesOp::RunFusedPasses(
     args.y = y;
     args.z = z;
     args.radius = radius;
+    args.adherences = adherence;
+    args.fx = fx;
+    args.fy = fy;
+    args.fz = fz;
     args.view = in.view;
     args.first_box = in.first_box;
     args.num_boxes = in.num_boxes;
     pass(args);
+    // Scatter the owned members' displacements back to their rows.
+    ParallelFor(mode, owned_end - owned_begin, [&](size_t k) {
+      const size_t u = owned_begin + k;
+      displacements_[static_cast<size_t>(agents[u])] = {fx[u], fy[u], fz[u]};
+    });
   }
 
   force_evaluations_ = evals.load(std::memory_order_relaxed);

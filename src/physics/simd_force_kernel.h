@@ -52,7 +52,6 @@
 
 #include "core/aligned_buffer.h"
 #include "core/analysis.h"
-#include "core/math.h"
 #include "core/simd.h"
 #include "core/thread_pool.h"
 #include "physics/force_law.h"
@@ -76,15 +75,20 @@ struct FusedPassArgs {
   /// (MechanicalForcesOp): entry u belongs to row view.box_agents[u].
   /// A box's candidates are then a few contiguous member runs, copied in
   /// fixed chunks, instead of one scattered positions/diameters read per
-  /// candidate per neighboring box. radius is diameter / 2.0, exactly as
-  /// the force law halves it.
+  /// candidate per neighboring box, and a resident's own inputs and output
+  /// sit at its member index instead of a random row. radius is
+  /// diameter / 2.0, exactly as the force law halves it.
   const double* x = nullptr;
   const double* y = nullptr;
   const double* z = nullptr;
   const double* radius = nullptr;
-  /// Row-indexed.
-  const Double3* tractor = nullptr;
+  /// Owned members only (the runs of the owned boxes): the adherence, and
+  /// the tractor force on entry, which the kernel overwrites with the
+  /// member's final displacement; the caller scatters it back to rows.
   const double* adherences = nullptr;
+  double* fx = nullptr;
+  double* fy = nullptr;
+  double* fz = nullptr;
   double dt = 0.0;
   double max_disp = 0.0;
   /// CSR layout + neighbor-slot resolver: an occupancy-compacted CSR over
@@ -105,8 +109,6 @@ struct FusedPassArgs {
   bool torus = false;
   double edge = 0.0;
   ExecMode mode = ExecMode::kSerial;
-  /// Output: per-agent (row-indexed) displacement.
-  Double3* out = nullptr;
   std::atomic<size_t>* force_evaluations = nullptr;
 };
 
@@ -123,7 +125,6 @@ void RunFusedSimdKernel(const FusedPassArgs& a) {
   constexpr size_t kLine = simd::kAlignment / sizeof(double);
 
   const int32_t* starts = a.view.box_starts;
-  const int32_t* agents = a.view.box_agents;
 
   const double r2 = a.r2;
   const double kappa = a.repulsion;
@@ -202,15 +203,14 @@ void RunFusedSimdKernel(const FusedPassArgs& a) {
       BIOSIM_HOT_LOOP_BEGIN();
       const int32_t row_end = starts[b + 1];
       for (int32_t t = starts[b]; t < row_end; ++t) {
-        const int32_t i = agents[t];
         const double pix = a.x[t];
         const double piy = a.y[t];
         const double piz = a.z[t];
         const double ri = a.radius[t];
         const size_t self_c = self_base + static_cast<size_t>(t - starts[b]);
-        double fx = a.tractor[i].x;
-        double fy = a.tractor[i].y;
-        double fz = a.tractor[i].z;
+        double fx = a.fx[t];
+        double fy = a.fy[t];
+        double fz = a.fz[t];
         // Set when a hit's law answer is zero: adding +0.0 once at the
         // end equals adding it at each such hit (it only turns -0.0 into
         // +0.0, and a -0.0 sum stays -0.0 only while every addend is
@@ -329,15 +329,14 @@ void RunFusedSimdKernel(const FusedPassArgs& a) {
         }
         // Epilogue: ComputeDisplacement — zero below the adherence
         // threshold, else force * dt clamped to max_disp (math::ClampNorm).
-        const double adherence = a.adherences[i];
-        Double3& out = a.out[i];
-        out.x = 0.0;
-        out.y = 0.0;
-        out.z = 0.0;
+        const double adherence = a.adherences[t];
+        double vx = 0.0;
+        double vy = 0.0;
+        double vz = 0.0;
         if (!((fx * fx + fy * fy) + fz * fz <= adherence * adherence)) {
-          double vx = fx * dt;
-          double vy = fy * dt;
-          double vz = fz * dt;
+          vx = fx * dt;
+          vy = fy * dt;
+          vz = fz * dt;
           const double n2 = (vx * vx + vy * vy) + vz * vz;
           if (!(n2 <= max_disp * max_disp || n2 == 0.0)) {
             const double s = max_disp / std::sqrt(n2);
@@ -345,10 +344,10 @@ void RunFusedSimdKernel(const FusedPassArgs& a) {
             vy = vy * s;
             vz = vz * s;
           }
-          out.x = vx;
-          out.y = vy;
-          out.z = vz;
         }
+        a.fx[t] = vx;
+        a.fy[t] = vy;
+        a.fz[t] = vz;
       }
       BIOSIM_HOT_LOOP_END();
     }

@@ -65,25 +65,21 @@ GridGeometry GridGeometry::Derive(const ResourceManager& rm,
         "; queries would drop neighbors outside the 27 surrounding boxes");
   }
 
+  g.SetNeighborOffsets();
+  return g;
+}
+
+void GridGeometry::SetNeighborOffsets() {
   // Hoist the per-axis offset ranges ({-1,0,1} normally, reduced when a
   // periodic axis has fewer than 3 boxes so a wrapped offset cannot revisit
   // the same box) out of the traversals: they are grid-shape constants.
-  auto axis_offsets = [&](int axis, int32_t nb) {
-    if (!g.torus || nb >= 3) {
-      g.off_lo[axis] = -1;
-      g.off_hi[axis] = 1;
-    } else if (nb == 2) {
-      g.off_lo[axis] = -1;
-      g.off_hi[axis] = 0;
-    } else {
-      g.off_lo[axis] = 0;
-      g.off_hi[axis] = 0;
-    }
-  };
-  axis_offsets(0, g.num_boxes_axis.x);
-  axis_offsets(1, g.num_boxes_axis.y);
-  axis_offsets(2, g.num_boxes_axis.z);
-  return g;
+  const int32_t boxes[3] = {num_boxes_axis.x, num_boxes_axis.y,
+                            num_boxes_axis.z};
+  for (int axis = 0; axis < 3; ++axis) {
+    const int32_t nb = boxes[axis];
+    off_lo[axis] = !torus || nb >= 2 ? -1 : 0;
+    off_hi[axis] = !torus || nb >= 3 ? 1 : 0;
+  }
 }
 
 }  // namespace biosim

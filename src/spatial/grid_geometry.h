@@ -55,6 +55,10 @@ struct GridGeometry {
   static GridGeometry Derive(const ResourceManager& rm, const Param& param,
                              double fixed_box_length = 0.0);
 
+  /// Set off_lo/off_hi from num_boxes_axis and torus (Derive's last step;
+  /// tests that lay out a lattice by hand call it too).
+  void SetNeighborOffsets();
+
   /// Whether two derivations produce the same box lattice — the incremental
   /// grid's reuse gate. EXACT comparison, no tolerance: a lattice differing
   /// in any bit bins agents differently. (interaction_radius is deliberately
@@ -104,39 +108,80 @@ struct GridGeometry {
     return {x, y, z};
   }
 
-  /// Enumerate the (up to 27) neighbor-box coordinates of box `c` in the
-  /// canonical (dz, dy, dx) order every traversal uses: clamped at the
-  /// domain faces, wrapped on a torus. This single enumeration is what both
-  /// the global grid's NeighborBoxesOf and each shard's slot resolver derive
-  /// their block order from, so their candidate sequences — and therefore
-  /// their FP accumulation orders — are identical by construction.
+  /// One axis coordinate `v` = c + offset moved back onto the lattice: a
+  /// conditional +-n on a torus (offsets are within one box, so one step
+  /// suffices), false when it falls off an open face.
+  bool WrapOrClip(int32_t& v, int32_t n) const {
+    if (v < 0) {
+      v += n;
+      return torus;
+    }
+    if (v >= n) {
+      v -= n;
+      return torus;
+    }
+    return true;
+  }
+
+  /// The x-coordinates of a neighbor row around box column `x`, in
+  /// canonical dx order, as at most two runs of consecutive ascending x
+  /// (a torus row wraps at most once). Returns the run count.
+  struct XRun {
+    int32_t x0 = 0;
+    int32_t len = 0;
+  };
+  int NeighborXRuns(int32_t x, XRun runs[2]) const {
+    int count = 0;
+    for (int32_t dx = off_lo[0]; dx <= off_hi[0]; ++dx) {
+      int32_t v = x + dx;
+      if (!WrapOrClip(v, num_boxes_axis.x)) {
+        continue;
+      }
+      if (count > 0 && runs[count - 1].x0 + runs[count - 1].len == v) {
+        ++runs[count - 1].len;
+      } else {
+        runs[count++] = {v, 1};
+      }
+    }
+    return count;
+  }
+
+  /// Enumerate the (up to 9) neighbor rows (z, y) of box `c` in canonical
+  /// (dz, dy) order, clamped at the domain faces, wrapped on a torus.
   template <typename Fn>
-  void ForEachNeighborCoord(const Int3& c, Fn&& fn) const {
+  void ForEachNeighborRow(const Int3& c, Fn&& fn) const {
     for (int32_t dz = off_lo[2]; dz <= off_hi[2]; ++dz) {
       int32_t z = c.z + dz;
-      if (torus) {
-        z = (z + num_boxes_axis.z) % num_boxes_axis.z;
-      } else if (z < 0 || z >= num_boxes_axis.z) {
+      if (!WrapOrClip(z, num_boxes_axis.z)) {
         continue;
       }
       for (int32_t dy = off_lo[1]; dy <= off_hi[1]; ++dy) {
         int32_t y = c.y + dy;
-        if (torus) {
-          y = (y + num_boxes_axis.y) % num_boxes_axis.y;
-        } else if (y < 0 || y >= num_boxes_axis.y) {
-          continue;
-        }
-        for (int32_t dx = off_lo[0]; dx <= off_hi[0]; ++dx) {
-          int32_t x = c.x + dx;
-          if (torus) {
-            x = (x + num_boxes_axis.x) % num_boxes_axis.x;
-          } else if (x < 0 || x >= num_boxes_axis.x) {
-            continue;
-          }
-          fn(Int3{x, y, z});
+        if (WrapOrClip(y, num_boxes_axis.y)) {
+          fn(z, y);
         }
       }
     }
+  }
+
+  /// Enumerate the (up to 27) neighbor-box coordinates of box `c` in the
+  /// canonical (dz, dy, dx) order every traversal uses: the rows of
+  /// ForEachNeighborRow, each walked along its NeighborXRuns. This single
+  /// row form is what both the global grid's callback traversal and each
+  /// window's slot resolver (ShardGrid::NeighborSlots) derive their block
+  /// order from, so their candidate sequences — and therefore their FP
+  /// accumulation orders — are identical by construction.
+  template <typename Fn>
+  void ForEachNeighborCoord(const Int3& c, Fn&& fn) const {
+    XRun runs[2];
+    const int num_runs = NeighborXRuns(c.x, runs);
+    ForEachNeighborRow(c, [&](int32_t z, int32_t y) {
+      for (int r = 0; r < num_runs; ++r) {
+        for (int32_t x = runs[r].x0; x < runs[r].x0 + runs[r].len; ++x) {
+          fn(Int3{x, y, z});
+        }
+      }
+    });
   }
 
   /// Flat indices of the 3x3x3 block around `c`, canonical order. `out`

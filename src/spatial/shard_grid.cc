@@ -33,6 +33,9 @@ size_t ChunkCount(ExecMode mode, size_t n) {
 
 void ShardGrid::Configure(const GridGeometry& geometry, int32_t owned_begin,
                           int32_t owned_end) {
+  // The previous window's bits are addressed by its own keys: clear them
+  // before the key mapping changes.
+  ClearOccupancy(ExecMode::kSerial);
   occupied_wb_.clear();
   starts_.assign(1, 0);
   agents_.clear();
@@ -91,7 +94,20 @@ void ShardGrid::Configure(const GridGeometry& geometry, int32_t owned_begin,
   }
   key_bits_ = static_cast<uint32_t>(
       std::bit_width(static_cast<uint64_t>(window_boxes - 1)));
-  slot_of_.resize(window_boxes);
+  const size_t words = (window_boxes + 63) / 64;
+  occupancy_.resize(words + 1);  // + the zero padding word
+  word_rank_.resize(words);
+}
+
+void ShardGrid::ClearOccupancy(ExecMode mode) {
+  // Each word is zeroed by the first slot inside it only, so no two
+  // workers write one word.
+  const uint32_t* keys = occupied_wb_.data();
+  ParallelFor(mode, occupied_wb_.size(), [&](size_t s) {
+    if (s == 0 || keys[s] / 64 != keys[s - 1] / 64) {
+      occupancy_[keys[s] / 64] = 0;
+    }
+  });
 }
 
 void ShardGrid::Update(const std::vector<int32_t>& members,
@@ -200,11 +216,28 @@ void ShardGrid::Build(const int32_t* members, size_t n,
 
   // 3) Runs: a row starts a slot where its key differs from its
   // predecessor's. Count run heads per chunk, scan, then write each slot's
-  // key, start and slot-map entry.
+  // key and start, and build the occupancy bitmap and word ranks over the
+  // slots. The chunk boundaries move forward to the next row whose key
+  // opens a new occupancy word, so each word is written whole by exactly
+  // one chunk; the previous build's words are cleared first.
+  ClearOccupancy(mode);
+  std::vector<size_t> run_begin(chunks + 1, n);
+  run_begin[0] = 0;
+  for (size_t c = 1; c < chunks; ++c) {
+    size_t from = std::max(chunk_begin(c), run_begin[c - 1]);
+    if (from > 0 && from < n) {
+      const uint64_t next_word_key = (uint64_t{keys_[from - 1] / 64} + 1) * 64;
+      from = static_cast<size_t>(
+          std::lower_bound(keys_.begin() + static_cast<ptrdiff_t>(from),
+                           keys_.end(), next_word_key) -
+          keys_.begin());
+    }
+    run_begin[c] = from;
+  }
   std::vector<uint32_t> first_slot(chunks + 1, 0);
   ParallelFor(mode, chunks, [&](size_t c) {
     uint32_t heads = 0;
-    for (size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
+    for (size_t i = run_begin[c]; i < run_begin[c + 1]; ++i) {
       heads += (i == 0 || keys_[i] != keys_[i - 1]) ? 1 : 0;
     }
     first_slot[c + 1] = heads;
@@ -217,13 +250,27 @@ void ShardGrid::Build(const int32_t* members, size_t n,
   starts_.resize(occupied + 1);
   ParallelFor(mode, chunks, [&](size_t c) {
     uint32_t s = first_slot[c];
-    for (size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
+    size_t word = occupancy_.size();  // none yet
+    uint64_t bits = 0;
+    for (size_t i = run_begin[c]; i < run_begin[c + 1]; ++i) {
       if (i == 0 || keys_[i] != keys_[i - 1]) {
-        occupied_wb_[s] = keys_[i];
+        const uint32_t key = keys_[i];
+        occupied_wb_[s] = key;
         starts_[s] = static_cast<int32_t>(i);
-        slot_of_[keys_[i]] = s;
+        if (key / 64 != word) {
+          if (word < occupancy_.size()) {
+            occupancy_[word] = bits;
+          }
+          word = key / 64;
+          bits = 0;
+          word_rank_[word] = s;
+        }
+        bits |= uint64_t{1} << (key % 64);
         ++s;
       }
+    }
+    if (word < occupancy_.size()) {
+      occupancy_[word] = bits;
     }
   });
   starts_[occupied] = static_cast<int32_t>(n);
@@ -241,28 +288,49 @@ void ShardGrid::Build(const int32_t* members, size_t n,
 int ShardGrid::NeighborSlots(const void* self, uint32_t slot,
                              size_t out[27]) {
   const auto* grid = static_cast<const ShardGrid*>(self);
+  const GridGeometry& g = grid->geometry_;
   const uint32_t wb = grid->occupied_wb_[slot];
-  const int32_t nx = grid->geometry_.num_boxes_axis.x;
-  const size_t rem = wb % grid->plane_size_;
-  Int3 c;
-  c.z = grid->window_planes_[wb / grid->plane_size_];
-  c.y = static_cast<int32_t>(rem / static_cast<size_t>(nx));
-  c.x = static_cast<int32_t>(rem % static_cast<size_t>(nx));
+  const size_t nx = static_cast<size_t>(g.num_boxes_axis.x);
+  const size_t plane_size = grid->plane_size_;
+  const size_t rem = wb % plane_size;
+  const Int3 c{static_cast<int32_t>(rem % nx), static_cast<int32_t>(rem / nx),
+               grid->window_planes_[wb / plane_size]};
+  GridGeometry::XRun runs[2];
+  const int num_runs = g.NeighborXRuns(c.x, runs);
+  const uint64_t* occupancy = grid->occupancy_.data();
   int count = 0;
-  grid->geometry_.ForEachNeighborCoord(
-      c, [&](const Int3& nc) {
-        const int32_t wz = grid->plane_to_window_[static_cast<size_t>(nc.z)];
-        if (wz < 0) {
-          return;  // Outside the window: no occupied box there can exist.
-        }
-        const int32_t s2 =
-            grid->slot_of(static_cast<size_t>(wz) * grid->plane_size_ +
-                          static_cast<size_t>(nc.y) * nx +
-                          static_cast<size_t>(nc.x));
-        if (s2 >= 0) {
-          out[count++] = static_cast<size_t>(s2);
-        }
-      });
+  g.ForEachNeighborRow(c, [&](int32_t z, int32_t y) {
+    const int32_t wz = grid->plane_to_window_[static_cast<size_t>(z)];
+    if (wz < 0) {
+      return;  // Outside the window: no occupied box there can exist.
+    }
+    const size_t row = static_cast<size_t>(wz) * plane_size +
+                       static_cast<size_t>(y) * nx;
+    for (int r = 0; r < num_runs; ++r) {
+      // The run's <= 3 occupancy bits: one word load, two when the run
+      // straddles a word (then off >= 62, so both shifts are in range).
+      const size_t k0 = row + static_cast<size_t>(runs[r].x0);
+      const size_t w = k0 / 64;
+      const uint32_t off = static_cast<uint32_t>(k0 % 64);
+      const uint32_t len = static_cast<uint32_t>(runs[r].len);
+      uint64_t bits = occupancy[w] >> off;
+      if (off + len > 64) {
+        bits |= occupancy[w + 1] << (64 - off);
+      }
+      bits &= (uint64_t{1} << len) - 1;
+      if (bits == 0) {
+        continue;
+      }
+      // The run's occupied boxes are consecutive occupied keys, so their
+      // slots are consecutive from the first one's rank.
+      uint32_t s =
+          grid->Rank(k0 + static_cast<size_t>(std::countr_zero(bits)));
+      do {
+        out[count++] = s++;
+        bits &= bits - 1;
+      } while (bits != 0);
+    }
+  });
   return count;
 }
 

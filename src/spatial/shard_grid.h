@@ -5,13 +5,16 @@
 // produces. The unsharded uniform grid (spatial/uniform_grid.h) is the
 // whole-lattice window; a spatial shard's window is its owned planes plus
 // one halo plane on each side. Only occupied boxes are stored: slot s is the
-// s-th occupied window box in ascending key order, box_starts/box_agents are
-// indexed by slot, and a dense slot map resolves a window box to its slot.
-// The map is never cleared: an entry counts only if the slot it names maps
-// back to the same box (the sparse-set check), so stale entries from earlier
-// builds are harmless and a rebuild costs O(members + occupied boxes) per
-// step, independent of the total box count — the 98%-empty lattices of
-// sparse populations cost nothing (docs/perf.md "Compacted CSR").
+// s-th occupied window box in ascending key order, and box_starts/box_agents
+// are indexed by slot. A window box resolves to its slot through a
+// rank-indexed occupancy bitmap: one bit per window box, plus per 64-bit
+// word the number of slots before it, so slot = word rank + popcount of the
+// bits below the box. That is 1.5 bits per window box — 384 KB at 128^3,
+// where a dense 32-bit slot map would take 8 MB — small enough to stay in
+// cache. Each build clears only the words the previous build set, so a
+// rebuild costs O(members + occupied boxes) per step, independent of the
+// total box count — the 98%-empty lattices of sparse populations cost
+// nothing (docs/perf.md "Compacted CSR").
 //
 // The build is one stable LSD radix sort of (window box key, row) pairs.
 // Rows enter in ascending order and every pass is stable, so each box's run
@@ -22,12 +25,15 @@
 // not depend on the chunk or thread count.
 //
 // Bitwise contract: NeighborSlots enumerates the 3x3x3 block in the
-// canonical (dz, dy, dx) order via the shared
+// canonical (dz, dy, dx) order via the shared row form of
 // GridGeometry::ForEachNeighborCoord, skipping unoccupied boxes (which
-// contribute no candidates). A fused force pass therefore streams, for every
-// owned box, the identical candidate values in the identical order whether
-// the window is the whole lattice or one shard's slab: the displacement of
-// every owned row is bit-for-bit the unsharded one (docs/sharding.md).
+// contribute no candidates). A row's x-run is a few consecutive window
+// keys, so its occupied boxes are consecutive slots: one bitmap load and
+// one rank query per run, not one lookup per box. A fused force pass
+// therefore streams, for every owned box, the identical candidate values in
+// the identical order whether the window is the whole lattice or one
+// shard's slab: the displacement of every owned row is bit-for-bit the
+// unsharded one (docs/sharding.md).
 //
 // Window planes are kept in ascending global z, so window keys order boxes
 // exactly like global flat indices; in the whole-lattice window the key IS
@@ -38,6 +44,7 @@
 #ifndef BIOSIM_SPATIAL_SHARD_GRID_H_
 #define BIOSIM_SPATIAL_SHARD_GRID_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -52,10 +59,11 @@ namespace biosim {
 class ShardGrid {
  public:
   /// Set the lattice and the owned plane range [owned_begin, owned_end).
-  /// O(planes + window growth): the slot map is not cleared, so a lattice
-  /// that changes every step (open domains track the population's bounds)
-  /// never pays for its empty boxes. Throws std::length_error when the
-  /// window has more boxes than 32-bit keys address.
+  /// O(planes + previously occupied boxes + window growth): only the
+  /// bitmap words the last build set are cleared, so a lattice that changes
+  /// every step (open domains track the population's bounds) never pays for
+  /// its empty boxes. Throws std::length_error when the window has more
+  /// boxes than 32-bit keys address.
   void Configure(const GridGeometry& geometry, int32_t owned_begin,
                  int32_t owned_end);
 
@@ -89,12 +97,12 @@ class ShardGrid {
   size_t occupied_boxes() const { return occupied_wb_.size(); }
   /// Window box of each slot, ascending.
   const std::vector<uint32_t>& occupied_keys() const { return occupied_wb_; }
-  /// Slot of window box `wb`, or -1 when it holds no member.
+  /// Slot of window box `wb`, or -1 when it holds no member. O(1): one
+  /// bitmap word and its rank.
   int32_t slot_of(size_t wb) const {
-    const uint32_t s = slot_of_[wb];
-    return s < occupied_wb_.size() && occupied_wb_[s] == wb
-               ? static_cast<int32_t>(s)
-               : -1;
+    const uint64_t word = occupancy_[wb / 64];
+    const uint64_t bit = uint64_t{1} << (wb % 64);
+    return (word & bit) == 0 ? -1 : static_cast<int32_t>(Rank(wb));
   }
   /// Exclusive prefix sum over slots; size occupied_boxes() + 1.
   const std::vector<int32_t>& box_starts() const { return starts_; }
@@ -115,6 +123,15 @@ class ShardGrid {
   /// the identity rows [0, n).
   void Build(const int32_t* members, size_t n, const Double3* positions,
              ExecMode mode);
+  /// Zero the bitmap words the current occupied_wb_ set.
+  void ClearOccupancy(ExecMode mode);
+  /// Slot of occupied window box `wb`: its word's rank plus the occupied
+  /// boxes below it in the word. Meaningless for an unoccupied box.
+  uint32_t Rank(size_t wb) const {
+    const uint64_t below = (uint64_t{1} << (wb % 64)) - 1;
+    return word_rank_[wb / 64] +
+           static_cast<uint32_t>(std::popcount(occupancy_[wb / 64] & below));
+  }
 
   GridGeometry geometry_;
   int32_t owned_begin_ = 0;
@@ -130,8 +147,12 @@ class ShardGrid {
   std::vector<int32_t> plane_to_window_;
   /// Window plane index -> global z-plane, ascending.
   std::vector<int32_t> window_planes_;
-  /// Window box -> slot; meaningful only where slot_of() validates it.
-  std::vector<uint32_t> slot_of_;
+  /// One bit per window box, set when the box holds a member, plus one
+  /// zero padding word so a run read may straddle the last word.
+  std::vector<uint64_t> occupancy_;
+  /// Per occupancy word: the slots before it. Written only for words with a
+  /// set bit, the only ones Rank() reads.
+  std::vector<uint32_t> word_rank_;
   /// Slot -> window box, ascending.
   std::vector<uint32_t> occupied_wb_;
   std::vector<int32_t> starts_;

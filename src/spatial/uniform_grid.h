@@ -63,7 +63,8 @@ class UniformGridEnvironment : public Environment {
   /// owned slot range (every slot) are the fused force pass's input.
   const ShardGrid& csr() const { return csr_; }
 
-  /// Number of agents in box b (flat index). O(1) via the slot map.
+  /// Number of agents in box b (flat index). O(1): the box's occupancy bit,
+  /// then its slot by the bitmap's word rank (spatial/shard_grid.h).
   int32_t box_count(size_t b) const {
     const int32_t s = csr_.slot_of(b);
     return s < 0 ? 0 : csr_.box_starts()[s + 1] - csr_.box_starts()[s];

@@ -1,11 +1,11 @@
 // Per-box member-set oracle for the compacted CSR grid.
 //
 // BruteForceBoxMembers bins every agent on its own — one lattice lookup per
-// agent, no sorting, no scans, no slot map — and lists each non-empty box's
+// agent, no sorting, no scans, no bitmap — and lists each non-empty box's
 // members in ascending row order, which is the canonical run the grid must
 // store. ExpectGridMatchesOracle then checks every occupied box's CSR run,
-// the slot map of every box of the lattice (empty ones included, so stale
-// entries from earlier builds cannot hide), and the traversal list.
+// the count of every box of the lattice (empty ones included, so stale
+// occupancy bits from earlier builds cannot hide), and the traversal list.
 #ifndef BIOSIM_TESTS_SPATIAL_GRID_ORACLE_H_
 #define BIOSIM_TESTS_SPATIAL_GRID_ORACLE_H_
 

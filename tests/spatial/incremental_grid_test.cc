@@ -1,18 +1,22 @@
 // Step-to-step battery for the grid's reused state (docs/perf.md
 // "Compacted CSR"): one UniformGridEnvironment updated step after step keeps
-// its buffers and its never-cleared slot map, whose stale entries from
-// earlier builds must stay invisible. After every Update the reused grid
-// must be byte-identical — occupied keys, CSR runs, traversal list — to a
-// from-scratch build of the same population, and must match the brute-force
-// member sets. Anything less would break the bitwise determinism contract,
-// because the fused force kernel streams the CSR runs directly.
+// its buffers and its occupancy bitmap, which each build and each lattice
+// change clears only where the previous build set it; no bit of an earlier
+// build may survive. After every Update the reused grid must be
+// byte-identical — occupied keys, CSR runs, traversal list, the slot of
+// every box — to a from-scratch build of the same population, and must
+// match the brute-force member sets. Anything less would break the bitwise
+// determinism contract, because the fused force kernel streams the CSR runs
+// directly.
 //
 // Each scenario steps a population under a different motion regime: drift
 // on a torus, a bounded cloud whose lattice stays fixed, hoppers between
-// clusters, a one-box domain, growth, removal, mass motion and a
-// stationary population.
+// clusters, a one-box domain, growth, removal, mass motion, a stationary
+// population, a lattice that shrinks and grows back, an open domain whose
+// bounds move every step, and sparse jumpers that empty whole bitmap words.
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -43,6 +47,9 @@ void ExpectGridsIdentical(const UniformGridEnvironment& inc,
   EXPECT_EQ(inc.grid_min().z, ref.grid_min().z);
   EXPECT_EQ(inc.is_torus(), ref.is_torus());
   testutil::ExpectSameCsr(inc.csr(), ref.csr());
+  for (size_t b = 0; b < inc.total_boxes(); ++b) {
+    ASSERT_EQ(inc.csr().slot_of(b), ref.csr().slot_of(b)) << "box " << b;
+  }
   testutil::ExpectGridMatchesOracle(inc, rm);
 }
 
@@ -98,7 +105,7 @@ TEST(IncrementalGridTest, TorusRandomWalkMatchesFullRebuildEveryStep) {
 
 TEST(IncrementalGridTest, BoundedCloudWithCornerSentinelsStaysIncremental) {
   // Non-torus grids derive grid_min from rm.Bounds(), so the window (and
-  // its slot map) is only reused while the bounding box is bit-stable.
+  // its bitmap) is only reused while the bounding box is bit-stable.
   // Eight stationary sentinel agents pin the corners; everyone else
   // jitters inside, so every step rebuilds over the same reused window.
   Param param;  // open boundary
@@ -242,6 +249,62 @@ TEST(IncrementalGridTest, StationaryPopulationIsANoOpPatch) {
   RunMotionProperty(rm, param, inc, 3, [&](uint64_t) {});
   EXPECT_EQ(inc.csr().box_agents(), agents);
   EXPECT_EQ(inc.csr().occupied_keys(), keys);
+}
+
+TEST(IncrementalGridTest, LatticeShrinksAndGrowsBackWithoutStaleBits) {
+  // Lattice A (24^3 boxes), then a smaller lattice B (12^3: the cells grow
+  // to twice the box edge), then A again, in one reused grid. Each change
+  // re-keys the window, so the bits of the build before it must be cleared
+  // under the old keys. The cloud fills only the lower half of the torus:
+  // B's upper words hold none of its own bits but all of A's lower-plane
+  // bits, so a bit A left behind would claim an empty box of B.
+  Param param = TorusParam(96.0);
+  ResourceManager rm;
+  testutil::FillRandomCells(&rm, 500, 0.0, 96.0, 4.0, /*seed=*/43);
+  for (auto& p : rm.positions()) {
+    p.z /= 2.0;
+  }
+  UniformGridEnvironment inc;
+  const double diameters[] = {8.0, 8.0, 4.0, 8.0, 4.0, 4.0};
+  RunMotionProperty(rm, param, inc, std::size(diameters), [&](uint64_t s) {
+    for (double& d : rm.diameters()) {
+      d = diameters[s];
+    }
+    rm.positions()[s].x = 48.0;  // and a little motion
+  });
+  EXPECT_EQ(inc.total_boxes(), 24u * 24u * 24u);
+}
+
+TEST(IncrementalGridTest, SparseJumpersLeaveNoStaleWords) {
+  // A few agents jump anywhere on a 16^3 torus every step, so most of the
+  // 64-box occupancy words they set are empty in the next build: each
+  // build must clear the words the previous one set.
+  Param param = TorusParam(128.0);
+  ResourceManager rm;
+  testutil::FillRandomCells(&rm, 20, 0.0, 128.0, 8.0, /*seed=*/53);
+  UniformGridEnvironment inc;
+  Random rng(59);
+  RunMotionProperty(rm, param, inc, 8, [&](uint64_t) {
+    for (auto& p : rm.positions()) {
+      p = rng.UniformInCube(0.0, 128.0);
+    }
+  });
+}
+
+TEST(IncrementalGridTest, OpenDomainWithMovingBoundsMatchesFullRebuild) {
+  // Open space: grid_min and the box counts follow rm.Bounds(), which this
+  // cloud moves every step — drifting, spreading out, then pulling back
+  // in — so every Update re-keys the window.
+  Param param;  // open boundary
+  ResourceManager rm;
+  testutil::FillRandomCells(&rm, 400, 0.0, 60.0, 8.0, /*seed=*/47);
+  UniformGridEnvironment inc;
+  RunMotionProperty(rm, param, inc, 10, [&](uint64_t s) {
+    const double scale = s < 5 ? 1.15 : 1.0 / 1.15;
+    for (auto& p : rm.positions()) {
+      p = {p.x * scale + 3.0, p.y * scale - 1.0, p.z * scale + 0.5};
+    }
+  });
 }
 
 TEST(IncrementalGridTest, CsrAgentCountGuardThrowsPastInt32) {
