@@ -6,12 +6,17 @@
 // `--json PATH` additionally writes BENCH_gpusim.json — the perf-trajectory
 // record CI archives per commit: the metered-path throughput (threads/s of a
 // fully metered saxpy, the quantity the batched access-stream refactor
-// targets) and the wall time of a scaled-down Fig. 8 benchmark-A run. Set
+// targets), the sampled-path throughput (threads/s of a mechanics-shaped
+// gather kernel at meter_stride 8, the regime every figure bench runs in)
+// and the wall time of a scaled-down Fig. 8 benchmark-A run. Set
 // BIOSIM_BENCH_BASELINE_METERED=<threads/s> to also record a baseline and
 // the speedup against it (used to pin the pre-refactor comparison).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -112,7 +117,129 @@ void BM_SimtMeteredExecution(benchmark::State& state) {
 }
 BENCHMARK(BM_SimtMeteredExecution);
 
+/// A mechanics-shaped gather kernel: one thread per agent of a 32^3
+/// lattice in index order, each walking its 27-cell neighborhood through an
+/// index array (the uniform grid's successor chase), loading the
+/// neighbor's x/y/z/diameter, accumulating a distance-gated pair term and
+/// storing three outputs — the access mix and divergence of the GPU
+/// mechanics kernel without its grid build.
+class GatherKernel {
+ public:
+  static constexpr size_t kSide = 32;
+  static constexpr size_t kAgents = kSide * kSide * kSide;
+  static constexpr size_t kNeighbors = 27;
+
+  explicit GatherKernel(Device* dev)
+      : dev_(dev),
+        x_(dev->Alloc<float>(kAgents)),
+        y_(dev->Alloc<float>(kAgents)),
+        z_(dev->Alloc<float>(kAgents)),
+        d_(dev->Alloc<float>(kAgents)),
+        nbr_(dev->Alloc<int32_t>(kAgents * kNeighbors)),
+        out_x_(dev->Alloc<float>(kAgents)),
+        out_y_(dev->Alloc<float>(kAgents)),
+        out_z_(dev->Alloc<float>(kAgents)) {
+    Random rng(13);
+    for (size_t i = 0; i < kAgents; ++i) {
+      const size_t cx = i % kSide;
+      const size_t cy = (i / kSide) % kSide;
+      const size_t cz = i / (kSide * kSide);
+      x_[i] = static_cast<float>(10.0 * cx + rng.Uniform(-1.5, 1.5));
+      y_[i] = static_cast<float>(10.0 * cy + rng.Uniform(-1.5, 1.5));
+      z_[i] = static_cast<float>(10.0 * cz + rng.Uniform(-1.5, 1.5));
+      d_[i] = 10.0f;
+      size_t k = 0;
+      for (int dz = -1; dz <= 1; ++dz) {
+        for (int dy = -1; dy <= 1; ++dy) {
+          for (int dx = -1; dx <= 1; ++dx, ++k) {
+            const int64_t nx = static_cast<int64_t>(cx) + dx;
+            const int64_t ny = static_cast<int64_t>(cy) + dy;
+            const int64_t nz = static_cast<int64_t>(cz) + dz;
+            const int64_t side = static_cast<int64_t>(kSide);
+            const bool inside = nx >= 0 && ny >= 0 && nz >= 0 && nx < side &&
+                                ny < side && nz < side;
+            nbr_[i * kNeighbors + k] =
+                inside ? static_cast<int32_t>((nz * side + ny) * side + nx)
+                       : -1;
+          }
+        }
+      }
+    }
+  }
+
+  void Launch() {
+    dev_->Launch({"gather", kAgents / 128, 128}, [&](BlockCtx& blk) {
+      blk.for_each_lane([&](Lane& t) {
+        const size_t i = t.gtid();
+        const float xi = t.ld(x_, i);
+        const float yi = t.ld(y_, i);
+        const float zi = t.ld(z_, i);
+        float fx = 0.0f, fy = 0.0f, fz = 0.0f;
+        for (size_t k = 0; k < kNeighbors; ++k) {
+          const int32_t j = t.ld(nbr_, i * kNeighbors + k);
+          if (j < 0 || static_cast<size_t>(j) == i) {
+            continue;
+          }
+          const size_t ju = static_cast<size_t>(j);
+          const float dx = xi - t.ld(x_, ju);
+          const float dy = yi - t.ld(y_, ju);
+          const float dz = zi - t.ld(z_, ju);
+          const float reach = t.ld(d_, ju);
+          const float dist2 = dx * dx + dy * dy + dz * dz;
+          t.flops32(8);
+          if (dist2 < reach * reach) {
+            const float s = reach - std::sqrt(dist2);
+            fx += dx * s;
+            fy += dy * s;
+            fz += dz * s;
+            t.flops32(10);
+          }
+        }
+        t.st(out_x_, i, fx);
+        t.st(out_y_, i, fy);
+        t.st(out_z_, i, fz);
+      });
+    });
+  }
+
+ private:
+  Device* dev_;
+  DeviceBuffer<float> x_, y_, z_, d_;
+  DeviceBuffer<int32_t> nbr_;
+  DeviceBuffer<float> out_x_, out_y_, out_z_;
+};
+
+void BM_SimtSampledGather(benchmark::State& state) {
+  Device dev(DeviceSpec::TeslaV100());
+  dev.SetMeterStride(8);
+  GatherKernel kernel(&dev);
+  for (auto _ : state) {
+    kernel.Launch();
+  }
+  benchmark::DoNotOptimize(dev.KernelMs());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(GatherKernel::kAgents));
+}
+BENCHMARK(BM_SimtSampledGather);
+
 // --- BENCH_gpusim.json emission -------------------------------------------
+
+/// Best-of-5 rate of `threads` per call of `run(reps)`, after two warm-up
+/// calls (buffer growth, cache arrays). Best-of is robust against
+/// frequency ramping and noise, comparable to google-benchmark's
+/// steady-state numbers.
+template <typename Run>
+double BestThreadsPerSec(size_t threads, int reps, Run&& run) {
+  run(2);
+  double best = 0.0;
+  for (int batch = 0; batch < 5; ++batch) {
+    biosim::Timer timer;
+    run(reps);
+    best = std::max(best, static_cast<double>(threads) * reps /
+                              timer.ElapsedSeconds());
+  }
+  return best;
+}
 
 /// Threads/second through the fully metered path (meter_stride 1): every
 /// warp runs the coalescer + L1/L2 simulation. This is the simulator's
@@ -127,7 +254,7 @@ double MeteredThreadsPerSec() {
   for (size_t i = 0; i < n; ++i) {
     in[i] = static_cast<float>(i % 17);
   }
-  auto run = [&](int k) {
+  return BestThreadsPerSec(n, reps, [&](int k) {
     for (int r = 0; r < k; ++r) {
       dev.Launch({"saxpy", n / 256, 256}, [&](BlockCtx& blk) {
         blk.for_each_lane([&](Lane& t) {
@@ -138,18 +265,21 @@ double MeteredThreadsPerSec() {
         });
       });
     }
-  };
-  run(2);  // warm up (buffer growth, cache arrays)
-  // Best of several batches: robust against frequency ramping and noise,
-  // comparable to google-benchmark's steady-state numbers.
-  double best = 0.0;
-  for (int batch = 0; batch < 5; ++batch) {
-    biosim::Timer timer;
-    run(reps);
-    best = std::max(best, static_cast<double>(n) * reps /
-                              timer.ElapsedSeconds());
-  }
-  return best;
+  });
+}
+
+/// Threads/second of the gather kernel at meter_stride 8 on a V100 — the
+/// default stride of every figure bench and the runner, where one warp in
+/// eight is metered and the rest take the lane fast path.
+double SampledThreadsPerSec() {
+  Device dev(DeviceSpec::TeslaV100());
+  dev.SetMeterStride(8);
+  GatherKernel kernel(&dev);
+  return BestThreadsPerSec(GatherKernel::kAgents, 5, [&](int k) {
+    for (int r = 0; r < k; ++r) {
+      kernel.Launch();
+    }
+  });
 }
 
 /// Wall seconds of a scaled-down Fig. 8 run: benchmark A (20^3 proliferating
@@ -174,6 +304,7 @@ double Fig8ProxyWallSeconds() {
 void WriteBenchJson(const std::string& path) {
   namespace json = biosim::obs::json;
   const double metered = MeteredThreadsPerSec();
+  const double sampled = SampledThreadsPerSec();
   const double fig8_s = Fig8ProxyWallSeconds();
 
   // The historical BENCH_gpusim.json keys (bench, schema, metered_path,
@@ -194,6 +325,11 @@ void WriteBenchJson(const std::string& path) {
     pb.Set("speedup", base > 0.0 ? metered / base : 0.0);
     doc.Set("pre_refactor_baseline", std::move(pb));
   }
+  json::Value sp = json::Value::MakeObject();
+  sp.Set("workload",
+         "27-neighbor gather, 32^3 threads, V100, meter_stride 8");
+  sp.Set("threads_per_sec", std::floor(sampled));
+  doc.Set("sampled_path", std::move(sp));
   json::Value fp = json::Value::MakeObject();
   fp.Set("workload",
          "benchmark A 20^3 cells, 5 iterations, GPU v2, meter_stride 1");
@@ -204,8 +340,10 @@ void WriteBenchJson(const std::string& path) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     std::exit(1);
   }
-  std::printf("wrote %s: metered %.3g threads/s, fig8 proxy %.3f s\n",
-              path.c_str(), metered, fig8_s);
+  std::printf(
+      "wrote %s: metered %.3g threads/s, sampled %.3g threads/s, fig8 proxy "
+      "%.3f s\n",
+      path.c_str(), metered, sampled, fig8_s);
 }
 
 }  // namespace

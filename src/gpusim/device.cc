@@ -6,6 +6,20 @@
 
 namespace biosim::gpusim {
 
+void WarpTracker::Record(StreamKind kind, size_t seq, uint64_t addr,
+                         uint32_t bytes, size_t warp_lane) {
+  stream_.Append(kind, warp_lane, static_cast<uint32_t>(seq), addr, bytes);
+  lane_ops_[warp_lane] += 1;
+  lane_mem_ops_[warp_lane] += 1;
+}
+
+void WarpTracker::RecordSharedAtomic(size_t seq, uint64_t addr,
+                                     uint32_t bytes, size_t warp_lane) {
+  stream_.Append(StreamKind::kAtomic, warp_lane, static_cast<uint32_t>(seq),
+                 addr, bytes);
+  lane_ops_[warp_lane] += 1;
+}
+
 void WarpTracker::ConsumeGroup(MemoryModel* mem, KernelStats* stats,
                                MeterBuffer* defer, bool write,
                                const uint64_t* addrs, const uint32_t* bytes,
@@ -42,14 +56,14 @@ void WarpTracker::Flush(MemoryModel* mem, KernelStats* stats,
     const bool write = kind != static_cast<size_t>(StreamKind::kRead);
     const size_t rows = stream_.rows(kind);
     for (size_t seq = 0; seq < rows; ++seq) {
-      const size_t n = stream_.count(kind, seq);
+      uint64_t addrs[WarpAccessStream::kWarpSize];
+      uint32_t bytes[WarpAccessStream::kWarpSize];
+      const size_t n = stream_.Gather(kind, seq, addrs, bytes);
       if (n == 0) {
         continue;
       }
-      uint64_t* addrs = stream_.addr_row(kind, seq);
       // Atomics charge their traffic like writes.
-      ConsumeGroup(mem, stats, defer, write, addrs,
-                   stream_.bytes_row(kind, seq), n);
+      ConsumeGroup(mem, stats, defer, write, addrs, bytes, n);
       if (!atomic) {
         continue;
       }
@@ -70,21 +84,24 @@ void WarpTracker::Flush(MemoryModel* mem, KernelStats* stats,
     }
   }
 
+  stream_.Clear();
+
   // Divergence: a warp issues in lockstep, so the warp occupies
   // 32 * max(lane ops) issue slots while only sum(lane ops) do useful work.
+  // The per-lane counters are zeroed as they are read.
   uint64_t max_ops = 0;
   uint64_t sum_ops = 0;
-  for (uint64_t ops : lane_ops_) {
-    max_ops = std::max(max_ops, ops);
-    sum_ops += ops;
+  uint64_t max_mem = 0;
+  for (size_t l = 0; l < WarpAccessStream::kWarpSize; ++l) {
+    max_ops = std::max(max_ops, lane_ops_[l]);
+    sum_ops += lane_ops_[l];
+    max_mem = std::max(max_mem, lane_mem_ops_[l]);
+    lane_ops_[l] = 0;
+    lane_mem_ops_[l] = 0;
   }
   if (max_ops > 0) {
     stats->lane_ops_sum += sum_ops;
     stats->warp_ops_slots += 32 * max_ops;
-  }
-  uint64_t max_mem = 0;
-  for (uint64_t ops : lane_mem_ops_) {
-    max_mem = std::max(max_mem, ops);
   }
   stats->max_lane_mem_ops = std::max(stats->max_lane_mem_ops, max_mem);
 }
@@ -115,9 +132,10 @@ KernelStats Device::Launch(const LaunchConfig& cfg,
     LaunchBlocksParallel(cfg, kernel, &raw);
   } else {
     size_t warp_counter = 0;
+    WarpTracker tracker;
     for (size_t b = 0; b < cfg.grid_dim; ++b) {
       BlockCtx ctx(b, cfg.block_dim, cfg.grid_dim, &spec_, &mem_, &raw,
-                   &warp_counter, stride_, sanitizer_.get());
+                   &tracker, &warp_counter, stride_, sanitizer_.get());
       if (sanitizer_) {
         sanitizer_->BeginBlock(b);
       }
@@ -177,9 +195,10 @@ void Device::LaunchBlocksParallel(
     const size_t begin = c * chunk;
     const size_t end = std::min(cfg.grid_dim, begin + chunk);
     size_t warp_counter = 0;  // stride is 1 on this path: every warp meters
+    WarpTracker tracker;
     for (size_t b = begin; b < end; ++b) {
       BlockCtx ctx(b, cfg.block_dim, cfg.grid_dim, &spec_, &mem_,
-                   &shard.stats, &warp_counter, /*stride=*/1,
+                   &shard.stats, &tracker, &warp_counter, /*stride=*/1,
                    /*san=*/nullptr, &shard);
       kernel(ctx);
     }
@@ -248,6 +267,7 @@ void KernelStats::Accumulate(const KernelStats& o) {
   compute_ms += o.compute_ms;
   memory_ms += o.memory_ms;
   lsu_ms += o.lsu_ms;
+  latency_ms += o.latency_ms;
   atomic_ms += o.atomic_ms;
   launch_ms += o.launch_ms;
   total_ms += o.total_ms;

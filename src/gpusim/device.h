@@ -15,6 +15,15 @@
 // divergence. Barrier semantics use the standard loop-fission translation:
 // one for_each_lane() region is the code between two __syncthreads().
 //
+// Every lane of every warp runs on the host, metered or not, so the lane
+// path is built to be cheap: for_each_lane is flattened (the body and its
+// Lane are inlined into the lane loop), and Lane::ld/st inline only a
+// sanitizer null test, a test of the Lane's own metered flag, the sequence
+// bump and the access. The sanitizer hooks (Lane::SanCheck) and the metered
+// record (WarpTracker::Record) are out of line and take their inputs by
+// value, so an unmetered warp — seven in eight at meter stride 8 — pays for
+// neither. See docs/gpusim.md, "Lane fast path".
+//
 //   dev.Launch({"my_kernel", blocks, 256}, [&](BlockCtx& blk) {
 //     auto cache = blk.shared<float>(256);                 // __shared__
 //     blk.for_each_lane([&](Lane& t) {                     // phase 1
@@ -90,44 +99,35 @@ class DeviceBuffer {
 };
 
 /// Tracks one warp's accounting while its lanes execute. Global accesses
-/// append to one flat pre-grouped stream (access_stream.h); Flush walks the
-/// (kind, seq) rows in the exact legacy order (reads by seq, then writes,
-/// then atomics; lane order within a group) and feeds each row to the
-/// coalescer in place. All buffers retain their capacity across warps, so
-/// the steady-state hot path never allocates.
+/// append to per-lane streams (access_stream.h); Flush walks the (kind,
+/// seq) rows in the exact legacy order (reads by seq, then writes, then
+/// atomics; lane order within a group) and feeds each row to the
+/// coalescer. One tracker serves every warp of a launch (each block-parallel
+/// chunk has its own) and every buffer retains its capacity, so the hot
+/// path stops allocating once the longest lane of the launch has run.
 class WarpTracker {
  public:
-  void Reset(bool metered, size_t active_lanes) {
-    metered_ = metered;
-    active_lanes_ = active_lanes;
-    stream_.Clear();
-    std::fill(std::begin(lane_ops_), std::end(lane_ops_), uint64_t{0});
-    std::fill(std::begin(lane_mem_ops_), std::end(lane_mem_ops_),
-              uint64_t{0});
-  }
+  /// Start a warp. Flush leaves the tracker empty, so this only latches
+  /// the sampling decision.
+  void Reset(bool metered) { metered_ = metered; }
 
-  bool metered() const { return metered_; }
-
-  void RecordRead(size_t seq, uint64_t addr, uint32_t bytes) {
-    stream_.Append(StreamKind::kRead, static_cast<uint32_t>(seq), addr,
-                   bytes);
-  }
-  void RecordWrite(size_t seq, uint64_t addr, uint32_t bytes) {
-    stream_.Append(StreamKind::kWrite, static_cast<uint32_t>(seq), addr,
-                   bytes);
-  }
-  void RecordAtomic(size_t seq, uint64_t addr, uint32_t bytes) {
-    stream_.Append(StreamKind::kAtomic, static_cast<uint32_t>(seq), addr,
-                   bytes);
-  }
+  /// Metered records (device.cc, deliberately out of line so Lane's
+  /// load/store fast path stays small enough to inline). Record appends a
+  /// global access to the stream and charges the lane one op and one link
+  /// of its dependent-memory-op chain; a shared-memory atomic stays on
+  /// chip, so RecordSharedAtomic charges the op but not the chain link.
+  void Record(StreamKind kind, size_t seq, uint64_t addr, uint32_t bytes,
+              size_t warp_lane);
+  void RecordSharedAtomic(size_t seq, uint64_t addr, uint32_t bytes,
+                          size_t warp_lane);
   void AddLaneOps(size_t warp_lane, uint64_t n) { lane_ops_[warp_lane] += n; }
-  void AddLaneMemOp(size_t warp_lane) { lane_mem_ops_[warp_lane] += 1; }
 
   /// Consume this warp's access stream: coalesce every instruction group
   /// and either probe the caches immediately (defer == nullptr, the serial
   /// engine) or buffer the line transactions into `defer` for an in-block-
   /// order replay (the block-parallel engine). Divergence and atomic
-  /// accounting land in `stats` either way.
+  /// accounting land in `stats` either way, and the tracker is left empty
+  /// for the next warp.
   void Flush(MemoryModel* mem, KernelStats* stats,
              MeterBuffer* defer = nullptr);
 
@@ -138,7 +138,6 @@ class WarpTracker {
                     size_t n);
 
   bool metered_ = false;
-  size_t active_lanes_ = 32;
   WarpAccessStream stream_;
   uint64_t lane_ops_[32] = {};
   uint64_t lane_mem_ops_[32] = {};
@@ -179,55 +178,42 @@ class Lane {
   /// Account `n` floating-point operations (double precision).
   void flops64(uint64_t n) { Ops(n, &fp64_); }
 
-  /// Metered global load.
+  /// Metered global load. The fast path below is always inlined into the
+  /// kernel: one sanitizer test, one test of the Lane-local metered flag,
+  /// the sequence bump and the load. The sanitizer hooks and the metered
+  /// record live out of line, so an unmetered warp pays for neither.
   template <typename T>
-  T ld(const DeviceBuffer<T>& b, size_t i) {
+  [[gnu::always_inline]] T ld(const DeviceBuffer<T>& b, size_t i) {
     if (san_ != nullptr) [[unlikely]] {
-      if (i >= b.size()) {
-        san_->OnOutOfBounds(MemSpace::kGlobal, AccessKind::kRead, block_,
-                            lane_, phase_, b.base_, i, b.size(), sizeof(T));
+      if (!SanCheck(san_, b, MemSpace::kGlobal, AccessKind::kRead, i, block_,
+                    lane_, phase_)) {
         ++read_seq_;  // keep coalescing sequence aligned across lanes
         return T{};
       }
-      if (b.shadow_ && !b.shadow_->IsWritten(i)) {
-        san_->OnUninitializedRead(MemSpace::kGlobal, AccessKind::kRead,
-                                  block_, lane_, phase_, b.addr(i),
-                                  sizeof(T));
-      }
-      san_->OnAccess(MemSpace::kGlobal, AccessKind::kRead, block_, lane_,
-                     phase_, b.addr(i), sizeof(T));
     }
     assert(i < b.size());
-    if (wt_->metered()) {
-      wt_->RecordRead(read_seq_, b.addr(i), sizeof(T));
-      wt_->AddLaneOps(lane_ & 31, 1);
-      wt_->AddLaneMemOp(lane_ & 31);
+    if (metered_) {
+      wt_->Record(StreamKind::kRead, read_seq_, b.addr(i), sizeof(T),
+                  lane_ & 31);
     }
     ++read_seq_;
     return b.storage_.data()[i];
   }
 
-  /// Metered global store.
+  /// Metered global store (same fast-path shape as ld).
   template <typename T>
-  void st(DeviceBuffer<T>& b, size_t i, T v) {
+  [[gnu::always_inline]] void st(DeviceBuffer<T>& b, size_t i, T v) {
     if (san_ != nullptr) [[unlikely]] {
-      if (i >= b.size()) {
-        san_->OnOutOfBounds(MemSpace::kGlobal, AccessKind::kWrite, block_,
-                            lane_, phase_, b.base_, i, b.size(), sizeof(T));
+      if (!SanCheck(san_, b, MemSpace::kGlobal, AccessKind::kWrite, i, block_,
+                    lane_, phase_)) {
         ++write_seq_;
         return;  // suppress the wild store so execution can continue
       }
-      if (b.shadow_) {
-        b.shadow_->Mark(i);
-      }
-      san_->OnAccess(MemSpace::kGlobal, AccessKind::kWrite, block_, lane_,
-                     phase_, b.addr(i), sizeof(T));
     }
     assert(i < b.size());
-    if (wt_->metered()) {
-      wt_->RecordWrite(write_seq_, b.addr(i), sizeof(T));
-      wt_->AddLaneOps(lane_ & 31, 1);
-      wt_->AddLaneMemOp(lane_ & 31);
+    if (metered_) {
+      wt_->Record(StreamKind::kWrite, write_seq_, b.addr(i), sizeof(T),
+                  lane_ & 31);
     }
     ++write_seq_;
     b.storage_.data()[i] = v;
@@ -237,7 +223,9 @@ class Lane {
   template <typename T>
   T atomic_add(DeviceBuffer<T>& b, size_t i, T v) {
     if (san_ != nullptr) [[unlikely]] {
-      if (!SanCheckAtomic(b, i, sizeof(T))) {
+      if (!SanCheck(san_, b, MemSpace::kGlobal, AccessKind::kAtomic, i,
+                    block_, lane_, phase_)) {
+        ++atomic_seq_;
         return T{};
       }
     }
@@ -252,7 +240,9 @@ class Lane {
   template <typename T>
   T atomic_exch(DeviceBuffer<T>& b, size_t i, T v) {
     if (san_ != nullptr) [[unlikely]] {
-      if (!SanCheckAtomic(b, i, sizeof(T))) {
+      if (!SanCheck(san_, b, MemSpace::kGlobal, AccessKind::kAtomic, i,
+                    block_, lane_, phase_)) {
+        ++atomic_seq_;
         return T{};
       }
     }
@@ -267,18 +257,10 @@ class Lane {
   template <typename T>
   T shared_ld(const SharedArray<T>& s, size_t i) {
     if (san_ != nullptr) [[unlikely]] {
-      if (i >= s.size()) {
-        san_->OnOutOfBounds(MemSpace::kShared, AccessKind::kRead, block_,
-                            lane_, phase_, s.base_, i, s.size(), sizeof(T));
+      if (!SanCheck(san_, s, MemSpace::kShared, AccessKind::kRead, i, block_,
+                    lane_, phase_)) {
         return T{};
       }
-      if (s.shadow_ && !s.shadow_->IsWritten(i)) {
-        san_->OnUninitializedRead(MemSpace::kShared, AccessKind::kRead,
-                                  block_, lane_, phase_, s.addr(i),
-                                  sizeof(T));
-      }
-      san_->OnAccess(MemSpace::kShared, AccessKind::kRead, block_, lane_,
-                     phase_, s.addr(i), sizeof(T));
     }
     assert(i < s.size());
     SharedTraffic(sizeof(T));
@@ -287,16 +269,10 @@ class Lane {
   template <typename T>
   void shared_st(SharedArray<T>& s, size_t i, T v) {
     if (san_ != nullptr) [[unlikely]] {
-      if (i >= s.size()) {
-        san_->OnOutOfBounds(MemSpace::kShared, AccessKind::kWrite, block_,
-                            lane_, phase_, s.base_, i, s.size(), sizeof(T));
+      if (!SanCheck(san_, s, MemSpace::kShared, AccessKind::kWrite, i, block_,
+                    lane_, phase_)) {
         return;
       }
-      if (s.shadow_) {
-        s.shadow_->Mark(i);
-      }
-      san_->OnAccess(MemSpace::kShared, AccessKind::kWrite, block_, lane_,
-                     phase_, s.addr(i), sizeof(T));
     }
     assert(i < s.size());
     SharedTraffic(sizeof(T));
@@ -308,23 +284,10 @@ class Lane {
   template <typename T>
   T atomic_add_shared(SharedArray<T>& s, size_t i, T v) {
     if (san_ != nullptr) [[unlikely]] {
-      if (i >= s.size()) {
-        san_->OnOutOfBounds(MemSpace::kShared, AccessKind::kAtomic, block_,
-                            lane_, phase_, s.base_, i, s.size(), sizeof(T));
+      if (!SanCheck(san_, s, MemSpace::kShared, AccessKind::kAtomic, i,
+                    block_, lane_, phase_)) {
         return T{};
       }
-      if (s.shadow_ && !s.shadow_->IsWritten(i)) {
-        // The RMW reads the old value; shared memory is garbage on real
-        // hardware even though the simulator zero-fills it.
-        san_->OnUninitializedRead(MemSpace::kShared, AccessKind::kAtomic,
-                                  block_, lane_, phase_, s.addr(i),
-                                  sizeof(T));
-      }
-      if (s.shadow_) {
-        s.shadow_->Mark(i);
-      }
-      san_->OnAccess(MemSpace::kShared, AccessKind::kAtomic, block_, lane_,
-                     phase_, s.addr(i), sizeof(T));
     }
     T old = s.data_[i];
     s.data_[i] = old + v;
@@ -336,7 +299,8 @@ class Lane {
  private:
   friend class BlockCtx;
   Lane(size_t lane, size_t block, size_t block_dim, size_t grid_dim,
-       WarpTracker* wt, KernelStats* raw, Sanitizer* san, size_t phase)
+       WarpTracker* wt, KernelStats* raw, Sanitizer* san, size_t phase,
+       bool metered)
       : lane_(lane),
         block_(block),
         block_dim_(block_dim),
@@ -344,33 +308,44 @@ class Lane {
         wt_(wt),
         raw_(raw),
         san_(san),
-        phase_(phase) {}
+        phase_(phase),
+        metered_(metered) {}
 
-  /// Sanitizer path shared by the global atomics: OOB (suppressing the
-  /// access), uninit-RMW-read, and race bookkeeping. Returns false when the
-  /// access was suppressed.
-  template <typename T>
-  bool SanCheckAtomic(DeviceBuffer<T>& b, size_t i, uint32_t bytes) {
+  /// The sanitizer's view of one access, shared by every global and shared
+  /// load, store and atomic: an out-of-bounds index is reported and the
+  /// access suppressed (returns false); otherwise reads and atomics check
+  /// the never-written shadow (an atomic's RMW reads the old value — shared
+  /// memory is garbage on real hardware even though the simulator zero-
+  /// fills it), writes and atomics mark it, and the race detector records
+  /// the access. Cold and out of line, and static so the caller's Lane
+  /// never has its address taken: with no sanitizer attached the Lane lives
+  /// in registers.
+  template <template <typename> class Buf, typename T>
+  [[gnu::cold, gnu::noinline]] static bool SanCheck(Sanitizer* san,
+                                                    const Buf<T>& b,
+                                                    MemSpace space,
+                                                    AccessKind kind, size_t i,
+                                                    size_t block, size_t lane,
+                                                    size_t phase) {
+    const uint32_t bytes = sizeof(T);
     if (i >= b.size()) {
-      san_->OnOutOfBounds(MemSpace::kGlobal, AccessKind::kAtomic, block_,
-                          lane_, phase_, b.base_, i, b.size(), bytes);
-      ++atomic_seq_;
+      san->OnOutOfBounds(space, kind, block, lane, phase, b.base_, i,
+                         b.size(), bytes);
       return false;
     }
-    if (b.shadow_ && !b.shadow_->IsWritten(i)) {
-      san_->OnUninitializedRead(MemSpace::kGlobal, AccessKind::kAtomic,
-                                block_, lane_, phase_, b.addr(i), bytes);
+    if (kind != AccessKind::kWrite && b.shadow_ && !b.shadow_->IsWritten(i)) {
+      san->OnUninitializedRead(space, kind, block, lane, phase, b.addr(i),
+                               bytes);
     }
-    if (b.shadow_) {
+    if (kind != AccessKind::kRead && b.shadow_) {
       b.shadow_->Mark(i);
     }
-    san_->OnAccess(MemSpace::kGlobal, AccessKind::kAtomic, block_, lane_,
-                   phase_, b.addr(i), bytes);
+    san->OnAccess(space, kind, block, lane, phase, b.addr(i), bytes);
     return true;
   }
 
   void Ops(uint64_t n, uint64_t* counter) {
-    if (wt_->metered()) {
+    if (metered_) {
       *counter += n;
       wt_->AddLaneOps(lane_ & 31, n);
     }
@@ -378,20 +353,21 @@ class Lane {
 
   void RecordAtomicSite(uint64_t addr, uint32_t bytes,
                         bool counts_as_mem_op) {
-    if (wt_->metered()) {
-      wt_->RecordAtomic(atomic_seq_, addr, bytes);
-      wt_->AddLaneOps(lane_ & 31, 1);
+    if (metered_) {
       // Global atomics round-trip to L2/DRAM, so they extend the per-lane
       // dependent-memory-op chain; shared atomics stay on-chip.
       if (counts_as_mem_op) {
-        wt_->AddLaneMemOp(lane_ & 31);
+        wt_->Record(StreamKind::kAtomic, atomic_seq_, addr, bytes,
+                    lane_ & 31);
+      } else {
+        wt_->RecordSharedAtomic(atomic_seq_, addr, bytes, lane_ & 31);
       }
     }
     ++atomic_seq_;
   }
 
   void SharedTraffic(uint32_t bytes) {
-    if (wt_->metered()) {
+    if (metered_) {
       raw_->shared_bytes += bytes;
       wt_->AddLaneOps(lane_ & 31, 1);
     }
@@ -402,6 +378,7 @@ class Lane {
   KernelStats* raw_;
   Sanitizer* san_ = nullptr;  // non-owning; null unless EnableSanitizer
   size_t phase_ = 0;          // barrier interval this lane is executing in
+  bool metered_;              // this lane's warp is sampled (WarpTracker)
   size_t read_seq_ = 0;
   size_t write_seq_ = 0;
   size_t atomic_seq_ = 0;
@@ -450,9 +427,12 @@ class BlockCtx {
   }
 
   /// Run `body(Lane&)` for every thread of the block; the end of the call is
-  /// a block-wide barrier (__syncthreads()).
+  /// a block-wide barrier (__syncthreads()). Flattened so the body is
+  /// inlined into the lane loop: a kernel body is too large for GCC to
+  /// inline on its own, and a body called out of line would take the Lane
+  /// by reference and keep it in memory.
   template <typename F>
-  void for_each_lane(F&& body) {
+  [[gnu::flatten]] void for_each_lane(F&& body) {
     if (san_ != nullptr) {
       san_->BeginPhase();
     }
@@ -460,14 +440,14 @@ class BlockCtx {
     for (size_t w0 = 0; w0 < block_dim_; w0 += 32) {
       size_t lanes = std::min<size_t>(32, block_dim_ - w0);
       bool metered = (warp_counter_++ % static_cast<size_t>(stride_)) == 0;
-      wt_.Reset(metered, lanes);
+      wt_->Reset(metered);
       for (size_t l = 0; l < lanes; ++l) {
-        Lane t(w0 + l, block_, block_dim_, grid_dim_, &wt_, raw_, san_,
-               phase);
+        Lane t(w0 + l, block_, block_dim_, grid_dim_, wt_, raw_, san_,
+               phase, metered);
         body(t);
         t.CommitFlops();
       }
-      wt_.Flush(mem_, raw_, defer_);
+      wt_->Flush(mem_, raw_, defer_);
     }
   }
 
@@ -477,7 +457,7 @@ class BlockCtx {
 
   BlockCtx(size_t block, size_t block_dim, size_t grid_dim,
            const DeviceSpec* spec, MemoryModel* mem, KernelStats* raw,
-           size_t* warp_counter, int stride, Sanitizer* san,
+           WarpTracker* wt, size_t* warp_counter, int stride, Sanitizer* san,
            MeterBuffer* defer = nullptr)
       : block_(block),
         block_dim_(block_dim),
@@ -485,6 +465,7 @@ class BlockCtx {
         spec_(spec),
         mem_(mem),
         raw_(raw),
+        wt_(wt),
         warp_counter_(*warp_counter),
         stride_(stride),
         warp_counter_ref_(warp_counter),
@@ -497,12 +478,12 @@ class BlockCtx {
   const DeviceSpec* spec_;
   MemoryModel* mem_;
   KernelStats* raw_;
+  WarpTracker* wt_;  // the launch's; outlives the block
   size_t warp_counter_;
   int stride_;
   size_t* warp_counter_ref_;
   Sanitizer* san_;
   MeterBuffer* defer_;  // non-null only on the block-parallel path
-  WarpTracker wt_;
   size_t shared_used_ = 0;
   size_t phases_run_ = 0;  // barrier intervals executed (synccheck input)
   std::vector<std::unique_ptr<char[]>> arena_;

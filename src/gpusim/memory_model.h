@@ -95,11 +95,11 @@ class MemoryModel {
       uint64_t bytes = line_bytes_;
       // L1 first (per-SM cache; the block-sequential execution order makes
       // one L1 a faithful stand-in for each SM's view of its blocks).
-      if (l1_.Access(line * line_bytes_)) {
+      if (l1_.AccessLine(line)) {
         (write ? stats->l1_write_hit_bytes : stats->l1_read_hit_bytes) += bytes;
         continue;
       }
-      bool hit = l2_.Access(line * line_bytes_);
+      bool hit = l2_.AccessLine(line);
       if (write) {
         (hit ? stats->l2_write_hit_bytes : stats->dram_write_bytes) += bytes;
       } else {
@@ -122,8 +122,7 @@ class MemoryModel {
     std::vector<uint64_t>& lines = *out;
     uint64_t requested = 0;
     lines.clear();
-    bool sorted = true;
-    uint64_t prev = 0;
+    bool sorted = true;  // false once a scattered row starts appending
     for (size_t i = 0; i < n; ++i) {
       const uint64_t addr = addr_at(i);
       const uint32_t bytes = bytes_at(i);
@@ -133,23 +132,29 @@ class MemoryModel {
       uint64_t first = addr >> line_shift_;
       uint64_t last = (addr + bytes - 1) >> line_shift_;
       for (uint64_t line = first; line <= last; ++line) {
-        // Lanes usually touch consecutive addresses (that is the point of
-        // coalescing), so the expanded line list is almost always already
-        // non-decreasing — dedup adjacent runs on the fly and keep the sort
-        // for the scattered case only. Output is identical: sorted unique.
-        if (line == prev && !lines.empty()) {
-          continue;
+        if (sorted && lines.size() < kInsertLines) {
+          // Few lines so far: lanes revisit them in no predictable order,
+          // so the membership test is branch-free and only a new line
+          // branches (into an ordered insert).
+          bool seen = false;
+          for (uint64_t l : lines) {
+            seen |= l == line;
+          }
+          if (!seen) {
+            InsertLine(&lines, line);
+          }
+        } else if (line != lines.back()) {
+          // A scattered row (an unsorted gather touches a line per lane):
+          // append, dropping adjacent repeats, and sort once at the end.
+          sorted = false;
+          lines.push_back(line);
         }
-        sorted &= lines.empty() || line > prev;
-        lines.push_back(line);
-        prev = line;
       }
     }
     if (!sorted) {
       std::sort(lines.begin(), lines.end());
       lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
     }
-
     if (write) {
       stats->requested_write_bytes += requested;
       stats->write_transactions += lines.size();
@@ -157,6 +162,23 @@ class MemoryModel {
       stats->requested_read_bytes += requested;
       stats->read_transactions += lines.size();
     }
+  }
+
+  /// Lines a row may reach before the coalescer stops inserting in order
+  /// and appends the rest for one sort. A mechanics gather on sorted agents
+  /// touches about five lines per row and never gets there.
+  static constexpr size_t kInsertLines = 8;
+
+  /// Insert `line`, which is not in the sorted list yet, in order.
+  static void InsertLine(std::vector<uint64_t>* lines, uint64_t line) {
+    const size_t n = lines->size();
+    lines->push_back(line);
+    uint64_t* d = lines->data();
+    size_t pos = n;
+    for (; pos != 0 && d[pos - 1] > line; --pos) {
+      d[pos] = d[pos - 1];
+    }
+    d[pos] = line;
   }
 
   static int LineShift(uint64_t line_bytes) {

@@ -53,15 +53,16 @@ class ProfileReport {
   std::string ToString() const {
     std::string out =
         "kernel                          launches   time_ms  comp_ms   mem_ms"
-        "   lsu_ms  atom_ms   GFLOP/s   AI(flop/B)   dram_MB    L2hit_MB   "
-        "L1hit_MB   L2read%   simd_eff\n";
+        "   lsu_ms   lat_ms  atom_ms   GFLOP/s   AI(flop/B)   dram_MB    "
+        "L2hit_MB   L1hit_MB   L2read%   simd_eff\n";
     char line[256];
     for (const auto& k : kernels_) {
       snprintf(line, sizeof(line),
-               "%-30s %8zu %9.3f %8.3f %8.3f %8.3f %8.3f %9.1f %12.3f %9.2f "
-               "%11.2f %10.2f %8.1f%% %10.2f\n",
+               "%-30s %8zu %9.3f %8.3f %8.3f %8.3f %8.3f %8.3f %9.1f %12.3f "
+               "%9.2f %11.2f %10.2f %8.1f%% %10.2f\n",
                k.name.c_str(), k.launches, k.total_ms, k.compute_ms,
-               k.memory_ms, k.lsu_ms, k.atomic_ms, k.AchievedGflops(),
+               k.memory_ms, k.lsu_ms, k.latency_ms, k.atomic_ms,
+               k.AchievedGflops(),
                k.ArithmeticIntensity(),
                static_cast<double>(k.DramBytes()) / 1e6,
                static_cast<double>(k.L2HitBytes()) / 1e6,

@@ -142,6 +142,7 @@ void CollectDevice(const gpusim::Device& dev, MetricsRegistry* reg) {
     const std::string p = "gpusim/kernel/" + k.name + "/";
     reg->GetCounter(p + "launches")->Set(k.launches);
     reg->GetGauge(p + "time_ms")->Set(k.total_ms);
+    reg->GetGauge(p + "latency_ms")->Set(k.latency_ms);
     reg->GetCounter(p + "flops")->Set(k.TotalFlops());
     reg->GetCounter(p + "dram_bytes")->Set(k.DramBytes());
     reg->GetCounter(p + "l2_hit_bytes")->Set(k.L2HitBytes());

@@ -129,8 +129,9 @@ class MetricsJsonlWriter {
 void CollectOpProfile(const OpProfile& profile, MetricsRegistry* reg);
 
 /// Simulated-GPU accounting, aggregated per kernel name:
-/// "gpusim/kernel/<name>/{launches,time_ms,flops,dram_bytes,l2_hit_bytes,
-/// read_transactions,write_transactions,atomic_ops,simd_efficiency,...}"
+/// "gpusim/kernel/<name>/{launches,time_ms,latency_ms,flops,dram_bytes,
+/// l2_hit_bytes,read_transactions,write_transactions,atomic_ops,
+/// simd_efficiency,...}"
 /// plus device-wide transfer counters and the simulated clock.
 void CollectDevice(const gpusim::Device& dev, MetricsRegistry* reg);
 

@@ -153,6 +153,39 @@ TEST(FrontendTest, ProfileReportAggregatesLaunches) {
   EXPECT_NE(table.find("other"), std::string::npos);
 }
 
+TEST(FrontendTest, ProfileReportSumsLatencyOfLatencyBoundLaunches) {
+  // One warp walking a long dependent load chain: the latency term, not
+  // traffic or compute, sets the kernel time. Two launches of different
+  // depth must aggregate to the sum of their latency_ms, which the table
+  // shows in its own column.
+  cuda::Runtime rt(DeviceSpec::GTX1080Ti());
+  const size_t n = 64;
+  auto buf = rt.Malloc<int32_t>(n);
+  auto chase = [&](size_t depth) {
+    return rt.LaunchKernel("chase", 1, 32, [&](BlockCtx& blk) {
+      blk.for_each_lane([&](Lane& t) {
+        size_t j = t.lane();
+        for (size_t k = 0; k < depth; ++k) {
+          j = static_cast<size_t>(t.ld(buf, j)) % n;
+        }
+      });
+    });
+  };
+  const KernelStats first = chase(2000);
+  const KernelStats second = chase(3000);
+  ASSERT_GT(first.latency_ms, first.memory_ms);
+  ASSERT_GT(second.latency_ms, second.memory_ms);
+
+  ProfileReport report(rt.device());
+  const AggregatedKernel* agg = report.Find("chase");
+  ASSERT_NE(agg, nullptr);
+  EXPECT_EQ(agg->launches, 2u);
+  EXPECT_GT(agg->latency_ms, 0.0);
+  EXPECT_DOUBLE_EQ(agg->latency_ms, first.latency_ms + second.latency_ms);
+  EXPECT_DOUBLE_EQ(agg->total_ms, first.total_ms + second.total_ms);
+  EXPECT_NE(report.ToString().find("lat_ms"), std::string::npos);
+}
+
 TEST(FrontendTest, MeterSamplingApproximatesExactCounters) {
   auto run = [](int stride) {
     cuda::Runtime rt(DeviceSpec::TeslaV100());

@@ -1,6 +1,8 @@
 // Golden-counter regression harness: pins the exact KernelStats integer
 // counters the simulator produces for the paper's four kernel generations
-// (v0..v3) on a fixed-seed 4k-agent workload.
+// (v0..v3) on a fixed-seed 4k-agent workload, plus the sampled path every
+// figure bench and the runner default to (meter stride 8, v0..v4) and the
+// future-work v4 kernel at stride 1.
 //
 // The source paper's argument rests on counter fidelity — DRAM bytes, L2
 // hits, transactions, FLOPs and atomic conflicts are what every figure is
@@ -13,8 +15,8 @@
 // Updating the goldens (only when the *model* intentionally changes — never
 // to paper over an accidental diff):
 //
-//   BIOSIM_UPDATE_GOLDENS=1 ./build/tests/gpusim_tests \
-//       --gtest_filter=GoldenCountersTest.SerialModeMatchesGoldens
+//   BIOSIM_UPDATE_GOLDENS=1 ./build/tests/gpusim_tests
+//     --gtest_filter=GoldenCountersTest.SerialModeMatchesGoldens
 //
 // then re-run the suite without the env var and commit the JSON with an
 // explanation of why the counters legitimately moved.
@@ -22,6 +24,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -37,7 +40,23 @@ namespace biosim::gpu {
 namespace {
 
 constexpr const char* kGoldenRelPath = "/tests/gpusim/golden_counters.json";
-constexpr int kVersions = 4;
+
+/// One pinned configuration: a GPU version run at a meter stride, stored
+/// under `key` in the golden file.
+struct PinnedRun {
+  const char* key;
+  int version;
+  int stride;
+};
+
+/// The exactly metered ladder, checked in both execution modes.
+constexpr PinnedRun kLadderRuns[] = {
+    {"v0", 0, 1}, {"v1", 1, 1}, {"v2", 2, 1}, {"v3", 3, 1}};
+/// The sampled path (stride 8 is the default of bench/common.h and
+/// app/config.h) across the whole ladder, plus v4 metered exactly.
+constexpr PinnedRun kSampledRuns[] = {
+    {"v4", 4, 1},    {"s8_v0", 0, 8}, {"s8_v1", 1, 8},
+    {"s8_v2", 2, 8}, {"s8_v3", 3, 8}, {"s8_v4", 4, 8}};
 
 /// Counters of one kernel (or the transfer pseudo-kernel), by name. All
 /// integers: these must match the goldens exactly, bit for bit.
@@ -83,10 +102,10 @@ CounterMap Counters(const gpusim::AggregatedKernel& k) {
 }
 
 /// One step of the version-v pipeline on the fixed-seed 4k-agent workload
-/// (16^3 jittered lattice, shuffled into the aged-population layout), with
-/// exact metering. Returns every launched kernel's aggregated counters plus
-/// the host<->device transfer totals.
-KernelMap RunVersion(int v, bool parallel_blocks) {
+/// (16^3 jittered lattice, shuffled into the aged-population layout) at the
+/// given meter stride. Returns every launched kernel's aggregated counters
+/// plus the host<->device transfer totals.
+KernelMap RunVersion(int v, int stride, bool parallel_blocks) {
   ResourceManager rm;
   testutil::FillLatticeCells(&rm, 16, 10.0, 10.0, /*jitter=*/1.5,
                              /*seed=*/42);
@@ -94,7 +113,7 @@ KernelMap RunVersion(int v, bool parallel_blocks) {
 
   Param param;
   GpuMechanicsOptions opts = GpuMechanicsOptions::Version(v, GoldenSpec());
-  opts.meter_stride = 1;
+  opts.meter_stride = stride;
   opts.parallel_blocks = parallel_blocks;
   GpuMechanicalOp op(opts);
   NullEnvironment env;
@@ -116,12 +135,17 @@ KernelMap RunVersion(int v, bool parallel_blocks) {
   return out;
 }
 
-GoldenMap RunAllVersions(bool parallel_blocks) {
+template <size_t N>
+GoldenMap RunAll(const PinnedRun (&runs)[N], bool parallel_blocks) {
   GoldenMap all;
-  for (int v = 0; v < kVersions; ++v) {
-    all["v" + std::to_string(v)] = RunVersion(v, parallel_blocks);
+  for (const PinnedRun& r : runs) {
+    all[r.key] = RunVersion(r.version, r.stride, parallel_blocks);
   }
   return all;
+}
+
+GoldenMap RunAllVersions(bool parallel_blocks) {
+  return RunAll(kLadderRuns, parallel_blocks);
 }
 
 std::string GoldenPath() {
@@ -134,7 +158,8 @@ void WriteGoldens(const GoldenMap& all, const std::string& path) {
   std::ofstream f(path);
   f << "{\n";
   f << "  \"_workload\": \"16^3 lattice spacing 10 diam 10 jitter 1.5 seed "
-       "42, shuffled seed 99, 1 step, meter stride 1, L2 64KiB L1 16KiB\",\n";
+       "42, shuffled seed 99, 1 step, L2 64KiB L1 16KiB; vN at meter stride "
+       "1, s8_vN at meter stride 8\",\n";
   size_t vi = 0;
   for (const auto& [version, kernels] : all) {
     f << "  \"" << version << "\": {\n";
@@ -263,15 +288,16 @@ GoldenMap LoadGoldens() {
   return GoldenParser(ss.str()).Parse();
 }
 
-/// Byte-identical comparison with a readable per-counter diff.
+/// Byte-identical comparison of every run in `got` with a readable
+/// per-counter diff.
 void ExpectMatchesGoldens(const GoldenMap& got, const GoldenMap& want,
                           const char* mode) {
-  ASSERT_EQ(want.size(), static_cast<size_t>(kVersions))
-      << "golden file does not cover v0..v3";
-  for (const auto& [version, want_kernels] : want) {
-    auto vit = got.find(version);
-    ASSERT_NE(vit, got.end()) << mode << ": missing version " << version;
-    const KernelMap& got_kernels = vit->second;
+  ASSERT_EQ(want.size(), std::size(kLadderRuns) + std::size(kSampledRuns))
+      << "golden file does not cover every pinned run";
+  for (const auto& [version, got_kernels] : got) {
+    auto vit = want.find(version);
+    ASSERT_NE(vit, want.end()) << mode << ": no golden for " << version;
+    const KernelMap& want_kernels = vit->second;
     EXPECT_EQ(got_kernels.size(), want_kernels.size())
         << mode << " " << version << ": kernel set changed";
     for (const auto& [kernel, want_counters] : want_kernels) {
@@ -295,6 +321,7 @@ void ExpectMatchesGoldens(const GoldenMap& got, const GoldenMap& want,
 TEST(GoldenCountersTest, SerialModeMatchesGoldens) {
   GoldenMap got = RunAllVersions(/*parallel_blocks=*/false);
   if (std::getenv("BIOSIM_UPDATE_GOLDENS") != nullptr) {
+    got.merge(RunAll(kSampledRuns, /*parallel_blocks=*/false));
     WriteGoldens(got, GoldenPath());
     GTEST_SKIP() << "goldens re-recorded at " << GoldenPath();
   }
@@ -319,6 +346,20 @@ TEST(GoldenCountersTest, ParallelAndSerialModesAgreeExactly) {
   GoldenMap parallel = RunAllVersions(/*parallel_blocks=*/true);
   EXPECT_EQ(serial == parallel, true)
       << "parallel-block metering diverged from serial";
+}
+
+TEST(GoldenCountersTest, SampledPathMatchesGoldens) {
+  // Warp sampling keeps per-launch state (the warp counter) and scales
+  // every counter by the stride, so it is pinned on its own; the
+  // parallel-block request must not move it either.
+  if (std::getenv("BIOSIM_UPDATE_GOLDENS") != nullptr) {
+    GTEST_SKIP() << "goldens are recorded by SerialModeMatchesGoldens";
+  }
+  const GoldenMap want = LoadGoldens();
+  ExpectMatchesGoldens(RunAll(kSampledRuns, /*parallel_blocks=*/false), want,
+                       "sampled serial");
+  ExpectMatchesGoldens(RunAll(kSampledRuns, /*parallel_blocks=*/true), want,
+                       "sampled parallel-block");
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // no-stats-drift guarantee for the off path.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include "gpusim/device.h"
 #include "gpusim/sanitizer.h"
@@ -344,6 +346,33 @@ TEST(SanitizerStatsTest, HooksFireOnUnmeteredWarps) {
   });
   ASSERT_GE(san->report().Count(HazardKind::kSharedRace), 1u);
   EXPECT_GE(san->report().hazards()[0].lane, 96u);
+}
+
+TEST(SanitizerStatsTest, SuppressedLoadLeavesAHoleInItsInstruction) {
+  // Odd lanes' second load is out of bounds: the sanitizer suppresses it
+  // but still advances the lane's read sequence, so that instruction holds
+  // only the even lanes' records and the third load of every lane stays
+  // one instruction. Each instruction reads one 128 B line.
+  Device dev(TestSpec());
+  Sanitizer* san = dev.EnableSanitizer();
+  const size_t n = 96;
+  auto in = dev.Alloc<float>(n);
+  std::vector<float> host(n, 1.0f);
+  dev.CopyToDevice(in, std::span<const float>(host));
+  KernelStats st = dev.Launch({"holes", 1, 32}, [&](BlockCtx& blk) {
+    blk.for_each_lane([&](Lane& t) {
+      const size_t l = t.lane();
+      float v = t.ld(in, l);                           // in[0..31]
+      v += t.ld(in, l % 2 == 0 ? 64 + l : n + l);      // even: in[64..95]
+      v += t.ld(in, 32 + l);                           // in[32..63]
+      (void)v;
+    });
+  });
+  EXPECT_EQ(san->report().Count(HazardKind::kOutOfBounds), 16u);
+  EXPECT_EQ(st.read_transactions, 3u);
+  EXPECT_EQ(st.requested_read_bytes, (32u + 16u + 32u) * sizeof(float));
+  EXPECT_EQ(st.lane_ops_sum, 32u + 16u + 32u);
+  EXPECT_EQ(st.max_lane_mem_ops, 3u);
 }
 
 TEST(SanitizerStatsTest, EnablingSanitizerDoesNotDriftCleanKernelStats) {
