@@ -60,6 +60,11 @@ struct Options {
         o.iterations = std::atoi(argv[++i]);
       } else if (std::strcmp(argv[i], "--meter-stride") == 0 && i + 1 < argc) {
         o.meter_stride = std::atoi(argv[++i]);
+        if (o.meter_stride < 1) {
+          std::fprintf(stderr, "error: --meter-stride: meter_stride must be "
+                               ">= 1, got '%s'\n", argv[i]);
+          std::exit(2);
+        }
       } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
         o.csv_prefix = argv[++i];
       } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {

@@ -102,9 +102,6 @@ void RunConfig::Validate() const {
     fail("sanitize requires backend type gpu (the sanitizer observes the "
          "simulated device)");
   }
-  if (parallel_blocks && backend_type != "gpu") {
-    fail("parallel_blocks requires backend type gpu");
-  }
   if (racy_grid_build && backend_type != "gpu") {
     fail("racy_grid_build requires backend type gpu (it swaps a device "
          "kernel)");
@@ -214,10 +211,6 @@ RunConfig ParseConfigString(const std::string& text) {
       {"meter_stride",
        [&](const std::string& v, size_t l) {
          cfg.meter_stride = static_cast<int>(ToU64(v, l));
-       }},
-      {"parallel_blocks",
-       [&](const std::string& v, size_t l) {
-         cfg.parallel_blocks = ToBool(v, l);
        }},
       {"sanitize",
        [&](const std::string& v, size_t l) { cfg.sanitize = ToBool(v, l); }},

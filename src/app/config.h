@@ -6,7 +6,8 @@
 //   max_bound = 1000
 //   timestep = 0.01
 //   boundary = clamp              ; clamp | torus | open
-//   threads = 0                   ; CPU workers; 0 = hardware concurrency
+//   threads = 0                   ; host workers (CPU ops, gpusim blocks);
+//                                 ; 0 = hardware concurrency
 //   shards = 0                    ; spatial domain shards (docs/sharding.md); 0=off
 //   shard_balance = static        ; static | adaptive plane-range sizing
 //
@@ -27,8 +28,7 @@
 //   type = cpu                    ; cpu | gpu
 //   gpu_version = 2               ; 0..4
 //   gpu_device = 1080ti           ; 1080ti | v100
-//   meter_stride = 8
-//   parallel_blocks = false       ; host-parallel block execution (exact)
+//   meter_stride = 8              ; GPU counter sampling (1 = exact)
 //   sanitize = false              ; GPU sanitizer (racecheck/memcheck/synccheck)
 //   racy_grid_build = false       ; diagnostic: seed a known racy kernel
 //
@@ -64,7 +64,8 @@ struct RunConfig {
   double timestep = 0.01;
   double max_displacement = 3.0;
   std::string boundary = "clamp";  // clamp | torus | open
-  /// CPU worker threads for parallel engine operations; 0 = hardware
+  /// Host worker threads for parallel engine operations and for gpusim's
+  /// block chunks (gpusim/device.h, Device::Launch); 0 = hardware
   /// concurrency. Overridable via --threads and the BIOSIM_THREADS env var
   /// (the CI determinism sweep varies this; results must not depend on it).
   uint32_t num_threads = 0;
@@ -101,10 +102,6 @@ struct RunConfig {
   int gpu_version = 2;
   std::string gpu_device = "1080ti";
   int meter_stride = 8;
-  /// Execute the blocks of block-independent kernels in parallel on the
-  /// host; counters stay byte-identical to the serial engine (see
-  /// GpuMechanicsOptions::parallel_blocks).
-  bool parallel_blocks = false;
   /// Run every GPU launch under the compute-sanitizer-style analysis layer
   /// (gpusim/sanitizer.h); biosim_run exits non-zero if hazards are found.
   bool sanitize = false;

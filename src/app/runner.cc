@@ -69,7 +69,6 @@ obs::json::Value ConfigJson(const RunConfig& cfg) {
     v.Set("gpu_version", cfg.gpu_version);
     v.Set("gpu_device", cfg.gpu_device);
     v.Set("meter_stride", cfg.meter_stride);
-    v.Set("parallel_blocks", cfg.parallel_blocks);
     v.Set("sanitize", cfg.sanitize);
     v.Set("racy_grid_build", cfg.racy_grid_build);
   }
@@ -197,7 +196,6 @@ std::unique_ptr<Simulation> BuildSimulation(const RunConfig& cfg) {
     gpu::GpuMechanicsOptions opts =
         gpu::GpuMechanicsOptions::Version(cfg.gpu_version, std::move(spec));
     opts.meter_stride = cfg.meter_stride;
-    opts.parallel_blocks = cfg.parallel_blocks;
     opts.sanitize = cfg.sanitize;
     opts.racy_grid_build = cfg.racy_grid_build;
     sim->SetEnvironment(std::make_unique<NullEnvironment>());

@@ -14,6 +14,16 @@
 #include "obs/trace.h"
 #include "spatial/uniform_grid.h"
 
+// One instrument per pipeline stage: a trace span, a hardware-counter scope
+// and a Fig. 3 profile sample, opened under one name in this fixed order,
+// so the trace, perf and profile views always cover the same stages. Used
+// inside Simulation members (it reads profile_).
+#define STAGE_SCOPE(name)                                           \
+  TRACE_SCOPE(name);                                                \
+  PERF_SCOPE(name);                                                 \
+  ::biosim::ScopedTimer BIOSIM_TRACE_CONCAT(stage_timer_, __LINE__)( \
+      profile_.Hist(name))
+
 namespace biosim {
 
 // Defined here rather than in a sim_context.cc so the engine layer (which
@@ -263,28 +273,20 @@ void Simulation::RunShardedOps() {
     // Partition B: commit / z-order may have moved, added or permuted
     // rows; ownership and the halo protocol need the post-commit
     // positions.
-    TRACE_SCOPE("partition");
-    PERF_SCOPE("partition");
-    ScopedTimer t(profile_.Hist("partition"));
+    STAGE_SCOPE("partition");
     shard_runtime_->Repartition(rm_, param_);
   }
   {
-    TRACE_SCOPE("halo exchange");
-    PERF_SCOPE("halo exchange");
-    ScopedTimer t(profile_.Hist("halo exchange"));
+    STAGE_SCOPE("halo exchange");
     shard_runtime_->ExchangeHalos(rm_, mode_);
   }
   {
     // The sharded counterpart of "neighborhood update": per-shard
     // occupancy-compacted CSRs instead of the one global grid.
-    TRACE_SCOPE("shard grids");
-    PERF_SCOPE("shard grids");
-    ScopedTimer t(profile_.Hist("shard grids"));
+    STAGE_SCOPE("shard grids");
     shard_runtime_->UpdateGrids(rm_, mode_);
   }
-  TRACE_SCOPE("mechanical forces");
-  PERF_SCOPE("mechanical forces");
-  ScopedTimer t(profile_.Hist("mechanical forces"));
+  STAGE_SCOPE("mechanical forces");
   auto* cpu = dynamic_cast<CpuMechanicsBackend*>(backend_.get());
   if (cpu == nullptr) {
     throw std::invalid_argument(
@@ -321,15 +323,11 @@ void Simulation::Simulate(uint64_t steps) {
     if (sharded && have_agents) {
       // Partition A: ownership for the behaviors pass, derived from the
       // positions the behaviors will read.
-      TRACE_SCOPE("partition");
-      PERF_SCOPE("partition");
-      ScopedTimer t(profile_.Hist("partition"));
+      STAGE_SCOPE("partition");
       shard_runtime_->Repartition(rm_, param_);
     }
     {
-      TRACE_SCOPE("cell behaviors");
-      PERF_SCOPE("cell behaviors");
-      ScopedTimer t(profile_.Hist("cell behaviors"));
+      STAGE_SCOPE("cell behaviors");
       if (!sharded) {
         RunBehaviors();
       } else if (have_agents) {
@@ -337,29 +335,21 @@ void Simulation::Simulate(uint64_t steps) {
       }
     }
     {
-      TRACE_SCOPE("commit");
-      PERF_SCOPE("commit");
-      ScopedTimer t(profile_.Hist("commit"));
+      STAGE_SCOPE("commit");
       rm_.CommitStructuralChanges();
     }
     if (sharded) {
       RunShardedOps();
     } else {
       {
-        TRACE_SCOPE("neighborhood update");
-        PERF_SCOPE("neighborhood update");
-        ScopedTimer t(profile_.Hist("neighborhood update"));
+        STAGE_SCOPE("neighborhood update");
         env_->Update(rm_, param_, mode_);
       }
-      TRACE_SCOPE("mechanical forces");
-      PERF_SCOPE("mechanical forces");
-      ScopedTimer t(profile_.Hist("mechanical forces"));
+      STAGE_SCOPE("mechanical forces");
       backend_->Step(rm_, *env_, param_, mode_, &profile_);
     }
     if (!diffusion_grids_.empty()) {
-      TRACE_SCOPE("diffusion");
-      PERF_SCOPE("diffusion");
-      ScopedTimer t(profile_.Hist("diffusion"));
+      STAGE_SCOPE("diffusion");
       for (auto& g : diffusion_grids_) {
         g->Step(param_.simulation_time_step, mode_);
       }

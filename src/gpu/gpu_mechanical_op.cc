@@ -2,6 +2,7 @@
 
 #include <span>
 #include <stdexcept>
+#include <string>
 
 #include "core/timer.h"
 #include "gpu/diagnostic_kernels.h"
@@ -36,8 +37,20 @@ GpuMechanicalOp::GpuMechanicalOp(GpuMechanicsOptions options)
     throw std::invalid_argument(
         "persistent_device_state is incompatible with per-step zorder_sort");
   }
+  const size_t max_block =
+      static_cast<size_t>(options_.device.max_threads_per_block);
+  if (options_.block_dim == 0 || options_.block_dim > max_block) {
+    throw std::invalid_argument(
+        "block_dim must be in 1.." + std::to_string(max_block) + ", got " +
+        std::to_string(options_.block_dim));
+  }
+  if (options_.neighbor_parallel && options_.block_dim % 32 != 0) {
+    // Lanes past the last full warp would compute the next block's cell.
+    throw std::invalid_argument(
+        "block_dim must be a multiple of 32 with neighbor_parallel (one warp "
+        "per cell), got " + std::to_string(options_.block_dim));
+  }
   device().SetMeterStride(options_.meter_stride);
-  device().SetBlockParallel(options_.parallel_blocks);
   if (options_.sanitize) {
     // Before any Alloc so every buffer gets full memcheck shadow coverage.
     device().EnableSanitizer();

@@ -57,17 +57,11 @@ struct GpuMechanicsOptions {
   /// Paper future work (Section VI): parallelize the per-cell neighbor loop
   /// with a warp per cell instead of a thread per cell.
   bool neighbor_parallel = false;
-  /// Threads per block / work-group size.
+  /// Threads per block / work-group size: 1..device.max_threads_per_block,
+  /// and a multiple of 32 with neighbor_parallel (one warp per cell).
   size_t block_dim = 128;
-  /// Warp-sampling stride for the performance counters (1 = exact).
+  /// Warp-sampling stride for the performance counters (1 = exact); >= 1.
   int meter_stride = 1;
-  /// Execute the blocks of block-independent kernels in parallel on the
-  /// host (core/thread_pool.h), with per-block counter shards and access
-  /// streams merged deterministically in block order — counters stay
-  /// byte-identical to the serial mode at any worker count (including 1).
-  /// Kernels that communicate across blocks (ug_build's atomicExch list
-  /// push, the radix-sort passes) always run serially. Off by default.
-  bool parallel_blocks = false;
   /// Attach the compute-sanitizer-style analysis layer (gpusim/sanitizer.h)
   /// to the device: every launch is checked for races, out-of-bounds /
   /// never-written accesses and barrier divergence. Hazards accumulate in
@@ -109,6 +103,8 @@ struct GpuMechanicsOptions {
 
 class GpuMechanicalOp : public MechanicsBackend {
  public:
+  /// Throws std::invalid_argument, naming the field, for options no device
+  /// launch could honor (see the field comments above).
   explicit GpuMechanicalOp(GpuMechanicsOptions options);
 
   void Step(ResourceManager& rm, const Environment& env, const Param& param,

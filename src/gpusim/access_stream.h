@@ -135,16 +135,16 @@ class WarpAccessStream {
   uint32_t ends_[kKinds][kWarpSize] = {};  // per lane: last seq + 1
 };
 
-/// Deferred metering output of a contiguous block range (the block-parallel
-/// execution mode). Blocks coalesce their warp streams in parallel — the
-/// integer counters land in `stats`, which is order-independent (pure sums
-/// and maxes) — while the order-*dependent* part, the L1/L2 probes, is
-/// buffered as packed line transactions and replayed through the shared
-/// cache hierarchy strictly in block order. That replay rule is what keeps
-/// the parallel mode byte-identical to serial execution at any worker
-/// count.
+/// Deferred metering output of one launch chunk after the first (a
+/// contiguous block range, Device::Launch). Chunks coalesce their warp
+/// streams in parallel — the integer counters land in `stats`, which is
+/// order-independent (pure sums and maxes) — while the order-*dependent*
+/// part, the L1/L2 probes, is buffered as packed line transactions and
+/// replayed through the shared cache hierarchy strictly in block order.
+/// That replay rule is what keeps the counters byte-identical to
+/// block-sequential execution at any worker count.
 struct MeterBuffer {
-  /// (line_index << 1) | is_write, in the exact order the serial engine
+  /// (line_index << 1) | is_write, in the exact order a one-chunk launch
   /// would have probed the caches.
   std::vector<uint64_t> line_entries;
   /// Counter-only shard: integer counters accumulated by this block range

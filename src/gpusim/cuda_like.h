@@ -42,8 +42,8 @@ class Runtime {
   }
 
   /// kernel<<<grid_dim, block_dim>>>(...) analog. `block_parallel_safe`
-  /// asserts the kernel's blocks are independent (see LaunchConfig) so the
-  /// device may execute them concurrently in block-parallel mode.
+  /// asserts the kernel's blocks are independent and run the same phases
+  /// (see LaunchConfig), so the device may execute them concurrently.
   KernelStats LaunchKernel(const std::string& name, size_t grid_dim,
                            size_t block_dim,
                            const std::function<void(BlockCtx&)>& kernel,

@@ -120,22 +120,29 @@ KernelStats Device::Launch(const LaunchConfig& cfg,
   if (sanitizer_) {
     sanitizer_->BeginLaunch(cfg.name, cfg.grid_dim, cfg.block_dim);
   }
-  // The block-parallel engine requires independent blocks (the kernel's
-  // contract via block_parallel_safe) and whole-launch metering state that
-  // shards cleanly: the sanitizer's race detector and the warp-sampling
-  // counter are both stateful across blocks, so those launches stay on the
-  // block-sequential engine.
-  const bool parallel = block_parallel_ && cfg.block_parallel_safe &&
-                        sanitizer_ == nullptr && stride_ == 1 &&
-                        cfg.grid_dim > 1;
-  if (parallel) {
-    LaunchBlocksParallel(cfg, kernel, &raw);
-  } else {
-    size_t warp_counter = 0;
-    WarpTracker tracker;
-    for (size_t b = 0; b < cfg.grid_dim; ++b) {
-      BlockCtx ctx(b, cfg.block_dim, cfg.grid_dim, &spec_, &mem_, &raw,
-                   &tracker, &warp_counter, stride_, sanitizer_.get());
+
+  // The sanitizer's race detector is stateful across blocks, so a
+  // sanitized launch stays one chunk.
+  const size_t n_chunks =
+      cfg.block_parallel_safe && sanitizer_ == nullptr && cfg.grid_dim > 1
+          ? std::min<size_t>(cfg.grid_dim,
+                             std::max<uint32_t>(1, HardwareThreads()))
+          : 1;
+  const size_t chunk = (cfg.grid_dim + n_chunks - 1) / n_chunks;
+
+  // The one block loop. Warps are sampled by their launch-wide index, so a
+  // range starts its counter at begin * W once block 0 has fixed the warps
+  // per block W. Returns the first block of a block_parallel_safe launch
+  // that broke the uniform-phase contract (a later chunk would sample the
+  // wrong warps), or grid_dim if none did.
+  size_t warps_per_block = 0;
+  auto run_blocks = [&](size_t begin, size_t end, WarpTracker* tracker,
+                        MeterBuffer* defer) {
+    KernelStats* stats = defer != nullptr ? &defer->stats : &raw;
+    size_t warp = begin * warps_per_block;
+    for (size_t b = begin; b < end; ++b) {
+      BlockCtx ctx(b, cfg.block_dim, cfg.grid_dim, &spec_, &mem_, stats,
+                   tracker, warp, stride_, sanitizer_.get(), defer);
       if (sanitizer_) {
         sanitizer_->BeginBlock(b);
       }
@@ -144,7 +151,55 @@ KernelStats Device::Launch(const LaunchConfig& cfg,
         sanitizer_->EndBlock(b, ctx.phases_run_, ctx.shared_used_,
                              ctx.arena_.size());
       }
+      const size_t used = ctx.warp_counter_ - warp;
+      if (b == 0) {
+        warps_per_block = used;
+      } else if (cfg.block_parallel_safe && used != warps_per_block) {
+        return b;
+      }
+      warp = ctx.warp_counter_;
     }
+    return cfg.grid_dim;
+  };
+
+  // Chunk 0 follows block 0 and probes L1/L2 directly; every later chunk
+  // buffers its line transactions (the only order-dependent metering) and
+  // keeps its counters in a private shard.
+  std::vector<WarpTracker> trackers(n_chunks);
+  std::vector<MeterBuffer> shards(n_chunks);  // shards[0] stays unused
+  std::vector<size_t> first_bad(n_chunks, cfg.grid_dim);
+  if (cfg.grid_dim > 0) {
+    run_blocks(0, 1, &trackers[0], nullptr);
+    ParallelFor(n_chunks > 1 ? ExecMode::kParallel : ExecMode::kSerial,
+                n_chunks, [&](size_t c) {
+                  const size_t begin = std::max<size_t>(1, c * chunk);
+                  const size_t end = std::min(cfg.grid_dim, (c + 1) * chunk);
+                  if (begin < end) {
+                    first_bad[c] = run_blocks(begin, end, &trackers[c],
+                                              c == 0 ? nullptr : &shards[c]);
+                  }
+                });
+  }
+  for (size_t bad : first_bad) {
+    if (bad != cfg.grid_dim) {
+      throw std::logic_error(
+          "gpusim: kernel '" + cfg.name +
+          "' is block_parallel_safe but block " + std::to_string(bad) +
+          " ran a different number of warps than block 0 (" +
+          std::to_string(warps_per_block) +
+          "); every block must run the same for_each_lane phases");
+    }
+  }
+  // Deterministic merge: replay the buffered transactions through L1/L2 in
+  // chunk order, which is block order — the exact probe sequence of a
+  // one-chunk launch — then fold each shard's order-independent sums (and
+  // one max).
+  for (size_t c = 1; c < n_chunks; ++c) {
+    for (uint64_t entry : shards[c].line_entries) {
+      const uint64_t line = entry >> 1;
+      mem_.ProbeLines(&line, 1, /*write=*/(entry & 1) != 0, &raw);
+    }
+    raw.Accumulate(shards[c].stats);
   }
 
   // Scale sampled counters back to full-population estimates.
@@ -178,44 +233,6 @@ KernelStats Device::Launch(const LaunchConfig& cfg,
   kernel_ms_ += raw.total_ms;
   history_.push_back(raw);
   return raw;
-}
-
-void Device::LaunchBlocksParallel(
-    const LaunchConfig& cfg, const std::function<void(BlockCtx&)>& kernel,
-    KernelStats* raw) {
-  // Contiguous block chunks, one shard each. The chunk count only sets the
-  // parallel grain — the merge below is chunk-count-invariant, so any
-  // worker count (including 1) produces the same counters.
-  const size_t workers = std::max<size_t>(1, HardwareThreads());
-  const size_t n_chunks = std::min(cfg.grid_dim, workers);
-  const size_t chunk = (cfg.grid_dim + n_chunks - 1) / n_chunks;
-  std::vector<MeterBuffer> shards(n_chunks);
-  ParallelFor(ExecMode::kParallel, n_chunks, [&](size_t c) {
-    MeterBuffer& shard = shards[c];
-    const size_t begin = c * chunk;
-    const size_t end = std::min(cfg.grid_dim, begin + chunk);
-    size_t warp_counter = 0;  // stride is 1 on this path: every warp meters
-    WarpTracker tracker;
-    for (size_t b = begin; b < end; ++b) {
-      BlockCtx ctx(b, cfg.block_dim, cfg.grid_dim, &spec_, &mem_,
-                   &shard.stats, &tracker, &warp_counter, /*stride=*/1,
-                   /*san=*/nullptr, &shard);
-      kernel(ctx);
-    }
-  });
-  // Deterministic merge. The caches are the only cross-block metering
-  // state, so the buffered line transactions replay through L1/L2 strictly
-  // in block order (chunks are contiguous ranges: shard order IS block
-  // order) — the exact probe sequence the block-sequential engine would
-  // have issued. The shards' remaining counters are order-independent sums
-  // (and one max), folded in chunk order.
-  for (MeterBuffer& shard : shards) {
-    for (uint64_t entry : shard.line_entries) {
-      const uint64_t line = entry >> 1;
-      mem_.ProbeLines(&line, 1, /*write=*/(entry & 1) != 0, raw);
-    }
-    raw->Accumulate(shard.stats);
-  }
 }
 
 KernelStats Device::AddModeledKernel(const std::string& name,

@@ -8,12 +8,15 @@
 // and the analytic model (timing.h) converts the counters into kernel time
 // for the configured DeviceSpec.
 //
-// Execution model: blocks run sequentially (deterministically); within a
-// block, lanes of a warp run the body one after another but are *accounted*
-// as lockstep SIMT — the i-th global access of each lane in a warp forms one
-// memory instruction for coalescing, and per-lane op imbalance is charged as
-// divergence. Barrier semantics use the standard loop-fission translation:
-// one for_each_lane() region is the code between two __syncthreads().
+// Execution model: blocks run in block order, or, for launches flagged
+// block_parallel_safe, in contiguous chunks on the host thread pool whose
+// metering is merged back in block order (Device::Launch), so the counters
+// never depend on the worker count. Within a block, lanes of a warp run the
+// body one after another but are *accounted* as lockstep SIMT — the i-th
+// global access of each lane in a warp forms one memory instruction for
+// coalescing, and per-lane op imbalance is charged as divergence. Barrier
+// semantics use the standard loop-fission translation: one for_each_lane()
+// region is the code between two __syncthreads().
 //
 // Every lane of every warp runs on the host, metered or not, so the lane
 // path is built to be cheap: for_each_lane is flattened (the body and its
@@ -41,6 +44,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -102,9 +106,9 @@ class DeviceBuffer {
 /// append to per-lane streams (access_stream.h); Flush walks the (kind,
 /// seq) rows in the exact legacy order (reads by seq, then writes, then
 /// atomics; lane order within a group) and feeds each row to the
-/// coalescer. One tracker serves every warp of a launch (each block-parallel
-/// chunk has its own) and every buffer retains its capacity, so the hot
-/// path stops allocating once the longest lane of the launch has run.
+/// coalescer. One tracker serves every warp of a launch chunk and every
+/// buffer retains its capacity, so the hot path stops allocating once the
+/// longest lane of the chunk has run.
 class WarpTracker {
  public:
   /// Start a warp. Flush leaves the tracker empty, so this only latches
@@ -123,9 +127,9 @@ class WarpTracker {
   void AddLaneOps(size_t warp_lane, uint64_t n) { lane_ops_[warp_lane] += n; }
 
   /// Consume this warp's access stream: coalesce every instruction group
-  /// and either probe the caches immediately (defer == nullptr, the serial
-  /// engine) or buffer the line transactions into `defer` for an in-block-
-  /// order replay (the block-parallel engine). Divergence and atomic
+  /// and either probe the caches immediately (defer == nullptr, the
+  /// launch's first chunk) or buffer the line transactions into `defer` for
+  /// an in-block-order replay (every later chunk). Divergence and atomic
   /// accounting land in `stats` either way, and the tracker is left empty
   /// for the next warp.
   void Flush(MemoryModel* mem, KernelStats* stats,
@@ -457,8 +461,8 @@ class BlockCtx {
 
   BlockCtx(size_t block, size_t block_dim, size_t grid_dim,
            const DeviceSpec* spec, MemoryModel* mem, KernelStats* raw,
-           WarpTracker* wt, size_t* warp_counter, int stride, Sanitizer* san,
-           MeterBuffer* defer = nullptr)
+           WarpTracker* wt, size_t first_warp, int stride, Sanitizer* san,
+           MeterBuffer* defer)
       : block_(block),
         block_dim_(block_dim),
         grid_dim_(grid_dim),
@@ -466,24 +470,22 @@ class BlockCtx {
         mem_(mem),
         raw_(raw),
         wt_(wt),
-        warp_counter_(*warp_counter),
+        warp_counter_(first_warp),
         stride_(stride),
-        warp_counter_ref_(warp_counter),
         san_(san),
         defer_(defer) {}
-
-  ~BlockCtx() { *warp_counter_ref_ = warp_counter_; }
 
   size_t block_, block_dim_, grid_dim_;
   const DeviceSpec* spec_;
   MemoryModel* mem_;
   KernelStats* raw_;
-  WarpTracker* wt_;  // the launch's; outlives the block
+  WarpTracker* wt_;  // the chunk's; outlives the block
+  /// Launch-wide index of the next warp; the sampling decision is a pure
+  /// function of it, so a chunk can start it anywhere (Device::Launch).
   size_t warp_counter_;
   int stride_;
-  size_t* warp_counter_ref_;
   Sanitizer* san_;
-  MeterBuffer* defer_;  // non-null only on the block-parallel path
+  MeterBuffer* defer_;  // null on the launch's first chunk
   size_t shared_used_ = 0;
   size_t phases_run_ = 0;  // barrier intervals executed (synccheck input)
   std::vector<std::unique_ptr<char[]>> arena_;
@@ -495,10 +497,13 @@ struct LaunchConfig {
   size_t grid_dim = 1;   // blocks
   size_t block_dim = 1;  // threads per block
   /// Kernel contract: blocks neither communicate nor overlap writes through
-  /// global memory, so the device may execute them concurrently when block-
-  /// parallel mode is on (Device::SetBlockParallel). Kernels with cross-
-  /// block coupling — ug_build's atomicExch linked-list push, the radix-
-  /// sort passes — must leave this false and always run block-sequentially.
+  /// global memory, and every block runs the same number of for_each_lane
+  /// phases (so the same number of warps). The device then runs the blocks
+  /// in concurrent chunks whenever the host has more than one worker; a
+  /// block whose warp count differs from block 0's throws std::logic_error.
+  /// Kernels with cross-block coupling — ug_build's atomicExch linked-list
+  /// push, the radix-sort passes — must leave this false and always run
+  /// block-sequentially.
   bool block_parallel_safe = false;
 };
 
@@ -514,27 +519,16 @@ class Device {
   /// Warp-sampling stride: 1 = meter every warp (exact), k = meter every
   /// k-th warp and scale (the L2 capacity seen by the sampled stream is
   /// scaled down by k so hit rates stay representative). Call before any
-  /// Launch.
+  /// Launch. Throws std::invalid_argument for a stride below 1.
   void SetMeterStride(int stride) {
-    assert(stride >= 1);
+    if (stride < 1) {
+      throw std::invalid_argument("meter_stride must be >= 1, got " +
+                                  std::to_string(stride));
+    }
     stride_ = stride;
     mem_ = MemoryModel(SampledSpec(spec_, stride));
   }
   int meter_stride() const { return stride_; }
-
-  /// Block-parallel execution: run the blocks of launches flagged
-  /// block_parallel_safe concurrently on the host thread pool
-  /// (core/thread_pool.h). Metering stays *byte-identical* to the
-  /// block-sequential engine at any worker count: blocks are partitioned
-  /// into contiguous chunks, each chunk accumulates the order-independent
-  /// integer counters into a private shard and buffers its coalesced line
-  /// transactions, and the launch then replays the transactions through the
-  /// shared L1/L2 strictly in block order before folding the shards in
-  /// chunk order. Launches that attach a sanitizer or sample warps
-  /// (meter_stride > 1) fall back to the sequential engine — both are
-  /// stateful across blocks in ways a shard cannot capture.
-  void SetBlockParallel(bool on) { block_parallel_ = on; }
-  bool block_parallel() const { return block_parallel_; }
 
   /// Attach the compute-sanitizer-style analysis layer (sanitizer.h). Every
   /// subsequent Launch is checked; hazards accumulate in
@@ -591,7 +585,14 @@ class Device {
   }
 
   /// Execute a kernel and return its stats (also appended to the profile
-  /// and the simulated clock).
+  /// and the simulated clock). A launch flagged block_parallel_safe with
+  /// more than one block and no sanitizer attached runs its blocks in
+  /// min(grid_dim, HardwareThreads()) contiguous chunks on the host thread
+  /// pool (core/thread_pool.h); every other launch is one chunk. Counters
+  /// are byte-identical at any chunk count: block 0 runs first and fixes
+  /// the warps per block W, chunk c starts its warp counter at begin_c * W,
+  /// the first chunk probes L1/L2 directly, and every later chunk buffers
+  /// its line transactions for a replay in block order after the join.
   KernelStats Launch(const LaunchConfig& cfg,
                      const std::function<void(BlockCtx&)>& kernel);
 
@@ -619,11 +620,6 @@ class Device {
   const std::vector<KernelStats>& history() const { return history_; }
 
  private:
-  /// Block-parallel engine behind Launch (device.cc).
-  void LaunchBlocksParallel(const LaunchConfig& cfg,
-                            const std::function<void(BlockCtx&)>& kernel,
-                            KernelStats* raw);
-
   static DeviceSpec SampledSpec(const DeviceSpec& spec, int stride) {
     DeviceSpec s = spec;
     s.l2_capacity_bytes =
@@ -639,7 +635,6 @@ class Device {
   MemoryModel mem_;
   std::unique_ptr<Sanitizer> sanitizer_;
   int stride_ = 1;
-  bool block_parallel_ = false;
   uint64_t next_addr_ = 1ull << 20;
   uint64_t allocated_bytes_ = 0;
   TransferStats transfers_;

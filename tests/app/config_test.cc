@@ -88,16 +88,21 @@ TEST(ConfigTest, UnknownKeyFails) {
   EXPECT_THROW(ParseConfigString("[simulation]\nstepz = 5\n"),
                std::runtime_error);
   // Settings that no longer exist fail as loudly as typos, naming the key.
-  const std::pair<std::string, std::string> removed[] = {
-      {"overlap_ops", "true"},
-      {"precision", "fp32"},
-      {"incremental_grid", "false"},
-      {"simd", "true"},
-      {"cpu_fast_path", "false"},
-      {"zorder_every", "5"}};
-  for (const auto& [key, value] : removed) {
+  // gpusim picks its block chunks from the worker count, so the GPU
+  // backend's parallel_blocks switch is gone too.
+  struct Removed {
+    std::string section, key, value;
+  };
+  const Removed removed[] = {{"simulation", "overlap_ops", "true"},
+                             {"simulation", "precision", "fp32"},
+                             {"simulation", "incremental_grid", "false"},
+                             {"simulation", "simd", "true"},
+                             {"simulation", "cpu_fast_path", "false"},
+                             {"simulation", "zorder_every", "5"},
+                             {"backend", "parallel_blocks", "true"}};
+  for (const auto& [section, key, value] : removed) {
     try {
-      ParseConfigString("[simulation]\n" + key + " = " + value + "\n");
+      ParseConfigString("[" + section + "]\n" + key + " = " + value + "\n");
       ADD_FAILURE() << "accepted removed key " << key;
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("unknown key '" + key + "'"),
@@ -147,17 +152,12 @@ TEST(ConfigTest, SanitizeFlagParsesAndRequiresGpu) {
       std::runtime_error);
 }
 
-TEST(ConfigTest, ParallelBlocksAndRacyGridBuildParseAndRequireGpu) {
+TEST(ConfigTest, RacyGridBuildParsesAndRequiresGpu) {
   RunConfig cfg = ParseConfigString(
-      "[backend]\ntype = gpu\nparallel_blocks = true\n"
-      "racy_grid_build = true\n");
-  EXPECT_TRUE(cfg.parallel_blocks);
+      "[backend]\ntype = gpu\nracy_grid_build = true\n");
   EXPECT_TRUE(cfg.racy_grid_build);
-  EXPECT_FALSE(ParseConfigString("[backend]\ntype = gpu\n").parallel_blocks);
   EXPECT_FALSE(ParseConfigString("[backend]\ntype = gpu\n").racy_grid_build);
-  // Both knobs configure the simulated device: CPU runs reject them.
-  EXPECT_THROW(ParseConfigString("[backend]\nparallel_blocks = true\n"),
-               std::invalid_argument);
+  // The knob swaps a device kernel: CPU runs reject it.
   EXPECT_THROW(ParseConfigString("[backend]\nracy_grid_build = true\n"),
                std::invalid_argument);
 }

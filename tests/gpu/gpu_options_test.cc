@@ -1,9 +1,11 @@
 // Option-combination tests for the GPU offload: the real device radix sort
-// path, block-size independence of results, and FP64 variants of the
-// optional kernels.
+// path, block-size independence of results, FP64 variants of the optional
+// kernels, and the options the constructor rejects.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "../test_util.h"
 #include "gpu/gpu_mechanical_op.h"
@@ -141,6 +143,55 @@ TEST(GpuOptionsTest, NeighborParallelWorksInFp64) {
     ASSERT_NEAR(got.at(uid).y, disp.y, 1e-9);
     ASSERT_NEAR(got.at(uid).z, disp.z, 1e-9);
   }
+}
+
+/// Expects constructing the op with `opts` to throw std::invalid_argument
+/// whose message names `field`.
+void ExpectRejected(const GpuMechanicsOptions& opts, const std::string& field,
+                    const std::string& what_case) {
+  try {
+    GpuMechanicalOp op(opts);
+    ADD_FAILURE() << "accepted " << what_case;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << what_case << ": " << e.what();
+  }
+}
+
+TEST(GpuOptionsTest, InvalidOptionsThrowNamingTheField) {
+  // A stride below 1 samples nothing and would divide by zero in the
+  // device's sampled cache sizing.
+  for (int stride : {0, -3}) {
+    GpuMechanicsOptions opts = GpuMechanicsOptions::Version(2);
+    opts.meter_stride = stride;
+    ExpectRejected(opts, "meter_stride",
+                   "meter_stride " + std::to_string(stride));
+  }
+  GpuMechanicsOptions empty_block = GpuMechanicsOptions::Version(2);
+  empty_block.block_dim = 0;
+  ExpectRejected(empty_block, "block_dim", "block_dim 0");
+  GpuMechanicsOptions huge_block = GpuMechanicsOptions::Version(2);
+  huge_block.block_dim =
+      static_cast<size_t>(huge_block.device.max_threads_per_block) + 1;
+  ExpectRejected(huge_block, "block_dim", "block_dim past the device limit");
+  // A warp per cell: lanes past the last full warp would write the next
+  // block's cell.
+  for (size_t bd : {16, 48, 100}) {
+    GpuMechanicsOptions opts = GpuMechanicsOptions::Version(4);
+    opts.block_dim = bd;
+    ExpectRejected(opts, "block_dim",
+                   "neighbor_parallel block_dim " + std::to_string(bd));
+  }
+  // The limits themselves are valid.
+  GpuMechanicsOptions edge = GpuMechanicsOptions::Version(4);
+  edge.meter_stride = 1;
+  edge.block_dim = static_cast<size_t>(edge.device.max_threads_per_block);
+  EXPECT_NO_THROW(GpuMechanicalOp{edge});
+  edge.block_dim = 32;
+  EXPECT_NO_THROW(GpuMechanicalOp{edge});
+  GpuMechanicsOptions one_lane = GpuMechanicsOptions::Version(2);
+  one_lane.block_dim = 1;
+  EXPECT_NO_THROW(GpuMechanicalOp{one_lane});
 }
 
 }  // namespace

@@ -1,22 +1,22 @@
 // Golden-counter regression harness: pins the exact KernelStats integer
-// counters the simulator produces for the paper's four kernel generations
-// (v0..v3) on a fixed-seed 4k-agent workload, plus the sampled path every
-// figure bench and the runner default to (meter stride 8, v0..v4) and the
-// future-work v4 kernel at stride 1.
+// counters the simulator produces for the paper's GPU ladder (v0..v3) and
+// its future-work v4 on a fixed-seed 4k-agent workload, metered exactly
+// (meter stride 1) and on the sampled path every figure bench and the
+// runner default to (meter stride 8).
 //
 // The source paper's argument rests on counter fidelity — DRAM bytes, L2
 // hits, transactions, FLOPs and atomic conflicts are what every figure is
 // derived from — so any change to the metered path (coalescer, cache
-// simulation, warp accounting) must reproduce these numbers *byte-
-// identically*. The goldens in golden_counters.json were recorded before
-// the batched access-stream refactor and assert that the refactor (and any
-// future one) is counter-exact.
+// simulation, warp accounting, the block chunking of Device::Launch) must
+// reproduce these numbers *byte-identically*. Every pinned run is checked
+// at 1, 2, 3 and 4 host workers (gpusim splits block_parallel_safe launches
+// into that many chunks) and through both front-ends.
 //
 // Updating the goldens (only when the *model* intentionally changes — never
 // to paper over an accidental diff):
 //
 //   BIOSIM_UPDATE_GOLDENS=1 ./build/tests/gpusim_tests
-//     --gtest_filter=GoldenCountersTest.SerialModeMatchesGoldens
+//     --gtest_filter=GoldenCountersTest.ExactPathMatchesGoldens
 //
 // then re-run the suite without the env var and commit the JSON with an
 // explanation of why the counters legitimately moved.
@@ -27,11 +27,13 @@
 #include <iterator>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "core/thread_pool.h"
 #include "gpu/gpu_mechanical_op.h"
 #include "gpusim/profiler.h"
 #include "spatial/null_environment.h"
@@ -49,21 +51,45 @@ struct PinnedRun {
   int stride;
 };
 
-/// The exactly metered ladder, checked in both execution modes.
-constexpr PinnedRun kLadderRuns[] = {
-    {"v0", 0, 1}, {"v1", 1, 1}, {"v2", 2, 1}, {"v3", 3, 1}};
+/// The ladder metered exactly.
+constexpr PinnedRun kExactRuns[] = {
+    {"v0", 0, 1}, {"v1", 1, 1}, {"v2", 2, 1}, {"v3", 3, 1}, {"v4", 4, 1}};
 /// The sampled path (stride 8 is the default of bench/common.h and
-/// app/config.h) across the whole ladder, plus v4 metered exactly.
-constexpr PinnedRun kSampledRuns[] = {
-    {"v4", 4, 1},    {"s8_v0", 0, 8}, {"s8_v1", 1, 8},
-    {"s8_v2", 2, 8}, {"s8_v3", 3, 8}, {"s8_v4", 4, 8}};
+/// app/config.h) across the whole ladder.
+constexpr PinnedRun kSampledRuns[] = {{"s8_v0", 0, 8},
+                                      {"s8_v1", 1, 8},
+                                      {"s8_v2", 2, 8},
+                                      {"s8_v3", 3, 8},
+                                      {"s8_v4", 4, 8}};
+
+/// Host worker counts every pinned run is checked at: one chunk, and
+/// chunked launches with a direct-probe first chunk plus replayed ones. The
+/// pinned grids are powers of two, so 2 and 4 workers start every chunk on
+/// a multiple of the stride-8 sampling period; 3 workers do not.
+constexpr uint32_t kWorkerCounts[] = {1, 2, 3, 4};
+
+/// Sets the host worker count for its lifetime and restores the previous
+/// one afterwards, so later suites in the binary see what they started
+/// with.
+class ScopedWorkers {
+ public:
+  explicit ScopedWorkers(uint32_t n) : previous_(HardwareThreads()) {
+    SetNumThreads(n);
+  }
+  ~ScopedWorkers() { SetNumThreads(previous_); }
+  ScopedWorkers(const ScopedWorkers&) = delete;
+  ScopedWorkers& operator=(const ScopedWorkers&) = delete;
+
+ private:
+  uint32_t previous_;
+};
 
 /// Counters of one kernel (or the transfer pseudo-kernel), by name. All
 /// integers: these must match the goldens exactly, bit for bit.
 using CounterMap = std::map<std::string, uint64_t>;
 /// kernel name -> counters.
 using KernelMap = std::map<std::string, CounterMap>;
-/// "v0".."v3" -> kernels.
+/// Pinned run key ("v0", "s8_v0", ...) -> kernels.
 using GoldenMap = std::map<std::string, KernelMap>;
 
 /// GTX 1080 Ti with the L2 shrunk so the 4k-agent working set exceeds it —
@@ -105,7 +131,7 @@ CounterMap Counters(const gpusim::AggregatedKernel& k) {
 /// (16^3 jittered lattice, shuffled into the aged-population layout) at the
 /// given meter stride. Returns every launched kernel's aggregated counters
 /// plus the host<->device transfer totals.
-KernelMap RunVersion(int v, int stride, bool parallel_blocks) {
+KernelMap RunVersion(int v, int stride, GpuBackendKind front) {
   ResourceManager rm;
   testutil::FillLatticeCells(&rm, 16, 10.0, 10.0, /*jitter=*/1.5,
                              /*seed=*/42);
@@ -114,7 +140,7 @@ KernelMap RunVersion(int v, int stride, bool parallel_blocks) {
   Param param;
   GpuMechanicsOptions opts = GpuMechanicsOptions::Version(v, GoldenSpec());
   opts.meter_stride = stride;
-  opts.parallel_blocks = parallel_blocks;
+  opts.backend = front;
   GpuMechanicalOp op(opts);
   NullEnvironment env;
   env.Update(rm, param, ExecMode::kSerial);
@@ -136,16 +162,13 @@ KernelMap RunVersion(int v, int stride, bool parallel_blocks) {
 }
 
 template <size_t N>
-GoldenMap RunAll(const PinnedRun (&runs)[N], bool parallel_blocks) {
+GoldenMap RunAll(const PinnedRun (&runs)[N],
+                 GpuBackendKind front = GpuBackendKind::kCudaLike) {
   GoldenMap all;
   for (const PinnedRun& r : runs) {
-    all[r.key] = RunVersion(r.version, r.stride, parallel_blocks);
+    all[r.key] = RunVersion(r.version, r.stride, front);
   }
   return all;
-}
-
-GoldenMap RunAllVersions(bool parallel_blocks) {
-  return RunAll(kLadderRuns, parallel_blocks);
 }
 
 std::string GoldenPath() {
@@ -291,8 +314,8 @@ GoldenMap LoadGoldens() {
 /// Byte-identical comparison of every run in `got` with a readable
 /// per-counter diff.
 void ExpectMatchesGoldens(const GoldenMap& got, const GoldenMap& want,
-                          const char* mode) {
-  ASSERT_EQ(want.size(), std::size(kLadderRuns) + std::size(kSampledRuns))
+                          const std::string& mode) {
+  ASSERT_EQ(want.size(), std::size(kExactRuns) + std::size(kSampledRuns))
       << "golden file does not cover every pinned run";
   for (const auto& [version, got_kernels] : got) {
     auto vit = want.find(version);
@@ -318,48 +341,98 @@ void ExpectMatchesGoldens(const GoldenMap& got, const GoldenMap& want,
   }
 }
 
-TEST(GoldenCountersTest, SerialModeMatchesGoldens) {
-  GoldenMap got = RunAllVersions(/*parallel_blocks=*/false);
+/// Every run of `runs` at every worker count through both front-ends must
+/// match the goldens byte for byte.
+template <size_t N>
+void ExpectAllWorkerCountsMatch(const PinnedRun (&runs)[N]) {
+  const GoldenMap want = LoadGoldens();
+  for (uint32_t workers : kWorkerCounts) {
+    ScopedWorkers scoped(workers);
+    for (GpuBackendKind front :
+         {GpuBackendKind::kCudaLike, GpuBackendKind::kOpenClLike}) {
+      const std::string mode =
+          std::string(front == GpuBackendKind::kCudaLike ? "cuda-like"
+                                                         : "opencl-like") +
+          " at " + std::to_string(workers) + " workers";
+      ExpectMatchesGoldens(RunAll(runs, front), want, mode);
+    }
+  }
+}
+
+TEST(GoldenCountersTest, ExactPathMatchesGoldens) {
   if (std::getenv("BIOSIM_UPDATE_GOLDENS") != nullptr) {
-    got.merge(RunAll(kSampledRuns, /*parallel_blocks=*/false));
+    ScopedWorkers scoped(1);
+    GoldenMap got = RunAll(kExactRuns);
+    got.merge(RunAll(kSampledRuns));
     WriteGoldens(got, GoldenPath());
     GTEST_SKIP() << "goldens re-recorded at " << GoldenPath();
   }
-  ExpectMatchesGoldens(got, LoadGoldens(), "serial");
-}
-
-TEST(GoldenCountersTest, ParallelBlockModeMatchesGoldens) {
-  // The parallel-block mode must be *counter-invisible*: per-block shards
-  // merged in block order reproduce the serial counters byte-identically,
-  // whatever the worker count (including 1).
-  if (std::getenv("BIOSIM_UPDATE_GOLDENS") != nullptr) {
-    GTEST_SKIP() << "goldens are recorded from the serial mode";
-  }
-  GoldenMap got = RunAllVersions(/*parallel_blocks=*/true);
-  ExpectMatchesGoldens(got, LoadGoldens(), "parallel-block");
-}
-
-TEST(GoldenCountersTest, ParallelAndSerialModesAgreeExactly) {
-  // Mode-vs-mode comparison that holds even while goldens are being
-  // re-recorded: the two execution modes are always interchangeable.
-  GoldenMap serial = RunAllVersions(/*parallel_blocks=*/false);
-  GoldenMap parallel = RunAllVersions(/*parallel_blocks=*/true);
-  EXPECT_EQ(serial == parallel, true)
-      << "parallel-block metering diverged from serial";
+  ExpectAllWorkerCountsMatch(kExactRuns);
 }
 
 TEST(GoldenCountersTest, SampledPathMatchesGoldens) {
-  // Warp sampling keeps per-launch state (the warp counter) and scales
-  // every counter by the stride, so it is pinned on its own; the
-  // parallel-block request must not move it either.
+  // Warp sampling picks warps by their launch-wide index and scales every
+  // counter by the stride; a chunk starts its warp counter at begin * W
+  // (W = warps per block), so the sampled warps are the same at any worker
+  // count.
   if (std::getenv("BIOSIM_UPDATE_GOLDENS") != nullptr) {
-    GTEST_SKIP() << "goldens are recorded by SerialModeMatchesGoldens";
+    GTEST_SKIP() << "goldens are recorded by ExactPathMatchesGoldens";
   }
-  const GoldenMap want = LoadGoldens();
-  ExpectMatchesGoldens(RunAll(kSampledRuns, /*parallel_blocks=*/false), want,
-                       "sampled serial");
-  ExpectMatchesGoldens(RunAll(kSampledRuns, /*parallel_blocks=*/true), want,
-                       "sampled parallel-block");
+  ExpectAllWorkerCountsMatch(kSampledRuns);
+}
+
+TEST(GoldenCountersTest, WorkerCountsAgreeExactly) {
+  // Worker-count comparison that holds even while goldens are being
+  // re-recorded: chunking never moves a counter.
+  GoldenMap one;
+  GoldenMap three;
+  {
+    ScopedWorkers scoped(1);
+    one = RunAll(kExactRuns);
+    one.merge(RunAll(kSampledRuns));
+  }
+  {
+    ScopedWorkers scoped(3);
+    three = RunAll(kExactRuns);
+    three.merge(RunAll(kSampledRuns));
+  }
+  EXPECT_TRUE(one == three) << "chunked metering diverged from 1 worker";
+}
+
+TEST(GoldenCountersTest, NonUniformPhaseCountBreaksBlockParallelContract) {
+  // A block_parallel_safe kernel promises that every block runs the same
+  // for_each_lane phases. Block 5 here runs one more, so a later chunk's
+  // warp counter would start at the wrong warp. The launch must fail loudly,
+  // naming the kernel, and the same at every worker count.
+  auto launch = [](bool uniform) {
+    gpusim::Device dev(GoldenSpec());
+    dev.SetMeterStride(8);
+    auto buf = dev.Alloc<float>(8 * 64);
+    dev.Launch({"uneven", 8, 64, /*block_parallel_safe=*/true},
+               [&](gpusim::BlockCtx& blk) {
+                 blk.for_each_lane([&](gpusim::Lane& t) {
+                   t.st(buf, t.gtid(), 1.0f);
+                 });
+                 if (!uniform && blk.block() == 5) {
+                   blk.for_each_lane([&](gpusim::Lane& t) {
+                     t.st(buf, t.gtid(), 2.0f);
+                   });
+                 }
+               });
+  };
+  for (uint32_t workers : kWorkerCounts) {
+    ScopedWorkers scoped(workers);
+    EXPECT_NO_THROW(launch(/*uniform=*/true)) << workers << " workers";
+    try {
+      launch(/*uniform=*/false);
+      ADD_FAILURE() << "non-uniform phases accepted at " << workers
+                    << " workers";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'uneven'"), std::string::npos) << what;
+      EXPECT_NE(what.find("block 5"), std::string::npos) << what;
+    }
+  }
 }
 
 }  // namespace
