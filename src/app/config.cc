@@ -1,11 +1,15 @@
 #include "app/config.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace biosim::app {
 
@@ -25,227 +29,167 @@ std::string Trim(const std::string& s) {
                            what);
 }
 
-double ToDouble(const std::string& v, size_t line) {
+// Checked value parsers. `ctx` names the value's source and key ("config
+// line 7: threads", "--threads", "BIOSIM_THREADS") and starts every error
+// message. A malformed value throws std::runtime_error; a well-formed value
+// outside the key's own domain throws std::invalid_argument.
+
+double ToDouble(const std::string& v, const std::string& ctx) {
   char* end = nullptr;
   double d = std::strtod(v.c_str(), &end);
   if (end == v.c_str() || *end != '\0') {
-    Fail(line, "expected a number, got '" + v + "'");
+    throw std::runtime_error(ctx + " must be a number, got '" + v + "'");
   }
   return d;
 }
 
-uint64_t ToU64(const std::string& v, size_t line) {
-  double d = ToDouble(v, line);
-  if (d < 0 || d != static_cast<double>(static_cast<uint64_t>(d))) {
-    Fail(line, "expected a non-negative integer, got '" + v + "'");
+/// A non-negative integer that fits T, so nothing narrows silently.
+template <typename T>
+T ToInt(const std::string& v, const std::string& ctx) {
+  char* end = nullptr;
+  const double d = std::strtod(v.c_str(), &end);
+  // 2^digits is exact as a double, and every integral d below it fits T.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (end == v.c_str() || *end != '\0' || !(d >= 0.0) || d >= limit ||
+      d != std::floor(d)) {
+    throw std::runtime_error(ctx + " must be an integer in 0.." +
+                             std::to_string(std::numeric_limits<T>::max()) +
+                             ", got '" + v + "'");
   }
-  return static_cast<uint64_t>(d);
+  return static_cast<T>(d);
 }
 
-bool ToBool(const std::string& v, size_t line) {
+[[noreturn]] void Reject(const std::string& ctx, const std::string& rule,
+                         const std::string& v) {
+  throw std::invalid_argument(ctx + " must be " + rule + ", got '" + v + "'");
+}
+
+/// `parse`, then the key's own domain rule `ok`, described as `rule`.
+template <typename Parse, typename Ok>
+auto Checked(Parse parse, Ok ok, const char* rule) {
+  return [=](const std::string& v, const std::string& ctx) {
+    const auto x = parse(v, ctx);
+    if (!ok(x)) {
+      Reject(ctx, rule, v);
+    }
+    return x;
+  };
+}
+const auto ToPositive =
+    Checked(ToDouble, [](double d) { return d > 0.0; }, "positive");
+const auto ToNonNegative =
+    Checked(ToDouble, [](double d) { return d >= 0.0; }, "non-negative");
+const auto ToCount =
+    Checked(ToInt<uint64_t>, [](uint64_t n) { return n >= 1; }, ">= 1");
+
+bool ToBool(const std::string& v, const std::string& ctx) {
   if (v == "true" || v == "1" || v == "yes" || v == "on") {
     return true;
   }
   if (v == "false" || v == "0" || v == "no" || v == "off") {
     return false;
   }
-  Fail(line, "expected a boolean (true/false), got '" + v + "'");
+  throw std::runtime_error(ctx + " must be a boolean (true/false), got '" + v +
+                           "'");
+}
+
+std::string Text(const std::string& v, const std::string&) { return v; }
+
+/// The parser of an enum-valued key: the value must be one of `words`.
+auto OneOf(std::vector<std::string> words) {
+  std::string rule = "one of";
+  for (const std::string& w : words) {
+    rule += " " + w;
+  }
+  return [words, rule](const std::string& v, const std::string& ctx) {
+    if (std::find(words.begin(), words.end(), v) == words.end()) {
+      Reject(ctx, rule, v);
+    }
+    return v;
+  };
+}
+
+/// Parses a value and stores it: (value, ctx) -> void.
+using Setter = std::function<void(const std::string&, const std::string&)>;
+/// section -> key -> setter writing into one RunConfig.
+using Schema = std::map<std::string, std::map<std::string, Setter>>;
+
+template <typename T, typename Parse>
+Setter Into(T* field, Parse parse) {
+  return [field, parse](const std::string& v, const std::string& ctx) {
+    *field = parse(v, ctx);
+  };
+}
+
+Schema MakeSchema(RunConfig& cfg) {
+  return {
+      {"simulation",
+       {{"steps", Into(&cfg.steps, ToInt<uint64_t>)},
+        {"seed", Into(&cfg.seed, ToInt<uint64_t>)},
+        {"max_bound", Into(&cfg.max_bound, ToDouble)},
+        {"timestep", Into(&cfg.timestep, ToDouble)},
+        {"max_displacement", Into(&cfg.max_displacement, ToDouble)},
+        {"boundary", Into(&cfg.boundary, OneOf({"clamp", "torus", "open"}))},
+        {"threads", Into(&cfg.num_threads, ToInt<uint32_t>)},
+        {"shards", Into(&cfg.shards, ToInt<uint32_t>)},
+        {"shard_balance",
+         Into(&cfg.shard_balance, OneOf({"static", "adaptive"}))}}},
+      {"model",
+       {{"type",
+         Into(&cfg.model_type, OneOf({"cell_division", "random_cloud"}))},
+        {"cells_per_dim", Into(&cfg.cells_per_dim, ToCount)},
+        {"agents", Into(&cfg.agents, ToInt<size_t>)},
+        {"density", Into(&cfg.density, ToPositive)},
+        {"diameter", Into(&cfg.diameter, ToPositive)},
+        {"divide_threshold", Into(&cfg.divide_threshold, ToPositive)},
+        {"growth_rate", Into(&cfg.growth_rate, ToDouble)},
+        {"substance_resolution",
+         Into(&cfg.substance_resolution, ToInt<size_t>)},
+        {"substance_diffusion",
+         Into(&cfg.substance_diffusion, ToNonNegative)},
+        {"substance_decay", Into(&cfg.substance_decay, ToNonNegative)},
+        {"secretion_rate", Into(&cfg.secretion_rate, ToDouble)}}},
+      {"backend",
+       {{"type", Into(&cfg.backend_type, OneOf({"cpu", "gpu"}))},
+        {"gpu_version", Into(&cfg.gpu_version, ToInt<int>)},
+        {"gpu_device", Into(&cfg.gpu_device, OneOf({"1080ti", "v100"}))},
+        {"meter_stride", Into(&cfg.meter_stride, ToInt<int>)},
+        {"sanitize", Into(&cfg.sanitize, ToBool)},
+        {"racy_grid_build", Into(&cfg.racy_grid_build, ToBool)}}},
+      {"output",
+       {{"timeseries", Into(&cfg.timeseries_path, Text)},
+        {"vtk", Into(&cfg.vtk_path, Text)},
+        {"csv", Into(&cfg.csv_path, Text)},
+        {"checkpoint", Into(&cfg.checkpoint_path, Text)},
+        {"trace", Into(&cfg.trace_path, Text)},
+        {"metrics", Into(&cfg.metrics_path, Text)},
+        {"metrics_every", Into(&cfg.metrics_every, ToCount)},
+        {"report", Into(&cfg.report_path, Text)},
+        {"perf_counters", Into(&cfg.perf_counters, ToBool)},
+        {"flight_recorder", Into(&cfg.flight_recorder_path, Text)},
+        {"flight_recorder_depth",
+         Into(&cfg.flight_recorder_depth, ToCount)},
+        {"progress", Into(&cfg.progress_seconds, ToNonNegative)}}},
+  };
 }
 
 }  // namespace
 
-void RunConfig::Validate() const {
-  auto fail = [](const std::string& what) {
-    throw std::invalid_argument("config: " + what);
-  };
-  if (model_type != "cell_division" && model_type != "random_cloud") {
-    fail("model type must be cell_division or random_cloud, got '" +
-         model_type + "'");
+void SetConfigValue(RunConfig* cfg, const std::string& section,
+                    const std::string& key, const std::string& value,
+                    const std::string& source) {
+  Schema schema = MakeSchema(*cfg);
+  auto keys = schema.find(section);
+  if (keys == schema.end() || keys->second.count(key) == 0) {
+    throw std::logic_error("no config key '" + key + "' in [" + section +
+                           "]");
   }
-  if (boundary != "clamp" && boundary != "torus" && boundary != "open") {
-    fail("boundary must be clamp, torus or open, got '" + boundary + "'");
-  }
-  if (boundary == "torus" && backend_type == "gpu") {
-    fail("torus boundaries are CPU-only (the GPU kernels implement the "
-         "paper's clamped space)");
-  }
-  if (backend_type != "cpu" && backend_type != "gpu") {
-    fail("backend type must be cpu or gpu, got '" + backend_type + "'");
-  }
-  if (substance_resolution == 1) {
-    fail("substance_resolution must be 0 (no substance) or >= 2");
-  }
-  if (substance_diffusion < 0.0 || substance_decay < 0.0) {
-    fail("substance_diffusion and substance_decay must be non-negative");
-  }
-  if (secretion_rate != 0.0 && substance_resolution == 0) {
-    fail("secretion_rate needs a substance grid (set substance_resolution)");
-  }
-  if (shard_balance != "static" && shard_balance != "adaptive") {
-    fail("shard_balance must be static or adaptive, got '" + shard_balance +
-         "'");
-  }
-  if (shards > 0 && backend_type == "gpu") {
-    fail("shards is a CPU-pipeline knob (the GPU backend owns the whole "
-         "domain)");
-  }
-  if (gpu_device != "1080ti" && gpu_device != "v100") {
-    fail("gpu device must be 1080ti or v100, got '" + gpu_device + "'");
-  }
-  if (gpu_version < 0 || gpu_version > 4) {
-    fail("gpu version must be in 0..4");
-  }
-  if (meter_stride < 1) {
-    fail("meter_stride must be >= 1");
-  }
-  if (sanitize && backend_type != "gpu") {
-    fail("sanitize requires backend type gpu (the sanitizer observes the "
-         "simulated device)");
-  }
-  if (racy_grid_build && backend_type != "gpu") {
-    fail("racy_grid_build requires backend type gpu (it swaps a device "
-         "kernel)");
-  }
-  if (!(timestep > 0.0)) {
-    fail("timestep must be positive");
-  }
-  if (!(max_bound > 0.0)) {
-    fail("max_bound must be positive");
-  }
-  if (!(diameter > 0.0) || !(divide_threshold > 0.0)) {
-    fail("diameters must be positive");
-  }
-  if (!(density > 0.0)) {
-    fail("density must be positive");
-  }
-  if (cells_per_dim == 0 && model_type == "cell_division") {
-    fail("cells_per_dim must be >= 1");
-  }
-  if (metrics_every == 0) {
-    fail("metrics_every must be >= 1");
-  }
-  if (flight_recorder_depth == 0) {
-    fail("flight_recorder_depth must be >= 1");
-  }
-  if (progress_seconds < 0.0) {
-    fail("progress must be >= 0 seconds");
-  }
+  keys->second.at(key)(value, source);
 }
 
 RunConfig ParseConfigString(const std::string& text) {
   RunConfig cfg;
-
-  // section -> key -> setter
-  using Setter = std::function<void(const std::string&, size_t)>;
-  std::map<std::string, std::map<std::string, Setter>> schema;
-  schema["simulation"] = {
-      {"steps", [&](const std::string& v, size_t l) { cfg.steps = ToU64(v, l); }},
-      {"seed", [&](const std::string& v, size_t l) { cfg.seed = ToU64(v, l); }},
-      {"max_bound",
-       [&](const std::string& v, size_t l) { cfg.max_bound = ToDouble(v, l); }},
-      {"timestep",
-       [&](const std::string& v, size_t l) { cfg.timestep = ToDouble(v, l); }},
-      {"max_displacement",
-       [&](const std::string& v, size_t l) {
-         cfg.max_displacement = ToDouble(v, l);
-       }},
-      {"boundary",
-       [&](const std::string& v, size_t) { cfg.boundary = v; }},
-      {"threads",
-       [&](const std::string& v, size_t l) {
-         cfg.num_threads = static_cast<uint32_t>(ToU64(v, l));
-       }},
-      {"shards",
-       [&](const std::string& v, size_t l) {
-         cfg.shards = static_cast<uint32_t>(ToU64(v, l));
-       }},
-      {"shard_balance",
-       [&](const std::string& v, size_t) { cfg.shard_balance = v; }},
-  };
-  schema["model"] = {
-      {"type", [&](const std::string& v, size_t) { cfg.model_type = v; }},
-      {"cells_per_dim",
-       [&](const std::string& v, size_t l) {
-         cfg.cells_per_dim = static_cast<size_t>(ToU64(v, l));
-       }},
-      {"agents",
-       [&](const std::string& v, size_t l) {
-         cfg.agents = static_cast<size_t>(ToU64(v, l));
-       }},
-      {"density",
-       [&](const std::string& v, size_t l) { cfg.density = ToDouble(v, l); }},
-      {"diameter",
-       [&](const std::string& v, size_t l) { cfg.diameter = ToDouble(v, l); }},
-      {"divide_threshold",
-       [&](const std::string& v, size_t l) {
-         cfg.divide_threshold = ToDouble(v, l);
-       }},
-      {"growth_rate",
-       [&](const std::string& v, size_t l) {
-         cfg.growth_rate = ToDouble(v, l);
-       }},
-      {"substance_resolution",
-       [&](const std::string& v, size_t l) {
-         cfg.substance_resolution = static_cast<size_t>(ToU64(v, l));
-       }},
-      {"substance_diffusion",
-       [&](const std::string& v, size_t l) {
-         cfg.substance_diffusion = ToDouble(v, l);
-       }},
-      {"substance_decay",
-       [&](const std::string& v, size_t l) {
-         cfg.substance_decay = ToDouble(v, l);
-       }},
-      {"secretion_rate",
-       [&](const std::string& v, size_t l) {
-         cfg.secretion_rate = ToDouble(v, l);
-       }},
-  };
-  schema["backend"] = {
-      {"type", [&](const std::string& v, size_t) { cfg.backend_type = v; }},
-      {"gpu_version",
-       [&](const std::string& v, size_t l) {
-         cfg.gpu_version = static_cast<int>(ToU64(v, l));
-       }},
-      {"gpu_device", [&](const std::string& v, size_t) { cfg.gpu_device = v; }},
-      {"meter_stride",
-       [&](const std::string& v, size_t l) {
-         cfg.meter_stride = static_cast<int>(ToU64(v, l));
-       }},
-      {"sanitize",
-       [&](const std::string& v, size_t l) { cfg.sanitize = ToBool(v, l); }},
-      {"racy_grid_build",
-       [&](const std::string& v, size_t l) {
-         cfg.racy_grid_build = ToBool(v, l);
-       }},
-  };
-  schema["output"] = {
-      {"timeseries",
-       [&](const std::string& v, size_t) { cfg.timeseries_path = v; }},
-      {"vtk", [&](const std::string& v, size_t) { cfg.vtk_path = v; }},
-      {"csv", [&](const std::string& v, size_t) { cfg.csv_path = v; }},
-      {"checkpoint",
-       [&](const std::string& v, size_t) { cfg.checkpoint_path = v; }},
-      {"trace", [&](const std::string& v, size_t) { cfg.trace_path = v; }},
-      {"metrics", [&](const std::string& v, size_t) { cfg.metrics_path = v; }},
-      {"metrics_every",
-       [&](const std::string& v, size_t l) { cfg.metrics_every = ToU64(v, l); }},
-      {"report", [&](const std::string& v, size_t) { cfg.report_path = v; }},
-      {"perf_counters",
-       [&](const std::string& v, size_t l) {
-         cfg.perf_counters = ToBool(v, l);
-       }},
-      {"flight_recorder",
-       [&](const std::string& v, size_t) { cfg.flight_recorder_path = v; }},
-      {"flight_recorder_depth",
-       [&](const std::string& v, size_t l) {
-         cfg.flight_recorder_depth = ToU64(v, l);
-       }},
-      {"progress",
-       [&](const std::string& v, size_t l) {
-         cfg.progress_seconds = ToDouble(v, l);
-       }},
-  };
+  Schema schema = MakeSchema(cfg);
 
   std::istringstream in(text);
   std::string raw;
@@ -286,10 +230,8 @@ RunConfig ParseConfigString(const std::string& text) {
     if (it == keys.end()) {
       Fail(line_no, "unknown key '" + key + "' in [" + section + "]");
     }
-    it->second(value, line_no);
+    it->second(value, "config line " + std::to_string(line_no) + ": " + key);
   }
-
-  cfg.Validate();
   return cfg;
 }
 

@@ -48,6 +48,11 @@
 //
 // Lines starting with '#' or ';' are comments; keys are section-scoped.
 // Unknown sections/keys are errors (typos should not be silent).
+//
+// Parsing checks each value on its own (type, range, enum words, a key's
+// own domain such as diameter > 0) and names the line and key. Rules that
+// pair keys belong to BuildSimulation (app/runner.h) and Simulation::Validate;
+// gpu_version and meter_stride are read only when type = gpu.
 #ifndef BIOSIM_APP_CONFIG_H_
 #define BIOSIM_APP_CONFIG_H_
 
@@ -139,15 +144,20 @@ struct RunConfig {
   /// Print a heartbeat (step, steps/s, ETA, StateHash prefix) to stderr
   /// every N seconds. 0 disables. Fractional seconds allowed (tests).
   double progress_seconds = 0.0;
-
-  /// Throw std::invalid_argument on out-of-range values.
-  void Validate() const;
 };
 
-/// Parse from file / from text. Throw std::runtime_error with a line-number
-/// message on syntax errors or unknown keys.
+/// Parse from file / from text. Throw std::runtime_error naming the line on
+/// syntax errors, unknown keys and malformed values; std::invalid_argument
+/// naming the line and key for a value outside its key's domain.
 RunConfig ParseConfigFile(const std::string& path);
 RunConfig ParseConfigString(const std::string& text);
+
+/// Set `[section] key` through the INI file's parser, so flags and
+/// environment overrides are checked alike; `source` ("--threads") starts
+/// any error. Throws like ParseConfigString (std::logic_error: no such key).
+void SetConfigValue(RunConfig* cfg, const std::string& section,
+                    const std::string& key, const std::string& value,
+                    const std::string& source);
 
 }  // namespace biosim::app
 

@@ -19,25 +19,6 @@ namespace biosim::app {
 
 namespace {
 
-// Divergence bounds vs the uniform-grid serial reference. These are the
-// documented contract (docs/determinism.md), not observations: a backend
-// exceeding its bound is a regression.
-//
-// kd-tree visits neighbors in tree order, the grid in ascending agent
-// index; FP addition is not associative, so per-step displacements differ
-// in the last bits (~1e-15) and drift stays far below 1e-9 over a short
-// trajectory.
-constexpr double kKdTreeTol = 1e-9;
-// GPU v0 is the FP64 port: same math, device summation order. Single-step
-// agreement is ~1e-12 (gpu_equivalence_test), so 1e-9 bounds a short run.
-constexpr double kGpuFp64Tol = 1e-9;
-// v1..v3 compute in FP32 (the paper's Improvement I): ~1e-7 relative per
-// step, amplified by force-law sensitivity over multiple steps. The
-// five-step precedent is 5e-3 (MultiStepTrajectoriesStayClose); 2e-2 gives
-// robustness headroom without hiding real errors (a wrong kernel is off by
-// whole diameters, not hundredths).
-constexpr double kGpuFp32Tol = 2e-2;
-
 struct BackendSpec {
   const char* name;
   /// kCpuGridCallback wraps the uniform grid in a ForwardingEnvironment, so
@@ -140,6 +121,7 @@ ParityReport RunParity(const ParityScenario& scenario) {
       {"gpu_v1", Kind::kGpu, ExecMode::kSerial, 1, false, kGpuFp32Tol},
       {"gpu_v2", Kind::kGpu, ExecMode::kSerial, 2, false, kGpuFp32Tol},
       {"gpu_v3", Kind::kGpu, ExecMode::kSerial, 3, false, kGpuFp32Tol},
+      {"gpu_v4", Kind::kGpu, ExecMode::kSerial, 4, false, kGpuFp32Tol},
   };
 
   ParityReport report;

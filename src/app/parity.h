@@ -4,7 +4,7 @@
 // combination the engine ships — kd-tree, uniform grid serial, uniform grid
 // parallel, the fused CSR fast path (serial and parallel), the spatially
 // sharded pipeline (cpu_sharded: two shards with halo exchange,
-// docs/sharding.md), and the GPU version ladder v0..v3 — and compares each
+// docs/sharding.md), and the GPU version ladder v0..v4 — and compares each
 // trajectory against the uniform-grid serial reference (which wraps the
 // grid in a ForwardingEnvironment, so its forces take the generic callback
 // path and the cpu_fast rows prove fused == callback):
@@ -20,7 +20,9 @@
 //     bound.
 //
 // Both tools/biosim_parity.cc and tests/integration/parity_test.cc are thin
-// wrappers around RunParity, so CI and local runs enforce the same bounds.
+// wrappers around RunParity, so CI and local runs enforce the same bounds;
+// the knob-matrix test (tests/integration/validation_matrix_test.cc) holds
+// every accepted configuration to the same tolerance table below.
 #ifndef BIOSIM_APP_PARITY_H_
 #define BIOSIM_APP_PARITY_H_
 
@@ -29,6 +31,17 @@
 #include <vector>
 
 namespace biosim::app {
+
+// The tolerance rows vs the uniform-grid serial reference: the documented
+// contract (docs/determinism.md), not observations. The kd-tree sums in
+// tree order, not ascending index (FP64 drift ~1e-15 per step); GPU v0 is
+// the FP64 port in device summation order (~1e-12 per step); v1..v4 compute
+// in FP32 (Improvement I), ~1e-7 relative per step amplified over steps.
+// The five-step FP32 precedent is 5e-3; a wrong kernel is off by whole
+// diameters, not hundredths.
+inline constexpr double kKdTreeTol = 1e-9;
+inline constexpr double kGpuFp64Tol = 1e-9;
+inline constexpr double kGpuFp32Tol = 2e-2;
 
 /// The seeded scenario every backend runs: `agents` random cells of
 /// `diameter` in a [0, space]^3 cube (benchmark-B layout, no behaviors, no

@@ -139,7 +139,17 @@ int64_t InjectedDivergenceStep() {
 }  // namespace
 
 std::unique_ptr<Simulation> BuildSimulation(const RunConfig& cfg) {
-  cfg.Validate();
+  // Key pairings only the INI has; sim->Validate() below checks the rest.
+  if (cfg.backend_type != "gpu" && (cfg.sanitize || cfg.racy_grid_build)) {
+    throw std::invalid_argument(
+        std::string("config: ") +
+        (cfg.sanitize ? "sanitize" : "racy_grid_build") +
+        " requires backend type gpu (it acts on the simulated device)");
+  }
+  if (cfg.secretion_rate != 0.0 && cfg.substance_resolution == 0) {
+    throw std::invalid_argument(
+        "config: secretion_rate needs substance_resolution > 0");
+  }
 
   Param param;
   param.random_seed = cfg.seed;
@@ -201,12 +211,11 @@ std::unique_ptr<Simulation> BuildSimulation(const RunConfig& cfg) {
     sim->SetEnvironment(std::make_unique<NullEnvironment>());
     sim->SetMechanicsBackend(std::make_unique<gpu::GpuMechanicalOp>(opts));
   }
+  sim->Validate();
   return sim;
 }
 
 DeterminismReport VerifyDeterminism(const RunConfig& cfg) {
-  cfg.Validate();
-
   auto hash_trajectory = [](const RunConfig& run_cfg) {
     auto sim = BuildSimulation(run_cfg);
     std::vector<uint64_t> hashes;

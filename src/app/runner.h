@@ -13,6 +13,8 @@
 namespace biosim::app {
 
 /// Construct the configured simulation (population + backend), not yet run.
+/// Throws std::invalid_argument for a combination that cannot run (the
+/// INI-only key pairings, then Simulation::Validate).
 std::unique_ptr<Simulation> BuildSimulation(const RunConfig& cfg);
 
 struct RunSummary {

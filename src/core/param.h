@@ -38,9 +38,9 @@ struct Param {
   /// Simulation space is the cube [min_bound, max_bound]^3.
   double min_bound = 0.0;
   double max_bound = 1000.0;
-  /// Face behavior. kTorus is supported by the uniform-grid environment and
-  /// the CPU mechanics; the kd-tree baseline and the GPU kernels implement
-  /// the paper's clamped space only.
+  /// Face behavior. kTorus needs the uniform-grid environment and the CPU
+  /// mechanics; the kd-tree baseline and the GPU kernels implement clamped
+  /// and open space only. Simulation::Validate enforces the pairing.
   BoundaryMode boundary_mode = BoundaryMode::kClamp;
 
   double SpaceEdge() const { return max_bound - min_bound; }
@@ -87,16 +87,16 @@ struct Param {
   /// degenerate single shard (useful to isolate the machinery). StateHash
   /// is bitwise-identical for every shard count — verified by the parity
   /// harness's cpu_sharded row and the CI shard×thread determinism sweep.
-  /// Requires the uniform-grid environment; rejected when the shard count
-  /// exceeds the lattice's z-plane count.
+  /// Needs the CPU backend and the uniform grid (Simulation::Validate);
+  /// rejected when the shard count exceeds the lattice's z-plane count.
   uint32_t num_shards = 0;
 
   /// Plane-range sizing policy when num_shards > 0.
   ShardBalance shard_balance = ShardBalance::kStatic;
 
   /// Throw std::invalid_argument on inconsistent settings. Called by the
-  /// Simulation constructor so misconfiguration fails fast, before any
-  /// agents exist.
+  /// Simulation constructor so misconfiguration fails fast, and again by
+  /// Simulation::Validate at every Simulate().
   void Validate() const {
     auto fail = [](const std::string& what) {
       throw std::invalid_argument("Param: " + what);

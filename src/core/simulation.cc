@@ -287,13 +287,10 @@ void Simulation::RunShardedOps() {
     shard_runtime_->UpdateGrids(rm_, mode_);
   }
   STAGE_SCOPE("mechanical forces");
-  auto* cpu = dynamic_cast<CpuMechanicsBackend*>(backend_.get());
-  if (cpu == nullptr) {
-    throw std::invalid_argument(
-        "Simulation: num_shards > 0 requires the CPU mechanics backend "
-        "(the sharded force pass drives the fused CSR kernel directly)");
-  }
-  MechanicalForcesOp& op = cpu->mutable_op();
+  // Validate() admits shards only beside a backend that supports them; the
+  // sharded force pass drives the CPU backend's fused CSR kernel directly.
+  MechanicalForcesOp& op =
+      dynamic_cast<CpuMechanicsBackend&>(*backend_).mutable_op();
   op.ComputeDisplacementsSharded(
       rm_, shard_runtime_->ForceInputs(),
       shard_runtime_->geometry().interaction_radius,
@@ -310,7 +307,36 @@ uint64_t Simulation::StateHash() const {
   return h;
 }
 
+void Simulation::Validate() const {
+  param_.Validate();
+  // Each rule pairs a Param knob with a capability of the mechanics backend
+  // or the environment; a broken rule names both.
+  auto require = [this](bool ok, const char* knob, bool by_backend) {
+    if (!ok) {
+      throw std::invalid_argument(
+          std::string("Simulation: ") + knob + " is not supported by " +
+          (by_backend ? std::string("mechanics backend '") + backend_->name()
+                      : std::string("environment '") + env_->name()) +
+          "'");
+    }
+  };
+  const bool sharded = param_.num_shards > 0;
+  const bool torus = param_.boundary_mode == BoundaryMode::kTorus;
+  require(!sharded || backend_->supports_shards(), "num_shards > 0", true);
+  require(!sharded || env_->supports_shards(), "num_shards > 0", false);
+  require(!torus || backend_->supports_torus(), "boundary_mode=torus", true);
+  require(!torus || env_->supports_torus(), "boundary_mode=torus", false);
+  if (backend_->needs_neighbor_queries() &&
+      !env_->answers_neighbor_queries()) {
+    throw std::invalid_argument(
+        std::string("Simulation: mechanics backend '") + backend_->name() +
+        "' needs neighbor queries, which environment '" + env_->name() +
+        "' does not answer");
+  }
+}
+
 void Simulation::Simulate(uint64_t steps) {
+  Validate();
   const bool sharded = param_.num_shards > 0;
   if (sharded &&
       (!shard_runtime_ || shard_runtime_->shards() != param_.num_shards)) {

@@ -83,7 +83,13 @@ class Simulation {
   void CreateRandomCells(size_t count, double diameter);
 
   // --- execution ----------------------------------------------------------
-  /// Advance `steps` timesteps through the full pipeline.
+  /// The one check of whether this wiring can run: Param::Validate, then
+  /// every rule between Param and the environment's and backend's
+  /// capabilities. Throws std::invalid_argument naming both knobs, e.g.
+  /// "boundary_mode=torus is not supported by mechanics backend 'gpu'".
+  void Validate() const;
+
+  /// Validate(), then advance `steps` timesteps through the full pipeline.
   void Simulate(uint64_t steps);
 
   uint64_t step() const { return step_; }

@@ -190,11 +190,6 @@ void GpuMechanicalOp::Step(ResourceManager& rm, const Environment& env,
                            const Param& param, ExecMode mode,
                            OpProfile* profile) {
   (void)env;  // the grid is rebuilt on the device each step
-  if (param.boundary_mode == BoundaryMode::kTorus) {
-    throw std::invalid_argument(
-        "the GPU kernels implement the paper's clamped space; torus "
-        "boundaries are CPU-only");
-  }
   if (options_.precision == GpuPrecision::kFp32) {
     StepImpl<float>(rm, param, mode, profile);
   } else {

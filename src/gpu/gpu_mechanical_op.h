@@ -28,6 +28,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -88,9 +90,14 @@ struct GpuMechanicsOptions {
   /// The paper's GPU version ladder: 0 = FP64 baseline port, 1 = +FP32,
   /// 2 = +Z-order sorting, 3 = +shared memory. Version 4 is the paper's
   /// *future work* (neighbor-parallel: warp per cell) on top of version 2.
+  /// Throws std::invalid_argument naming gpu_version outside 0..4.
   static GpuMechanicsOptions Version(int v,
                                      gpusim::DeviceSpec spec =
                                          gpusim::DeviceSpec::GTX1080Ti()) {
+    if (v < 0 || v > 4) {
+      throw std::invalid_argument("gpu_version must be in 0..4, got " +
+                                  std::to_string(v));
+    }
     GpuMechanicsOptions o;
     o.device = std::move(spec);
     o.precision = v >= 1 ? GpuPrecision::kFp32 : GpuPrecision::kFp64;
@@ -111,6 +118,9 @@ class GpuMechanicalOp : public MechanicsBackend {
             ExecMode mode, OpProfile* profile) override;
 
   const char* name() const override { return "gpu"; }
+  /// The grid is rebuilt on the device each step. The kernels implement
+  /// clamped and open space only and own the whole domain (no shards).
+  bool needs_neighbor_queries() const override { return false; }
 
   const GpuMechanicsOptions& options() const { return options_; }
   gpusim::Device& device();

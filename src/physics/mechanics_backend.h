@@ -28,6 +28,15 @@ class MechanicsBackend {
                     const Param& param, ExecMode mode, OpProfile* profile) = 0;
 
   virtual const char* name() const = 0;
+
+  // Capabilities; only Simulation::Validate compares them with Param and
+  // the environment.
+  /// Step() reads neighbors through the environment's queries.
+  virtual bool needs_neighbor_queries() const { return true; }
+  /// Implements BoundaryMode::kTorus.
+  virtual bool supports_torus() const { return false; }
+  /// Runs the sharded pipeline's force pass (Param::num_shards > 0).
+  virtual bool supports_shards() const { return false; }
 };
 
 /// CPU reference backend wrapping MechanicalForcesOp.
@@ -41,6 +50,8 @@ class CpuMechanicsBackend : public MechanicsBackend {
   }
 
   const char* name() const override { return "cpu"; }
+  bool supports_torus() const override { return true; }
+  bool supports_shards() const override { return true; }
 
   size_t last_force_evaluations() const { return op_.last_force_evaluations(); }
   const MechanicalForcesOp& op() const { return op_; }

@@ -47,6 +47,16 @@ class Environment {
   virtual double interaction_radius() const = 0;
 
   virtual const char* name() const = 0;
+
+  // Capabilities; only Simulation::Validate compares them with Param and
+  // the mechanics backend.
+  /// Neighbor queries return real neighbors (NullEnvironment's do not).
+  virtual bool answers_neighbor_queries() const { return true; }
+  /// Queries see minimum-image neighbors under BoundaryMode::kTorus.
+  virtual bool supports_torus() const { return false; }
+  /// The sharded pipeline's per-shard CSRs can replace this index without
+  /// changing results (true only for the uniform grid).
+  virtual bool supports_shards() const { return false; }
 };
 
 }  // namespace biosim

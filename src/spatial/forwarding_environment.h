@@ -37,6 +37,11 @@ class ForwardingEnvironment : public Environment {
     return inner_->interaction_radius();
   }
   const char* name() const override { return "forwarding"; }
+  bool answers_neighbor_queries() const override {
+    return inner_->answers_neighbor_queries();
+  }
+  bool supports_torus() const override { return inner_->supports_torus(); }
+  bool supports_shards() const override { return inner_->supports_shards(); }
 
  private:
   std::unique_ptr<Environment> inner_;

@@ -2,17 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 namespace biosim {
 
 void KdTreeEnvironment::Update(const ResourceManager& rm, const Param& param,
                                ExecMode mode) {
-  if (param.boundary_mode == BoundaryMode::kTorus) {
-    throw std::invalid_argument(
-        "kd-tree environment does not support torus boundaries; use the "
-        "uniform grid");
-  }
   interaction_radius_ = rm.LargestDiameter() + param.interaction_radius_margin;
 
   // Step 1: build. Serial regardless of `mode` — this is the structural

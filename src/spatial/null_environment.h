@@ -1,11 +1,11 @@
 // NullEnvironment: placeholder for pipelines whose mechanics backend builds
 // its own spatial index (the GPU offload ports the uniform-grid construction
-// to the device, so a host-side index would be dead work). Querying it is a
-// programming error.
+// to the device, so a host-side index would be dead work). Querying it
+// throws in every build type (Simulation::Validate rejects it earlier).
 #ifndef BIOSIM_SPATIAL_NULL_ENVIRONMENT_H_
 #define BIOSIM_SPATIAL_NULL_ENVIRONMENT_H_
 
-#include <cassert>
+#include <stdexcept>
 
 #include "spatial/environment.h"
 
@@ -21,13 +21,14 @@ class NullEnvironment : public Environment {
 
   void ForEachNeighborWithinRadius(AgentIndex, const ResourceManager&, double,
                                    NeighborFn) const override {
-    assert(false &&
-           "NullEnvironment cannot answer neighbor queries; use a kd-tree or "
-           "uniform-grid environment");
+    throw std::logic_error(
+        "NullEnvironment cannot answer neighbor queries; use a kd-tree or "
+        "uniform-grid environment");
   }
 
   double interaction_radius() const override { return interaction_radius_; }
   const char* name() const override { return "null"; }
+  bool answers_neighbor_queries() const override { return false; }
 
  private:
   double interaction_radius_ = 0.0;

@@ -48,6 +48,8 @@ class UniformGridEnvironment : public Environment {
 
   double interaction_radius() const override { return interaction_radius_; }
   const char* name() const override { return "uniform-grid"; }
+  bool supports_torus() const override { return true; }
+  bool supports_shards() const override { return true; }
 
   double box_length() const { return geometry_.box_length; }
   const Int3& num_boxes_axis() const { return geometry_.num_boxes_axis; }

@@ -133,10 +133,10 @@ TEST(ConfigTest, BoundaryModes) {
             "torus");
   EXPECT_THROW(ParseConfigString("[simulation]\nboundary = moebius\n"),
                std::invalid_argument);
-  // Torus + GPU is rejected at validation.
-  EXPECT_THROW(ParseConfigString(
-                   "[simulation]\nboundary = torus\n[backend]\ntype = gpu\n"),
-               std::invalid_argument);
+  // Torus + GPU parses; BuildSimulation rejects the pairing
+  // (RunnerTest.BuildRejectsCrossKeyCombinations).
+  EXPECT_NO_THROW(ParseConfigString(
+      "[simulation]\nboundary = torus\n[backend]\ntype = gpu\n"));
 }
 
 TEST(ConfigTest, SanitizeFlagParsesAndRequiresGpu) {
@@ -144,9 +144,9 @@ TEST(ConfigTest, SanitizeFlagParsesAndRequiresGpu) {
       "[backend]\ntype = gpu\nsanitize = true\n");
   EXPECT_TRUE(cfg.sanitize);
   EXPECT_FALSE(ParseConfigString("[backend]\ntype = gpu\n").sanitize);
-  // The sanitizer observes the simulated device: CPU runs reject it.
-  EXPECT_THROW(ParseConfigString("[backend]\nsanitize = true\n"),
-               std::invalid_argument);
+  // sanitize on the CPU backend parses; BuildSimulation rejects the pairing
+  // (RunnerTest.BuildRejectsCrossKeyCombinations).
+  EXPECT_NO_THROW(ParseConfigString("[backend]\nsanitize = true\n"));
   EXPECT_THROW(
       ParseConfigString("[backend]\ntype = gpu\nsanitize = maybe\n"),
       std::runtime_error);
@@ -157,9 +157,10 @@ TEST(ConfigTest, RacyGridBuildParsesAndRequiresGpu) {
       "[backend]\ntype = gpu\nracy_grid_build = true\n");
   EXPECT_TRUE(cfg.racy_grid_build);
   EXPECT_FALSE(ParseConfigString("[backend]\ntype = gpu\n").racy_grid_build);
-  // The knob swaps a device kernel: CPU runs reject it.
-  EXPECT_THROW(ParseConfigString("[backend]\nracy_grid_build = true\n"),
-               std::invalid_argument);
+  // On the CPU backend it parses; BuildSimulation rejects the pairing.
+  EXPECT_NO_THROW(ParseConfigString("[backend]\nracy_grid_build = true\n"));
+  EXPECT_THROW(ParseConfigString("[backend]\nracy_grid_build = maybe\n"),
+               std::runtime_error);
 }
 
 TEST(ConfigTest, SchedulerKnobsParseAndValidate) {
@@ -185,11 +186,9 @@ TEST(ConfigTest, ShardKeysParseAndValidate) {
   EXPECT_THROW(
       ParseConfigString("[simulation]\nshards = 2\nshard_balance = magic\n"),
       std::invalid_argument);
-  // Sharding drives the fused CSR kernel per shard on the host: the GPU
-  // backend has no sharded pipeline.
-  EXPECT_THROW(ParseConfigString(
-                   "[simulation]\nshards = 2\n[backend]\ntype = gpu\n"),
-               std::invalid_argument);
+  // Shards + GPU parses; BuildSimulation rejects the pairing.
+  EXPECT_NO_THROW(ParseConfigString(
+      "[simulation]\nshards = 2\n[backend]\ntype = gpu\n"));
 }
 
 TEST(ConfigTest, SubstanceKeysParseAndValidate) {
@@ -205,17 +204,16 @@ secretion_rate = 0.5
   EXPECT_DOUBLE_EQ(cfg.substance_decay, 0.05);
   EXPECT_DOUBLE_EQ(cfg.secretion_rate, 0.5);
   EXPECT_EQ(ParseConfigString("").substance_resolution, 0u);
-  // A 1-voxel field cannot diffuse; 0 means "no substance".
-  EXPECT_THROW(ParseConfigString("[model]\nsubstance_resolution = 1\n"),
-               std::invalid_argument);
   EXPECT_THROW(ParseConfigString(
                    "[model]\nsubstance_resolution = 8\n"
                    "substance_diffusion = -1\n"),
                std::invalid_argument);
-  // Secretion without a field to receive it is a config mistake, not a
-  // silent no-op.
-  EXPECT_THROW(ParseConfigString("[model]\nsecretion_rate = 0.5\n"),
+  EXPECT_THROW(ParseConfigString("[model]\nsubstance_decay = -0.1\n"),
                std::invalid_argument);
+  // A 1-voxel field and secretion without a field parse; DiffusionGrid and
+  // BuildSimulation reject them.
+  EXPECT_NO_THROW(ParseConfigString("[model]\nsubstance_resolution = 1\n"));
+  EXPECT_NO_THROW(ParseConfigString("[model]\nsecretion_rate = 0.5\n"));
 }
 
 TEST(ConfigTest, ValidationRejectsBadEnumValues) {
@@ -223,10 +221,72 @@ TEST(ConfigTest, ValidationRejectsBadEnumValues) {
                std::invalid_argument);
   EXPECT_THROW(ParseConfigString("[backend]\ntype = fpga\n"),
                std::invalid_argument);
-  EXPECT_THROW(ParseConfigString("[backend]\ngpu_version = 9\n"),
-               std::invalid_argument);
   EXPECT_THROW(ParseConfigString("[backend]\ngpu_device = 2080ti\n"),
                std::invalid_argument);
+  // An enum key is rejected while parsing, naming its line and key.
+  try {
+    ParseConfigString("[simulation]\nsteps = 1\nshard_balance = magic\n");
+    FAIL() << "accepted shard_balance = magic";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3: shard_balance"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ConfigTest, IntegerKeysRangeCheckTheirTargetType) {
+  // Values past a key's integer type used to be narrowed silently
+  // (threads = 4294967297 became 1, shards = 4294967298 became 2).
+  struct Case {
+    std::string section, key, value;
+  };
+  const Case cases[] = {{"simulation", "threads", "4294967297"},
+                        {"simulation", "shards", "4294967298"},
+                        {"backend", "gpu_version", "2147483648"},
+                        {"backend", "meter_stride", "1e12"},
+                        {"simulation", "steps", "1e30"},
+                        {"simulation", "steps", "-1"}};
+  for (const auto& [section, key, value] : cases) {
+    try {
+      ParseConfigString("[" + section + "]\n" + key + " = " + value + "\n");
+      ADD_FAILURE() << "accepted " << key << " = " << value;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2: " + key), std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest value of the target type still parses.
+  EXPECT_EQ(ParseConfigString("[simulation]\nshards = 4294967295\n").shards,
+            4294967295u);
+}
+
+TEST(ConfigTest, SetConfigValueChecksLikeTheFileAndNamesTheSource) {
+  RunConfig cfg;
+  SetConfigValue(&cfg, "simulation", "shards", "3", "--shards");
+  EXPECT_EQ(cfg.shards, 3u);
+  SetConfigValue(&cfg, "backend", "type", "gpu", "--backend");
+  EXPECT_EQ(cfg.backend_type, "gpu");
+  struct Case {
+    const char *section, *key, *value, *source;
+  };
+  const Case bad[] = {{"simulation", "shards", "abc", "--shards"},
+                      {"simulation", "steps", "five", "--steps"},
+                      {"simulation", "threads", "4294967297", "BIOSIM_THREADS"},
+                      {"backend", "type", "fpga", "--backend"},
+                      {"output", "metrics_every", "0", "--metrics-every"}};
+  for (const Case& c : bad) {
+    try {
+      SetConfigValue(&cfg, c.section, c.key, c.value, c.source);
+      ADD_FAILURE() << "accepted " << c.source << " " << c.value;
+    } catch (const std::exception& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(c.source, 0), 0u) << e.what();
+    }
+  }
+  // A failed set leaves the earlier values alone.
+  EXPECT_EQ(cfg.shards, 3u);
+  EXPECT_EQ(cfg.backend_type, "gpu");
+  EXPECT_THROW(SetConfigValue(&cfg, "simulation", "stepz", "1", "--stepz"),
+               std::logic_error);
 }
 
 TEST(ConfigTest, ObservabilityOutputKeysParse) {

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "../test_util.h"
 #include "core/checkpoint.h"
@@ -54,6 +56,44 @@ TEST(RunnerTest, BuildsGpuBackend) {
   ASSERT_NE(op, nullptr);
   EXPECT_TRUE(op->options().zorder_sort);
   EXPECT_EQ(op->options().device.name, "NVIDIA Tesla V100");
+}
+
+TEST(RunnerTest, BuildRejectsCrossKeyCombinations) {
+  // Each of these parses (config.cc checks keys one at a time); the build
+  // rejects the pairing, so the INI, the CLI flags and VerifyDeterminism
+  // all meet the same rule. `names` are words the message must contain.
+  struct Case {
+    const char* ini;
+    std::vector<std::string> names;
+  };
+  const Case cases[] = {
+      {"[simulation]\nboundary = torus\n[backend]\ntype = gpu\n",
+       {"boundary", "gpu"}},
+      {"[simulation]\nshards = 2\n[backend]\ntype = gpu\n",
+       {"shards", "gpu"}},
+      {"[backend]\nsanitize = true\n", {"sanitize", "gpu"}},
+      {"[backend]\nracy_grid_build = true\n", {"racy_grid_build", "gpu"}},
+      {"[model]\nsecretion_rate = 0.5\n",
+       {"secretion_rate", "substance_resolution"}},
+      // Single-key ranges owned by the constructors the build calls.
+      {"[model]\nsubstance_resolution = 1\n", {"resolution"}},
+      {"[backend]\ntype = gpu\ngpu_version = 9\n", {"gpu_version"}},
+      {"[backend]\ntype = gpu\nmeter_stride = 0\n", {"meter_stride"}},
+      {"[simulation]\ntimestep = 0\n", {"time_step"}},
+  };
+  for (const Case& c : cases) {
+    RunConfig cfg = ParseConfigString(std::string(c.ini) +
+                                      "[model]\ncells_per_dim = 2\n");
+    try {
+      BuildSimulation(cfg);
+      ADD_FAILURE() << "built " << c.ini;
+    } catch (const std::invalid_argument& e) {
+      for (const std::string& name : c.names) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << c.ini << ": " << e.what();
+      }
+    }
+  }
 }
 
 TEST(RunnerTest, ExecuteRunProducesOutputs) {

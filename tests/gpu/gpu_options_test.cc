@@ -1,6 +1,6 @@
 // Option-combination tests for the GPU offload: the real device radix sort
 // path, block-size independence of results, FP64 variants of the optional
-// kernels, and the options the constructor rejects.
+// kernels, and the options the constructor and Version() reject.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -192,6 +192,22 @@ TEST(GpuOptionsTest, InvalidOptionsThrowNamingTheField) {
   GpuMechanicsOptions one_lane = GpuMechanicsOptions::Version(2);
   one_lane.block_dim = 1;
   EXPECT_NO_THROW(GpuMechanicalOp{one_lane});
+}
+
+TEST(GpuOptionsTest, VersionOutsideTheLadderThrowsNamingGpuVersion) {
+  // Version(7) used to give the v2 options and Version(-1) the v0 ones.
+  for (int v : {-1, 5, 7}) {
+    try {
+      GpuMechanicsOptions::Version(v);
+      ADD_FAILURE() << "accepted version " << v;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("gpu_version"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (int v = 0; v <= 4; ++v) {
+    EXPECT_NO_THROW(GpuMechanicsOptions::Version(v)) << v;
+  }
 }
 
 }  // namespace

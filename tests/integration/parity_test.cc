@@ -46,7 +46,8 @@ TEST_F(ParityHarnessTest, CoversEveryBackend) {
   EXPECT_EQ(names, (std::set<std::string>{
                        "ug_serial", "ug_parallel", "cpu_fast", "cpu_fast_mt",
                        "cpu_sharded", "kdtree",
-                       "gpu_v0", "gpu_v1", "gpu_v2", "gpu_v3"}));
+                       "gpu_v0", "gpu_v1", "gpu_v2", "gpu_v3",
+                       "gpu_v4"}));
 }
 
 TEST_F(ParityHarnessTest, AllBackendsWithinBounds) {

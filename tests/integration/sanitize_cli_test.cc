@@ -9,12 +9,14 @@
 // (gpu/diagnostic_kernels.h) selected with `racy_grid_build = true` — the
 // same simulation exits 0 without --sanitize and 2 with it, which is
 // exactly the CLI promise documented in docs/sanitizer.md. Flags of removed
-// settings take the usage-error exit too.
+// settings, malformed values and invalid knob pairings take the
+// usage-error exit too.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -110,6 +112,47 @@ TEST(RunnerCliTest, RemovedFlagsAreUnknownArguments) {
         << cmd << ": " << err.str();
   }
   std::remove(err_file.c_str());
+}
+
+TEST(RunnerCliTest, BadValuesAndCombinationsExitOneNamingTheCause) {
+  // Flag and BIOSIM_THREADS values go through the config file's parsers;
+  // each value here fails while parsing, so nothing is started. A knob
+  // pairing no backend supports fails in the build, naming both knobs.
+  const std::string torus_gpu = testutil::TempPath("torus_gpu.ini");
+  {
+    std::ofstream f(torus_gpu);
+    f << "[simulation]\nboundary = torus\n[backend]\ntype = gpu\n";
+  }
+  struct Case {
+    std::string env, args;
+    std::vector<std::string> names;
+  };
+  const Case cases[] = {
+      {"", "--steps 1 --shards abc", {"--shards"}},
+      {"", "--steps five", {"--steps"}},
+      {"", "--steps 1 --backend fpga", {"--backend"}},
+      {"", "--steps 1 --shard-balance magic", {"--shard-balance"}},
+      {"BIOSIM_THREADS=abc", "--steps 1", {"BIOSIM_THREADS"}},
+      {"BIOSIM_THREADS=4294967297", "--steps 1", {"BIOSIM_THREADS"}},
+      {"", torus_gpu + " --steps 1", {"boundary", "gpu"}},
+  };
+  const std::string err_file = testutil::TempPath("bad_value.err");
+  for (const Case& c : cases) {
+    const std::string cmd = c.env + " " + std::string(BIOSIM_RUN_BIN) + " " +
+                            c.args + " > /dev/null 2> " + err_file;
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << cmd;
+    std::ifstream f(err_file);
+    std::stringstream err;
+    err << f.rdbuf();
+    for (const std::string& name : c.names) {
+      EXPECT_NE(err.str().find(name), std::string::npos)
+          << cmd << ": " << err.str();
+    }
+  }
+  std::remove(err_file.c_str());
+  std::remove(torus_gpu.c_str());
 }
 
 }  // namespace

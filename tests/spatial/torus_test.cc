@@ -2,13 +2,17 @@
 // minimum-image distances/forces, and the density edge-effect fix.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
 
 #include "../test_util.h"
 #include "core/simulation.h"
+#include "gpu/gpu_mechanical_op.h"
 #include "physics/displacement.h"
 #include "physics/mechanical_forces_op.h"
 #include "spatial/kd_tree.h"
+#include "spatial/null_environment.h"
 #include "spatial/uniform_grid.h"
 
 namespace biosim {
@@ -209,11 +213,32 @@ TEST(TorusDensityTest, RemovesTheEdgeEffect) {
 }
 
 TEST(TorusUnsupportedTest, KdTreeAndGpuReject) {
-  Param p = TorusParam(100.0);
-  ResourceManager rm;
-  testutil::FillRandomCells(&rm, 10, 0.0, 100.0, 10.0);
-  KdTreeEnvironment kd;
-  EXPECT_THROW(kd.Update(rm, p, ExecMode::kSerial), std::invalid_argument);
+  // The kd-tree and the GPU kernels implement clamped space only. The rule
+  // lives in Simulation::Validate (not in a per-step throw), so the run is
+  // rejected before its first step, naming both knobs.
+  auto expect_rejected = [](Simulation& sim, const std::string& knob) {
+    try {
+      sim.Simulate(1);
+      ADD_FAILURE() << "torus accepted beside " << knob;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("boundary_mode=torus"),
+                std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(sim.step(), 0u);
+  };
+  Simulation kd(TorusParam(100.0));
+  kd.CreateRandomCells(10, 10.0);
+  kd.SetEnvironment(std::make_unique<KdTreeEnvironment>());
+  expect_rejected(kd, "environment 'kd-tree'");
+
+  Simulation gpu(TorusParam(100.0));
+  gpu.CreateRandomCells(10, 10.0);
+  gpu.SetEnvironment(std::make_unique<NullEnvironment>());
+  gpu.SetMechanicsBackend(
+      std::make_unique<gpu::GpuMechanicalOp>(gpu::GpuMechanicsOptions{}));
+  expect_rejected(gpu, "mechanics backend 'gpu'");
 }
 
 }  // namespace

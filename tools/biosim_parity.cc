@@ -4,7 +4,7 @@
 //                 [--diameter X]
 //
 // Runs the same seeded random-cloud scenario through every backend — the
-// kd-tree, the uniform grid (serial and parallel), and GPU versions v0..v3
+// kd-tree, the uniform grid (serial and parallel), and GPU versions v0..v4
 // — and prints each backend's divergence from the uniform-grid serial
 // reference next to its documented bound (src/app/parity.h,
 // docs/determinism.md). Exit code 0 when every backend is within bounds,

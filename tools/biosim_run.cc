@@ -15,7 +15,9 @@
 // The BIOSIM_THREADS environment variable overrides the worker thread count
 // (equivalent to --threads; the explicit flag wins). The CI determinism
 // sweep runs the same config under several BIOSIM_THREADS values and
-// requires identical state hashes.
+// requires identical state hashes. Flag and BIOSIM_THREADS values go
+// through the config file's parsers (SetConfigValue), so a malformed or
+// out-of-range value exits 1 with a message naming the flag.
 //
 // --shards N runs the spatially sharded pipeline (docs/sharding.md): the
 // domain is cut into N z-plane ranges, each stepped by its own rank-like
@@ -91,6 +93,27 @@ bool FlagValue(int argc, char** argv, int* i, const char* name,
   return false;
 }
 
+/// Value flags that set one config key, parsed like the key in a file.
+struct KeyFlag {
+  const char* flag;
+  const char* section;
+  const char* key;
+};
+constexpr KeyFlag kKeyFlags[] = {
+    {"--steps", "simulation", "steps"},
+    {"--backend", "backend", "type"},
+    {"--threads", "simulation", "threads"},
+    {"--shards", "simulation", "shards"},
+    {"--shard-balance", "simulation", "shard_balance"},
+    {"--trace", "output", "trace"},
+    {"--metrics-every", "output", "metrics_every"},
+    {"--metrics", "output", "metrics"},
+    {"--report", "output", "report"},
+    {"--flight-recorder-depth", "output", "flight_recorder_depth"},
+    {"--flight-recorder", "output", "flight_recorder"},
+    {"--progress", "output", "progress"},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -118,8 +141,8 @@ int main(int argc, char** argv) {
       first_flag = 2;
     }
     if (const char* env_threads = std::getenv("BIOSIM_THREADS")) {
-      cfg.num_threads =
-          static_cast<uint32_t>(std::atoll(env_threads));
+      SetConfigValue(&cfg, "simulation", "threads", env_threads,
+                     "BIOSIM_THREADS");
     }
 
     bool print_config = false;
@@ -127,32 +150,16 @@ int main(int argc, char** argv) {
     bool verify_determinism = false;
     std::string value;
     for (int i = first_flag; i < argc; ++i) {
-      if (FlagValue(argc, argv, &i, "--steps", &value)) {
-        cfg.steps = static_cast<uint64_t>(std::atoll(value.c_str()));
-      } else if (FlagValue(argc, argv, &i, "--backend", &value)) {
-        cfg.backend_type = value;
-      } else if (FlagValue(argc, argv, &i, "--threads", &value)) {
-        cfg.num_threads = static_cast<uint32_t>(std::atoll(value.c_str()));
-      } else if (FlagValue(argc, argv, &i, "--shards", &value)) {
-        cfg.shards = static_cast<uint32_t>(std::atoll(value.c_str()));
-      } else if (FlagValue(argc, argv, &i, "--shard-balance", &value)) {
-        cfg.shard_balance = value;
-      } else if (FlagValue(argc, argv, &i, "--trace", &value)) {
-        cfg.trace_path = value;
-      } else if (FlagValue(argc, argv, &i, "--metrics-every", &value)) {
-        cfg.metrics_every = static_cast<uint64_t>(std::atoll(value.c_str()));
-      } else if (FlagValue(argc, argv, &i, "--metrics", &value)) {
-        cfg.metrics_path = value;
-      } else if (FlagValue(argc, argv, &i, "--report", &value)) {
-        cfg.report_path = value;
-      } else if (FlagValue(argc, argv, &i, "--flight-recorder-depth",
-                           &value)) {
-        cfg.flight_recorder_depth =
-            static_cast<uint64_t>(std::atoll(value.c_str()));
-      } else if (FlagValue(argc, argv, &i, "--flight-recorder", &value)) {
-        cfg.flight_recorder_path = value;
-      } else if (FlagValue(argc, argv, &i, "--progress", &value)) {
-        cfg.progress_seconds = std::atof(value.c_str());
+      const KeyFlag* key_flag = nullptr;
+      for (const KeyFlag& f : kKeyFlags) {
+        if (FlagValue(argc, argv, &i, f.flag, &value)) {
+          key_flag = &f;
+          break;
+        }
+      }
+      if (key_flag != nullptr) {
+        SetConfigValue(&cfg, key_flag->section, key_flag->key, value,
+                       key_flag->flag);
       } else if (std::strcmp(argv[i], "--perf-counters") == 0) {
         cfg.perf_counters = true;
       } else if (std::strcmp(argv[i], "--json") == 0) {
@@ -168,7 +175,6 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    cfg.Validate();
 
     if (print_config) {
       std::printf(
