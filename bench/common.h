@@ -19,9 +19,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <string>
 
+#include "app/config.h"
 #include "core/simulation.h"
 #include "core/timer.h"
 #include "gpu/gpu_mechanical_op.h"
@@ -33,6 +35,19 @@
 #include "spatial/uniform_grid.h"
 
 namespace biosim::bench {
+
+/// `parse(value, flag)` with one of the config file's checked parsers
+/// (app/config.h); a malformed or out-of-domain value prints the parser's
+/// message, which names the flag, and exits 2.
+template <typename Parse>
+auto FlagOrExit(Parse parse, const char* flag, const char* value) {
+  try {
+    return parse(value, flag);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
+}
 
 /// Minimal command-line flags shared by the figure benches.
 struct Options {
@@ -53,18 +68,17 @@ struct Options {
       } else if (std::strcmp(argv[i], "--profile") == 0) {
         o.profile = true;
       } else if (std::strcmp(argv[i], "--cells") == 0 && i + 1 < argc) {
-        o.cells_per_dim = static_cast<size_t>(std::atoll(argv[++i]));
+        o.cells_per_dim =
+            FlagOrExit(app::ToCount<size_t>, "--cells", argv[++i]);
       } else if (std::strcmp(argv[i], "--agents") == 0 && i + 1 < argc) {
-        o.num_agents = static_cast<size_t>(std::atoll(argv[++i]));
+        o.num_agents =
+            FlagOrExit(app::ToCount<size_t>, "--agents", argv[++i]);
       } else if (std::strcmp(argv[i], "--iterations") == 0 && i + 1 < argc) {
-        o.iterations = std::atoi(argv[++i]);
+        o.iterations =
+            FlagOrExit(app::ToCount<int>, "--iterations", argv[++i]);
       } else if (std::strcmp(argv[i], "--meter-stride") == 0 && i + 1 < argc) {
-        o.meter_stride = std::atoi(argv[++i]);
-        if (o.meter_stride < 1) {
-          std::fprintf(stderr, "error: --meter-stride: meter_stride must be "
-                               ">= 1, got '%s'\n", argv[i]);
-          std::exit(2);
-        }
+        o.meter_stride =
+            FlagOrExit(app::ToCount<int>, "--meter-stride", argv[++i]);
       } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
         o.csv_prefix = argv[++i];
       } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "../common.h"
 #include "core/param.h"
 #include "core/random.h"
 #include "core/resource_manager.h"
@@ -244,9 +245,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--agents") == 0 && i + 1 < argc) {
-      agents = static_cast<size_t>(std::atoll(argv[++i]));
+      agents = bench::FlagOrExit(app::ToCount<size_t>, "--agents", argv[++i]);
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
+      reps = bench::FlagOrExit(app::ToCount<int>, "--reps", argv[++i]);
     } else {
       args.push_back(argv[i]);
     }

@@ -319,10 +319,11 @@ void WriteBenchJson(const std::string& path) {
   doc.Set("metered_path", std::move(mp));
   const char* baseline = std::getenv("BIOSIM_BENCH_BASELINE_METERED");
   if (baseline != nullptr) {
-    const double base = std::atof(baseline);
+    const double base = biosim::bench::FlagOrExit(
+        biosim::app::ToPositive, "BIOSIM_BENCH_BASELINE_METERED", baseline);
     json::Value pb = json::Value::MakeObject();
     pb.Set("threads_per_sec", std::floor(base));
-    pb.Set("speedup", base > 0.0 ? metered / base : 0.0);
+    pb.Set("speedup", metered / base);
     doc.Set("pre_refactor_baseline", std::move(pb));
   }
   json::Value sp = json::Value::MakeObject();

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "../common.h"
 #include "core/behaviors/random_walk.h"
 #include "core/behaviors/secretion.h"
 #include "core/param.h"
@@ -225,9 +226,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--agents") == 0 && i + 1 < argc) {
-      agents = static_cast<size_t>(std::atoll(argv[++i]));
+      agents = bench::FlagOrExit(app::ToCount<size_t>, "--agents", argv[++i]);
     } else if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
-      steps = static_cast<uint64_t>(std::atoll(argv[++i]));
+      steps = bench::FlagOrExit(app::ToCount<uint64_t>, "--steps", argv[++i]);
     } else {
       args.push_back(argv[i]);
     }

@@ -8,15 +8,28 @@
 //
 //   ./build/examples/cell_division [cells_per_dim] [steps]
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
+#include "app/config.h"
 #include "core/simulation.h"
 
 int main(int argc, char** argv) {
   using namespace biosim;
 
-  size_t cells_per_dim = argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 8;
-  uint64_t steps = argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 20;
+  // Arguments go through the config file's checked parsers (app/config.h).
+  size_t cells_per_dim = 8;
+  uint64_t steps = 20;
+  try {
+    if (argc > 1) {
+      cells_per_dim = app::ToCount<size_t>(argv[1], "cells_per_dim");
+    }
+    if (argc > 2) {
+      steps = app::ToCount(argv[2], "steps");
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 
   Param param;
   param.max_bound = static_cast<double>(cells_per_dim) * 20.0 + 200.0;

@@ -7,10 +7,12 @@
 // step for both environments, and the simulated GPU cost.
 //
 //   ./build/examples/density_sweep [agents]
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <memory>
 
+#include "app/config.h"
 #include "core/simulation.h"
 #include "core/timer.h"
 #include "gpu/gpu_mechanical_op.h"
@@ -29,7 +31,17 @@ double SpaceForDensity(size_t agents, double radius, double n) {
 
 int main(int argc, char** argv) {
   using namespace biosim;
-  size_t agents = argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 20000;
+  // The argument goes through the config file's checked parsers
+  // (app/config.h).
+  size_t agents = 20000;
+  try {
+    if (argc > 1) {
+      agents = app::ToCount<size_t>(argv[1], "agents");
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 
   std::printf(
       "%8s %8s | %12s %12s %12s\n", "n(tgt)", "n(meas)", "kdtree_ms",

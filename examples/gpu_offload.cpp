@@ -7,9 +7,10 @@
 //
 //   ./build/examples/gpu_offload [cells_per_dim] [steps]
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <memory>
 
+#include "app/config.h"
 #include "core/simulation.h"
 #include "core/timer.h"
 #include "gpu/gpu_mechanical_op.h"
@@ -19,8 +20,20 @@
 int main(int argc, char** argv) {
   using namespace biosim;
 
-  size_t cells_per_dim = argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 16;
-  uint64_t steps = argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 10;
+  // Arguments go through the config file's checked parsers (app/config.h).
+  size_t cells_per_dim = 16;
+  uint64_t steps = 10;
+  try {
+    if (argc > 1) {
+      cells_per_dim = app::ToCount<size_t>(argv[1], "cells_per_dim");
+    }
+    if (argc > 2) {
+      steps = app::ToCount(argv[2], "steps");
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 
   auto make_sim = [&]() {
     Param param;

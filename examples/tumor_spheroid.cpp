@@ -9,9 +9,10 @@
 //
 //   ./build/examples/tumor_spheroid [steps]
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <memory>
 
+#include "app/config.h"
 #include "core/behaviors/chemotaxis.h"
 #include "core/random.h"
 #include "core/simulation.h"
@@ -66,7 +67,17 @@ class OxygenLimitedGrowth : public Behavior {
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t steps = argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 150;
+  // The argument goes through the config file's checked parsers
+  // (app/config.h).
+  uint64_t steps = 150;
+  try {
+    if (argc > 1) {
+      steps = app::ToCount(argv[1], "steps");
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 
   Param param;
   param.min_bound = 0.0;

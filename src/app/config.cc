@@ -1,11 +1,9 @@
 #include "app/config.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
-#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -29,58 +27,10 @@ std::string Trim(const std::string& s) {
                            what);
 }
 
-// Checked value parsers. `ctx` names the value's source and key ("config
-// line 7: threads", "--threads", "BIOSIM_THREADS") and starts every error
-// message. A malformed value throws std::runtime_error; a well-formed value
-// outside the key's own domain throws std::invalid_argument.
-
-double ToDouble(const std::string& v, const std::string& ctx) {
-  char* end = nullptr;
-  double d = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0') {
-    throw std::runtime_error(ctx + " must be a number, got '" + v + "'");
-  }
-  return d;
-}
-
-/// A non-negative integer that fits T, so nothing narrows silently.
-template <typename T>
-T ToInt(const std::string& v, const std::string& ctx) {
-  char* end = nullptr;
-  const double d = std::strtod(v.c_str(), &end);
-  // 2^digits is exact as a double, and every integral d below it fits T.
-  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
-  if (end == v.c_str() || *end != '\0' || !(d >= 0.0) || d >= limit ||
-      d != std::floor(d)) {
-    throw std::runtime_error(ctx + " must be an integer in 0.." +
-                             std::to_string(std::numeric_limits<T>::max()) +
-                             ", got '" + v + "'");
-  }
-  return static_cast<T>(d);
-}
-
 [[noreturn]] void Reject(const std::string& ctx, const std::string& rule,
                          const std::string& v) {
   throw std::invalid_argument(ctx + " must be " + rule + ", got '" + v + "'");
 }
-
-/// `parse`, then the key's own domain rule `ok`, described as `rule`.
-template <typename Parse, typename Ok>
-auto Checked(Parse parse, Ok ok, const char* rule) {
-  return [=](const std::string& v, const std::string& ctx) {
-    const auto x = parse(v, ctx);
-    if (!ok(x)) {
-      Reject(ctx, rule, v);
-    }
-    return x;
-  };
-}
-const auto ToPositive =
-    Checked(ToDouble, [](double d) { return d > 0.0; }, "positive");
-const auto ToNonNegative =
-    Checked(ToDouble, [](double d) { return d >= 0.0; }, "non-negative");
-const auto ToCount =
-    Checked(ToInt<uint64_t>, [](uint64_t n) { return n >= 1; }, ">= 1");
 
 bool ToBool(const std::string& v, const std::string& ctx) {
   if (v == "true" || v == "1" || v == "yes" || v == "on") {
@@ -107,6 +57,35 @@ auto OneOf(std::vector<std::string> words) {
     }
     return v;
   };
+}
+
+}  // namespace
+
+double ToDouble(const std::string& v, const std::string& ctx) {
+  char* end = nullptr;
+  double d = std::strtod(v.c_str(), &end);
+  if (end == v.c_str() || *end != '\0') {
+    throw std::runtime_error(ctx + " must be a number, got '" + v + "'");
+  }
+  return d;
+}
+
+double ToPositive(const std::string& v, const std::string& ctx) {
+  const double d = ToDouble(v, ctx);
+  if (!(d > 0.0)) {
+    Reject(ctx, "positive", v);
+  }
+  return d;
+}
+
+namespace {
+
+double ToNonNegative(const std::string& v, const std::string& ctx) {
+  const double d = ToDouble(v, ctx);
+  if (!(d >= 0.0)) {
+    Reject(ctx, "non-negative", v);
+  }
+  return d;
 }
 
 /// Parses a value and stores it: (value, ctx) -> void.
@@ -137,7 +116,7 @@ Schema MakeSchema(RunConfig& cfg) {
       {"model",
        {{"type",
          Into(&cfg.model_type, OneOf({"cell_division", "random_cloud"}))},
-        {"cells_per_dim", Into(&cfg.cells_per_dim, ToCount)},
+        {"cells_per_dim", Into(&cfg.cells_per_dim, ToCount<uint64_t>)},
         {"agents", Into(&cfg.agents, ToInt<size_t>)},
         {"density", Into(&cfg.density, ToPositive)},
         {"diameter", Into(&cfg.diameter, ToPositive)},
@@ -163,12 +142,12 @@ Schema MakeSchema(RunConfig& cfg) {
         {"checkpoint", Into(&cfg.checkpoint_path, Text)},
         {"trace", Into(&cfg.trace_path, Text)},
         {"metrics", Into(&cfg.metrics_path, Text)},
-        {"metrics_every", Into(&cfg.metrics_every, ToCount)},
+        {"metrics_every", Into(&cfg.metrics_every, ToCount<uint64_t>)},
         {"report", Into(&cfg.report_path, Text)},
         {"perf_counters", Into(&cfg.perf_counters, ToBool)},
         {"flight_recorder", Into(&cfg.flight_recorder_path, Text)},
         {"flight_recorder_depth",
-         Into(&cfg.flight_recorder_depth, ToCount)},
+         Into(&cfg.flight_recorder_depth, ToCount<uint64_t>)},
         {"progress", Into(&cfg.progress_seconds, ToNonNegative)}}},
   };
 }

@@ -56,10 +56,52 @@
 #ifndef BIOSIM_APP_CONFIG_H_
 #define BIOSIM_APP_CONFIG_H_
 
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 namespace biosim::app {
+
+// Checked value parsers: the config file, the command-line flags of every
+// binary and the environment overrides all go through these. `ctx` names
+// the value's source and key ("config line 7: threads", "--threads",
+// "BIOSIM_THREADS") and starts every error message. A malformed value
+// throws std::runtime_error; a well-formed value outside the parser's
+// domain (a zero count, a negative diameter) throws std::invalid_argument.
+
+/// A number in strtod syntax, with nothing after it.
+double ToDouble(const std::string& v, const std::string& ctx);
+/// A number > 0.
+double ToPositive(const std::string& v, const std::string& ctx);
+
+/// A non-negative integer that fits T, so nothing narrows silently.
+template <typename T>
+T ToInt(const std::string& v, const std::string& ctx) {
+  char* end = nullptr;
+  const double d = std::strtod(v.c_str(), &end);
+  // 2^digits is exact as a double, and every integral d below it fits T.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (end == v.c_str() || *end != '\0' || !(d >= 0.0) || d >= limit ||
+      d != std::floor(d)) {
+    throw std::runtime_error(ctx + " must be an integer in 0.." +
+                             std::to_string(std::numeric_limits<T>::max()) +
+                             ", got '" + v + "'");
+  }
+  return static_cast<T>(d);
+}
+
+/// An integer >= 1 that fits T (an agent, step or repetition count).
+template <typename T = uint64_t>
+T ToCount(const std::string& v, const std::string& ctx) {
+  const T n = ToInt<T>(v, ctx);
+  if (n < 1) {
+    throw std::invalid_argument(ctx + " must be >= 1, got '" + v + "'");
+  }
+  return n;
+}
 
 struct RunConfig {
   // [simulation]

@@ -130,10 +130,11 @@ obs::FlightRecorder::StepRecord MakeStepRecord(
 /// Test hook: BIOSIM_INJECT_DIVERGENCE=<step> makes VerifyDeterminism
 /// report a fabricated hash mismatch at that step of the last comparison
 /// run, exercising the real exit-3 + flight-dump path without needing a
-/// genuinely nondeterministic build. Returns -1 when unset.
+/// genuinely nondeterministic build. Returns -1 when unset; a value that
+/// is not a step index throws, naming the variable.
 int64_t InjectedDivergenceStep() {
   const char* v = std::getenv("BIOSIM_INJECT_DIVERGENCE");
-  return v != nullptr ? std::atoll(v) : -1;
+  return v != nullptr ? ToInt<int64_t>(v, "BIOSIM_INJECT_DIVERGENCE") : -1;
 }
 
 }  // namespace

@@ -16,11 +16,12 @@
 //      dispatch mechanisms the fused kernels exist to avoid. The markers
 //      compile to nothing; they only scope the lint rule.
 //      BIOSIM_SHARD_SCOPE_BEGIN/END work the same way for the sharded
-//      pipeline's per-shard code (rule `cross-shard-write`): inside a shard
-//      scope the linter rejects direct writes to domain-global state
-//      (IncreaseConcentrationBy, AddAgent/RemoveAgent) and in-scope
-//      Communicator::Barrier calls, which self-deadlock when a
-//      work-stealing ParallelFor runs two ranks on one worker.
+//      pipeline's per-shard phases in core/shard_runtime.cc (rule
+//      `cross-shard-write`): inside a shard scope the linter rejects direct
+//      writes to domain-global state (IncreaseConcentrationBy,
+//      AddAgent/RemoveAgent) and in-scope Communicator::Barrier calls,
+//      which self-deadlock when a work-stealing ParallelFor runs two ranks
+//      on one worker.
 //
 //   3. TsanAcquire/TsanRelease happens-before bridges for
 //      -fsanitize=thread builds (BIOSIM_SANITIZE=thread). GCC's libgomp is
@@ -140,8 +141,9 @@ class BIOSIM_SCOPED_CAPABILITY MutexLock {
 #define BIOSIM_HOT_LOOP_END() static_cast<void>(0)
 
 // Shard-scope region markers (biosim-lint rule `cross-shard-write`). Wrap
-// the body of code that executes per-shard under the sharded pipeline
-// (docs/sharding.md):
+// the body of code that executes once per shard under the sharded pipeline
+// (docs/sharding.md) — today the halo post/drain phases and the per-shard
+// grid build in core/shard_runtime.cc:
 //
 //   BIOSIM_SHARD_SCOPE_BEGIN();
 //   ... a shard may read anything but write only its own rows; effects on

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/analysis.h"
+
 namespace biosim {
 
 namespace {
@@ -80,6 +82,7 @@ void ShardRuntime::ExchangeHalos(const ResourceManager& rm, ExecMode mode) {
 
   // Post phase: every shard ships its two face planes. The ParallelFor join
   // below is the protocol barrier between post and drain.
+  BIOSIM_SHARD_SCOPE_BEGIN();
   ParallelFor(mode, shards_, [&](size_t sk) {
     const auto k = static_cast<uint32_t>(sk);
     if (shards_ == 1) {
@@ -109,11 +112,13 @@ void ShardRuntime::ExchangeHalos(const ResourceManager& rm, ExecMode mode) {
                           std::move(first_rows));
     }
   });
+  BIOSIM_SHARD_SCOPE_END();
 
   // Drain phase: ghosts := sorted, deduplicated union of the two inbound
   // face planes; members := owned ∪ ghosts (disjoint except the K == 2
   // torus, where both neighbors are the same shard and the wrap can deliver
   // a row twice — unique() restores canonical membership).
+  BIOSIM_SHARD_SCOPE_BEGIN();
   ParallelFor(mode, shards_, [&](size_t sk) {
     const auto k = static_cast<uint32_t>(sk);
     std::vector<int32_t> ghosts;
@@ -145,6 +150,7 @@ void ShardRuntime::ExchangeHalos(const ResourceManager& rm, ExecMode mode) {
                ghosts.end(), std::back_inserter(members));
     members.erase(std::unique(members.begin(), members.end()), members.end());
   });
+  BIOSIM_SHARD_SCOPE_END();
 }
 
 void ShardRuntime::UpdateGrids(const ResourceManager& rm, ExecMode mode) {
@@ -161,9 +167,11 @@ void ShardRuntime::UpdateGrids(const ResourceManager& rm, ExecMode mode) {
     configured_begin_ = partition_.plane_begin;
   }
   const Double3* positions = rm.positions().data();
+  BIOSIM_SHARD_SCOPE_BEGIN();
   ParallelFor(mode, shards_, [&](size_t k) {
     grids_[k].Update(members_[k], positions);
   });
+  BIOSIM_SHARD_SCOPE_END();
 }
 
 std::vector<ShardForceInput> ShardRuntime::ForceInputs() const {

@@ -2,7 +2,8 @@
 //
 // Orchestrates the sharded step (docs/sharding.md). The domain is cut into K
 // contiguous z-plane ranges of the SAME box lattice the global uniform grid
-// would derive (spatial/grid_geometry.h). Each step:
+// would derive (spatial/grid_geometry.h). Each step, after the behaviors
+// pass (shared with the unsharded step) and commit:
 //
 //   Repartition   -- re-derive the lattice, split the planes (static or
 //                    load-adaptive), and bin every agent row to its owner:
@@ -23,13 +24,16 @@
 // barrier of the rank protocol (Communicator::Barrier exists for drivers
 // that run ranks on dedicated threads; a work-stealing ParallelFor may run
 // two ranks on one worker, where an in-phase barrier would self-deadlock).
+// Each per-shard phase body sits in a BIOSIM_SHARD_SCOPE region
+// (core/analysis.h), where biosim-lint rejects domain-global writes and
+// Barrier calls.
 //
 // Nothing here touches force math: the runtime only decides which shard
 // computes which rows and which ghosts it can see. The merge discipline
 // (ascending rows in every CSR run, canonical block order, one global
-// displacement epilogue, row-sorted deposit merge) makes the step's output
-// bitwise-identical for every shard count — docs/sharding.md walks the
-// argument, the parity harness and the CI shard×thread sweep enforce it.
+// displacement epilogue) makes the step's output bitwise-identical for
+// every shard count — docs/sharding.md walks the argument, the parity
+// harness and the CI shard×thread sweep enforce it.
 #ifndef BIOSIM_CORE_SHARD_RUNTIME_H_
 #define BIOSIM_CORE_SHARD_RUNTIME_H_
 
@@ -53,10 +57,10 @@ class ShardRuntime {
 
   uint32_t shards() const { return shards_; }
 
-  /// Phase A (also rerun as phase B after commit/z-order): derive the
-  /// lattice for the current population and assign every row to its owning
-  /// shard. Throws std::invalid_argument (via ShardPartition::Split) when
-  /// the shard count exceeds the lattice's z-plane count. O(n + planes).
+  /// Once per step, after commit: derive the lattice for the current
+  /// population and assign every row to its owning shard. Throws
+  /// std::invalid_argument (via ShardPartition::Split) when the shard count
+  /// exceeds the lattice's z-plane count. O(n + planes).
   void Repartition(const ResourceManager& rm, const Param& param);
 
   /// Ship face-plane rows to the adjacent shards and build each shard's
@@ -87,10 +91,11 @@ class ShardRuntime {
   const std::vector<uint64_t>& ghosts_received() const {
     return ghosts_received_;
   }
-  /// Agents whose owning shard changed since the previous Repartition.
-  /// Row-stable approximation: rows whose uid is unchanged are compared,
-  /// permuted/new rows are skipped — exact whenever rows are stable (no
-  /// z-order resort, no division), documented in docs/sharding.md.
+  /// Agents whose owning shard changed since the previous Repartition,
+  /// i.e. from one step's partition to the next. Row-stable approximation:
+  /// rows whose uid is unchanged are compared, permuted/new rows are
+  /// skipped — exact whenever rows are stable (no z-order resort, no
+  /// division), documented in docs/sharding.md.
   uint64_t last_migrations() const { return last_migrations_; }
 
  private:

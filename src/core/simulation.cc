@@ -138,7 +138,9 @@ void Simulation::RunBehaviors() {
 
   // Deferred structural changes make parallel execution safe; the commit
   // phase re-sorts them by mother row, so the outcome is thread-count
-  // independent (each agent's RNG stream is keyed by uid and step). Chunked
+  // independent (each agent's RNG stream is keyed by uid and step). A
+  // behavior reads only its own row and buffers every global effect, so the
+  // sharded step runs this same pass: ownership is irrelevant here. Chunked
   // so each worker emits one trace span covering its contiguous range —
   // the per-worker tracks in the timeline come from here.
   //
@@ -188,91 +190,13 @@ void Simulation::RunBehaviors() {
   }
 }
 
-namespace {
-
-// TraceScope keeps the name pointer, so per-shard track names must be
-// literals with static storage; shards beyond the table share the last name
-// (display-only — the simulation itself has no shard-count limit).
-const char* ShardTraceName(size_t k) {
-  static constexpr const char* kNames[] = {
-      "shard 0 behaviors",  "shard 1 behaviors",  "shard 2 behaviors",
-      "shard 3 behaviors",  "shard 4 behaviors",  "shard 5 behaviors",
-      "shard 6 behaviors",  "shard 7 behaviors",  "shard 8 behaviors",
-      "shard 9 behaviors",  "shard 10 behaviors", "shard 11 behaviors",
-      "shard 12 behaviors", "shard 13 behaviors", "shard 14 behaviors",
-      "shard 15+ behaviors"};
-  constexpr size_t kLast = sizeof(kNames) / sizeof(kNames[0]) - 1;
-  return kNames[k < kLast ? k : kLast];
-}
-
-}  // namespace
-
-void Simulation::RunBehaviorsSharded() {
-  const uint32_t num_shards = shard_runtime_->shards();
-
-  // A deposit tagged with the row that emitted it. Owned rows are disjoint
-  // across shards and each shard walks its rows ascending, so a global
-  // stable sort on the row reconstructs the exact apply sequence of the
-  // unsharded pass: ascending agent row, behavior order within a row
-  // (docs/determinism.md, docs/sharding.md).
-  struct TaggedDeposit {
-    int32_t row;
-    PendingDeposit deposit;
-  };
-  Mutex deposit_mutex;
-  std::vector<TaggedDeposit> tagged;
-
-  BIOSIM_SHARD_SCOPE_BEGIN();
-  ParallelFor(mode_, num_shards, [&](size_t k) {
-    TRACE_SCOPE(ShardTraceName(k));
-    SimContext ctx(param_, rm_, step_);
-    ctx.diffusion_grid = diffusion_grid();
-    ctx.diffusion_grids = &diffusion_grids_;
-    std::vector<PendingDeposit> sink;
-    ctx.deposit_sink = &sink;
-    std::vector<TaggedDeposit> local;
-    for (int32_t row : shard_runtime_->owned_rows(static_cast<uint32_t>(k))) {
-      const auto i = static_cast<size_t>(row);
-      if (rm_.behaviors_of(i).empty()) {
-        continue;
-      }
-      const size_t mark = sink.size();
-      Cell cell(rm_, i);
-      for (const auto& b : rm_.behaviors_of(i)) {
-        b->Run(cell, ctx);
-      }
-      for (size_t d = mark; d < sink.size(); ++d) {
-        local.push_back({row, sink[d]});
-      }
-    }
-    if (!local.empty()) {
-      MutexLock lock(deposit_mutex);
-      tagged.insert(tagged.end(), local.begin(), local.end());
-    }
-  });
-  BIOSIM_SHARD_SCOPE_END();
-
-  if (!tagged.empty()) {
-    std::stable_sort(tagged.begin(), tagged.end(),
-                     [](const TaggedDeposit& a, const TaggedDeposit& b) {
-                       return a.row < b.row;
-                     });
-    for (const TaggedDeposit& t : tagged) {
-      // Row-ordered serial merge — the sharded twin of RunBehaviors' chunk
-      // merge, same sanctioned raw-write site (docs/determinism.md).
-      t.deposit.grid->IncreaseConcentrationBy(t.deposit.position, t.deposit.amount);  // biosim-lint: allow(direct-deposit)
-    }
-  }
-}
-
 void Simulation::RunShardedOps() {
   if (rm_.empty()) {
     return;
   }
   {
-    // Partition B: commit / z-order may have moved, added or permuted
-    // rows; ownership and the halo protocol need the post-commit
-    // positions.
+    // Ownership is derived once per step, from the post-commit rows the
+    // halo protocol and the force pass read; behaviors never consult it.
     STAGE_SCOPE("partition");
     shard_runtime_->Repartition(rm_, param_);
   }
@@ -345,20 +269,9 @@ void Simulation::Simulate(uint64_t steps) {
   }
   for (uint64_t s = 0; s < steps; ++s) {
     TRACE_SCOPE("step");
-    const bool have_agents = !rm_.empty();
-    if (sharded && have_agents) {
-      // Partition A: ownership for the behaviors pass, derived from the
-      // positions the behaviors will read.
-      STAGE_SCOPE("partition");
-      shard_runtime_->Repartition(rm_, param_);
-    }
     {
       STAGE_SCOPE("cell behaviors");
-      if (!sharded) {
-        RunBehaviors();
-      } else if (have_agents) {
-        RunBehaviorsSharded();
-      }
+      RunBehaviors();
     }
     {
       STAGE_SCOPE("commit");

@@ -10,6 +10,10 @@
 //   4. "mechanical forces"    -- backend step (CPU or GPU offload)
 //   5. "diffusion"            -- advance extracellular substances
 //
+// With param.num_shards > 0, steps 3-4 become "partition", "halo exchange",
+// "shard grids" and the sharded "mechanical forces" (docs/sharding.md);
+// steps 1, 2 and 5 are the same code either way.
+//
 // Every operation's wall time is accumulated in profile(), which is exactly
 // the data behind the paper's Fig. 3.
 #ifndef BIOSIM_CORE_SIMULATION_H_
@@ -112,11 +116,9 @@ class Simulation {
   const ShardRuntime* shard_runtime() const { return shard_runtime_.get(); }
 
  private:
+  /// The one behaviors pass, sharded or not: contiguous row chunks, with
+  /// substance deposits merged serially in chunk (= row) order.
   void RunBehaviors();
-  /// Behaviors pass of the sharded pipeline: each shard runs its owned rows
-  /// (ascending); substance deposits are tagged with their row and merged
-  /// globally in row order — the exact sequence the unsharded pass applies.
-  void RunBehaviorsSharded();
   /// The sharded counterpart of "neighborhood update" + "mechanical
   /// forces": partition, halo exchange, per-shard grids, sharded force pass.
   void RunShardedOps();

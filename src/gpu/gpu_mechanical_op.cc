@@ -121,23 +121,31 @@ void GpuMechanicalOp::D2H(std::vector<T>& dst,
       front_);
 }
 
-void GpuMechanicalOp::LaunchN(
-    const std::string& name, size_t n_threads,
+void GpuMechanicalOp::LaunchBlocks(
+    const std::string& name, size_t blocks,
     const std::function<void(gpusim::BlockCtx&)>& body,
     bool block_parallel_safe) {
-  size_t block = options_.block_dim;
+  const size_t block = options_.block_dim;
   std::visit(
       [&](auto& f) {
         if constexpr (std::is_same_v<std::decay_t<decltype(f)>,
                                      gpusim::cuda::Runtime>) {
-          f.LaunchKernel(name, gpusim::cuda::Runtime::BlocksFor(n_threads, block),
-                         block, body, block_parallel_safe);
+          f.LaunchKernel(name, blocks, block, body, block_parallel_safe);
         } else {
-          f.EnqueueNDRangeKernel(name, n_threads, block, body,
+          f.EnqueueNDRangeKernel(name, blocks * block, block, body,
                                  block_parallel_safe);
         }
       },
       front_);
+}
+
+void GpuMechanicalOp::LaunchN(
+    const std::string& name, size_t n_threads,
+    const std::function<void(gpusim::BlockCtx&)>& body,
+    bool block_parallel_safe) {
+  LaunchBlocks(name,
+               gpusim::cuda::Runtime::BlocksFor(n_threads, options_.block_dim),
+               body, block_parallel_safe);
 }
 
 void GpuMechanicalOp::SortOnDevice(ResourceManager& rm, const Param& param,
@@ -366,27 +374,12 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
     // One warp per cell: block_dim/32 cells per block.
     size_t warps_per_block = options_.block_dim / 32;
     size_t blocks = (n + warps_per_block - 1) / warps_per_block;
-    std::visit(
-        [&](auto& f) {
-          if constexpr (std::is_same_v<std::decay_t<decltype(f)>,
-                                       gpusim::cuda::Runtime>) {
-            f.LaunchKernel(
-                "mech_neighbor_parallel", blocks, options_.block_dim,
-                [&](gpusim::BlockCtx& blk) {
-                  MechNeighborParallelKernelBody(blk, s, g, n, p);
-                },
-                /*block_parallel_safe=*/true);
-          } else {
-            f.EnqueueNDRangeKernel(
-                "mech_neighbor_parallel", blocks * options_.block_dim,
-                options_.block_dim,
-                [&](gpusim::BlockCtx& blk) {
-                  MechNeighborParallelKernelBody(blk, s, g, n, p);
-                },
-                /*block_parallel_safe=*/true);
-          }
+    LaunchBlocks(
+        "mech_neighbor_parallel", blocks,
+        [&](gpusim::BlockCtx& blk) {
+          MechNeighborParallelKernelBody(blk, s, g, n, p);
         },
-        front_);
+        /*block_parallel_safe=*/true);
   } else if (options_.use_shared_memory) {
     int32_t tiles_x = (g.nx + kTileBoxes - 1) / kTileBoxes;
     int32_t tiles_y = (g.ny + kTileBoxes - 1) / kTileBoxes;
@@ -394,27 +387,10 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
     size_t tiles = static_cast<size_t>(tiles_x) * static_cast<size_t>(tiles_y) *
                    static_cast<size_t>(tiles_z);
     // One block per tile: grid_dim = tiles, block_dim = options_.block_dim.
-    std::visit(
-        [&](auto& f) {
-          if constexpr (std::is_same_v<std::decay_t<decltype(f)>,
-                                       gpusim::cuda::Runtime>) {
-            f.LaunchKernel(
-                "mech_shared", tiles, options_.block_dim,
-                [&](gpusim::BlockCtx& blk) {
-                  MechSharedKernelBody(blk, s, g, n, p);
-                },
-                /*block_parallel_safe=*/true);
-          } else {
-            f.EnqueueNDRangeKernel(
-                "mech_shared", tiles * options_.block_dim,
-                options_.block_dim,
-                [&](gpusim::BlockCtx& blk) {
-                  MechSharedKernelBody(blk, s, g, n, p);
-                },
-                /*block_parallel_safe=*/true);
-          }
-        },
-        front_);
+    LaunchBlocks(
+        "mech_shared", tiles,
+        [&](gpusim::BlockCtx& blk) { MechSharedKernelBody(blk, s, g, n, p); },
+        /*block_parallel_safe=*/true);
   } else {
     LaunchN(
         "mech_interaction", n,
@@ -482,24 +458,25 @@ void GpuMechanicalOp::SyncToHost(ResourceManager& rm) {
   if (!options_.persistent_device_state || resident_agents_ != n || n == 0) {
     return;
   }
-  auto& positions = rm.positions();
   if (options_.precision == GpuPrecision::kFp32) {
-    std::vector<float> x(n), y(n), z(n);
-    D2H(x, state32_.x);
-    D2H(y, state32_.y);
-    D2H(z, state32_.z);
-    for (size_t i = 0; i < n; ++i) {
-      positions[i] = {static_cast<double>(x[i]), static_cast<double>(y[i]),
-                      static_cast<double>(z[i])};
-    }
+    CopyPositionsToHost<float>(rm);
   } else {
-    std::vector<double> x(n), y(n), z(n);
-    D2H(x, state64_.x);
-    D2H(y, state64_.y);
-    D2H(z, state64_.z);
-    for (size_t i = 0; i < n; ++i) {
-      positions[i] = {x[i], y[i], z[i]};
-    }
+    CopyPositionsToHost<double>(rm);
+  }
+}
+
+template <typename T>
+void GpuMechanicalOp::CopyPositionsToHost(ResourceManager& rm) {
+  const size_t n = rm.size();
+  MechDeviceState<T>& s = state<T>();
+  std::vector<T> x(n), y(n), z(n);
+  D2H(x, s.x);
+  D2H(y, s.y);
+  D2H(z, s.z);
+  auto& positions = rm.positions();
+  for (size_t i = 0; i < n; ++i) {
+    positions[i] = {static_cast<double>(x[i]), static_cast<double>(y[i]),
+                    static_cast<double>(z[i])};
   }
 }
 

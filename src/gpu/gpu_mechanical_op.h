@@ -149,6 +149,9 @@ class GpuMechanicalOp : public MechanicsBackend {
 
   template <typename T>
   MechDeviceState<T>& state();
+  /// SyncToHost's D2H of the resident positions at precision T.
+  template <typename T>
+  void CopyPositionsToHost(ResourceManager& rm);
 
   /// Front-end-agnostic launch/copy helpers (dispatch on options_.backend).
   template <typename T>
@@ -157,6 +160,13 @@ class GpuMechanicalOp : public MechanicsBackend {
   void H2D(gpusim::DeviceBuffer<T>& dst, const std::vector<T>& src);
   template <typename T>
   void D2H(std::vector<T>& dst, const gpusim::DeviceBuffer<T>& src);
+  /// `blocks` blocks of options_.block_dim threads: LaunchKernel on the
+  /// CUDA-like front-end, an NDRange of blocks * block_dim work-items on the
+  /// OpenCL-like one.
+  void LaunchBlocks(const std::string& name, size_t blocks,
+                    const std::function<void(gpusim::BlockCtx&)>& body,
+                    bool block_parallel_safe = false);
+  /// Enough blocks to cover `n_threads`; the kernel guards the tail.
   void LaunchN(const std::string& name, size_t n_threads,
                const std::function<void(gpusim::BlockCtx&)>& body,
                bool block_parallel_safe = false);

@@ -21,8 +21,12 @@ double RunStream(gpusim::Device& dev, size_t n, int flops_per_elem) {
   }
   dev.ResetCache();
   double before = dev.KernelMs();
+  // Each lane reads buf[i], writes only out[i] and every block runs one
+  // lane phase, so blocks are independent: the device may run them in
+  // concurrent chunks with every counter unchanged.
   dev.Launch(
-      {"ert_stream", (n + 255) / 256, 256}, [&](gpusim::BlockCtx& blk) {
+      {"ert_stream", (n + 255) / 256, 256, /*block_parallel_safe=*/true},
+      [&](gpusim::BlockCtx& blk) {
         blk.for_each_lane([&](gpusim::Lane& t) {
           size_t i = t.gtid();
           if (i >= n) {

@@ -68,22 +68,6 @@ constexpr PinnedRun kSampledRuns[] = {{"s8_v0", 0, 8},
 /// a multiple of the stride-8 sampling period; 3 workers do not.
 constexpr uint32_t kWorkerCounts[] = {1, 2, 3, 4};
 
-/// Sets the host worker count for its lifetime and restores the previous
-/// one afterwards, so later suites in the binary see what they started
-/// with.
-class ScopedWorkers {
- public:
-  explicit ScopedWorkers(uint32_t n) : previous_(HardwareThreads()) {
-    SetNumThreads(n);
-  }
-  ~ScopedWorkers() { SetNumThreads(previous_); }
-  ScopedWorkers(const ScopedWorkers&) = delete;
-  ScopedWorkers& operator=(const ScopedWorkers&) = delete;
-
- private:
-  uint32_t previous_;
-};
-
 /// Counters of one kernel (or the transfer pseudo-kernel), by name. All
 /// integers: these must match the goldens exactly, bit for bit.
 using CounterMap = std::map<std::string, uint64_t>;
@@ -347,7 +331,7 @@ template <size_t N>
 void ExpectAllWorkerCountsMatch(const PinnedRun (&runs)[N]) {
   const GoldenMap want = LoadGoldens();
   for (uint32_t workers : kWorkerCounts) {
-    ScopedWorkers scoped(workers);
+    testutil::ScopedWorkers scoped(workers);
     for (GpuBackendKind front :
          {GpuBackendKind::kCudaLike, GpuBackendKind::kOpenClLike}) {
       const std::string mode =
@@ -361,7 +345,7 @@ void ExpectAllWorkerCountsMatch(const PinnedRun (&runs)[N]) {
 
 TEST(GoldenCountersTest, ExactPathMatchesGoldens) {
   if (std::getenv("BIOSIM_UPDATE_GOLDENS") != nullptr) {
-    ScopedWorkers scoped(1);
+    testutil::ScopedWorkers scoped(1);
     GoldenMap got = RunAll(kExactRuns);
     got.merge(RunAll(kSampledRuns));
     WriteGoldens(got, GoldenPath());
@@ -387,12 +371,12 @@ TEST(GoldenCountersTest, WorkerCountsAgreeExactly) {
   GoldenMap one;
   GoldenMap three;
   {
-    ScopedWorkers scoped(1);
+    testutil::ScopedWorkers scoped(1);
     one = RunAll(kExactRuns);
     one.merge(RunAll(kSampledRuns));
   }
   {
-    ScopedWorkers scoped(3);
+    testutil::ScopedWorkers scoped(3);
     three = RunAll(kExactRuns);
     three.merge(RunAll(kSampledRuns));
   }
@@ -421,7 +405,7 @@ TEST(GoldenCountersTest, NonUniformPhaseCountBreaksBlockParallelContract) {
                });
   };
   for (uint32_t workers : kWorkerCounts) {
-    ScopedWorkers scoped(workers);
+    testutil::ScopedWorkers scoped(workers);
     EXPECT_NO_THROW(launch(/*uniform=*/true)) << workers << " workers";
     try {
       launch(/*uniform=*/false);

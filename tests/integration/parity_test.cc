@@ -1,13 +1,21 @@
 // Cross-backend parity: every backend's trajectory must stay within its
 // documented bound of the uniform-grid serial reference (src/app/parity.h,
 // docs/determinism.md). This is the test CI runs; tools/biosim_parity is the
-// same harness as a standalone diff driver.
+// same harness as a standalone diff driver, and its flag contract (a bad
+// value exits 1 naming the flag, never a vacuous pass) is pinned below by
+// spawning the real binary.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdio>
 #include <set>
 #include <string>
 
 #include "app/parity.h"
+
+#ifndef BIOSIM_PARITY_BIN
+#error "BIOSIM_PARITY_BIN must point at the biosim_parity binary"
+#endif
 
 namespace biosim::app {
 namespace {
@@ -100,6 +108,46 @@ TEST_F(ParityHarnessTest, Fp64BackendsFarTighterThanFp32Bound) {
   EXPECT_LE(Result("kdtree").max_abs_delta, 1e-9);
   EXPECT_LE(Result("gpu_v0").max_abs_delta, 1e-9);
   EXPECT_LT(Result("gpu_v0").tolerance, Result("gpu_v1").tolerance);
+}
+
+struct CliResult {
+  int exit_code = -1;
+  std::string output;  // stdout + stderr
+};
+
+CliResult RunParityCli(const std::string& args) {
+  CliResult r;
+  const std::string cmd =
+      std::string(BIOSIM_PARITY_BIN) + " " + args + " 2>&1";
+  std::FILE* pipe = ::popen(cmd.c_str(), "r");
+  EXPECT_NE(pipe, nullptr) << "failed to spawn " << cmd;
+  if (pipe == nullptr) {
+    return r;
+  }
+  char buf[4096];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+    r.output.append(buf, got);
+  }
+  const int status = ::pclose(pipe);
+  EXPECT_TRUE(WIFEXITED(status)) << "abnormal termination of " << cmd;
+  r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return r;
+}
+
+TEST(ParityCliTest, MalformedStepsExitsOneNamingTheFlag) {
+  // "five" used to parse as 0 steps: every row at hash 0, "parity: OK".
+  const CliResult r = RunParityCli("--steps five --agents 50");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("--steps"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("parity: OK"), std::string::npos) << r.output;
+}
+
+TEST(ParityCliTest, ZeroAgentsExitsOneNamingTheFlag) {
+  const CliResult r = RunParityCli("--agents 0 --steps 1");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("--agents"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("parity: OK"), std::string::npos) << r.output;
 }
 
 TEST_F(ParityHarnessTest, ReportListsEveryBackendWithStatus)  {

@@ -67,6 +67,25 @@ TEST(SimulationTest, StepAdvancesAndProfiles) {
   EXPECT_EQ(sim.profile().entries()[0].calls(), 3u);
 }
 
+TEST(SimulationTest, ShardedStepPartitionsOncePerStep) {
+  // Behaviors never read shard ownership, so the sharded step derives it
+  // once, after commit: N steps record N partition samples and every stage
+  // that runs once per step records N as well.
+  Param p;
+  p.num_shards = 4;
+  p.max_bound = 240.0;
+  Simulation sim(p);
+  sim.CreateRandomCells(200, 8.0);
+  constexpr uint64_t kSteps = 5;
+  sim.Simulate(kSteps);
+  for (const char* stage : {"cell behaviors", "commit", "partition",
+                            "halo exchange", "shard grids"}) {
+    const OpProfile::Entry* e = sim.profile().Find(stage);
+    ASSERT_NE(e, nullptr) << stage;
+    EXPECT_EQ(e->calls(), kSteps) << stage;
+  }
+}
+
 TEST(SimulationTest, OverlappingCellsRelaxApart) {
   Param p;
   p.random_seed = 5;

@@ -174,6 +174,30 @@ TEST(BiosimLintTest, TempPathLiteralFixtureViolations) {
   EXPECT_EQ(got, want);
 }
 
+TEST(BiosimLintTest, UncheckedParseFixtureViolations) {
+  auto got = RuleLines(LintFixture("tools/unchecked_parse_bad.cc"));
+  std::vector<std::pair<std::string, int>> want = {
+      {kUncheckedParse, 11},  // std::atoi
+      {kUncheckedParse, 12},  // std::atoll
+      {kUncheckedParse, 13},  // unqualified atof
+      {kUncheckedParse, 14},  // std::atol
+  };
+  EXPECT_EQ(got, want);
+}
+
+TEST(BiosimLintTest, UncheckedParseAppliesOnlyToCommandLineSurfaces) {
+  const std::string code = ReadFixture("tools/unchecked_parse_bad.cc");
+  for (const char* path :
+       {"tools/x.cc", "bench/micro/x.cc", "examples/x.cpp", "src/app/x.cc",
+        "/checkout/bench/common.h"}) {
+    EXPECT_EQ(LintFile(path, code).size(), 4u) << path;
+  }
+  for (const char* path : {"src/core/x.cc", "tests/app/x.cc", "x.cc",
+                           "src/application/x.cc"}) {
+    EXPECT_TRUE(LintFile(path, code).empty()) << path;
+  }
+}
+
 TEST(BiosimLintTest, UnclosedShardScopeIsAFinding) {
   std::string code =
       "#define BIOSIM_SHARD_SCOPE_BEGIN() static_cast<void>(0)\n"
@@ -195,6 +219,7 @@ TEST(BiosimLintTest, CleanFixturesHaveNoFindings) {
       "direct_deposit_clean.cc",  "fp_omp_reduction_clean.cc",
       "unchecked_io_clean.cc",    "hot_loop_virtual_clean.cc",
       "cross_shard_clean.cc",     "temp_path_literal_clean.cc",
+      "tools/unchecked_parse_clean.cc",
   };
   for (const char* name : clean) {
     auto findings = LintFixture(name);
@@ -212,6 +237,7 @@ TEST(BiosimLintTest, CorpusCoversAllRules) {
       "direct_deposit_bad.cc",  "fp_omp_reduction_bad.cc",
       "unchecked_io_bad.cc",    "hot_loop_virtual_bad.cc",
       "cross_shard_bad.cc",     "temp_path_literal_bad.cc",
+      "tools/unchecked_parse_bad.cc",
   };
   for (const char* name : bad) {
     for (const auto& f : LintFixture(name)) {

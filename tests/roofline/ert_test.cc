@@ -2,8 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <utility>
+
+#include "../test_util.h"
+
 namespace biosim::roofline {
 namespace {
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
 
 class ErtTest : public ::testing::Test {
  protected:
@@ -37,6 +47,34 @@ TEST_F(ErtTest, SweepShowsRooflineShape) {
   // Achieved performance is monotone non-decreasing along the sweep.
   for (size_t i = 1; i < pts.size(); ++i) {
     EXPECT_GE(pts[i].gflops, pts[i - 1].gflops * 0.95);
+  }
+}
+
+TEST(ErtWorkersTest, SweepIsBitwiseIdenticalAtOneAndThreeWorkers) {
+  // The stream kernel is block_parallel_safe, so gpusim runs its blocks in
+  // one chunk per host worker; every counter, hence every simulated time,
+  // must not depend on how many chunks there were.
+  auto measure = [](uint32_t workers) {
+    testutil::ScopedWorkers scoped(workers);
+    EmpiricalRoofline ert(gpusim::DeviceSpec::TeslaV100(), 2ull << 20);
+    RooflineCeilings c = ert.Measure();
+    return std::make_pair(c, ert.sweep_points());
+  };
+  const auto [c1, pts1] = measure(1);
+  const auto [c3, pts3] = measure(3);
+  EXPECT_TRUE(SameBits(c1.fp32_peak_gflops, c3.fp32_peak_gflops));
+  EXPECT_TRUE(SameBits(c1.fp64_peak_gflops, c3.fp64_peak_gflops));
+  EXPECT_TRUE(SameBits(c1.dram_bandwidth_gbps, c3.dram_bandwidth_gbps));
+  EXPECT_TRUE(SameBits(c1.l2_bandwidth_gbps, c3.l2_bandwidth_gbps));
+  ASSERT_EQ(pts1.size(), pts3.size());
+  for (size_t i = 0; i < pts1.size(); ++i) {
+    EXPECT_EQ(pts1[i].label, pts3[i].label);
+    EXPECT_TRUE(SameBits(pts1[i].arithmetic_intensity,
+                         pts3[i].arithmetic_intensity))
+        << pts1[i].label;
+    EXPECT_TRUE(SameBits(pts1[i].gflops, pts3[i].gflops))
+        << pts1[i].label << ": " << pts1[i].gflops << " vs "
+        << pts3[i].gflops;
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include "core/random.h"
 #include "core/resource_manager.h"
+#include "core/thread_pool.h"
 
 namespace biosim::testutil {
 
@@ -113,6 +114,22 @@ inline std::string TempPath(const std::string& name) {
   std::replace(id.begin(), id.end(), '/', '_');
   return path + id + "." + std::to_string(getpid()) + "." + name;
 }
+
+/// Sets the host worker count for its lifetime and restores the previous
+/// one afterwards, so later suites in the binary see what they started
+/// with.
+class ScopedWorkers {
+ public:
+  explicit ScopedWorkers(uint32_t n) : previous_(HardwareThreads()) {
+    SetNumThreads(n);
+  }
+  ~ScopedWorkers() { SetNumThreads(previous_); }
+  ScopedWorkers(const ScopedWorkers&) = delete;
+  ScopedWorkers& operator=(const ScopedWorkers&) = delete;
+
+ private:
+  uint32_t previous_;
+};
 
 }  // namespace biosim::testutil
 

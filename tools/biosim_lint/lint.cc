@@ -432,6 +432,46 @@ void CheckTempPathLiterals(const std::vector<std::string>& raw_lines,
   }
 }
 
+/// True when `path` lies under tools/, bench/, examples/ or src/app/ (as a
+/// relative prefix or an inner path segment): the command-line surfaces
+/// where rule `unchecked-parse` applies.
+bool InCliScope(const std::string& path) {
+  const std::string p = path.rfind('/', 0) == 0 ? path : "/" + path;
+  for (const char* dir : {"/tools/", "/bench/", "/examples/", "/src/app/"}) {
+    if (p.find(dir) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// unchecked-parse: std::atoi/atol/atoll/atof read "five" as 0 and wrap
+/// out-of-range values without a word, so a typo in a flag or an
+/// environment variable silently runs a different (often empty) workload.
+/// Only the command-line surfaces are in scope (InCliScope).
+void CheckUncheckedParse(const std::vector<std::string>& code_lines,
+                         const std::vector<std::set<std::string>>& allowed,
+                         const std::string& path, const Options& opts,
+                         std::vector<Finding>* out) {
+  if (!RuleEnabled(opts, kUncheckedParse) || !InCliScope(path)) {
+    return;
+  }
+  static const std::regex kAto(R"((^|[^\w.>])(ato(i|ll|l|f))\s*\()");
+  for (size_t i = 0; i < code_lines.size(); ++i) {
+    std::smatch m;
+    if (!std::regex_search(code_lines[i], m, kAto) ||
+        Suppressed(allowed, i, kUncheckedParse)) {
+      continue;
+    }
+    out->push_back({path, static_cast<int>(i) + 1, kUncheckedParse,
+                    m[2].str() +
+                        "() turns a malformed value into 0 and wraps an "
+                        "out-of-range one silently; parse with the checked "
+                        "parsers of app/config.h (ToInt<T>, ToCount, "
+                        "ToDouble, ToPositive), whose errors name the flag"});
+  }
+}
+
 }  // namespace
 
 const std::vector<RuleInfo>& Rules() {
@@ -461,6 +501,9 @@ const std::vector<RuleInfo>& Rules() {
       {kTempPathLiteral,
        "tests build scratch paths with testutil::TempPath, never TempDir() "
        "joined to a string literal (ctest -j runs cases concurrently)"},
+      {kUncheckedParse,
+       "no std::atoi/atol/atoll/atof under tools/, bench/, examples/ or "
+       "src/app/; parse flags with app/config.h's checked parsers"},
   };
   return kRules;
 }
@@ -605,6 +648,7 @@ std::vector<Finding> LintFile(const std::string& path,
   CheckHotLoops(code_lines, allowed, path, opts, &out);
   CheckShardScopes(code_lines, allowed, path, opts, &out);
   CheckTempPathLiterals(raw_lines, code_lines, allowed, path, opts, &out);
+  CheckUncheckedParse(code_lines, allowed, path, opts, &out);
 
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
     return a.line != b.line ? a.line < b.line : a.rule < b.rule;

@@ -35,6 +35,7 @@ inline constexpr char kUncheckedIo[] = "unchecked-io";
 inline constexpr char kHotLoopVirtual[] = "hot-loop-virtual";
 inline constexpr char kCrossShardWrite[] = "cross-shard-write";
 inline constexpr char kTempPathLiteral[] = "temp-path-literal";
+inline constexpr char kUncheckedParse[] = "unchecked-parse";
 
 struct RuleInfo {
   const char* id;
@@ -64,7 +65,7 @@ bool RuleEnabled(const Options& opts, const std::string& rule);
 std::vector<std::string> StripCommentsAndStrings(const std::string& content);
 
 /// Lint one file's contents. `path` is used for diagnostics and for the
-/// handful of path-scoped exemptions. Findings come back sorted by line.
+/// path-scoped rules and exemptions. Findings come back sorted by line.
 std::vector<Finding> LintFile(const std::string& path,
                               const std::string& content,
                               const Options& opts = {});

@@ -1,7 +1,9 @@
 // biosim-lint CLI. See lint.h and docs/static-analysis.md.
 //
 //   biosim-lint                       # lint src/ + tools/ via the compile db,
-//                                     # tests/ for temp-path-literal only
+//                                     # tests/ for temp-path-literal only,
+//                                     # bench/ + examples/ for
+//                                     # unchecked-parse only
 //   biosim-lint src/core tests/x.cc   # explicit files/directories
 //   biosim-lint --rule=raw-rand src   # restrict to one rule
 //   biosim-lint --list-rules
@@ -68,6 +70,15 @@ bool InTestScope(const std::string& path) {
          rel.find("/fixtures/") == std::string::npos;
 }
 
+/// Bench and example binaries sit outside the determinism contract too, but
+/// parse command lines like tools/ does: the default mode lints them for
+/// unchecked-parse only.
+bool InBinaryScope(const std::string& path) {
+  const std::string rel = Relativize(path);
+  return (rel.rfind("bench/", 0) == 0 || rel.rfind("examples/", 0) == 0) &&
+         rel.find("/fixtures/") == std::string::npos;
+}
+
 int Usage(std::FILE* to) {
   std::fprintf(
       to,
@@ -75,8 +86,9 @@ int Usage(std::FILE* to) {
       "\n"
       "Project determinism/concurrency lint (docs/static-analysis.md).\n"
       "With no paths, lints every src/ and tools/ translation unit from the\n"
-      "compile database plus the headers under src/ and tools/, and the\n"
-      "sources under tests/ for temp-path-literal.\n"
+      "compile database plus the headers under src/ and tools/, the\n"
+      "sources under tests/ for temp-path-literal, and the sources under\n"
+      "bench/ and examples/ for unchecked-parse.\n"
       "\n"
       "options:\n"
       "  -p PATH, --compile-commands=PATH   compile database\n"
@@ -170,6 +182,17 @@ int main(int argc, char** argv) {
         }
       }
     }
+    if (biosimlint::RuleEnabled(opts, biosimlint::kUncheckedParse)) {
+      for (const char* dir : {"bench", "examples"}) {
+        std::vector<std::string> binaries;
+        CollectFromDir(dir, &binaries);
+        for (std::string& f : binaries) {
+          if (InBinaryScope(f)) {
+            files.push_back(std::move(f));
+          }
+        }
+      }
+    }
   } else {
     for (const std::string& p : paths) {
       std::error_code ec;
@@ -196,11 +219,18 @@ int main(int argc, char** argv) {
 
   biosimlint::Options test_opts;
   test_opts.rules = {biosimlint::kTempPathLiteral};
+  biosimlint::Options binary_opts;
+  binary_opts.rules = {biosimlint::kUncheckedParse};
   std::vector<biosimlint::Finding> findings;
   size_t scanned = 0;
   for (const std::string& f : display) {
-    const bool test_only = paths.empty() && InTestScope(f);
-    if (biosimlint::LintPath(f, test_only ? test_opts : opts, &findings)) {
+    const biosimlint::Options* file_opts = &opts;
+    if (paths.empty() && InTestScope(f)) {
+      file_opts = &test_opts;
+    } else if (paths.empty() && InBinaryScope(f)) {
+      file_opts = &binary_opts;
+    }
+    if (biosimlint::LintPath(f, *file_opts, &findings)) {
       ++scanned;
     } else {
       std::fprintf(stderr, "biosim-lint: cannot read '%s'\n", f.c_str());

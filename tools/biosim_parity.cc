@@ -9,13 +9,15 @@
 // reference next to its documented bound (src/app/parity.h,
 // docs/determinism.md). Exit code 0 when every backend is within bounds,
 // 1 otherwise; CI runs this on a small scenario so a backend drifting past
-// its contract fails the build.
+// its contract fails the build. Flag values go through the config file's
+// checked parsers (app/config.h): a malformed value, zero agents or zero
+// steps exits 1 with a message naming the flag, never a vacuous pass.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
 
+#include "app/config.h"
 #include "app/parity.h"
 
 namespace {
@@ -50,15 +52,15 @@ int main(int argc, char** argv) {
     std::string value;
     for (int i = 1; i < argc; ++i) {
       if (FlagValue(argc, argv, &i, "--agents", &value)) {
-        sc.agents = static_cast<size_t>(std::atoll(value.c_str()));
+        sc.agents = ToCount(value, "--agents");
       } else if (FlagValue(argc, argv, &i, "--steps", &value)) {
-        sc.steps = static_cast<uint64_t>(std::atoll(value.c_str()));
+        sc.steps = ToCount(value, "--steps");
       } else if (FlagValue(argc, argv, &i, "--seed", &value)) {
-        sc.seed = static_cast<uint64_t>(std::atoll(value.c_str()));
+        sc.seed = ToInt<uint64_t>(value, "--seed");
       } else if (FlagValue(argc, argv, &i, "--space", &value)) {
-        sc.space = std::atof(value.c_str());
+        sc.space = ToPositive(value, "--space");
       } else if (FlagValue(argc, argv, &i, "--diameter", &value)) {
-        sc.diameter = std::atof(value.c_str());
+        sc.diameter = ToPositive(value, "--diameter");
       } else {
         std::fprintf(stderr,
                      "unknown argument: %s\nusage: %s [--agents N] "
