@@ -22,7 +22,8 @@ namespace {
 using namespace biosim;
 
 /// Grow and divide only where the local oxygen exceeds a threshold; consume
-/// oxygen while alive.
+/// oxygen while alive. Parameters only: one object is shared by a cell and
+/// all its descendants.
 class OxygenLimitedGrowth : public Behavior {
  public:
   OxygenLimitedGrowth(double threshold_diameter, double growth_rate,
@@ -32,7 +33,7 @@ class OxygenLimitedGrowth : public Behavior {
         oxygen_threshold_(oxygen_threshold),
         uptake_rate_(uptake_rate) {}
 
-  void Run(Cell& cell, SimContext& ctx) override {
+  void Run(Cell& cell, SimContext& ctx) const override {
     DiffusionGrid* oxygen = ctx.diffusion_grid;
     if (oxygen == nullptr) {
       return;
@@ -52,9 +53,6 @@ class OxygenLimitedGrowth : public Behavior {
     }
   }
 
-  std::unique_ptr<Behavior> Clone() const override {
-    return std::make_unique<OxygenLimitedGrowth>(*this);
-  }
   const char* name() const override { return "OxygenLimitedGrowth"; }
 
  private:

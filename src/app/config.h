@@ -56,12 +56,12 @@
 #ifndef BIOSIM_APP_CONFIG_H_
 #define BIOSIM_APP_CONFIG_H_
 
-#include <cmath>
+#include <charconv>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 namespace biosim::app {
 
@@ -77,30 +77,40 @@ double ToDouble(const std::string& v, const std::string& ctx);
 /// A number > 0.
 double ToPositive(const std::string& v, const std::string& ctx);
 
+namespace detail {
+/// Decimal digits only, parsed exactly by std::from_chars over the whole
+/// string: no sign, exponent or fraction, and no rounding through double.
+template <typename T>
+T ToIntAtLeast(const std::string& v, const std::string& ctx, T lo) {
+  auto message = [&] {
+    return ctx + " must be an integer in " + std::to_string(lo) + ".." +
+           std::to_string(std::numeric_limits<T>::max()) + ", got '" + v +
+           "'";
+  };
+  const char* end = v.data() + v.size();
+  T n{};
+  const bool digits = !v.empty() && v.front() >= '0' && v.front() <= '9';
+  const std::from_chars_result r = std::from_chars(v.data(), end, n);
+  if (!digits || r.ec != std::errc{} || r.ptr != end) {
+    throw std::runtime_error(message());
+  }
+  if (n < lo) {
+    throw std::invalid_argument(message());
+  }
+  return n;
+}
+}  // namespace detail
+
 /// A non-negative integer that fits T, so nothing narrows silently.
 template <typename T>
 T ToInt(const std::string& v, const std::string& ctx) {
-  char* end = nullptr;
-  const double d = std::strtod(v.c_str(), &end);
-  // 2^digits is exact as a double, and every integral d below it fits T.
-  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
-  if (end == v.c_str() || *end != '\0' || !(d >= 0.0) || d >= limit ||
-      d != std::floor(d)) {
-    throw std::runtime_error(ctx + " must be an integer in 0.." +
-                             std::to_string(std::numeric_limits<T>::max()) +
-                             ", got '" + v + "'");
-  }
-  return static_cast<T>(d);
+  return detail::ToIntAtLeast<T>(v, ctx, 0);
 }
 
 /// An integer >= 1 that fits T (an agent, step or repetition count).
 template <typename T = uint64_t>
 T ToCount(const std::string& v, const std::string& ctx) {
-  const T n = ToInt<T>(v, ctx);
-  if (n < 1) {
-    throw std::invalid_argument(ctx + " must be >= 1, got '" + v + "'");
-  }
-  return n;
+  return detail::ToIntAtLeast<T>(v, ctx, 1);
 }
 
 struct RunConfig {

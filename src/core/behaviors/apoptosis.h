@@ -6,8 +6,6 @@
 #ifndef BIOSIM_CORE_BEHAVIORS_APOPTOSIS_H_
 #define BIOSIM_CORE_BEHAVIORS_APOPTOSIS_H_
 
-#include <memory>
-
 #include "core/behavior.h"
 #include "core/cell.h"
 
@@ -18,7 +16,7 @@ class Apoptosis : public Behavior {
   /// `death_rate`: expected deaths per hour (hazard rate).
   explicit Apoptosis(double death_rate) : death_rate_(death_rate) {}
 
-  void Run(Cell& cell, SimContext& ctx) override {
+  void Run(Cell& cell, SimContext& ctx) const override {
     Random rng = ctx.RandomFor(cell.uid());
     // Skip one draw so Apoptosis and a coexisting division behavior (which
     // uses draw 0 for its ratio) do not consume the same variate.
@@ -28,9 +26,6 @@ class Apoptosis : public Behavior {
     }
   }
 
-  std::unique_ptr<Behavior> Clone() const override {
-    return std::make_unique<Apoptosis>(*this);
-  }
   const char* name() const override { return "Apoptosis"; }
 
   double death_rate() const { return death_rate_; }

@@ -5,8 +5,6 @@
 #ifndef BIOSIM_CORE_BEHAVIORS_CHEMOTAXIS_H_
 #define BIOSIM_CORE_BEHAVIORS_CHEMOTAXIS_H_
 
-#include <memory>
-
 #include "core/behavior.h"
 #include "core/cell.h"
 #include "diffusion/diffusion_grid.h"
@@ -19,16 +17,12 @@ class Chemotaxis : public Behavior {
   /// values flee the substance.
   explicit Chemotaxis(double speed) : speed_(speed) {}
 
-  void Run(Cell& cell, SimContext& ctx) override {
+  void Run(Cell& cell, SimContext& ctx) const override {
     if (ctx.diffusion_grid == nullptr) {
       return;
     }
     Double3 grad = ctx.diffusion_grid->GetGradient(cell.position());
     cell.SetTractorForce(grad.Normalized() * speed_);
-  }
-
-  std::unique_ptr<Behavior> Clone() const override {
-    return std::make_unique<Chemotaxis>(*this);
   }
 
   const char* name() const override { return "Chemotaxis"; }

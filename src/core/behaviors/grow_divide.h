@@ -7,8 +7,6 @@
 #ifndef BIOSIM_CORE_BEHAVIORS_GROW_DIVIDE_H_
 #define BIOSIM_CORE_BEHAVIORS_GROW_DIVIDE_H_
 
-#include <memory>
-
 #include "core/behavior.h"
 #include "core/cell.h"
 
@@ -21,16 +19,12 @@ class GrowDivide : public Behavior {
   GrowDivide(double threshold_diameter = 8.0, double growth_rate = 1500.0)
       : threshold_diameter_(threshold_diameter), growth_rate_(growth_rate) {}
 
-  void Run(Cell& cell, SimContext& ctx) override {
+  void Run(Cell& cell, SimContext& ctx) const override {
     if (cell.diameter() >= threshold_diameter_) {
       cell.Divide(ctx);
     } else {
       cell.ChangeVolume(growth_rate_ * ctx.param().simulation_time_step);
     }
-  }
-
-  std::unique_ptr<Behavior> Clone() const override {
-    return std::make_unique<GrowDivide>(*this);
   }
 
   const char* name() const override { return "GrowDivide"; }

@@ -6,8 +6,6 @@
 #ifndef BIOSIM_CORE_BEHAVIORS_RANDOM_WALK_H_
 #define BIOSIM_CORE_BEHAVIORS_RANDOM_WALK_H_
 
-#include <memory>
-
 #include "core/behavior.h"
 #include "core/cell.h"
 
@@ -18,14 +16,11 @@ class RandomWalk : public Behavior {
   /// `speed`: magnitude of the random tractor force.
   explicit RandomWalk(double speed) : speed_(speed) {}
 
-  void Run(Cell& cell, SimContext& ctx) override {
+  void Run(Cell& cell, SimContext& ctx) const override {
     Random rng = ctx.RandomFor(cell.uid());
     cell.SetTractorForce(rng.UnitVector() * speed_);
   }
 
-  std::unique_ptr<Behavior> Clone() const override {
-    return std::make_unique<RandomWalk>(*this);
-  }
   const char* name() const override { return "RandomWalk"; }
 
   double speed() const { return speed_; }

@@ -4,7 +4,6 @@
 #ifndef BIOSIM_CORE_BEHAVIORS_SECRETION_H_
 #define BIOSIM_CORE_BEHAVIORS_SECRETION_H_
 
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -25,7 +24,7 @@ class Secretion : public Behavior {
   Secretion(std::string substance, double rate)
       : substance_(std::move(substance)), rate_(rate) {}
 
-  void Run(Cell& cell, SimContext& ctx) override {
+  void Run(Cell& cell, SimContext& ctx) const override {
     // Routed through the context's deposit sink: applied after the parallel
     // behaviors pass in agent-index order, so the field stays bitwise
     // reproducible at any thread count. Name-routed secretion resolves its
@@ -35,10 +34,6 @@ class Secretion : public Behavior {
                                              : ctx.FindSubstance(substance_);
     ctx.DepositSubstance(cell.position(),
                          rate_ * ctx.param().simulation_time_step, grid);
-  }
-
-  std::unique_ptr<Behavior> Clone() const override {
-    return std::make_unique<Secretion>(*this);
   }
 
   const char* name() const override { return "Secretion"; }

@@ -32,9 +32,11 @@ void Cell::Divide(SimContext& ctx, const Double3& axis) {
   daughter.adherence = adherence();
   daughter.density = density();
   daughter.tractor_force = tractor_force();
-  for (const auto& b : rm_->behaviors_of(index_)) {
+  const std::vector<const Behavior*>& behaviors = rm_->behaviors_of(index_);
+  daughter.behaviors.reserve(behaviors.size());
+  for (const Behavior* b : behaviors) {
     if (b->copy_to_new) {
-      daughter.behaviors.push_back(b->Clone());
+      daughter.behaviors.push_back(b);
     }
   }
 

@@ -161,6 +161,7 @@ void ResourceManager::RestorePopulation(
   uids_ = std::move(uids);
   behaviors_.clear();
   behaviors_.resize(n);
+  owned_behaviors_.clear();
   next_uid_ = next_uid;
   MutexLock lock(*deferred_mutex_);
   deferred_new_.clear();

@@ -25,21 +25,30 @@
 namespace biosim {
 
 /// Plain-data description of an agent to be inserted. Behaviors are attached
-/// by the caller after insertion or travel inside the spec.
+/// by the caller after insertion or travel inside the spec as pointers to
+/// objects the receiving manager already owns (a daughter's are its
+/// mother's).
 struct NewAgentSpec {
   Double3 position;
   double diameter = 10.0;
   double adherence = 0.4;
   double density = 1.0;
   Double3 tractor_force;
-  std::vector<std::unique_ptr<Behavior>> behaviors;
+  std::vector<const Behavior*> behaviors;
 };
 
+/// Behavior ownership: the manager owns every behavior object once, from its
+/// AttachBehavior call until the manager is destroyed or RestorePopulation
+/// resets it. Rows hold shared `const Behavior*`; a division copies the
+/// mother's pointers and a death frees only the row's pointer vector. So an
+/// object outlives every agent that runs it, and the number of objects is
+/// bounded by the number of AttachBehavior calls (model setup), not by
+/// births. Moving the manager keeps every object at its address.
 class ResourceManager {
  public:
   ResourceManager() = default;
 
-  // Movable, not copyable (behaviors are unique_ptr).
+  // Movable, not copyable (the manager owns its behavior objects).
   ResourceManager(ResourceManager&&) = default;
   ResourceManager& operator=(ResourceManager&&) = default;
 
@@ -86,12 +95,13 @@ class ResourceManager {
   const std::vector<Double3>& tractor_forces() const { return tractor_forces_; }
   const std::vector<AgentUid>& uids() const { return uids_; }
 
-  const std::vector<std::unique_ptr<Behavior>>& behaviors_of(
-      AgentIndex i) const {
+  const std::vector<const Behavior*>& behaviors_of(AgentIndex i) const {
     return behaviors_[i];
   }
+  /// Take ownership of `b` and append it to row `i`'s behaviors.
   void AttachBehavior(AgentIndex i, std::unique_ptr<Behavior> b) {
-    behaviors_[i].push_back(std::move(b));
+    owned_behaviors_.push_back(std::move(b));
+    behaviors_[i].push_back(owned_behaviors_.back().get());
   }
 
   /// Largest diameter over all agents; defines the interaction radius and
@@ -108,7 +118,8 @@ class ResourceManager {
   AgentUid next_uid() const { return next_uid_; }
 
   /// Replace the whole population with restored state (checkpoint load).
-  /// All vectors must have equal length; behaviors reset to empty lists.
+  /// All vectors must have equal length; behaviors reset to empty lists and
+  /// every owned behavior object is freed.
   /// Throws std::invalid_argument on inconsistent sizes.
   void RestorePopulation(std::vector<Double3> positions,
                          std::vector<double> diameters,
@@ -129,7 +140,8 @@ class ResourceManager {
   std::vector<double> densities_;
   std::vector<Double3> tractor_forces_;
   std::vector<AgentUid> uids_;
-  std::vector<std::vector<std::unique_ptr<Behavior>>> behaviors_;
+  std::vector<std::vector<const Behavior*>> behaviors_;
+  std::vector<std::unique_ptr<const Behavior>> owned_behaviors_;
 
   AgentUid next_uid_ = 0;
 

@@ -163,7 +163,7 @@ void Simulation::RunBehaviors() {
         continue;
       }
       Cell cell(rm_, i);
-      for (const auto& b : rm_.behaviors_of(i)) {
+      for (const Behavior* b : rm_.behaviors_of(i)) {
         b->Run(cell, ctx);
       }
     }

@@ -256,6 +256,8 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
   if (persistent) {
     // Static grid over the bounded simulation cube: host positions may be
     // stale, but bound space guarantees the device positions stay inside.
+    GridGeometry::CheckFixedBox(options_.fixed_box_length,
+                                resident_interaction_radius_);
     double box = options_.fixed_box_length > 0.0
                      ? options_.fixed_box_length
                      : std::max(resident_interaction_radius_, 1e-6);
@@ -268,7 +270,8 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
                        1;
     g.nx = g.ny = g.nz = per_axis;
   } else {
-    g = ComputeGridParams<T>(rm, param, options_.fixed_box_length);
+    g = GridParams<T>::From(
+        GridGeometry::Derive(rm, param, options_.fixed_box_length));
   }
   size_t total_boxes = g.total_boxes();
 
@@ -342,11 +345,8 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
   TRACE_SCOPE("gpu kernels");
 
   MechKernelParams<T> p;
-  p.interaction_radius =
-      persistent
-          ? static_cast<T>(resident_interaction_radius_)
-          : static_cast<T>(rm.LargestDiameter() +
-                           param.interaction_radius_margin);
+  // Without persistence every step uploads, so this is the current radius.
+  p.interaction_radius = static_cast<T>(resident_interaction_radius_);
   p.repulsion = static_cast<T>(param.repulsion_coefficient);
   p.attraction = static_cast<T>(param.attraction_coefficient);
   p.dt = static_cast<T>(param.simulation_time_step);

@@ -76,6 +76,8 @@ struct GpuMechanicsOptions {
   /// run whose results matter.
   bool racy_grid_build = false;
   /// Fixed grid box edge (0 = derive from largest diameter); benchmark B.
+  /// Step throws std::invalid_argument when it is smaller than the
+  /// interaction radius, as the CPU grid does.
   double fixed_box_length = 0.0;
   /// Keep agent state resident on the device across steps: displacements
   /// are applied by a device kernel and the per-step H2D/D2H transfers

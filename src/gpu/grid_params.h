@@ -1,6 +1,6 @@
 // Uniform-grid geometry shared between host and device kernels.
 //
-// The host computes the grid extents once per step (an O(n) bounds pass);
+// The host derives the lattice once per step (an O(n) bounds pass);
 // the parameters travel to the kernels by value, playing the role of CUDA
 // __constant__ memory / OpenCL kernel arguments — uniform data that every
 // thread reads for free.
@@ -11,8 +11,7 @@
 #include <cmath>
 #include <cstdint>
 
-#include "core/param.h"
-#include "core/resource_manager.h"
+#include "spatial/grid_geometry.h"
 
 namespace biosim::gpu {
 
@@ -21,6 +20,22 @@ struct GridParams {
   T min_x{}, min_y{}, min_z{};
   T box_length{1};
   int32_t nx = 1, ny = 1, nz = 1;
+
+  /// The CPU grid's lattice (GridGeometry::Derive, which also rejects a
+  /// fixed box edge smaller than the interaction radius) in kernel
+  /// precision. The device grid has no periodic wrap; Simulation::Validate
+  /// rejects torus with the GPU backend.
+  static GridParams From(const GridGeometry& geo) {
+    GridParams g;
+    g.min_x = static_cast<T>(geo.grid_min.x);
+    g.min_y = static_cast<T>(geo.grid_min.y);
+    g.min_z = static_cast<T>(geo.grid_min.z);
+    g.box_length = static_cast<T>(geo.box_length);
+    g.nx = geo.num_boxes_axis.x;
+    g.ny = geo.num_boxes_axis.y;
+    g.nz = geo.num_boxes_axis.z;
+    return g;
+  }
 
   size_t total_boxes() const {
     return static_cast<size_t>(nx) * static_cast<size_t>(ny) *
@@ -45,39 +60,6 @@ struct GridParams {
                      Coord(z, min_z, nz));
   }
 };
-
-/// Derive the grid from the current population: cubic boxes with edge =
-/// interaction radius (largest diameter + margin), covering the agents'
-/// bounding box. `fixed_box_length` > 0 overrides the edge (benchmark B).
-template <typename T>
-GridParams<T> ComputeGridParams(const ResourceManager& rm, const Param& param,
-                                double fixed_box_length = 0.0) {
-  double radius = rm.LargestDiameter() + param.interaction_radius_margin;
-  double box_length =
-      fixed_box_length > 0.0 ? fixed_box_length : std::max(radius, 1e-6);
-
-  AABBd bounds = rm.Bounds();
-  if (!bounds.Valid()) {
-    // Empty population: a 1-box grid (callers skip the kernels anyway).
-    bounds.min = {0, 0, 0};
-    bounds.max = {1, 1, 1};
-    box_length = 1.0;
-  }
-
-  GridParams<T> g;
-  g.min_x = static_cast<T>(bounds.min.x);
-  g.min_y = static_cast<T>(bounds.min.y);
-  g.min_z = static_cast<T>(bounds.min.z);
-  g.box_length = static_cast<T>(box_length);
-  auto axis = [&](double extent) {
-    return static_cast<int32_t>(std::floor(extent / box_length)) + 1;
-  };
-  Double3 size = bounds.Size();
-  g.nx = axis(size.x);
-  g.ny = axis(size.y);
-  g.nz = axis(size.z);
-  return g;
-}
 
 }  // namespace biosim::gpu
 

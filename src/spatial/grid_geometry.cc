@@ -53,20 +53,24 @@ GridGeometry GridGeometry::Derive(const ResourceManager& rm,
   }
   g.inv_box_length = 1.0 / g.box_length;
 
+  CheckFixedBox(fixed_box_length, g.interaction_radius);
+  g.SetNeighborOffsets();
+  return g;
+}
+
+void GridGeometry::CheckFixedBox(double fixed_box_length,
+                                 double interaction_radius) {
   if (fixed_box_length > 0.0 &&
-      g.interaction_radius > fixed_box_length + 1e-12) {
+      interaction_radius > fixed_box_length + 1e-12) {
     // The 27-box scheme only covers queries up to one box length. A fixed
     // box edge smaller than the interaction radius would silently drop
     // neighbors in every force evaluation; fail fast instead.
     throw std::invalid_argument(
         "GridGeometry: fixed_box_length " + std::to_string(fixed_box_length) +
         " is smaller than the interaction radius " +
-        std::to_string(g.interaction_radius) +
+        std::to_string(interaction_radius) +
         "; queries would drop neighbors outside the 27 surrounding boxes");
   }
-
-  g.SetNeighborOffsets();
-  return g;
 }
 
 void GridGeometry::SetNeighborOffsets() {

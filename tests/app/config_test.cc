@@ -245,7 +245,15 @@ TEST(ConfigTest, IntegerKeysRangeCheckTheirTargetType) {
                         {"backend", "gpu_version", "2147483648"},
                         {"backend", "meter_stride", "1e12"},
                         {"simulation", "steps", "1e30"},
-                        {"simulation", "steps", "-1"}};
+                        {"simulation", "steps", "-1"},
+                        // Integers are decimal digits, parsed exactly: no
+                        // hex, exponent, fraction or sign, and no value past
+                        // the type.
+                        {"simulation", "steps", "0x10"},
+                        {"model", "agents", "1e3"},
+                        {"simulation", "threads", "2.0"},
+                        {"simulation", "seed", "+5"},
+                        {"simulation", "seed", "18446744073709551616"}};
   for (const auto& [section, key, value] : cases) {
     try {
       ParseConfigString("[" + section + "]\n" + key + " = " + value + "\n");
@@ -255,9 +263,33 @@ TEST(ConfigTest, IntegerKeysRangeCheckTheirTargetType) {
           << e.what();
     }
   }
-  // The largest value of the target type still parses.
+  // The largest value of the target type still parses, and every 64-bit
+  // seed is exact, 2^53 + 1 included.
   EXPECT_EQ(ParseConfigString("[simulation]\nshards = 4294967295\n").shards,
             4294967295u);
+  EXPECT_EQ(
+      ParseConfigString("[simulation]\nseed = 18446744073709551615\n").seed,
+      18446744073709551615u);
+  EXPECT_EQ(ParseConfigString("[simulation]\nseed = 9007199254740993\n").seed,
+            9007199254740993u);
+  // The message names the range the parser accepts: a count starts at 1.
+  auto message = [](auto parse, const std::string& v) {
+    try {
+      parse(v, "--steps");
+    } catch (const std::exception& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message(ToInt<uint64_t>, "18446744073709551616"),
+            "--steps must be an integer in 0..18446744073709551615, got "
+            "'18446744073709551616'");
+  EXPECT_EQ(message(ToCount<uint64_t>, "five"),
+            "--steps must be an integer in 1..18446744073709551615, got "
+            "'five'");
+  EXPECT_THROW(ToCount<int>("0", "--reps"), std::invalid_argument);
+  EXPECT_THROW(ParseConfigString("[model]\ncells_per_dim = 0\n"),
+               std::invalid_argument);
 }
 
 TEST(ConfigTest, SetConfigValueChecksLikeTheFileAndNamesTheSource) {

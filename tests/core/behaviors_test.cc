@@ -117,17 +117,28 @@ TEST(ApoptosisTest, PopulationDecaysAtRoughlyTheHazardRate) {
   EXPECT_LT(sim.rm().size(), 5 * static_cast<size_t>(expected) + 20);
 }
 
-TEST(BehaviorCloneTest, ClonesPreserveParameters) {
-  GrowDivide gd(17.0, 1234.0);
-  auto gd2 = gd.Clone();
-  EXPECT_DOUBLE_EQ(dynamic_cast<GrowDivide*>(gd2.get())->threshold_diameter(),
-                   17.0);
-  RandomWalk rw(3.5);
-  auto rw2 = rw.Clone();
-  EXPECT_DOUBLE_EQ(dynamic_cast<RandomWalk*>(rw2.get())->speed(), 3.5);
-  Apoptosis ap(0.25);
-  auto ap2 = ap.Clone();
-  EXPECT_DOUBLE_EQ(dynamic_cast<Apoptosis*>(ap2.get())->death_rate(), 0.25);
+TEST(BehaviorSharingTest, DaughterRunsTheMothersObjectsInOrder) {
+  // Behaviors are immutable and shared: division copies the mother's
+  // pointers, in order, and allocates no behavior object.
+  Param p;
+  ResourceManager rm;
+  SimContext ctx(p, rm, 0);
+  NewAgentSpec s;
+  s.diameter = 12.0;
+  AgentIndex i = rm.AddAgent(std::move(s));
+  rm.AttachBehavior(i, std::make_unique<GrowDivide>(17.0, 1234.0));
+  rm.AttachBehavior(i, std::make_unique<RandomWalk>(3.5));
+  rm.AttachBehavior(i, std::make_unique<Apoptosis>(0.25));
+  const std::vector<const Behavior*> mother = rm.behaviors_of(i);
+
+  Cell(rm, i).Divide(ctx);
+  rm.CommitStructuralChanges();
+  ASSERT_EQ(rm.size(), 2u);
+  EXPECT_EQ(rm.behaviors_of(0), mother);
+  EXPECT_EQ(rm.behaviors_of(1), mother);
+  EXPECT_DOUBLE_EQ(
+      dynamic_cast<const GrowDivide*>(rm.behaviors_of(1)[0])->growth_rate(),
+      1234.0);
 }
 
 TEST(BehaviorCloneTest, CopyToNewControlsInheritance) {
@@ -141,6 +152,7 @@ TEST(BehaviorCloneTest, CopyToNewControlsInheritance) {
   auto inherited = std::make_unique<RandomWalk>(1.0);
   auto not_inherited = std::make_unique<Apoptosis>(0.1);
   not_inherited->copy_to_new = false;
+  const Behavior* walk = inherited.get();
   rm.AttachBehavior(i, std::move(inherited));
   rm.AttachBehavior(i, std::move(not_inherited));
 
@@ -149,7 +161,39 @@ TEST(BehaviorCloneTest, CopyToNewControlsInheritance) {
   ASSERT_EQ(rm.size(), 2u);
   EXPECT_EQ(rm.behaviors_of(0).size(), 2u);  // mother keeps both
   ASSERT_EQ(rm.behaviors_of(1).size(), 1u);  // daughter only the walk
-  EXPECT_STREQ(rm.behaviors_of(1)[0]->name(), "RandomWalk");
+  EXPECT_EQ(rm.behaviors_of(1)[0], walk);
+}
+
+TEST(BehaviorSharingTest, ObjectOutlivesEveryAgentThatRanIt) {
+  // A death frees only the row's pointer vector; the manager keeps the
+  // object, so a pointer taken before the deaths still reads its parameters
+  // (ASan reports a use-after-free here if a death freed it).
+  Param p;
+  Simulation sim(p);
+  AgentIndex i = sim.AddCell({100, 100, 100}, 12.0);
+  sim.rm().AttachBehavior(i, std::make_unique<GrowDivide>(12.0, 10.0));
+  sim.rm().AttachBehavior(
+      i, std::make_unique<Apoptosis>(2.0 / p.simulation_time_step));
+  const Behavior* grow = sim.rm().behaviors_of(i)[0];
+  sim.Simulate(2);  // step 0: divides and dies; step 1: the daughter dies
+  ASSERT_EQ(sim.rm().size(), 0u);
+  EXPECT_STREQ(grow->name(), "GrowDivide");
+  EXPECT_DOUBLE_EQ(dynamic_cast<const GrowDivide*>(grow)->growth_rate(), 10.0);
+}
+
+TEST(BehaviorSharingTest, ObjectsKeepTheirAddressAcrossAManagerMove) {
+  ResourceManager rm;
+  AgentIndex i = rm.AddAgent(NewAgentSpec{});
+  rm.AttachBehavior(i, std::make_unique<RandomWalk>(2.5));
+  const Behavior* walk = rm.behaviors_of(i)[0];
+
+  ResourceManager moved(std::move(rm));
+  ASSERT_EQ(moved.behaviors_of(0).size(), 1u);
+  EXPECT_EQ(moved.behaviors_of(0)[0], walk);
+  ResourceManager assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.behaviors_of(0)[0], walk);
+  EXPECT_DOUBLE_EQ(dynamic_cast<const RandomWalk*>(walk)->speed(), 2.5);
 }
 
 TEST(SecretionTest, DepositsDeferThroughTheSinkWhenInstalled) {

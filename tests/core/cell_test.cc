@@ -114,7 +114,8 @@ TEST_F(CellTest, DivideInheritsAttributesAndBehaviors) {
   EXPECT_DOUBLE_EQ(rm_.adherences()[1], 0.77);
   EXPECT_DOUBLE_EQ(rm_.densities()[1], 1.3);
   ASSERT_EQ(rm_.behaviors_of(1).size(), 1u);
-  auto* gd = dynamic_cast<GrowDivide*>(rm_.behaviors_of(1)[0].get());
+  EXPECT_EQ(rm_.behaviors_of(1)[0], rm_.behaviors_of(0)[0]);  // shared
+  auto* gd = dynamic_cast<const GrowDivide*>(rm_.behaviors_of(1)[0]);
   ASSERT_NE(gd, nullptr);
   EXPECT_DOUBLE_EQ(gd->threshold_diameter(), 30.0);
 }

@@ -22,9 +22,9 @@ using gpusim::Lane;
 
 class GridBuildTest : public ::testing::Test {
  protected:
-  void BuildOnDevice(const ResourceManager& rm, double fixed_box = 0.0) {
+  void BuildOnDevice(const ResourceManager& rm) {
     Param param;
-    g_ = ComputeGridParams<float>(rm, param, fixed_box);
+    g_ = GridParams<float>::From(GridGeometry::Derive(rm, param));
     size_t n = rm.size();
     size_t boxes = g_.total_boxes();
 

@@ -92,7 +92,7 @@ TEST_F(DiagnosticKernelTest, RacyGridBuildTriggersGlobalRacecheck) {
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 64, 0.0, 30.0, 10.0);
   Param param;
-  auto g = ComputeGridParams<float>(rm, param, 0.0);
+  auto g = GridParams<float>::From(GridGeometry::Derive(rm, param));
   size_t n = rm.size();
   size_t boxes = g.total_boxes();
 
