@@ -162,8 +162,8 @@ int WriteBenchJson(const std::string& path, size_t agents, int reps) {
   FillClusteredSphere(&rm, agents, /*seed=*/1234);
   UniformGridEnvironment env;
   env.Update(rm, param, ExecMode::kSerial);
-  // The callback oracle: the same grid, hidden from the fused path's
-  // dynamic_cast.
+  // The callback oracle: the same grid, whose force windows the wrapper
+  // does not forward.
   ForwardingEnvironment callback_env(std::make_unique<UniformGridEnvironment>());
   callback_env.Update(rm, param, ExecMode::kSerial);
 

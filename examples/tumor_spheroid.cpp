@@ -5,9 +5,12 @@
 //
 // A small clump of tumor cells consumes oxygen from a diffusing field and
 // only proliferates where enough oxygen remains, producing the classic
-// rim-proliferation pattern; cells also creep up the oxygen gradient.
+// rim-proliferation pattern; cells also creep up the oxygen gradient. The
+// table's o2_min column is the lowest voxel of the field: uptake is
+// first-order in the local concentration, so it never goes negative.
 //
 //   ./build/examples/tumor_spheroid [steps]
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -21,9 +24,20 @@ namespace {
 
 using namespace biosim;
 
+/// Cells divide only at or above this oxygen concentration.
+constexpr double kOxygenThreshold = 10.0;
+/// Uptake per hour as a fraction of the local concentration. A step takes
+/// 3% of a voxel's content per resident cell (dt = 0.01 h); the densest
+/// 20 um voxel of a 150-step run holds 25 cells, so it gives up 75%.
+constexpr double kUptakeRate = 3.0;
+
 /// Grow and divide only where the local oxygen exceeds a threshold; consume
-/// oxygen while alive. Parameters only: one object is shared by a cell and
-/// all its descendants.
+/// oxygen while alive, at a rate proportional to the local concentration
+/// (first-order uptake). Each cell takes the fraction uptake_rate * dt of
+/// its voxel's pre-step content, so a voxel holding N cells loses the
+/// fraction N * uptake_rate * dt of it: the field stays non-negative while
+/// that is below 1. Parameters only: one object is shared by a cell and all
+/// its descendants.
 class OxygenLimitedGrowth : public Behavior {
  public:
   OxygenLimitedGrowth(double threshold_diameter, double growth_rate,
@@ -41,9 +55,11 @@ class OxygenLimitedGrowth : public Behavior {
     double dt = ctx.param().simulation_time_step;
     // Deferred deposit: applied after the behaviors pass in agent order
     // (direct IncreaseConcentrationBy is not safe from parallel behaviors).
-    // All agents therefore decide against the same pre-uptake field.
-    ctx.DepositSubstance(cell.position(), -uptake_rate_ * dt);
-    if (oxygen->GetConcentration(cell.position()) < oxygen_threshold_) {
+    // All agents therefore decide, and take their share, against the same
+    // pre-uptake field.
+    const double local = oxygen->GetConcentration(cell.position());
+    ctx.DepositSubstance(cell.position(), -uptake_rate_ * dt * local);
+    if (local < oxygen_threshold_) {
       return;  // quiescent in the hypoxic core
     }
     if (cell.diameter() >= threshold_diameter_) {
@@ -59,7 +75,7 @@ class OxygenLimitedGrowth : public Behavior {
   double threshold_diameter_;
   double growth_rate_;
   double oxygen_threshold_;
-  double uptake_rate_;
+  double uptake_rate_;  // 1/h
 };
 
 }  // namespace
@@ -98,27 +114,39 @@ int main(int argc, char** argv) {
     sim.rm().AttachBehavior(
         idx, std::make_unique<OxygenLimitedGrowth>(
                  /*threshold_diameter=*/14.0, /*growth=*/30000.0,
-                 /*oxygen_threshold=*/10.0, /*uptake=*/120.0));
+                 kOxygenThreshold, kUptakeRate));
     sim.rm().AttachBehavior(idx, std::make_unique<Chemotaxis>(/*speed=*/1.0));
   }
 
-  std::printf("step  cells   o2_center  o2_rim   spheroid_radius\n");
+  DiffusionGrid* o2 = sim.diffusion_grid();
+  std::printf("step  cells   o2_center  o2_rim   o2_min  spheroid_radius\n");
   for (uint64_t s = 0; s < steps; ++s) {
     sim.Simulate(1);
     if ((s + 1) % 25 == 0) {
-      DiffusionGrid* o2 = sim.diffusion_grid();
       AABBd b = sim.rm().Bounds();
       double radius = (b.Size().x + b.Size().y + b.Size().z) / 6.0;
-      std::printf("%4zu  %5zu %10.2f %8.2f %12.1f\n",
+      std::printf("%4zu  %5zu %10.2f %8.2f %8.4f %12.1f\n",
                   static_cast<size_t>(s + 1), sim.rm().size(),
                   o2->GetConcentration({200, 200, 200}),
-                  o2->GetConcentration({200 + radius + 10, 200, 200}), radius);
+                  o2->GetConcentration({200 + radius + 10, 200, 200}),
+                  *std::min_element(o2->raw().begin(), o2->raw().end()),
+                  radius);
     }
   }
 
+  // Describe the final state from the field the cells read.
+  size_t oxygenated = 0;
+  for (const Double3& pos : sim.rm().positions()) {
+    oxygenated += o2->GetConcentration(pos) >= kOxygenThreshold ? 1 : 0;
+  }
+  const double center = o2->GetConcentration({200, 200, 200});
   std::printf(
-      "\nThe hypoxic core (low o2_center) stops dividing while the rim keeps\n"
-      "proliferating -- the expected spheroid growth pattern.\n");
+      "\nAfter %zu steps, %zu cells: the center is %s (o2 %.2f, division "
+      "threshold %.0f),\nand %zu cells see enough oxygen to keep dividing.\n",
+      static_cast<size_t>(steps), sim.rm().size(),
+      center < kOxygenThreshold ? "hypoxic and its cells quiescent"
+                                : "still oxygenated",
+      center, kOxygenThreshold, oxygenated);
   std::printf("\noperation profile:\n%s", sim.profile().ToString().c_str());
   return 0;
 }

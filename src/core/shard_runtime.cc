@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/analysis.h"
+#include "obs/stage_scope.h"
 
 namespace biosim {
 
@@ -21,9 +22,40 @@ ShardRuntime::ShardRuntime(uint32_t shards, ShardBalance balance)
       balance_(balance),
       comm_(shards),
       grids_(shards),
+      force_inputs_(shards),
       owned_rows_(shards),
       members_(shards),
       ghosts_received_(shards, 0) {}
+
+void ShardRuntime::Update(const ResourceManager& rm, const Param& param,
+                          ExecMode mode, OpProfile* profile) {
+  if (rm.empty()) {
+    return;
+  }
+  {
+    // Ownership is derived once per step, from the post-commit rows the
+    // halo protocol and the force pass read; behaviors never consult it.
+    STAGE_SCOPE(profile, "partition");
+    Repartition(rm, param);
+  }
+  {
+    STAGE_SCOPE(profile, "halo exchange");
+    ExchangeHalos(rm, mode);
+  }
+  STAGE_SCOPE(profile, "shard grids");
+  UpdateGrids(rm, mode);
+}
+
+void ShardRuntime::ForEachNeighborWithinRadius(AgentIndex query,
+                                               const ResourceManager& rm,
+                                               double radius,
+                                               NeighborFn fn) const {
+  // The owner's window holds the query's whole 27-block: its owned planes
+  // plus the halo planes ExchangeHalos filled.
+  const int32_t owner = partition_.OwnerOfPlane(row_plane_[query]);
+  grids_[static_cast<size_t>(owner)].ForEachNeighborWithinRadius(
+      query, rm.positions().data(), radius, fn);
+}
 
 void ShardRuntime::Repartition(const ResourceManager& rm, const Param& param) {
   geometry_ = GridGeometry::Derive(rm, param);
@@ -172,17 +204,12 @@ void ShardRuntime::UpdateGrids(const ResourceManager& rm, ExecMode mode) {
     grids_[k].Update(members_[k], positions);
   });
   BIOSIM_SHARD_SCOPE_END();
-}
-
-std::vector<ShardForceInput> ShardRuntime::ForceInputs() const {
-  std::vector<ShardForceInput> inputs(shards_);
   for (uint32_t k = 0; k < shards_; ++k) {
-    inputs[k].view = grids_[k].View();
-    inputs[k].first_box = grids_[k].owned_slot_begin();
-    inputs[k].num_boxes =
-        grids_[k].owned_slot_end() - grids_[k].owned_slot_begin();
+    force_inputs_[k] = {grids_[k].View(), grids_[k].owned_slot_begin(),
+                        grids_[k].owned_slot_end() -
+                            grids_[k].owned_slot_begin(),
+                        geometry_.box_length};
   }
-  return inputs;
 }
 
 }  // namespace biosim

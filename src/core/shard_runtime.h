@@ -1,24 +1,33 @@
-// Spatial shard runtime: ownership, halo exchange, per-shard grids.
+// Spatial shard runtime: ownership, halo exchange, per-shard grids — the
+// sharded neighborhood, as an Environment.
 //
-// Orchestrates the sharded step (docs/sharding.md). The domain is cut into K
-// contiguous z-plane ranges of the SAME box lattice the global uniform grid
-// would derive (spatial/grid_geometry.h). Each step, after the behaviors
-// pass (shared with the unsharded step) and commit:
+// Simulation steps this environment in place of the uniform grid when
+// Param::num_shards > 0 (docs/sharding.md); the step pipeline is otherwise
+// the same. The domain is cut into K contiguous z-plane ranges of the SAME
+// box lattice the global uniform grid would derive
+// (spatial/grid_geometry.h). Update() runs three phases, each a stage
+// nested in the caller's "neighborhood update":
 //
-//   Repartition   -- re-derive the lattice, split the planes (static or
-//                    load-adaptive), and bin every agent row to its owner:
-//                    ownership is a pure function of position, so
-//                    boundary-crossers "migrate" simply by being owned by
-//                    the neighbor next step — their state (including
-//                    behaviors) lives in the global SoA and needs no copy.
-//   ExchangeHalos -- every shard ships the rows of its two face planes to
-//                    the adjacent shards through the Communicator (one
-//                    interaction radius = one box plane, by lattice
-//                    construction). Ghost lists are sorted + deduplicated,
-//                    so shard membership is canonical regardless of message
-//                    arrival order.
-//   UpdateGrids   -- each shard rebuilds its occupancy-compacted CSR
-//                    (spatial/shard_grid.h) over owned + ghost members.
+//   "partition"     Repartition -- re-derive the lattice, split the planes
+//                   (static or load-adaptive), and bin every agent row to
+//                   its owner: ownership is a pure function of position, so
+//                   boundary-crossers "migrate" simply by being owned by
+//                   the neighbor next step — their state (including
+//                   behaviors) lives in the global SoA and needs no copy.
+//   "halo exchange" ExchangeHalos -- every shard ships the rows of its two
+//                   face planes to the adjacent shards through the
+//                   Communicator (one interaction radius = one box plane, by
+//                   lattice construction). Ghost lists are sorted +
+//                   deduplicated, so shard membership is canonical
+//                   regardless of message arrival order.
+//   "shard grids"   UpdateGrids -- each shard rebuilds its
+//                   occupancy-compacted CSR (spatial/shard_grid.h) over
+//                   owned + ghost members.
+//
+// The mechanics backend then reads the shards as it reads any environment:
+// the fused force pass streams the K windows ForceInputs() returns, and a
+// neighbor query is answered from the query row's owner-shard window, which
+// by the halo contract holds every neighbor in canonical order.
 //
 // The phases run shard-parallel with a join between phases — the join IS the
 // barrier of the rank protocol (Communicator::Barrier exists for drivers
@@ -38,22 +47,49 @@
 #define BIOSIM_CORE_SHARD_RUNTIME_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/communicator.h"
 #include "core/param.h"
 #include "core/resource_manager.h"
 #include "core/thread_pool.h"
-#include "physics/mechanical_forces_op.h"
+#include "spatial/environment.h"
 #include "spatial/grid_geometry.h"
 #include "spatial/shard_grid.h"
 #include "spatial/shard_partition.h"
 
 namespace biosim {
 
-class ShardRuntime {
+class ShardRuntime : public Environment {
  public:
   ShardRuntime(uint32_t shards, ShardBalance balance);
+
+  // ForceInputs() points into this object's own shard grids.
+  ShardRuntime(const ShardRuntime&) = delete;
+  ShardRuntime& operator=(const ShardRuntime&) = delete;
+
+  // --- Environment --------------------------------------------------------
+  /// Repartition, ExchangeHalos and UpdateGrids, timed as the nested stages
+  /// "partition", "halo exchange" and "shard grids". An empty population
+  /// leaves the shards as they were (nothing reads them).
+  void Update(const ResourceManager& rm, const Param& param, ExecMode mode,
+              OpProfile* profile = nullptr) override;
+  /// Answered from the window of `query`'s owner shard. Requires Update()
+  /// for the current positions.
+  void ForEachNeighborWithinRadius(AgentIndex query, const ResourceManager& rm,
+                                   double radius,
+                                   NeighborFn fn) const override;
+  double interaction_radius() const override {
+    return geometry_.interaction_radius;
+  }
+  const char* name() const override { return "shards"; }
+  bool supports_torus() const override { return true; }
+  /// One input per shard: its CSR view and owned occupied boxes. Valid
+  /// until the next UpdateGrids.
+  std::span<const ShardForceInput> ForceInputs() const override {
+    return force_inputs_;
+  }
 
   uint32_t shards() const { return shards_; }
 
@@ -68,13 +104,10 @@ class ShardRuntime {
   /// Repartition on the same population snapshot.
   void ExchangeHalos(const ResourceManager& rm, ExecMode mode);
 
-  /// Rebuild each shard's compacted CSR from its member list. Reconfigures
-  /// the shard windows only when the lattice or the partition changed.
+  /// Rebuild each shard's compacted CSR from its member list, and the
+  /// force inputs over them. Reconfigures the shard windows only when the
+  /// lattice or the partition changed.
   void UpdateGrids(const ResourceManager& rm, ExecMode mode);
-
-  /// Per-shard force inputs for ComputeDisplacementsSharded. Valid until
-  /// the next UpdateGrids.
-  std::vector<ShardForceInput> ForceInputs() const;
 
   const GridGeometry& geometry() const { return geometry_; }
   const ShardPartition& partition() const { return partition_; }
@@ -106,6 +139,8 @@ class ShardRuntime {
   GridGeometry geometry_;
   ShardPartition partition_;
   std::vector<ShardGrid> grids_;
+  /// grids_' views and owned slots, rebuilt by UpdateGrids.
+  std::vector<ShardForceInput> force_inputs_;
   /// Owning z-plane of each row (scratch, rebuilt by Repartition).
   std::vector<int32_t> row_plane_;
   std::vector<std::vector<int32_t>> owned_rows_;

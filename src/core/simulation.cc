@@ -9,20 +9,9 @@
 #include "core/cell.h"
 #include "core/sim_context.h"
 #include "core/state_hash.h"
-#include "core/timer.h"
-#include "obs/perf_counters.h"
+#include "obs/stage_scope.h"
 #include "obs/trace.h"
 #include "spatial/uniform_grid.h"
-
-// One instrument per pipeline stage: a trace span, a hardware-counter scope
-// and a Fig. 3 profile sample, opened under one name in this fixed order,
-// so the trace, perf and profile views always cover the same stages. Used
-// inside Simulation members (it reads profile_).
-#define STAGE_SCOPE(name)                                           \
-  TRACE_SCOPE(name);                                                \
-  PERF_SCOPE(name);                                                 \
-  ::biosim::ScopedTimer BIOSIM_TRACE_CONCAT(stage_timer_, __LINE__)( \
-      profile_.Hist(name))
 
 namespace biosim {
 
@@ -190,38 +179,6 @@ void Simulation::RunBehaviors() {
   }
 }
 
-void Simulation::RunShardedOps() {
-  if (rm_.empty()) {
-    return;
-  }
-  {
-    // Ownership is derived once per step, from the post-commit rows the
-    // halo protocol and the force pass read; behaviors never consult it.
-    STAGE_SCOPE("partition");
-    shard_runtime_->Repartition(rm_, param_);
-  }
-  {
-    STAGE_SCOPE("halo exchange");
-    shard_runtime_->ExchangeHalos(rm_, mode_);
-  }
-  {
-    // The sharded counterpart of "neighborhood update": per-shard
-    // occupancy-compacted CSRs instead of the one global grid.
-    STAGE_SCOPE("shard grids");
-    shard_runtime_->UpdateGrids(rm_, mode_);
-  }
-  STAGE_SCOPE("mechanical forces");
-  // Validate() admits shards only beside a backend that supports them; the
-  // sharded force pass drives the CPU backend's fused CSR kernel directly.
-  MechanicalForcesOp& op =
-      dynamic_cast<CpuMechanicsBackend&>(*backend_).mutable_op();
-  op.ComputeDisplacementsSharded(
-      rm_, shard_runtime_->ForceInputs(),
-      shard_runtime_->geometry().interaction_radius,
-      shard_runtime_->geometry().box_length, param_, mode_);
-  op.ApplyDisplacements(rm_, param_, mode_);
-}
-
 uint64_t Simulation::StateHash() const {
   uint64_t h = HashBytes(&step_, sizeof(step_));
   h = HashPopulation(rm_, h);
@@ -246,7 +203,11 @@ void Simulation::Validate() const {
   };
   const bool sharded = param_.num_shards > 0;
   const bool torus = param_.boundary_mode == BoundaryMode::kTorus;
-  require(!sharded || backend_->supports_shards(), "num_shards > 0", true);
+  // A sharded step hands the backend the shard runtime, which answers
+  // through force windows and queries: a backend that reads no host
+  // environment (the GPU builds its own grid) would ignore the shards.
+  require(!sharded || backend_->needs_neighbor_queries(), "num_shards > 0",
+          true);
   require(!sharded || env_->supports_shards(), "num_shards > 0", false);
   require(!torus || backend_->supports_torus(), "boundary_mode=torus", true);
   require(!torus || env_->supports_torus(), "boundary_mode=torus", false);
@@ -261,34 +222,34 @@ void Simulation::Validate() const {
 
 void Simulation::Simulate(uint64_t steps) {
   Validate();
-  const bool sharded = param_.num_shards > 0;
-  if (sharded &&
+  if (param_.num_shards > 0 &&
       (!shard_runtime_ || shard_runtime_->shards() != param_.num_shards)) {
     shard_runtime_ = std::make_unique<ShardRuntime>(param_.num_shards,
                                                     param_.shard_balance);
   }
+  // Validate() admits shards only beside an environment the shard runtime
+  // can replace without changing results.
+  Environment& nbr = param_.num_shards > 0 ? *shard_runtime_ : *env_;
   for (uint64_t s = 0; s < steps; ++s) {
     TRACE_SCOPE("step");
     {
-      STAGE_SCOPE("cell behaviors");
+      STAGE_SCOPE(&profile_, "cell behaviors");
       RunBehaviors();
     }
     {
-      STAGE_SCOPE("commit");
+      STAGE_SCOPE(&profile_, "commit");
       rm_.CommitStructuralChanges();
     }
-    if (sharded) {
-      RunShardedOps();
-    } else {
-      {
-        STAGE_SCOPE("neighborhood update");
-        env_->Update(rm_, param_, mode_);
-      }
-      STAGE_SCOPE("mechanical forces");
-      backend_->Step(rm_, *env_, param_, mode_, &profile_);
+    {
+      STAGE_SCOPE(&profile_, "neighborhood update");
+      nbr.Update(rm_, param_, mode_, &profile_);
+    }
+    {
+      STAGE_SCOPE(&profile_, "mechanical forces");
+      backend_->Step(rm_, nbr, param_, mode_, &profile_);
     }
     if (!diffusion_grids_.empty()) {
-      STAGE_SCOPE("diffusion");
+      STAGE_SCOPE(&profile_, "diffusion");
       for (auto& g : diffusion_grids_) {
         g->Step(param_.simulation_time_step, mode_);
       }

@@ -1,21 +1,24 @@
 // Simulation: the public façade that ties the engine together.
 //
 // Owns the parameters, the SoA agent storage, the spatial environment, the
-// mechanics backend, and optional diffusion grids, and runs the per-step
-// pipeline:
+// mechanics backend, and optional diffusion grids, and runs the one
+// per-step pipeline:
 //
 //   1. "cell behaviors"       -- run every agent's behaviors (proliferation)
 //   2. "commit"               -- apply deferred divisions / removals
-//   3. "neighborhood update"  -- rebuild the environment (kd-tree / grid)
+//   3. "neighborhood update"  -- rebuild the environment (kd-tree / grid /
+//                                shards)
 //   4. "mechanical forces"    -- backend step (CPU or GPU offload)
 //   5. "diffusion"            -- advance extracellular substances
 //
-// With param.num_shards > 0, steps 3-4 become "partition", "halo exchange",
-// "shard grids" and the sharded "mechanical forces" (docs/sharding.md);
-// steps 1, 2 and 5 are the same code either way.
+// Steps 3 and 4 run on one environment: the configured one, or the shard
+// runtime (core/shard_runtime.h) when param.num_shards > 0, whose partition,
+// halo exchange and shard grids are stages nested in step 3
+// (docs/sharding.md). The backend reads either the same way.
 //
 // Every operation's wall time is accumulated in profile(), which is exactly
-// the data behind the paper's Fig. 3.
+// the data behind the paper's Fig. 3; sub-stages (the shard phases, the GPU
+// backend's simulated rows) are recorded nested in their parent.
 #ifndef BIOSIM_CORE_SIMULATION_H_
 #define BIOSIM_CORE_SIMULATION_H_
 
@@ -110,7 +113,7 @@ class Simulation {
   /// hash sequences are identical (docs/determinism.md).
   uint64_t StateHash() const;
 
-  /// The shard runtime driving the sharded pipeline, or nullptr when
+  /// The environment a sharded step runs on, or nullptr when
   /// param.num_shards == 0 or before the first sharded step (observability
   /// reads per-shard stats through this).
   const ShardRuntime* shard_runtime() const { return shard_runtime_.get(); }
@@ -119,9 +122,6 @@ class Simulation {
   /// The one behaviors pass, sharded or not: contiguous row chunks, with
   /// substance deposits merged serially in chunk (= row) order.
   void RunBehaviors();
-  /// The sharded counterpart of "neighborhood update" + "mechanical
-  /// forces": partition, halo exchange, per-shard grids, sharded force pass.
-  void RunShardedOps();
 
   Param param_;
   ResourceManager rm_;

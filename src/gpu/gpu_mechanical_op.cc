@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/timer.h"
 #include "gpu/diagnostic_kernels.h"
 #include "obs/trace.h"
 #include "gpu/grid_build_kernels.h"
@@ -225,10 +224,8 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
     if (options_.device_radix_sort) {
       SortOnDevice(rm, param, mode);
     } else {
-      Timer t;
       double cell = rm.LargestDiameter() + param.interaction_radius_margin;
       SortAgentsByZOrder(rm, cell, mode);
-      host_sort_ms_ += t.ElapsedMs();
 
       uint64_t elem = options_.precision == GpuPrecision::kFp32 ? 4 : 8;
       // 4-pass 16-bit-digit radix sort over (key64, idx32) pairs ...

@@ -130,8 +130,6 @@ class GpuMechanicalOp : public MechanicsBackend {
 
   /// Simulated GPU time accumulated so far (kernels + transfers), ms.
   double SimulatedMs() const { return device().ElapsedMs(); }
-  /// Measured host time spent in the Z-order sort, ms.
-  double HostSortMs() const { return host_sort_ms_; }
 
   /// Persistent mode: copy the device-resident positions back into the
   /// host ResourceManager (D2H, metered). No-op otherwise.
@@ -180,8 +178,6 @@ class GpuMechanicalOp : public MechanicsBackend {
   MechDeviceState<double> state64_;
 
   std::vector<Double3> last_displacements_;
-
-  double host_sort_ms_ = 0.0;
 
   // persistent-state bookkeeping
   size_t resident_agents_ = 0;  // 0 = nothing resident

@@ -9,7 +9,6 @@
 #include "physics/displacement.h"
 #include "physics/interaction_force.h"
 #include "physics/simd_kernel_dispatch.h"
-#include "spatial/uniform_grid.h"
 
 namespace biosim {
 
@@ -31,15 +30,13 @@ void MechanicalForcesOp::ComputeDisplacements(const ResourceManager& rm,
                                               const Environment& env,
                                               const Param& param,
                                               ExecMode mode) {
-  // One dynamic_cast per step, not per query: the fused kernel only exists
-  // for the uniform grid (it consumes the CSR layout); kd-tree and null
-  // environments fall through to the generic path below.
-  if (const auto* grid = dynamic_cast<const UniformGridEnvironment*>(&env)) {
-    const ShardGrid& csr = grid->csr();
-    const ShardForceInput whole{csr.View(), csr.owned_slot_begin(),
-                                csr.owned_slot_end() - csr.owned_slot_begin()};
-    RunFusedPasses(rm, {&whole, 1}, grid->interaction_radius(),
-                   grid->box_length(), param, mode);
+  // The environment decides which CSR windows, if any, the fused kernel
+  // streams; kd-tree, null and forwarding environments return none and
+  // take the generic path below.
+  const std::span<const ShardForceInput> inputs = env.ForceInputs();
+  if (!inputs.empty()) {
+    RunFusedPasses(rm, inputs, env.interaction_radius(),
+                   inputs.front().box_length, param, mode);
     return;
   }
   used_fast_path_ = false;
@@ -90,10 +87,10 @@ void MechanicalForcesOp::ComputeDisplacements(const ResourceManager& rm,
 }
 
 void MechanicalForcesOp::ComputeDisplacementsSharded(
-    const ResourceManager& rm, const std::vector<ShardForceInput>& shards,
+    const ResourceManager& rm, std::span<const ShardForceInput> inputs,
     double interaction_radius, double box_length, const Param& param,
     ExecMode mode) {
-  RunFusedPasses(rm, shards, interaction_radius, box_length, param, mode);
+  RunFusedPasses(rm, inputs, interaction_radius, box_length, param, mode);
 }
 
 void MechanicalForcesOp::RunFusedPasses(

@@ -7,22 +7,24 @@
 // the same two-phase structure the GPU offload uses (compute on device,
 // apply on host).
 //
-// Two compute paths (docs/perf.md), bitwise interchangeable:
+// Two compute paths (docs/perf.md), bitwise interchangeable; the
+// environment picks one through Environment::ForceInputs():
 //
-//   * fused (uniform grid): box-by-box traversal over occupancy-compacted
-//     CSR views in ascending box order — the whole-lattice grid, or one
-//     view per spatial shard. Each box resolves its 27-neighbor block once
-//     and reuses it for every resident agent; the candidate sweep is the
-//     vector kernel of physics/simd_force_kernel.h, dispatched to the
-//     widest ISA the CPU supports (BIOSIM_SIMD=scalar forces the W = 1
-//     reference; every width writes the same bits);
-//   * generic (kd-tree, null, any other Environment): per-agent virtual
-//     ForEachNeighborWithinRadius with a function_ref callback.
+//   * fused (the environment returns CSR windows): box-by-box traversal
+//     over occupancy-compacted CSR views in ascending box order — the
+//     uniform grid's whole-lattice window, or one window per spatial shard.
+//     Each box resolves its 27-neighbor block once and reuses it for every
+//     resident agent; the candidate sweep is the vector kernel of
+//     physics/simd_force_kernel.h, dispatched to the widest ISA the CPU
+//     supports (BIOSIM_SIMD=scalar forces the W = 1 reference; every width
+//     writes the same bits);
+//   * generic (no windows: kd-tree, any other Environment): per-agent
+//     virtual ForEachNeighborWithinRadius with a function_ref callback.
 //
 // Both visit each agent's neighbors in the identical canonical order
 // (ForEachNeighborCoord block order, ascending agent index within a box)
-// and evaluate the same FP expressions on them, so a uniform grid seen
-// through a forwarding Environment (which the dynamic_cast misses) is the
+// and evaluate the same FP expressions on them, so a grid or shard runtime
+// seen through a ForwardingEnvironment (which returns no windows) is the
 // fused kernel's test oracle (docs/determinism.md).
 #ifndef BIOSIM_PHYSICS_MECHANICAL_FORCES_OP_H_
 #define BIOSIM_PHYSICS_MECHANICAL_FORCES_OP_H_
@@ -35,22 +37,9 @@
 #include "core/resource_manager.h"
 #include "core/thread_pool.h"
 #include "physics/force_law.h"
-#include "spatial/csr_grid_view.h"
 #include "spatial/environment.h"
 
 namespace biosim {
-
-/// One CSR window's slice of a fused force pass (docs/sharding.md): its
-/// occupancy-compacted CSR (owned + halo members) and its owned occupied
-/// boxes, the slots [first_box, first_box + num_boxes). The whole-lattice
-/// grid is one input owning every slot; the shard runtime guarantees the
-/// owned boxes of all shards partition the global non-empty box set, so
-/// every agent row is written by exactly one input.
-struct ShardForceInput {
-  CsrGridView view;
-  uint32_t first_box = 0;
-  size_t num_boxes = 0;
-};
 
 class MechanicalForcesOp {
  public:
@@ -59,8 +48,9 @@ class MechanicalForcesOp {
   explicit MechanicalForcesOp(ForceLaw law = ForceLaw::kCortex3D)
       : force_law_(law) {}
 
-  /// Compute per-agent displacements into an internal buffer. The
-  /// environment must be up to date.
+  /// Compute per-agent displacements into an internal buffer: the fused
+  /// pass over env.ForceInputs() when it returns windows, else the generic
+  /// query path. The environment must be up to date.
   void ComputeDisplacements(const ResourceManager& rm, const Environment& env,
                             const Param& param, ExecMode mode);
 
@@ -69,18 +59,15 @@ class MechanicalForcesOp {
   void ApplyDisplacements(ResourceManager& rm, const Param& param,
                           ExecMode mode);
 
-  /// Sharded twin of ComputeDisplacements: run the fused pass once per
-  /// shard over that shard's CSR view and owned boxes. Each owned box
-  /// presents the identical candidate sequence the global grid would (the
-  /// halo exchange ships every agent within one box of a shard face), and
-  /// each agent row is owned by exactly one shard, so the displacement
-  /// buffer is filled with bitwise the same values as the unsharded pass —
-  /// per-shard grids only shrink the *maintenance* cost, never the force
-  /// math. `interaction_radius` must not exceed `box_length` (throws
-  /// std::invalid_argument; the shard lattice is derived with boxes >= the
-  /// radius, so this only fires on misuse).
+  /// The fused pass over explicit windows: the replay entry point for
+  /// drivers that step the shard runtime's phases themselves (stepbench
+  /// times each layer this way). Each input's owned boxes present the
+  /// candidate sequence the global grid would, and the inputs' owned boxes
+  /// partition the non-empty box set, so the buffer gets bitwise the
+  /// unsharded values. Throws std::invalid_argument when
+  /// `interaction_radius` exceeds `box_length`.
   void ComputeDisplacementsSharded(const ResourceManager& rm,
-                                   const std::vector<ShardForceInput>& shards,
+                                   std::span<const ShardForceInput> inputs,
                                    double interaction_radius,
                                    double box_length, const Param& param,
                                    ExecMode mode);
@@ -100,7 +87,7 @@ class MechanicalForcesOp {
 
  private:
   /// The fused pass driver: one kernel pass per CSR input (the whole grid
-  /// is a single input).
+  /// is a single input). Every input shares one lattice of `box_length`.
   void RunFusedPasses(const ResourceManager& rm,
                       std::span<const ShardForceInput> inputs,
                       double interaction_radius, double box_length,

@@ -2,9 +2,12 @@
 //
 // The simulation loop is identical for every variant the paper benchmarks;
 // only this backend changes: CPU serial, CPU multithreaded, or one of the
-// GPU kernel generations (src/gpu/gpu_mechanical_op.h). The backend sees the
-// host-built environment — for the GPU path that is the uniform grid whose
-// flat arrays get copied to the device.
+// GPU kernel generations (src/gpu/gpu_mechanical_op.h). Step() receives the
+// environment the pipeline just updated: the uniform grid, the kd-tree, or
+// the shard runtime when Param::num_shards > 0. The CPU backend reads it
+// through its force windows or its neighbor queries (mechanical_forces_op.h);
+// the GPU backend runs beside NullEnvironment and builds its uniform grid on
+// the device, so it reads no host index.
 #ifndef BIOSIM_PHYSICS_MECHANICS_BACKEND_H_
 #define BIOSIM_PHYSICS_MECHANICS_BACKEND_H_
 
@@ -23,7 +26,8 @@ class MechanicsBackend {
 
   /// Compute and apply one step of mechanical interactions. May split its
   /// time into sub-operations on `profile` (e.g. "gpu h2d copy"); the caller
-  /// already accounts the whole call under "mechanical forces".
+  /// already accounts the whole call under "mechanical forces", so they are
+  /// recorded nested in it.
   virtual void Step(ResourceManager& rm, const Environment& env,
                     const Param& param, ExecMode mode, OpProfile* profile) = 0;
 
@@ -31,12 +35,12 @@ class MechanicsBackend {
 
   // Capabilities; only Simulation::Validate compares them with Param and
   // the environment.
-  /// Step() reads neighbors through the environment's queries.
+  /// Step() reads neighbors through the environment (its force windows or
+  /// its queries). A backend that does can run sharded: the shard runtime
+  /// answers both.
   virtual bool needs_neighbor_queries() const { return true; }
   /// Implements BoundaryMode::kTorus.
   virtual bool supports_torus() const { return false; }
-  /// Runs the sharded pipeline's force pass (Param::num_shards > 0).
-  virtual bool supports_shards() const { return false; }
 };
 
 /// CPU reference backend wrapping MechanicalForcesOp.
@@ -51,15 +55,9 @@ class CpuMechanicsBackend : public MechanicsBackend {
 
   const char* name() const override { return "cpu"; }
   bool supports_torus() const override { return true; }
-  bool supports_shards() const override { return true; }
 
   size_t last_force_evaluations() const { return op_.last_force_evaluations(); }
   const MechanicalForcesOp& op() const { return op_; }
-  /// The sharded pipeline drives the op's compute/apply phases itself
-  /// (ComputeDisplacementsSharded needs the shard views, not an
-  /// Environment), but reuses this op so force-evaluation counters keep
-  /// flowing through the accessors above.
-  MechanicalForcesOp& mutable_op() { return op_; }
 
  private:
   MechanicalForcesOp op_;

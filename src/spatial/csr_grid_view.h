@@ -40,6 +40,22 @@ struct CsrGridView {
   const void* self = nullptr;
 };
 
+/// One CSR window's slice of a fused force pass (docs/sharding.md): its
+/// view (owned + halo members) and its owned occupied boxes, the slots
+/// [first_box, first_box + num_boxes). An Environment hands these to the
+/// force pass through Environment::ForceInputs: the uniform grid as one
+/// input owning every slot, the shard runtime as one per shard, whose owned
+/// boxes partition the global non-empty box set, so every agent row is
+/// written by exactly one input.
+struct ShardForceInput {
+  CsrGridView view;
+  uint32_t first_box = 0;
+  size_t num_boxes = 0;
+  /// Box edge of the window's lattice; the 27-box scheme only finds
+  /// neighbors within one box length.
+  double box_length = 0.0;
+};
+
 }  // namespace biosim
 
 #endif  // BIOSIM_SPATIAL_CSR_GRID_VIEW_H_

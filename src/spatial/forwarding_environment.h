@@ -1,12 +1,14 @@
 // ForwardingEnvironment: an Environment that owns another one and forwards
-// every call to it.
+// every call to it — except ForceInputs().
 //
-// It exists to be the fused force kernel's oracle. MechanicalForcesOp
-// recognizes the uniform grid by dynamic_cast and then runs the fused CSR
-// kernel; a wrapped grid is not recognized, so the same neighbor structure
-// is walked through the generic per-agent callback path instead. The two
+// It exists to be the fused force kernel's oracle. MechanicalForcesOp runs
+// the fused CSR kernel over whatever windows Environment::ForceInputs()
+// returns; this wrapper deliberately returns none, so the same neighbor
+// structure (the uniform grid, or the shard runtime's per-shard windows) is
+// walked through the generic per-agent callback path instead. The two
 // paths owe bitwise-identical displacements (docs/determinism.md), so a
-// wrapped and an unwrapped grid must end every run on the same StateHash.
+// wrapped and an unwrapped environment must end every run on the same
+// StateHash.
 #ifndef BIOSIM_SPATIAL_FORWARDING_ENVIRONMENT_H_
 #define BIOSIM_SPATIAL_FORWARDING_ENVIRONMENT_H_
 
@@ -22,9 +24,9 @@ class ForwardingEnvironment : public Environment {
   explicit ForwardingEnvironment(std::unique_ptr<Environment> inner)
       : inner_(std::move(inner)) {}
 
-  void Update(const ResourceManager& rm, const Param& param,
-              ExecMode mode) override {
-    inner_->Update(rm, param, mode);
+  void Update(const ResourceManager& rm, const Param& param, ExecMode mode,
+              OpProfile* profile = nullptr) override {
+    inner_->Update(rm, param, mode, profile);
   }
 
   void ForEachNeighborWithinRadius(AgentIndex query, const ResourceManager& rm,
@@ -42,6 +44,7 @@ class ForwardingEnvironment : public Environment {
   }
   bool supports_torus() const override { return inner_->supports_torus(); }
   bool supports_shards() const override { return inner_->supports_shards(); }
+  // ForceInputs() is not forwarded: the default (none) is the point.
 
  private:
   std::unique_ptr<Environment> inner_;

@@ -6,7 +6,7 @@
 namespace biosim {
 
 void KdTreeEnvironment::Update(const ResourceManager& rm, const Param& param,
-                               ExecMode mode) {
+                               ExecMode mode, OpProfile* /*profile*/) {
   interaction_radius_ = rm.LargestDiameter() + param.interaction_radius_margin;
 
   // Step 1: build. Serial regardless of `mode` — this is the structural

@@ -28,8 +28,8 @@ class KdTreeEnvironment : public Environment {
                              bool cache_neighbor_lists = true)
       : leaf_size_(leaf_size), cache_neighbor_lists_(cache_neighbor_lists) {}
 
-  void Update(const ResourceManager& rm, const Param& param,
-              ExecMode mode) override;
+  void Update(const ResourceManager& rm, const Param& param, ExecMode mode,
+              OpProfile* profile = nullptr) override;
 
   void ForEachNeighborWithinRadius(AgentIndex query,
                                    const ResourceManager& rm, double radius,

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "physics/displacement.h"
+
 namespace biosim {
 
 namespace {
@@ -332,6 +334,53 @@ int ShardGrid::NeighborSlots(const void* self, uint32_t slot,
     }
   });
   return count;
+}
+
+void ShardGrid::ForEachNeighborWithinRadius(
+    AgentIndex query, const Double3* positions, double radius,
+    FunctionRef<void(AgentIndex, double)> fn) const {
+  if (radius > geometry_.box_length + 1e-12) {
+    // Out of contract in any build type: the traversal only visits the 27
+    // surrounding boxes, so a larger radius would silently miss neighbors.
+    throw std::invalid_argument(
+        "grid query radius " + std::to_string(radius) +
+        " exceeds the box length " + std::to_string(geometry_.box_length) +
+        "; the grid only covers the 27 surrounding boxes");
+  }
+  const Double3 q = positions[query];
+  const double r2 = radius * radius;
+  const size_t nx = static_cast<size_t>(geometry_.num_boxes_axis.x);
+  const int32_t* starts = starts_.data();
+  const int32_t* agents = agents_.data();
+  // Empty boxes have no slot and are skipped; planes outside the window
+  // cannot occur for an owned query.
+  geometry_.ForEachNeighborCoord(
+      geometry_.BoxCoordinatesOf(q), [&](const Int3& c) {
+        const int32_t wz = plane_to_window_[static_cast<size_t>(c.z)];
+        if (wz < 0) {
+          return;
+        }
+        const int32_t s = slot_of(static_cast<size_t>(wz) * plane_size_ +
+                                  static_cast<size_t>(c.y) * nx +
+                                  static_cast<size_t>(c.x));
+        if (s < 0) {
+          return;
+        }
+        for (int32_t t = starts[s]; t < starts[s + 1]; ++t) {
+          const int32_t j = agents[t];
+          if (static_cast<AgentIndex>(j) == query) {
+            continue;
+          }
+          const double d2 =
+              geometry_.torus
+                  ? MinImageVector(q, positions[j], geometry_.edge)
+                        .SquaredNorm()
+                  : SquaredDistance(q, positions[j]);
+          if (d2 <= r2) {
+            fn(static_cast<AgentIndex>(j), d2);
+          }
+        }
+      });
 }
 
 }  // namespace biosim

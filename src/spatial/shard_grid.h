@@ -35,6 +35,10 @@
 // shard's slab: the displacement of every owned row is bit-for-bit the
 // unsharded one (docs/sharding.md).
 //
+// The per-agent query (ForEachNeighborWithinRadius) walks the same 3x3x3
+// block through the same slots, so the uniform grid and every shard answer
+// neighbor queries with one routine, in the order the fused pass streams.
+//
 // Window planes are kept in ascending global z, so window keys order boxes
 // exactly like global flat indices; in the whole-lattice window the key IS
 // the flat box index. The owned planes are one contiguous run of window
@@ -49,6 +53,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/agent_uid.h"
+#include "core/function_ref.h"
 #include "core/math.h"
 #include "core/thread_pool.h"
 #include "spatial/csr_grid_view.h"
@@ -117,6 +123,17 @@ class ShardGrid {
   /// CsrGridView resolver: slots of the occupied boxes in the 3x3x3 block
   /// around `slot`'s box, canonical (dz, dy, dx) order.
   static int NeighborSlots(const void* self, uint32_t slot, size_t out[27]);
+
+  /// Invoke `fn(row, squared distance)` for every member within `radius` of
+  /// row `query`, excluding `query`: the 3x3x3 block around its box in the
+  /// canonical (dz, dy, dx) order (clamped at open faces, wrapped on a
+  /// torus), ascending rows within a box. `query` must bin into an owned
+  /// plane, where the whole block lies inside the window. Throws
+  /// std::invalid_argument when `radius` exceeds the box length: the block
+  /// would silently miss neighbors.
+  void ForEachNeighborWithinRadius(
+      AgentIndex query, const Double3* positions, double radius,
+      FunctionRef<void(AgentIndex, double)> fn) const;
 
  private:
   /// The builder behind both Update overloads; `members` == nullptr means

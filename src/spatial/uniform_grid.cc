@@ -5,12 +5,11 @@
 #include <stdexcept>
 #include <string>
 
-#include "physics/displacement.h"
-
 namespace biosim {
 
 void UniformGridEnvironment::Update(const ResourceManager& rm,
-                                    const Param& param, ExecMode mode) {
+                                    const Param& param, ExecMode mode,
+                                    OpProfile* /*profile: one phase*/) {
   const size_t n = rm.size();
   CheckCsrAgentCount(n);
 
@@ -27,6 +26,9 @@ void UniformGridEnvironment::Update(const ResourceManager& rm,
   }
   geometry_ = candidate;
   csr_.Update(n, rm.positions().data(), mode);
+  whole_ = {csr_.View(), csr_.owned_slot_begin(),
+            csr_.owned_slot_end() - csr_.owned_slot_begin(),
+            geometry_.box_length};
   ++rebuilds_;
 }
 
@@ -38,48 +40,6 @@ void UniformGridEnvironment::CheckCsrAgentCount(size_t n) {
         "(box_starts/box_agents, mirrored by the GPU offload); the "
         "scan would silently wrap");
   }
-}
-
-void UniformGridEnvironment::ForEachNeighborWithinRadius(
-    AgentIndex query, const ResourceManager& rm, double radius,
-    NeighborFn fn) const {
-  if (radius > geometry_.box_length + 1e-12) {
-    // Out of contract in any build type: the traversal only visits the 27
-    // surrounding boxes, so a larger radius would silently miss neighbors.
-    throw std::invalid_argument(
-        "UniformGridEnvironment: query radius " + std::to_string(radius) +
-        " exceeds the box length " + std::to_string(geometry_.box_length) +
-        "; the uniform grid only covers the 27 surrounding boxes");
-  }
-  const auto& pos = rm.positions();
-  const Double3 q = pos[query];
-  const double r2 = radius * radius;
-  const int32_t* starts = csr_.box_starts().data();
-  const int32_t* agents = csr_.box_agents().data();
-
-  // The 3x3x3 block around the query's box (Fig. 4), in the canonical
-  // (dz, dy, dx) order: clamped at the domain faces normally, wrapped
-  // around them on a torus. Empty boxes have no slot and are skipped.
-  geometry_.ForEachNeighborCoord(
-      BoxCoordinatesOf(q), [&](const Int3& c) {
-        const int32_t s = csr_.slot_of(FlatBoxIndex(c));
-        if (s < 0) {
-          return;
-        }
-        for (int32_t t = starts[s]; t < starts[s + 1]; ++t) {
-          const int32_t j = agents[t];
-          if (static_cast<AgentIndex>(j) == query) {
-            continue;
-          }
-          const double d2 =
-              geometry_.torus
-                  ? MinImageVector(q, pos[j], geometry_.edge).SquaredNorm()
-                  : SquaredDistance(q, pos[j]);
-          if (d2 <= r2) {
-            fn(static_cast<AgentIndex>(j), d2);
-          }
-        }
-      });
 }
 
 double UniformGridEnvironment::MeanAgentsPerBox() const {

@@ -14,6 +14,10 @@
 // on box keys — keeps the paper's argument: unlike the kd-tree's, it
 // parallelizes.
 //
+// The fused force pass reads that window through ForceInputs() (one input
+// owning every slot); neighbor queries run ShardGrid's query routine, the
+// one each shard answers with.
+//
 // Determinism contract (docs/determinism.md): every box's run is ascending
 // by agent index (the stable sort sees rows in ascending order), so
 // ForEachNeighborWithinRadius and the fused force kernel visit neighbors in
@@ -24,6 +28,7 @@
 #define BIOSIM_SPATIAL_UNIFORM_GRID_H_
 
 #include <cstdint>
+#include <span>
 
 #include "spatial/environment.h"
 #include "spatial/grid_geometry.h"
@@ -39,15 +44,25 @@ class UniformGridEnvironment : public Environment {
   explicit UniformGridEnvironment(double fixed_box_length = 0.0)
       : fixed_box_length_(fixed_box_length) {}
 
-  void Update(const ResourceManager& rm, const Param& param,
-              ExecMode mode) override;
+  // ForceInputs() points into this object's own CSR.
+  UniformGridEnvironment(const UniformGridEnvironment&) = delete;
+  UniformGridEnvironment& operator=(const UniformGridEnvironment&) = delete;
+
+  void Update(const ResourceManager& rm, const Param& param, ExecMode mode,
+              OpProfile* profile = nullptr) override;
 
   void ForEachNeighborWithinRadius(AgentIndex query,
                                    const ResourceManager& rm, double radius,
-                                   NeighborFn fn) const override;
+                                   NeighborFn fn) const override {
+    csr_.ForEachNeighborWithinRadius(query, rm.positions().data(), radius, fn);
+  }
 
   double interaction_radius() const override { return interaction_radius_; }
   const char* name() const override { return "uniform-grid"; }
+  /// The whole-lattice window, owning every occupied box.
+  std::span<const ShardForceInput> ForceInputs() const override {
+    return {&whole_, 1};
+  }
   bool supports_torus() const override { return true; }
   bool supports_shards() const override { return true; }
 
@@ -61,8 +76,7 @@ class UniformGridEnvironment : public Environment {
   const GridGeometry& geometry() const { return geometry_; }
 
   /// The compacted CSR of the last Update: slots are the occupied boxes in
-  /// ascending flat index, each run ascending by agent index. Its View() and
-  /// owned slot range (every slot) are the fused force pass's input.
+  /// ascending flat index, each run ascending by agent index.
   const ShardGrid& csr() const { return csr_; }
 
   /// Number of agents in box b (flat index). O(1): the box's occupancy bit,
@@ -121,6 +135,8 @@ class UniformGridEnvironment : public Environment {
   GridGeometry geometry_;
   // Whole-lattice window; reconfigured only when the lattice changes.
   ShardGrid csr_;
+  // csr_'s view and owned slots (every slot), rebuilt by each Update.
+  ShardForceInput whole_;
   bool configured_ = false;
   uint64_t rebuilds_ = 0;
 };

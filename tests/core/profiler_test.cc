@@ -78,6 +78,35 @@ TEST(OpProfileTest, ToStringContainsPercentages) {
   EXPECT_NE(s.find("TOTAL"), std::string::npos);
 }
 
+TEST(OpProfileTest, NestedStagesCountOnceInTheTotal) {
+  // Sub-stages recorded while a stage is open (the shard phases inside
+  // "neighborhood update", the GPU's simulated rows inside "mechanical
+  // forces") are part of their parent's time: TOTAL and the shares sum
+  // top-level entries only, and nested rows print indented.
+  OpProfile p;
+  p.Add("commit", 2.0);
+  {
+    OpProfile::ScopedStage stage(&p, "neighborhood update");
+    p.Add("partition", 1000.0);
+    p.Hist("shard grids")->Add(500.0);
+  }
+  p.Add("diffusion", 3.0);
+  EXPECT_FALSE(p.Find("commit")->nested);
+  EXPECT_FALSE(p.Find("neighborhood update")->nested);
+  EXPECT_TRUE(p.Find("partition")->nested);
+  EXPECT_TRUE(p.Find("shard grids")->nested);
+  EXPECT_FALSE(p.Find("diffusion")->nested);
+  EXPECT_EQ(p.Find("neighborhood update")->calls(), 1u);
+  const double parent = p.TotalMs("neighborhood update");
+  EXPECT_LT(parent, 1000.0);
+  EXPECT_DOUBLE_EQ(p.GrandTotalMs(), 2.0 + parent + 3.0);
+  const std::string s = p.ToString();
+  EXPECT_NE(s.find("\n  partition "), std::string::npos) << s;
+  EXPECT_NE(s.find("\nneighborhood update "), std::string::npos) << s;
+  // A null profile records nothing.
+  { OpProfile::ScopedStage none(nullptr, "ignored"); }
+}
+
 TEST(OpProfileTest, ResetClears) {
   OpProfile p;
   p.Add("x", 1.0);

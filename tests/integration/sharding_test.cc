@@ -9,9 +9,13 @@
 // torus wrap (including the K == 2 duplicate-ghost case), the degenerate
 // K == 1 shard, clustered occupancy under adaptive balancing, and a
 // mass-migration step where the whole population teleports across the
-// domain between steps.
+// domain between steps. The shard runtime is an Environment, so its windows
+// are also checked through the generic callback path: by neighbor queries
+// under a ForwardingEnvironment, and by a backend that only queries.
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,9 +25,51 @@
 #include "core/behaviors/secretion.h"
 #include "core/simulation.h"
 #include "diffusion/diffusion_grid.h"
+#include "physics/mechanical_forces_op.h"
+#include "spatial/forwarding_environment.h"
+#include "spatial/uniform_grid.h"
 
 namespace biosim {
 namespace {
+
+/// Hands MechanicalForcesOp a view of the step's environment that answers
+/// neighbor queries and returns no force windows, so every neighbor is read
+/// through Environment::ForEachNeighborWithinRadius.
+class QueryView : public Environment {
+ public:
+  explicit QueryView(const Environment& env) : env_(env) {}
+  void Update(const ResourceManager&, const Param&, ExecMode,
+              OpProfile* = nullptr) override {}
+  void ForEachNeighborWithinRadius(AgentIndex query, const ResourceManager& rm,
+                                   double radius,
+                                   NeighborFn fn) const override {
+    env_.ForEachNeighborWithinRadius(query, rm, radius, fn);
+  }
+  double interaction_radius() const override {
+    return env_.interaction_radius();
+  }
+  const char* name() const override { return "query-view"; }
+
+ private:
+  const Environment& env_;
+};
+
+/// A mechanics backend that reads neighbors only through queries.
+class QueryOnlyBackend : public MechanicsBackend {
+ public:
+  void Step(ResourceManager& rm, const Environment& env, const Param& param,
+            ExecMode mode, OpProfile*) override {
+    const QueryView view(env);
+    op_.ComputeDisplacements(rm, view, param, mode);
+    EXPECT_FALSE(op_.last_used_fast_path());
+    op_.ApplyDisplacements(rm, param, mode);
+  }
+  const char* name() const override { return "query-only"; }
+  bool supports_torus() const override { return true; }
+
+ private:
+  MechanicalForcesOp op_;
+};
 
 enum class Population {
   kRandom,     // benchmark-B uniform fill
@@ -39,6 +85,7 @@ struct Scenario {
   ShardBalance balance = ShardBalance::kStatic;
   uint64_t steps = 8;
   bool diffusion = true;
+  bool query_only_backend = false;
 };
 
 std::vector<uint64_t> HashTrajectory(const Scenario& sc) {
@@ -67,6 +114,9 @@ std::vector<uint64_t> HashTrajectory(const Scenario& sc) {
     case Population::kLattice:
       sim.Create3DCellGrid(4, 48.0, 8.0, 16.0, /*growth_rate=*/120000.0);
       break;
+  }
+  if (sc.query_only_backend) {
+    sim.SetMechanicsBackend(std::make_unique<QueryOnlyBackend>());
   }
   if (sc.diffusion) {
     auto grid = std::make_unique<DiffusionGrid>("oxygen", 0.0, 240.0, 12, 80.0,
@@ -259,6 +309,78 @@ TEST(ShardingTest, ShardRuntimeExposesLoadAndHaloStats) {
   EXPECT_GT(ghosts, 0u);  // random fill always populates face planes
   EXPECT_GT(rt->communicator().messages_sent(), 0u);
   EXPECT_EQ(rt->communicator().PendingMessages(), 0u);  // no protocol leaks
+}
+
+/// Displacements of one force pass over `env`, after updating it.
+std::vector<Double3> Displacements(const ResourceManager& rm, const Param& p,
+                                   Environment& env, bool* fused) {
+  env.Update(rm, p, ExecMode::kParallel);
+  MechanicalForcesOp op;
+  op.ComputeDisplacements(rm, env, p, ExecMode::kParallel);
+  *fused = op.last_used_fast_path();
+  EXPECT_GT(op.last_force_evaluations(), 0u);
+  return op.displacements();
+}
+
+bool SameBits(const std::vector<Double3>& a, const std::vector<Double3>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Double3)) == 0;
+}
+
+TEST(ShardingTest, CallbackPathOverShardWindowsMatchesFusedPassBitwise) {
+  // A ForwardingEnvironment returns no force windows, so around a shard
+  // runtime it walks the shard windows through per-agent neighbor queries:
+  // the oracle of the fused pass over the same windows and of the
+  // unsharded grid.
+  for (BoundaryMode boundary : {BoundaryMode::kOpen, BoundaryMode::kTorus}) {
+    for (uint32_t workers : {1u, 2u, 8u}) {
+      Param p;
+      p.random_seed = 11;
+      p.num_threads = workers;
+      p.boundary_mode = boundary;
+      p.max_bound = 120.0;
+      Simulation sim(p);  // sets the worker count
+      sim.CreateRandomCells(600, 10.0);
+      const ResourceManager& rm = sim.rm();
+      bool fused = false;
+      UniformGridEnvironment grid;
+      const auto reference = Displacements(rm, p, grid, &fused);
+      EXPECT_TRUE(fused);
+      for (uint32_t shards : {1u, 2u, 4u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "torus=" << (boundary == BoundaryMode::kTorus)
+                     << " workers=" << workers << " shards=" << shards);
+        auto owned = std::make_unique<ShardRuntime>(shards,
+                                                    ShardBalance::kStatic);
+        ShardRuntime& runtime = *owned;
+        ForwardingEnvironment callback(std::move(owned));
+        EXPECT_TRUE(SameBits(Displacements(rm, p, callback, &fused),
+                             reference));
+        EXPECT_FALSE(fused);
+        EXPECT_TRUE(SameBits(Displacements(rm, p, runtime, &fused),
+                             reference));
+        EXPECT_TRUE(fused);
+      }
+    }
+  }
+}
+
+TEST(ShardingTest, QueryOnlyBackendRunsShardedOnTheUnshardedHash) {
+  // A backend that reads the environment runs sharded: the shard runtime
+  // answers its queries from the owner shard's window.
+  for (BoundaryMode boundary : {BoundaryMode::kClamp, BoundaryMode::kTorus}) {
+    Scenario ref;
+    ref.boundary = boundary;
+    const auto reference = HashTrajectory(ref);
+    for (uint32_t shards : {0u, 2u}) {
+      Scenario sc = ref;
+      sc.shards = shards;
+      sc.query_only_backend = true;
+      EXPECT_EQ(HashTrajectory(sc), reference)
+          << "torus=" << (boundary == BoundaryMode::kTorus)
+          << " shards=" << shards;
+    }
+  }
 }
 
 }  // namespace

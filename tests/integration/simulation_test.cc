@@ -70,7 +70,8 @@ TEST(SimulationTest, StepAdvancesAndProfiles) {
 TEST(SimulationTest, ShardedStepPartitionsOncePerStep) {
   // Behaviors never read shard ownership, so the sharded step derives it
   // once, after commit: N steps record N partition samples and every stage
-  // that runs once per step records N as well.
+  // that runs once per step records N as well. The shard phases are the
+  // shard runtime's Update, nested in "neighborhood update".
   Param p;
   p.num_shards = 4;
   p.max_bound = 240.0;
@@ -78,8 +79,8 @@ TEST(SimulationTest, ShardedStepPartitionsOncePerStep) {
   sim.CreateRandomCells(200, 8.0);
   constexpr uint64_t kSteps = 5;
   sim.Simulate(kSteps);
-  for (const char* stage : {"cell behaviors", "commit", "partition",
-                            "halo exchange", "shard grids"}) {
+  for (const char* stage : {"cell behaviors", "commit", "neighborhood update",
+                            "partition", "halo exchange", "shard grids"}) {
     const OpProfile::Entry* e = sim.profile().Find(stage);
     ASSERT_NE(e, nullptr) << stage;
     EXPECT_EQ(e->calls(), kSteps) << stage;

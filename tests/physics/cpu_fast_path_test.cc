@@ -3,8 +3,8 @@
 // path — same neighbor visit order, same FP expressions — along with equal
 // force-evaluation counts, at any exec mode, on clamped and torus
 // boundaries. The oracle is the same grid wrapped in a ForwardingEnvironment,
-// which the fused path's dynamic_cast misses. Also covers the dispatch
-// rule: the fast path engages exactly on a UniformGridEnvironment.
+// which forwards no force windows. Also covers the dispatch rule: the fast
+// path engages exactly when the environment returns force windows.
 #include <gtest/gtest.h>
 
 #include <memory>

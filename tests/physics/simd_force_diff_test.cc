@@ -1,7 +1,7 @@
 // Differential battery for the fused force kernel
 // (physics/simd_force_kernel.h) against its oracle, the generic callback
 // path over the same uniform grid (reached by wrapping the grid in a
-// ForwardingEnvironment, which MechanicalForcesOp's dynamic_cast misses).
+// ForwardingEnvironment, which hands MechanicalForcesOp no force windows).
 // Seeded populations exercise every branch of the sweep — clustered (dense
 // boxes), uniform (sparse), torus wrap-around on each axis, candidate
 // counts around the vector width (the scalar tail), coincident centers,
