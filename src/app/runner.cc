@@ -110,7 +110,7 @@ obs::FlightRecorder::StepRecord MakeStepRecord(
   rec.agents = sim.rm().size();
   rec.substances = sim.diffusion_grid_count();
   rec.wall_ms = step_wall_ms;
-  rec.op_ms = OpDeltas(const_cast<Simulation&>(sim).profile(), prev_totals);
+  rec.op_ms = OpDeltas(sim.profile(), prev_totals);
   if (delta != nullptr) {
     rec.has_counters = true;
     rec.counters = *delta;

@@ -19,9 +19,7 @@
 //      pipeline's per-shard phases in core/shard_runtime.cc (rule
 //      `cross-shard-write`): inside a shard scope the linter rejects direct
 //      writes to domain-global state (IncreaseConcentrationBy,
-//      AddAgent/RemoveAgent) and in-scope Communicator::Barrier calls,
-//      which self-deadlock when a work-stealing ParallelFor runs two ranks
-//      on one worker.
+//      AddAgent/RemoveAgent).
 //
 //   3. TsanAcquire/TsanRelease happens-before bridges for
 //      -fsanitize=thread builds (BIOSIM_SANITIZE=thread). GCC's libgomp is
@@ -148,9 +146,7 @@ class BIOSIM_SCOPED_CAPABILITY MutexLock {
 //   BIOSIM_SHARD_SCOPE_BEGIN();
 //   ... a shard may read anything but write only its own rows; effects on
 //   ... domain-global state (substance deposits, agent creation/removal)
-//   ... must be buffered and merged globally in row order afterwards, and
-//   ... Communicator::Barrier must not be called (the phase join is the
-//   ... barrier; an in-scope Barrier self-deadlocks under work stealing).
+//   ... must be buffered and merged globally in row order afterwards.
 //   BIOSIM_SHARD_SCOPE_END();
 //
 // Every marked region must be closed in the same file; biosim-lint reports

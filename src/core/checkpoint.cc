@@ -1,5 +1,6 @@
 #include "core/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -39,14 +40,12 @@ struct Writer {
     }
     Bytes(b, 1, 8);
   }
-  void Doubles(const std::vector<double>& v) {
+  /// A count followed by the elements (Reader::Array reads it back).
+  template <typename T>
+  void Array(const std::vector<T>& v) {
     U64(v.size());
     // Empty vector data() may be null; Bytes skips the null fwrite (UB).
-    Bytes(v.data(), sizeof(double), v.size());
-  }
-  void Vec3s(const std::vector<Double3>& v) {
-    U64(v.size());
-    Bytes(v.data(), sizeof(Double3), v.size());
+    Bytes(v.data(), sizeof(T), v.size());
   }
 
   /// Flush and close, surfacing errors the buffered writes deferred (an
@@ -71,7 +70,18 @@ struct Writer {
 
 struct Reader {
   explicit Reader(const std::string& path)
-      : f(std::fopen(path.c_str(), "rb")) {}
+      : f(std::fopen(path.c_str(), "rb")) {
+    // The file size bounds every array count (see Array).
+    long size = -1;
+    if (f != nullptr && std::fseek(f, 0, SEEK_END) == 0) {
+      size = std::ftell(f);
+    }
+    if (size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
+      failed = true;
+    } else {
+      remaining = static_cast<uint64_t>(size);
+    }
+  }
   ~Reader() {
     if (f != nullptr) {
       std::fclose(f);
@@ -79,10 +89,17 @@ struct Reader {
   }
   bool ok() const { return f != nullptr && !failed; }
 
+  void Bytes(void* data, size_t size, size_t count) {
+    if (failed || (count != 0 && std::fread(data, size, count, f) != count)) {
+      failed = true;
+      return;
+    }
+    remaining -= std::min<uint64_t>(remaining, uint64_t{size} * count);
+  }
   uint64_t U64() {
     unsigned char b[8];
-    if (std::fread(b, 1, 8, f) != 8) {
-      failed = true;
+    Bytes(b, 1, 8);
+    if (failed) {
       return 0;
     }
     uint64_t v = 0;
@@ -91,33 +108,24 @@ struct Reader {
     }
     return v;
   }
-  std::vector<double> Doubles(uint64_t expected) {
+  /// A count followed by that many T. A count other than `expected`, or one
+  /// whose bytes exceed what is left of the file, is corrupt: it fails the
+  /// read before anything is allocated.
+  template <typename T>
+  std::vector<T> Array(uint64_t expected) {
     uint64_t n = U64();
-    if (failed || n != expected) {
+    if (failed || n != expected || n > remaining / sizeof(T)) {
       failed = true;
       return {};
     }
-    std::vector<double> v(n);
-    if (n != 0 && std::fread(v.data(), sizeof(double), n, f) != n) {
-      failed = true;
-    }
-    return v;
-  }
-  std::vector<Double3> Vec3s(uint64_t expected) {
-    uint64_t n = U64();
-    if (failed || n != expected) {
-      failed = true;
-      return {};
-    }
-    std::vector<Double3> v(n);
-    if (n != 0 && std::fread(v.data(), sizeof(Double3), n, f) != n) {
-      failed = true;
-    }
+    std::vector<T> v(n);
+    Bytes(v.data(), sizeof(T), n);
     return v;
   }
 
   std::FILE* f;
   bool failed = false;
+  uint64_t remaining = 0;  // bytes of the file not yet read
 };
 
 }  // namespace
@@ -130,14 +138,13 @@ bool SaveCheckpoint(const ResourceManager& rm, const std::string& path) {
   w.Bytes(kMagic, 1, sizeof(kMagic));
   w.U64(kVersion);
   w.U64(rm.size());
-  w.Vec3s(rm.positions());
-  w.Doubles(rm.diameters());
-  w.Doubles(rm.volumes());
-  w.Doubles(rm.adherences());
-  w.Doubles(rm.densities());
-  w.Vec3s(rm.tractor_forces());
-  w.U64(rm.uids().size());
-  w.Bytes(rm.uids().data(), sizeof(AgentUid), rm.uids().size());
+  w.Array(rm.positions());
+  w.Array(rm.diameters());
+  w.Array(rm.volumes());
+  w.Array(rm.adherences());
+  w.Array(rm.densities());
+  w.Array(rm.tractor_forces());
+  w.Array(rm.uids());
   w.U64(rm.next_uid());
   return w.Close();
 }
@@ -148,8 +155,8 @@ bool LoadCheckpoint(ResourceManager* rm, const std::string& path) {
     return false;
   }
   char magic[8];
-  if (std::fread(magic, 1, sizeof(magic), r.f) != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  r.Bytes(magic, 1, sizeof(magic));
+  if (r.failed || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return false;
   }
   if (r.U64() != kVersion) {
@@ -157,23 +164,24 @@ bool LoadCheckpoint(ResourceManager* rm, const std::string& path) {
   }
   uint64_t n = r.U64();
 
-  auto positions = r.Vec3s(n);
-  auto diameters = r.Doubles(n);
-  auto volumes = r.Doubles(n);
-  auto adherences = r.Doubles(n);
-  auto densities = r.Doubles(n);
-  auto tractor = r.Vec3s(n);
-  uint64_t uid_count = r.U64();
-  if (r.failed || uid_count != n) {
-    return false;
-  }
-  std::vector<AgentUid> uids(n);
-  if (n != 0 && std::fread(uids.data(), sizeof(AgentUid), n, r.f) != n) {
-    return false;
-  }
+  auto positions = r.Array<Double3>(n);
+  auto diameters = r.Array<double>(n);
+  auto volumes = r.Array<double>(n);
+  auto adherences = r.Array<double>(n);
+  auto densities = r.Array<double>(n);
+  auto tractor = r.Array<Double3>(n);
+  auto uids = r.Array<AgentUid>(n);
   AgentUid next_uid = r.U64();
   if (r.failed) {
     return false;
+  }
+  // Births take uids from next_uid on, and per-agent RNG streams are keyed
+  // by uid: a counter at or below a restored uid would hand that uid out
+  // again.
+  for (AgentUid uid : uids) {
+    if (uid >= next_uid) {
+      return false;
+    }
   }
 
   rm->RestorePopulation(std::move(positions), std::move(diameters),

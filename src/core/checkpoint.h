@@ -22,7 +22,9 @@ namespace biosim {
 bool SaveCheckpoint(const ResourceManager& rm, const std::string& path);
 
 /// Replace `rm`'s population with the checkpoint's. Returns false on I/O
-/// failure or format mismatch (in which case `rm` is left unchanged).
+/// failure, format mismatch, an array count larger than the file, or a uid
+/// counter not above every restored uid (in each case `rm` is left
+/// unchanged).
 bool LoadCheckpoint(ResourceManager* rm, const std::string& path);
 
 }  // namespace biosim

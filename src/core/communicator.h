@@ -2,7 +2,8 @@
 //
 // The sharded step is written as if each shard were an MPI rank: shards
 // exchange typed buffers (halo ghosts, migration payloads) through Send/Recv
-// on (source, destination, tag) channels and synchronize with Barrier().
+// on (source, destination, tag) channels. The join between the shard
+// runtime's shard-parallel phases is the protocol's barrier.
 // This keeps the halo protocol explicit — a shard can only learn about
 // another shard's agents through a message it can count and byte-size — so
 // the cross-shard data flow is auditable (shard/<k>/ghosts_shipped metrics)
@@ -18,7 +19,6 @@
 #define BIOSIM_CORE_COMMUNICATOR_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -94,12 +94,6 @@ class Communicator {
     return it != channels_.end() && !it->second.empty();
   }
 
-  /// Rendezvous for all ranks. The sharded step drives shards from a
-  /// ParallelFor, so each rank's lambda calls Barrier() at phase edges; the
-  /// caller must guarantee all ranks reach it (spin-wait, 1-CPU safe via
-  /// yield).
-  void Barrier();
-
   uint64_t messages_sent() const { return messages_sent_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
   /// Undelivered messages across all channels (protocol leak detector).
@@ -145,12 +139,6 @@ class Communicator {
   std::map<uint64_t, std::deque<Message>> channels_;
   std::atomic<uint64_t> messages_sent_{0};
   std::atomic<uint64_t> bytes_sent_{0};
-
-  // Phase-counting barrier state.
-  std::mutex barrier_mu_;
-  std::condition_variable barrier_cv_;
-  uint32_t barrier_arrived_ = 0;
-  uint64_t barrier_phase_ = 0;
 };
 
 }  // namespace biosim

@@ -75,8 +75,7 @@ class OpProfile {
 
   /// The per-sample histogram sink for `name`, created on first use (nested
   /// when a stage is open). The pointer stays valid for the profile's
-  /// lifetime (entries live in a deque), so it can be handed to a
-  /// ScopedTimer.
+  /// lifetime (entries live in a deque).
   Histogram* Hist(const std::string& name) {
     auto it = index_.find(name);
     if (it == index_.end()) {

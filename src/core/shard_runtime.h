@@ -30,12 +30,10 @@
 // by the halo contract holds every neighbor in canonical order.
 //
 // The phases run shard-parallel with a join between phases — the join IS the
-// barrier of the rank protocol (Communicator::Barrier exists for drivers
-// that run ranks on dedicated threads; a work-stealing ParallelFor may run
-// two ranks on one worker, where an in-phase barrier would self-deadlock).
+// barrier of the rank protocol, so a phase body never waits on another
+// shard (a work-stealing ParallelFor may run two shards on one worker).
 // Each per-shard phase body sits in a BIOSIM_SHARD_SCOPE region
-// (core/analysis.h), where biosim-lint rejects domain-global writes and
-// Barrier calls.
+// (core/analysis.h), where biosim-lint rejects domain-global writes.
 //
 // Nothing here touches force math: the runtime only decides which shard
 // computes which rows and which ghosts it can see. The merge discipline

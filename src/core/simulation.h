@@ -106,6 +106,7 @@ class Simulation {
   /// the step the checkpoint was taken.
   void SetStep(uint64_t step) { step_ = step; }
   OpProfile& profile() { return profile_; }
+  const OpProfile& profile() const { return profile_; }
 
   /// Bitwise fingerprint of the mutable simulation state: step counter, the
   /// full agent population (core/state_hash.h) and every diffusion field.

@@ -1,11 +1,8 @@
-// Wall-clock timing utilities used by the scheduler profiler and benches.
+// Wall-clock stopwatch used by the scheduler profiler and benches.
 #ifndef BIOSIM_CORE_TIMER_H_
 #define BIOSIM_CORE_TIMER_H_
 
 #include <chrono>
-#include <cstdint>
-
-#include "core/histogram.h"
 
 namespace biosim {
 
@@ -25,34 +22,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Adds the scope's elapsed milliseconds to a sink on destruction. Two sink
-/// flavors: a bare accumulator (`double*`) for one-off measurements, or a
-/// Histogram — the scheduler's form, which keeps the full per-sample
-/// distribution so min/max/p95 per operation come for free
-/// (OpProfile::Hist hands out the histogram of a named operation).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double* sink_ms) : sink_(sink_ms) {}
-  explicit ScopedTimer(Histogram* hist) : hist_(hist) {}
-  ~ScopedTimer() {
-    double ms = timer_.ElapsedMs();
-    if (sink_ != nullptr) {
-      *sink_ += ms;
-    }
-    if (hist_ != nullptr) {
-      hist_->Add(ms);
-    }
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  double* sink_ = nullptr;
-  Histogram* hist_ = nullptr;
-  Timer timer_;
 };
 
 }  // namespace biosim

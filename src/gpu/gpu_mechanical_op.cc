@@ -8,9 +8,7 @@
 #include "obs/trace.h"
 #include "gpu/grid_build_kernels.h"
 #include "gpu/mech_kernel.h"
-#include "gpu/device_sort.h"
 #include "gpu/mech_kernel_neighbor_parallel.h"
-#include "spatial/morton.h"
 #include "physics/displacement.h"
 #include "spatial/zorder_sort.h"
 
@@ -147,52 +145,6 @@ void GpuMechanicalOp::LaunchN(
                body, block_parallel_safe);
 }
 
-void GpuMechanicalOp::SortOnDevice(ResourceManager& rm, const Param& param,
-                                   ExecMode mode) {
-  size_t n = rm.size();
-  AABBd bounds = rm.Bounds();
-  double cell = rm.LargestDiameter() + param.interaction_radius_margin;
-  if (!bounds.Valid() || cell <= 0.0) {
-    return;
-  }
-
-  // Morton keys computed host-side (they depend on the just-updated host
-  // positions), then sorted with the real device radix-sort kernels.
-  std::vector<uint64_t> keys(n);
-  std::vector<int32_t> identity(n);
-  ParallelFor(mode, n, [&](size_t i) {
-    keys[i] = MortonEncodePosition(rm.positions()[i], bounds.min, cell);
-    identity[i] = static_cast<int32_t>(i);
-  });
-
-  if (sort_keys_.size() < n) {
-    sort_keys_ = AllocBuffer<uint64_t>(n);
-    sort_values_ = AllocBuffer<int32_t>(n);
-  }
-  H2D(sort_keys_, keys);
-  H2D(sort_values_, identity);
-  if (!sorter_) {
-    sorter_ = std::make_unique<DeviceRadixSorter>(&device());
-  }
-  // Morton keys of any practical grid fit in 3*21 = 63 bits; grids under
-  // 2^10 boxes per axis fit in 30, saving passes.
-  int key_bits = 63;
-  uint64_t max_key = 0;
-  for (uint64_t k : keys) {
-    max_key |= k;
-  }
-  key_bits = std::max(8, 64 - __builtin_clzll(max_key | 1));
-  sorter_->SortPairs(&sort_keys_, &sort_values_, n, key_bits);
-
-  std::vector<int32_t> perm32(n);
-  D2H(perm32, sort_values_);
-  std::vector<AgentIndex> perm(n);
-  for (size_t i = 0; i < n; ++i) {
-    perm[i] = static_cast<AgentIndex>(perm32[i]);
-  }
-  rm.ApplyPermutation(perm);
-}
-
 void GpuMechanicalOp::Step(ResourceManager& rm, const Environment& env,
                            const Param& param, ExecMode mode,
                            OpProfile* profile) {
@@ -221,22 +173,18 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
   if (options_.zorder_sort) {
     TRACE_SCOPE("gpu z-order sort");
     double before = device().ElapsedMs();
-    if (options_.device_radix_sort) {
-      SortOnDevice(rm, param, mode);
-    } else {
-      double cell = rm.LargestDiameter() + param.interaction_radius_margin;
-      SortAgentsByZOrder(rm, cell, mode);
+    double cell = rm.LargestDiameter() + param.interaction_radius_margin;
+    SortAgentsByZOrder(rm, cell, mode);
 
-      uint64_t elem = options_.precision == GpuPrecision::kFp32 ? 4 : 8;
-      // 4-pass 16-bit-digit radix sort over (key64, idx32) pairs ...
-      uint64_t pass_bytes = static_cast<uint64_t>(n) * (8 + 4);
-      uint64_t sort_read = 4 * pass_bytes;
-      uint64_t sort_write = 4 * pass_bytes;
-      // ... plus gathering the 8 attribute arrays through the permutation.
-      uint64_t gather = static_cast<uint64_t>(n) * 8 * elem;
-      device().AddModeledKernel("zorder_sort (modeled)", sort_read + gather,
-                                sort_write + gather);
-    }
+    uint64_t elem = options_.precision == GpuPrecision::kFp32 ? 4 : 8;
+    // 4-pass 16-bit-digit radix sort over (key64, idx32) pairs ...
+    uint64_t pass_bytes = static_cast<uint64_t>(n) * (8 + 4);
+    uint64_t sort_read = 4 * pass_bytes;
+    uint64_t sort_write = 4 * pass_bytes;
+    // ... plus gathering the 8 attribute arrays through the permutation.
+    uint64_t gather = static_cast<uint64_t>(n) * 8 * elem;
+    device().AddModeledKernel("zorder_sort (modeled)", sort_read + gather,
+                              sort_write + gather);
     if (profile != nullptr) {
       profile->Add("gpu z-order sort (sim)", device().ElapsedMs() - before);
     }

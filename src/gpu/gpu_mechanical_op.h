@@ -2,9 +2,9 @@
 //
 // Drop-in MechanicsBackend that reproduces the paper's pipeline per step:
 //
-//   [device] optional Z-order sort (Improvement II): modeled thrust-style
-//            charge by default, or the real radix-sort kernels
-//            (device_radix_sort); the host SoA mirror is kept in sync
+//   [device] optional Z-order sort (Improvement II): the host SoA mirror is
+//            sorted and the device is charged a modeled thrust-style radix
+//            sort plus gather
 //   [host]   grid geometry from the population bounds
 //   [h2d]    copy only the attribute arrays the kernel needs (SoA, no
 //            gather; skipped while persistent_device_state is resident)
@@ -27,13 +27,11 @@
 #define BIOSIM_GPU_GPU_MECHANICAL_OP_H_
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <variant>
 #include <vector>
 
-#include "gpu/device_sort.h"
 #include "gpu/grid_params.h"
 #include "gpu/mech_device_state.h"
 #include "gpusim/cuda_like.h"
@@ -48,12 +46,9 @@ enum class GpuPrecision : uint8_t { kFp64, kFp32 };
 struct GpuMechanicsOptions {
   GpuBackendKind backend = GpuBackendKind::kCudaLike;
   GpuPrecision precision = GpuPrecision::kFp32;
-  /// Improvement II: Z-order sort the agent SoA arrays each step.
+  /// Improvement II: Z-order sort the agent SoA arrays each step (on the
+  /// host mirror, charged to the device as a modeled radix sort).
   bool zorder_sort = false;
-  /// How the sort is costed/executed: false = functional host sort with a
-  /// modeled device-sort charge (fast to simulate); true = run the real
-  /// device radix-sort kernels through the simulator (device_sort.h).
-  bool device_radix_sort = false;
   /// Improvement III: use the shared-memory tile kernel.
   bool use_shared_memory = false;
   /// Paper future work (Section VI): parallelize the per-cell neighbor loop
@@ -144,9 +139,6 @@ class GpuMechanicalOp : public MechanicsBackend {
   void StepImpl(ResourceManager& rm, const Param& param, ExecMode mode,
                 OpProfile* profile);
 
-  /// Improvement II via the real device radix-sort kernels.
-  void SortOnDevice(ResourceManager& rm, const Param& param, ExecMode mode);
-
   template <typename T>
   MechDeviceState<T>& state();
   /// SyncToHost's D2H of the resident positions at precision T.
@@ -182,11 +174,6 @@ class GpuMechanicalOp : public MechanicsBackend {
   // persistent-state bookkeeping
   size_t resident_agents_ = 0;  // 0 = nothing resident
   double resident_interaction_radius_ = 0.0;
-
-  // device radix-sort state (only allocated when device_radix_sort is on)
-  std::unique_ptr<DeviceRadixSorter> sorter_;
-  gpusim::DeviceBuffer<uint64_t> sort_keys_;
-  gpusim::DeviceBuffer<int32_t> sort_values_;
 };
 
 }  // namespace biosim::gpu

@@ -136,6 +136,57 @@ TEST(CheckpointTest, RejectsTruncationAtAnyPoint) {
   std::remove(path.c_str());
 }
 
+/// Appends `v` as the format's little-endian 64-bit word.
+void PutU64(std::FILE* f, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    std::fputc(static_cast<int>((v >> (8 * i)) & 0xff), f);
+  }
+}
+
+TEST(CheckpointTest, RejectsCountsLargerThanTheFile) {
+  // Header and array counts agree on 2^59 agents: more than
+  // vector<Double3>::max_size(), so building the array first would throw
+  // length_error instead of failing the load.
+  std::string path = TempPath("huge_counts.ckpt");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fputs("BIOSIMCK", f);
+  PutU64(f, 1);  // version
+  const uint64_t huge = uint64_t{1} << 59;
+  for (int word = 0; word < 8; ++word) {  // agent count + 7 array counts
+    PutU64(f, huge);
+  }
+  std::fclose(f);
+
+  ResourceManager rm;
+  testutil::FillRandomCells(&rm, 7, 0.0, 10.0, 5.0);
+  bool loaded = true;
+  EXPECT_NO_THROW(loaded = LoadCheckpoint(&rm, path));
+  EXPECT_FALSE(loaded);
+  EXPECT_EQ(rm.size(), 7u);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, RejectsUidCounterNotAboveEveryUid) {
+  // uids 0..9 restored with next_uid 9: the next birth would reuse uid 9
+  // and with it that agent's RNG stream.
+  ResourceManager rm;
+  testutil::FillRandomCells(&rm, 10, 0.0, 50.0, 10.0);
+  std::string path = TempPath("uid_counter.ckpt");
+  ASSERT_TRUE(SaveCheckpoint(rm, path));
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, -8, SEEK_END), 0);  // next_uid is the last word
+  PutU64(f, 9);
+  std::fclose(f);
+
+  ResourceManager target;
+  testutil::FillRandomCells(&target, 3, 0.0, 10.0, 5.0);
+  EXPECT_FALSE(LoadCheckpoint(&target, path));
+  EXPECT_EQ(target.size(), 3u);
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointTest, ResumedSimulationEvolvesIdentically) {
   // Run 6 steps; checkpoint at 3; resume and compare to the uninterrupted
   // run. Behaviors are re-attached after restore (they are not serialized).

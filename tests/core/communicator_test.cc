@@ -2,7 +2,6 @@
 // (core/communicator.h). Channels are per-(src, dst, tag) FIFOs with typed
 // payloads; the barrier is a phase-counting rendezvous.
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -68,33 +67,6 @@ TEST(CommunicatorTest, CountsMessagesAndBytes) {
   EXPECT_EQ(comm.messages_sent(), 2u);
   EXPECT_EQ(comm.bytes_sent(), 12u + 16u);
   EXPECT_EQ(comm.PendingMessages(), 2u);
-}
-
-TEST(CommunicatorTest, BarrierRendezvousesDedicatedRankThreads) {
-  // Drive each rank on its own thread (the deployment Barrier() exists
-  // for); every rank must observe all pre-barrier sends after the barrier.
-  constexpr uint32_t kRanks = 4;
-  Communicator comm(kRanks);
-  std::vector<int32_t> sums(kRanks, 0);
-  std::vector<std::thread> threads;
-  for (uint32_t k = 0; k < kRanks; ++k) {
-    threads.emplace_back([&, k] {
-      const uint32_t next = (k + 1) % kRanks;
-      comm.Send<int32_t>(k, next, 0, {static_cast<int32_t>(k)});
-      comm.Barrier();
-      const uint32_t prev = (k + kRanks - 1) % kRanks;
-      auto got = comm.Recv<int32_t>(prev, k, 0);
-      sums[k] = got.at(0);
-      comm.Barrier();  // barrier is reusable across phases
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  for (uint32_t k = 0; k < kRanks; ++k) {
-    EXPECT_EQ(sums[k], static_cast<int32_t>((k + kRanks - 1) % kRanks));
-  }
-  EXPECT_EQ(comm.PendingMessages(), 0u);
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ TEST(OpProfileTest, EntriesCarryLatencyDistribution) {
 }
 
 TEST(OpProfileTest, HistSinkMatchesAdd) {
-  // The ScopedTimer histogram sink and Add feed the same entry.
+  // The Hist sink and Add feed the same entry.
   OpProfile p;
   p.Hist("op")->Add(2.0);
   p.Add("op", 3.0);

@@ -1,6 +1,7 @@
-// Option-combination tests for the GPU offload: the real device radix sort
-// path, block-size independence of results, FP64 variants of the optional
-// kernels, and the options the constructor and Version() reject.
+// Option-combination tests for the GPU offload: the v2 step leaves the host
+// SoA in Z-order, results do not depend on block size or meter stride, the
+// optional kernels hold in FP64, and the constructor and Version() reject
+// invalid options.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -9,7 +10,6 @@
 
 #include "../test_util.h"
 #include "gpu/gpu_mechanical_op.h"
-#include "gpusim/profiler.h"
 #include "spatial/morton.h"
 #include "spatial/null_environment.h"
 
@@ -32,44 +32,8 @@ std::map<AgentUid, Double3> RunAndCollect(GpuMechanicsOptions opts,
   return out;
 }
 
-TEST(GpuOptionsTest, DeviceRadixSortMatchesModeledSortResults) {
-  GpuMechanicsOptions modeled = GpuMechanicsOptions::Version(2);
-  GpuMechanicsOptions real = GpuMechanicsOptions::Version(2);
-  real.device_radix_sort = true;
-  auto a = RunAndCollect(modeled);
-  auto b = RunAndCollect(real);
-  ASSERT_EQ(a.size(), b.size());
-  for (const auto& [uid, disp] : a) {
-    const Double3& other = b.at(uid);
-    // Both sorts order by the same Morton keys; ties may break differently
-    // (stable vs stable over a different key computation path), which can
-    // reorder FP sums.
-    ASSERT_NEAR(disp.x, other.x, 1e-4);
-    ASSERT_NEAR(disp.y, other.y, 1e-4);
-    ASSERT_NEAR(disp.z, other.z, 1e-4);
-  }
-}
-
-TEST(GpuOptionsTest, DeviceRadixSortLaunchesSortKernels) {
+TEST(GpuOptionsTest, ZOrderStepSortsTheAgents) {
   GpuMechanicsOptions opts = GpuMechanicsOptions::Version(2);
-  opts.device_radix_sort = true;
-  ResourceManager rm;
-  testutil::FillRandomCells(&rm, 500, 0.0, 50.0, 10.0);
-  Param param;
-  GpuMechanicalOp op(opts);
-  NullEnvironment env;
-  env.Update(rm, param, ExecMode::kSerial);
-  op.Step(rm, env, param, ExecMode::kSerial, nullptr);
-  gpusim::ProfileReport report(op.device());
-  EXPECT_NE(report.Find("radix_count"), nullptr);
-  EXPECT_NE(report.Find("radix_scan"), nullptr);
-  EXPECT_NE(report.Find("radix_scatter"), nullptr);
-  EXPECT_EQ(report.Find("zorder_sort (modeled)"), nullptr);
-}
-
-TEST(GpuOptionsTest, DeviceRadixSortActuallySortsTheAgents) {
-  GpuMechanicsOptions opts = GpuMechanicsOptions::Version(2);
-  opts.device_radix_sort = true;
   ResourceManager rm;
   testutil::FillRandomCells(&rm, 400, 0.0, 64.0, 8.0);
   Param param;

@@ -1,7 +1,7 @@
 // Sanitizer coverage of the production GPU pipeline: every kernel
-// generation of the paper's version ladder (plus the grid build, device
-// radix sort and persistent-mode apply kernel) must run hazard-free, while
-// the deliberately-defective diagnostic kernels must each be caught.
+// generation of the paper's version ladder (plus the grid build and the
+// persistent-mode apply kernel) must run hazard-free, while the
+// deliberately-defective diagnostic kernels must each be caught.
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
@@ -21,14 +21,12 @@ using gpusim::Lane;
 /// One mechanics step of the given paper version with the sanitizer
 /// attached; returns the accumulated report.
 gpusim::SanitizerReport RunSanitizedStep(int version,
-                                         bool device_radix_sort = false,
                                          bool persistent = false) {
   ResourceManager rm;
   testutil::FillLatticeCells(&rm, 8, 10.0, 10.0, /*jitter=*/1.5);
   Param param;
   GpuMechanicsOptions opts = GpuMechanicsOptions::Version(version);
   opts.sanitize = true;
-  opts.device_radix_sort = device_radix_sort;
   if (persistent) {
     opts.zorder_sort = false;
     opts.persistent_device_state = true;
@@ -68,13 +66,8 @@ TEST(KernelSanitizerTest, NeighborParallelKernelIsClean) {
   EXPECT_TRUE(r.clean()) << r.ToString();
 }
 
-TEST(KernelSanitizerTest, DeviceRadixSortIsClean) {
-  gpusim::SanitizerReport r = RunSanitizedStep(2, /*device_radix_sort=*/true);
-  EXPECT_TRUE(r.clean()) << r.ToString();
-}
-
 TEST(KernelSanitizerTest, PersistentModeApplyKernelIsClean) {
-  gpusim::SanitizerReport r = RunSanitizedStep(1, false, /*persistent=*/true);
+  gpusim::SanitizerReport r = RunSanitizedStep(1, /*persistent=*/true);
   EXPECT_TRUE(r.clean()) << r.ToString();
 }
 

@@ -159,7 +159,6 @@ TEST(BiosimLintTest, CrossShardWriteFixtureViolations) {
       {kDirectDeposit, 15},
       {kCrossShardWrite, 16},  // AddAgent
       {kCrossShardWrite, 17},  // RemoveAgent
-      {kCrossShardWrite, 18},  // Communicator::Barrier
   };
   EXPECT_EQ(got, want);
 }

@@ -347,10 +347,7 @@ void CheckShardScopes(const std::vector<std::string>& code_lines,
   // Domain-global effects a per-shard scope must not apply directly: they
   // either race between shards or commit in shard order, breaking the
   // bitwise shard-count-invariance contract (docs/sharding.md). Buffer and
-  // merge in global row order instead. Barrier is banned for liveness: the
-  // phase join is the rank barrier; calling Communicator::Barrier from
-  // inside a work-stealing ParallelFor self-deadlocks when two ranks share
-  // a worker.
+  // merge in global row order instead.
   static const std::vector<std::pair<std::regex, const char*>> kBanned = [] {
     std::vector<std::pair<std::regex, const char*>> v;
     v.emplace_back(std::regex(R"((\.|->)\s*IncreaseConcentrationBy\s*\()"),
@@ -359,8 +356,6 @@ void CheckShardScopes(const std::vector<std::string>& code_lines,
                    "agent creation");
     v.emplace_back(std::regex(R"((\.|->)\s*RemoveAgent\s*\()"),
                    "agent removal");
-    v.emplace_back(std::regex(R"((\.|->)\s*Barrier\s*\()"),
-                   "Communicator::Barrier");
     return v;
   }();
   int region_start = -1;  // 0-based line of the open BEGIN, or -1
@@ -378,9 +373,7 @@ void CheckShardScopes(const std::vector<std::string>& code_lines,
                std::string(what) +
                    " inside a BIOSIM_SHARD_SCOPE region: a shard writes "
                    "only its own rows; buffer the effect and merge it in "
-                   "global row order after the shard-parallel phase "
-                   "(Barrier additionally self-deadlocks under the "
-                   "work-stealing scheduler)"});
+                   "global row order after the shard-parallel phase"});
         }
       }
     }
@@ -496,8 +489,7 @@ const std::vector<RuleInfo>& Rules() {
        "BIOSIM_HOT_LOOP regions"},
       {kCrossShardWrite,
        "no direct domain-global writes (IncreaseConcentrationBy, "
-       "AddAgent/RemoveAgent) or Communicator::Barrier inside "
-       "BIOSIM_SHARD_SCOPE regions"},
+       "AddAgent/RemoveAgent) inside BIOSIM_SHARD_SCOPE regions"},
       {kTempPathLiteral,
        "tests build scratch paths with testutil::TempPath, never TempDir() "
        "joined to a string literal (ctest -j runs cases concurrently)"},
