@@ -5,10 +5,10 @@
 #include <string>
 
 #include "gpu/diagnostic_kernels.h"
-#include "obs/trace.h"
 #include "gpu/grid_build_kernels.h"
 #include "gpu/mech_kernel.h"
 #include "gpu/mech_kernel_neighbor_parallel.h"
+#include "obs/stage_scope.h"
 #include "physics/displacement.h"
 #include "spatial/zorder_sort.h"
 
@@ -30,10 +30,6 @@ std::variant<gpusim::cuda::Runtime, gpusim::opencl::CommandQueue> MakeFront(
 
 GpuMechanicalOp::GpuMechanicalOp(GpuMechanicsOptions options)
     : options_(std::move(options)), front_(MakeFront(options_)) {
-  if (options_.persistent_device_state && options_.zorder_sort) {
-    throw std::invalid_argument(
-        "persistent_device_state is incompatible with per-step zorder_sort");
-  }
   const size_t max_block =
       static_cast<size_t>(options_.device.max_threads_per_block);
   if (options_.block_dim == 0 || options_.block_dim > max_block) {
@@ -161,6 +157,7 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
                                ExecMode mode, OpProfile* profile) {
   size_t n = rm.size();
   if (n == 0) {
+    last_displacements_.clear();
     return;
   }
 
@@ -168,10 +165,9 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
   // Functionally the sort happens on the host mirror (the arrays must stay
   // consistent engine-wide), but its *cost* is charged to the device as a
   // radix sort-by-key over the Morton codes plus a gather of the attribute
-  // arrays — the state is already resident there and a device sort is how a
-  // production implementation (thrust/CUB) does it.
+  // arrays — how a production implementation (thrust/CUB) does it.
   if (options_.zorder_sort) {
-    TRACE_SCOPE("gpu z-order sort");
+    STAGE_SCOPE(profile, "gpu z-order sort");
     double before = device().ElapsedMs();
     double cell = rm.LargestDiameter() + param.interaction_radius_margin;
     SortAgentsByZOrder(rm, cell, mode);
@@ -190,34 +186,9 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
     }
   }
 
-  bool persistent = options_.persistent_device_state;
-  bool need_upload = !persistent || resident_agents_ != n;
-  if (need_upload) {
-    resident_interaction_radius_ =
-        rm.LargestDiameter() + param.interaction_radius_margin;
-  }
-
-  GridParams<T> g;
-  if (persistent) {
-    // Static grid over the bounded simulation cube: host positions may be
-    // stale, but bound space guarantees the device positions stay inside.
-    GridGeometry::CheckFixedBox(options_.fixed_box_length,
-                                resident_interaction_radius_);
-    double box = options_.fixed_box_length > 0.0
-                     ? options_.fixed_box_length
-                     : std::max(resident_interaction_radius_, 1e-6);
-    g.min_x = static_cast<T>(param.min_bound);
-    g.min_y = static_cast<T>(param.min_bound);
-    g.min_z = static_cast<T>(param.min_bound);
-    g.box_length = static_cast<T>(box);
-    int32_t per_axis = static_cast<int32_t>(
-                           std::floor((param.max_bound - param.min_bound) / box)) +
-                       1;
-    g.nx = g.ny = g.nz = per_axis;
-  } else {
-    g = GridParams<T>::From(
-        GridGeometry::Derive(rm, param, options_.fixed_box_length));
-  }
+  const GridGeometry geometry =
+      GridGeometry::Derive(rm, param, options_.fixed_box_length);
+  const GridParams<T> g = GridParams<T>::From(geometry);
   size_t total_boxes = g.total_boxes();
 
   MechDeviceState<T>& s = state<T>();
@@ -245,10 +216,9 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
   }
 
   // --- H2D: stage attribute arrays in kernel precision -------------------
-  // (skipped in persistent mode while the resident copy is current)
-  double sim_before_h2d = device().ElapsedMs();
-  if (need_upload) {
-    TRACE_SCOPE("gpu h2d");
+  {
+    STAGE_SCOPE(profile, "gpu h2d");
+    double sim_before = device().ElapsedMs();
     std::vector<T> staging(n);
     auto upload_axis = [&](gpusim::DeviceBuffer<T>& dst, auto getter) {
       const auto& positions = rm.positions();
@@ -277,108 +247,78 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
     upload_tractor(s.tx, [](const Double3& v) { return v.x; });
     upload_tractor(s.ty, [](const Double3& v) { return v.y; });
     upload_tractor(s.tz, [](const Double3& v) { return v.z; });
-    resident_agents_ = n;
-  }
-  if (profile != nullptr) {
-    profile->Add("gpu h2d (sim)", device().ElapsedMs() - sim_before_h2d);
+    if (profile != nullptr) {
+      profile->Add("gpu h2d (sim)", device().ElapsedMs() - sim_before);
+    }
   }
 
   // --- device: grid build + mechanics ------------------------------------
   device().ResetCache();  // conservatively cold per step
-  double sim_before_kernels = device().ElapsedMs();
   {
-  TRACE_SCOPE("gpu kernels");
+    STAGE_SCOPE(profile, "gpu kernels");
+    double sim_before = device().ElapsedMs();
 
-  MechKernelParams<T> p;
-  // Without persistence every step uploads, so this is the current radius.
-  p.interaction_radius = static_cast<T>(resident_interaction_radius_);
-  p.repulsion = static_cast<T>(param.repulsion_coefficient);
-  p.attraction = static_cast<T>(param.attraction_coefficient);
-  p.dt = static_cast<T>(param.simulation_time_step);
-  p.max_displacement = static_cast<T>(param.simulation_max_displacement);
+    MechKernelParams<T> p;
+    p.interaction_radius = static_cast<T>(geometry.interaction_radius);
+    p.repulsion = static_cast<T>(param.repulsion_coefficient);
+    p.attraction = static_cast<T>(param.attraction_coefficient);
+    p.dt = static_cast<T>(param.simulation_time_step);
+    p.max_displacement = static_cast<T>(param.simulation_max_displacement);
 
-  // Block-parallel safety: ug_reset and the mech kernels write disjoint
-  // per-box / per-agent outputs, so their blocks are independent. ug_build
-  // pushes onto the per-box linked lists with a cross-block atomicExch and
-  // must stay block-sequential (the list order is functional state).
-  LaunchN(
-      "ug_reset", total_boxes,
-      [&](gpusim::BlockCtx& blk) { UgResetKernelBody(blk, s, total_boxes); },
-      /*block_parallel_safe=*/true);
-  if (options_.racy_grid_build) {
-    // Diagnostic path: the non-atomic list push the sanitizer must catch.
-    LaunchN("ug_build_racy", n, [&](gpusim::BlockCtx& blk) {
-      RacyUgBuildKernelBody(blk, s, g, n);
-    });
-  } else {
-    LaunchN("ug_build", n,
-            [&](gpusim::BlockCtx& blk) { UgBuildKernelBody(blk, s, g, n); });
-  }
-
-  if (options_.neighbor_parallel) {
-    // One warp per cell: block_dim/32 cells per block.
-    size_t warps_per_block = options_.block_dim / 32;
-    size_t blocks = (n + warps_per_block - 1) / warps_per_block;
-    LaunchBlocks(
-        "mech_neighbor_parallel", blocks,
-        [&](gpusim::BlockCtx& blk) {
-          MechNeighborParallelKernelBody(blk, s, g, n, p);
-        },
-        /*block_parallel_safe=*/true);
-  } else if (options_.use_shared_memory) {
-    int32_t tiles_x = (g.nx + kTileBoxes - 1) / kTileBoxes;
-    int32_t tiles_y = (g.ny + kTileBoxes - 1) / kTileBoxes;
-    int32_t tiles_z = (g.nz + kTileBoxes - 1) / kTileBoxes;
-    size_t tiles = static_cast<size_t>(tiles_x) * static_cast<size_t>(tiles_y) *
-                   static_cast<size_t>(tiles_z);
-    // One block per tile: grid_dim = tiles, block_dim = options_.block_dim.
-    LaunchBlocks(
-        "mech_shared", tiles,
-        [&](gpusim::BlockCtx& blk) { MechSharedKernelBody(blk, s, g, n, p); },
-        /*block_parallel_safe=*/true);
-  } else {
+    // Block-parallel safety: ug_reset and the mech kernels write disjoint
+    // per-box / per-agent outputs, so their blocks are independent.
+    // ug_build pushes onto the per-box linked lists with a cross-block
+    // atomicExch and must stay block-sequential (the list order is
+    // functional state).
     LaunchN(
-        "mech_interaction", n,
-        [&](gpusim::BlockCtx& blk) { MechKernelBody(blk, s, g, n, p); },
+        "ug_reset", total_boxes,
+        [&](gpusim::BlockCtx& blk) { UgResetKernelBody(blk, s, total_boxes); },
         /*block_parallel_safe=*/true);
-  }
-  }
-  if (profile != nullptr) {
-    profile->Add("gpu kernels (sim)",
-                 device().ElapsedMs() - sim_before_kernels);
-  }
-
-  if (persistent) {
-    // Apply displacements on the device; the host mirror goes stale until
-    // SyncToHost().
-    T lo = static_cast<T>(param.min_bound);
-    T hi = static_cast<T>(param.max_bound);
-    const bool bound = param.boundary_mode != BoundaryMode::kOpen;
-    LaunchN("apply_displacement", n, [&](gpusim::BlockCtx& blk) {
-      blk.for_each_lane([&](gpusim::Lane& t) {
-        size_t i = t.gtid();
-        if (i >= n) {
-          return;
-        }
-        auto apply = [&](gpusim::DeviceBuffer<T>& pos,
-                         gpusim::DeviceBuffer<T>& out) {
-          T v = t.ld(pos, i) + t.ld(out, i);
-          if (bound) {
-            v = std::clamp(v, lo, hi);
-          }
-          t.st(pos, i, v);
-        };
-        apply(s.x, s.out_x);
-        apply(s.y, s.out_y);
-        apply(s.z, s.out_z);
-        CountFlops<T>(t, 9);
+    if (options_.racy_grid_build) {
+      // Diagnostic path: the non-atomic list push the sanitizer must catch.
+      LaunchN("ug_build_racy", n, [&](gpusim::BlockCtx& blk) {
+        RacyUgBuildKernelBody(blk, s, g, n);
       });
-    }, /*block_parallel_safe=*/true);
-    return;
+    } else {
+      LaunchN("ug_build", n,
+              [&](gpusim::BlockCtx& blk) { UgBuildKernelBody(blk, s, g, n); });
+    }
+
+    if (options_.neighbor_parallel) {
+      // One warp per cell: block_dim/32 cells per block.
+      size_t warps_per_block = options_.block_dim / 32;
+      size_t blocks = (n + warps_per_block - 1) / warps_per_block;
+      LaunchBlocks(
+          "mech_neighbor_parallel", blocks,
+          [&](gpusim::BlockCtx& blk) {
+            MechNeighborParallelKernelBody(blk, s, g, n, p);
+          },
+          /*block_parallel_safe=*/true);
+    } else if (options_.use_shared_memory) {
+      int32_t tiles_x = (g.nx + kTileBoxes - 1) / kTileBoxes;
+      int32_t tiles_y = (g.ny + kTileBoxes - 1) / kTileBoxes;
+      int32_t tiles_z = (g.nz + kTileBoxes - 1) / kTileBoxes;
+      size_t tiles = static_cast<size_t>(tiles_x) *
+                     static_cast<size_t>(tiles_y) *
+                     static_cast<size_t>(tiles_z);
+      // One block per tile: grid_dim = tiles, block_dim = options_.block_dim.
+      LaunchBlocks(
+          "mech_shared", tiles,
+          [&](gpusim::BlockCtx& blk) { MechSharedKernelBody(blk, s, g, n, p); },
+          /*block_parallel_safe=*/true);
+    } else {
+      LaunchN(
+          "mech_interaction", n,
+          [&](gpusim::BlockCtx& blk) { MechKernelBody(blk, s, g, n, p); },
+          /*block_parallel_safe=*/true);
+    }
+    if (profile != nullptr) {
+      profile->Add("gpu kernels (sim)", device().ElapsedMs() - sim_before);
+    }
   }
 
   // --- D2H + host apply --------------------------------------------------
-  TRACE_SCOPE("gpu d2h");
+  STAGE_SCOPE(profile, "gpu d2h");
   double sim_before_d2h = device().ElapsedMs();
   std::vector<T> ox(n), oy(n), oz(n);
   D2H(ox, s.out_x);
@@ -396,33 +336,6 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
     last_displacements_[i] = d;
     positions[i] = ApplyBoundSpace(positions[i] + d, param);
   });
-}
-
-void GpuMechanicalOp::SyncToHost(ResourceManager& rm) {
-  size_t n = rm.size();
-  if (!options_.persistent_device_state || resident_agents_ != n || n == 0) {
-    return;
-  }
-  if (options_.precision == GpuPrecision::kFp32) {
-    CopyPositionsToHost<float>(rm);
-  } else {
-    CopyPositionsToHost<double>(rm);
-  }
-}
-
-template <typename T>
-void GpuMechanicalOp::CopyPositionsToHost(ResourceManager& rm) {
-  const size_t n = rm.size();
-  MechDeviceState<T>& s = state<T>();
-  std::vector<T> x(n), y(n), z(n);
-  D2H(x, s.x);
-  D2H(y, s.y);
-  D2H(z, s.z);
-  auto& positions = rm.positions();
-  for (size_t i = 0; i < n; ++i) {
-    positions[i] = {static_cast<double>(x[i]), static_cast<double>(y[i]),
-                    static_cast<double>(z[i])};
-  }
 }
 
 // Explicit instantiation keeps the template bodies out of the header.

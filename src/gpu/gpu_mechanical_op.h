@@ -7,13 +7,16 @@
 //            sort plus gather
 //   [host]   grid geometry from the population bounds
 //   [h2d]    copy only the attribute arrays the kernel needs (SoA, no
-//            gather; skipped while persistent_device_state is resident)
+//            gather)
 //   [device] ug_reset + ug_build  (grid construction on the GPU)
 //   [device] mech kernel          (v0/v1/v2 per-agent thread, v3
 //            shared-memory tile, or v4 warp-per-cell)
-//   [d2h]    copy the displacement arrays back (or apply on-device in
-//            persistent mode)
+//   [d2h]    copy the displacement arrays back
 //   [host]   apply displacements + bound space
+//
+// Behaviors and the neighborhood update stay on the host, so every step
+// re-uploads the state they may have changed; the transfers are part of
+// the measured co-processing cost (bench_ablation_gpu, ablation 6).
 //
 // The paper's versions (plus its future-work v4) are option presets
 // (GpuMechanicsOptions::Version). Launches route through either the
@@ -22,7 +25,8 @@
 //
 // Timing: all device work (kernels + transfers + the sort) accrues on the
 // *simulated* clock (device().ElapsedMs()); see EXPERIMENTS.md for how the
-// harness reports it.
+// harness reports it. Each phase is also a host-timed STAGE_SCOPE nested in
+// "mechanical forces", beside its "(sim)" profile row.
 #ifndef BIOSIM_GPU_GPU_MECHANICAL_OP_H_
 #define BIOSIM_GPU_GPU_MECHANICAL_OP_H_
 
@@ -74,14 +78,6 @@ struct GpuMechanicsOptions {
   /// Step throws std::invalid_argument when it is smaller than the
   /// interaction radius, as the CPU grid does.
   double fixed_box_length = 0.0;
-  /// Keep agent state resident on the device across steps: displacements
-  /// are applied by a device kernel and the per-step H2D/D2H transfers
-  /// disappear. Contract: the mechanics op must be the only thing mutating
-  /// positions (no behaviors moving/growing cells between syncs); a
-  /// population-size change triggers an automatic re-upload, and
-  /// SyncToHost() refreshes the host arrays on demand. Incompatible with
-  /// zorder_sort (which permutes the host arrays every step).
-  bool persistent_device_state = false;
   gpusim::DeviceSpec device = gpusim::DeviceSpec::GTX1080Ti();
 
   /// The paper's GPU version ladder: 0 = FP64 baseline port, 1 = +FP32,
@@ -126,10 +122,8 @@ class GpuMechanicalOp : public MechanicsBackend {
   /// Simulated GPU time accumulated so far (kernels + transfers), ms.
   double SimulatedMs() const { return device().ElapsedMs(); }
 
-  /// Persistent mode: copy the device-resident positions back into the
-  /// host ResourceManager (D2H, metered). No-op otherwise.
-  void SyncToHost(ResourceManager& rm);
-  /// Last step's displacements in double precision (GPU-vs-CPU tests).
+  /// Last step's displacements in double precision (GPU-vs-CPU tests);
+  /// empty after a step on an empty population.
   const std::vector<Double3>& last_displacements() const {
     return last_displacements_;
   }
@@ -141,9 +135,6 @@ class GpuMechanicalOp : public MechanicsBackend {
 
   template <typename T>
   MechDeviceState<T>& state();
-  /// SyncToHost's D2H of the resident positions at precision T.
-  template <typename T>
-  void CopyPositionsToHost(ResourceManager& rm);
 
   /// Front-end-agnostic launch/copy helpers (dispatch on options_.backend).
   template <typename T>
@@ -170,10 +161,6 @@ class GpuMechanicalOp : public MechanicsBackend {
   MechDeviceState<double> state64_;
 
   std::vector<Double3> last_displacements_;
-
-  // persistent-state bookkeeping
-  size_t resident_agents_ = 0;  // 0 = nothing resident
-  double resident_interaction_radius_ = 0.0;
 };
 
 }  // namespace biosim::gpu

@@ -25,9 +25,9 @@ class MechanicsBackend {
   virtual ~MechanicsBackend() = default;
 
   /// Compute and apply one step of mechanical interactions. May split its
-  /// time into sub-operations on `profile` (e.g. "gpu h2d copy"); the caller
-  /// already accounts the whole call under "mechanical forces", so they are
-  /// recorded nested in it.
+  /// time into sub-stages on `profile` (e.g. STAGE_SCOPE "gpu h2d"); the
+  /// caller already accounts the whole call under "mechanical forces", so
+  /// they are recorded nested in it.
   virtual void Step(ResourceManager& rm, const Environment& env,
                     const Param& param, ExecMode mode, OpProfile* profile) = 0;
 

@@ -8,6 +8,26 @@
 
 namespace biosim {
 
+namespace {
+
+/// Throws std::invalid_argument when a fixed box edge (> 0) is smaller
+/// than `interaction_radius`.
+void CheckFixedBox(double fixed_box_length, double interaction_radius) {
+  if (fixed_box_length > 0.0 &&
+      interaction_radius > fixed_box_length + 1e-12) {
+    // The 27-box scheme only covers queries up to one box length. A fixed
+    // box edge smaller than the interaction radius would silently drop
+    // neighbors in every force evaluation; fail fast instead.
+    throw std::invalid_argument(
+        "GridGeometry: fixed_box_length " + std::to_string(fixed_box_length) +
+        " is smaller than the interaction radius " +
+        std::to_string(interaction_radius) +
+        "; queries would drop neighbors outside the 27 surrounding boxes");
+  }
+}
+
+}  // namespace
+
 GridGeometry GridGeometry::Derive(const ResourceManager& rm,
                                   const Param& param,
                                   double fixed_box_length) {
@@ -56,21 +76,6 @@ GridGeometry GridGeometry::Derive(const ResourceManager& rm,
   CheckFixedBox(fixed_box_length, g.interaction_radius);
   g.SetNeighborOffsets();
   return g;
-}
-
-void GridGeometry::CheckFixedBox(double fixed_box_length,
-                                 double interaction_radius) {
-  if (fixed_box_length > 0.0 &&
-      interaction_radius > fixed_box_length + 1e-12) {
-    // The 27-box scheme only covers queries up to one box length. A fixed
-    // box edge smaller than the interaction radius would silently drop
-    // neighbors in every force evaluation; fail fast instead.
-    throw std::invalid_argument(
-        "GridGeometry: fixed_box_length " + std::to_string(fixed_box_length) +
-        " is smaller than the interaction radius " +
-        std::to_string(interaction_radius) +
-        "; queries would drop neighbors outside the 27 surrounding boxes");
-  }
 }
 
 void GridGeometry::SetNeighborOffsets() {

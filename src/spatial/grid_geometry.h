@@ -55,12 +55,6 @@ struct GridGeometry {
   static GridGeometry Derive(const ResourceManager& rm, const Param& param,
                              double fixed_box_length = 0.0);
 
-  /// Throws std::invalid_argument when a fixed box edge (> 0) is smaller
-  /// than `interaction_radius`. Derive applies it; so does the GPU
-  /// persistent-state lattice, which covers the simulation cube instead.
-  static void CheckFixedBox(double fixed_box_length,
-                            double interaction_radius);
-
   /// Set off_lo/off_hi from num_boxes_axis and torus (Derive's last step;
   /// tests that lay out a lattice by hand call it too).
   void SetNeighborOffsets();

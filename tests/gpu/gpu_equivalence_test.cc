@@ -2,6 +2,7 @@
 // must compute the same displacements as the CPU reference operation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "../test_util.h"
@@ -150,36 +151,72 @@ TEST(GpuEquivalenceEdgeTest, DenseClusterSharedKernelOverflowFallback) {
 }
 
 TEST(GpuEquivalenceEdgeTest, MultiStepTrajectoriesStayClose) {
-  // Run 5 steps CPU vs GPU v2 and compare final positions by uid.
+  // Run 5 steps CPU vs GPU v2 and compare final positions by uid, in
+  // clamped and in open space. The cloud touches the -x/-y/-z faces, so
+  // the host apply's bound-space rule decides where the outer cells end.
+  for (BoundaryMode mode : {BoundaryMode::kClamp, BoundaryMode::kOpen}) {
+    SCOPED_TRACE(mode == BoundaryMode::kClamp ? "clamp" : "open");
+    Param param;
+    param.boundary_mode = mode;
+    ResourceManager cpu_rm, gpu_rm;
+    testutil::FillRandomCells(&cpu_rm, 300, 0.0, 50.0, 10.0, /*seed=*/77);
+    testutil::FillRandomCells(&gpu_rm, 300, 0.0, 50.0, 10.0, /*seed=*/77);
+
+    UniformGridEnvironment cpu_env;
+    MechanicalForcesOp cpu_op;
+    GpuMechanicalOp gpu_op(GpuMechanicsOptions::Version(2));
+    NullEnvironment gpu_env;
+
+    for (int step = 0; step < 5; ++step) {
+      cpu_env.Update(cpu_rm, param, ExecMode::kSerial);
+      cpu_op.ComputeDisplacements(cpu_rm, cpu_env, param, ExecMode::kSerial);
+      cpu_op.ApplyDisplacements(cpu_rm, param, ExecMode::kSerial);
+
+      gpu_env.Update(gpu_rm, param, ExecMode::kSerial);
+      gpu_op.Step(gpu_rm, gpu_env, param, ExecMode::kSerial, nullptr);
+    }
+
+    std::map<AgentUid, Double3> cpu_pos;
+    for (size_t i = 0; i < cpu_rm.size(); ++i) {
+      cpu_pos[cpu_rm.uids()[i]] = cpu_rm.positions()[i];
+    }
+    double lowest = param.max_bound;
+    for (size_t i = 0; i < gpu_rm.size(); ++i) {
+      const Double3& got = gpu_rm.positions()[i];
+      const Double3& want = cpu_pos.at(gpu_rm.uids()[i]);
+      ASSERT_NEAR(got.x, want.x, 5e-3);
+      ASSERT_NEAR(got.y, want.y, 5e-3);
+      ASSERT_NEAR(got.z, want.z, 5e-3);
+      lowest = std::min({lowest, got.x, got.y, got.z});
+    }
+    if (mode == BoundaryMode::kClamp) {
+      EXPECT_GE(lowest, param.min_bound);
+    } else {
+      EXPECT_LT(lowest, param.min_bound - 0.1);  // pushed out, not clamped
+    }
+  }
+}
+
+TEST(GpuEquivalenceEdgeTest, EmptiedPopulationClearsLastDisplacements) {
+  // A step on an empty population must not leave the previous step's
+  // displacements behind for readers of last_displacements().
+  ResourceManager rm;
+  testutil::FillRandomCells(&rm, 50, 0.0, 40.0, 10.0, /*seed=*/5);
   Param param;
-  ResourceManager cpu_rm, gpu_rm;
-  testutil::FillRandomCells(&cpu_rm, 300, 0.0, 50.0, 10.0, /*seed=*/77);
-  testutil::FillRandomCells(&gpu_rm, 300, 0.0, 50.0, 10.0, /*seed=*/77);
+  GpuMechanicalOp op(GpuMechanicsOptions::Version(1));
+  NullEnvironment env;
+  env.Update(rm, param, ExecMode::kSerial);
+  op.Step(rm, env, param, ExecMode::kSerial, nullptr);
+  ASSERT_EQ(op.last_displacements().size(), 50u);
 
-  UniformGridEnvironment cpu_env;
-  MechanicalForcesOp cpu_op;
-  GpuMechanicalOp gpu_op(GpuMechanicsOptions::Version(2));
-  NullEnvironment gpu_env;
-
-  for (int step = 0; step < 5; ++step) {
-    cpu_env.Update(cpu_rm, param, ExecMode::kSerial);
-    cpu_op.ComputeDisplacements(cpu_rm, cpu_env, param, ExecMode::kSerial);
-    cpu_op.ApplyDisplacements(cpu_rm, param, ExecMode::kSerial);
-
-    gpu_env.Update(gpu_rm, param, ExecMode::kSerial);
-    gpu_op.Step(gpu_rm, gpu_env, param, ExecMode::kSerial, nullptr);
+  for (AgentIndex i = 0; i < rm.size(); ++i) {
+    rm.PushDeferredRemoval(i);
   }
-
-  std::map<AgentUid, Double3> cpu_pos;
-  for (size_t i = 0; i < cpu_rm.size(); ++i) {
-    cpu_pos[cpu_rm.uids()[i]] = cpu_rm.positions()[i];
-  }
-  for (size_t i = 0; i < gpu_rm.size(); ++i) {
-    const Double3& want = cpu_pos.at(gpu_rm.uids()[i]);
-    ASSERT_NEAR(gpu_rm.positions()[i].x, want.x, 5e-3);
-    ASSERT_NEAR(gpu_rm.positions()[i].y, want.y, 5e-3);
-    ASSERT_NEAR(gpu_rm.positions()[i].z, want.z, 5e-3);
-  }
+  rm.CommitStructuralChanges();
+  ASSERT_TRUE(rm.empty());
+  env.Update(rm, param, ExecMode::kSerial);
+  op.Step(rm, env, param, ExecMode::kSerial, nullptr);
+  EXPECT_TRUE(op.last_displacements().empty());
 }
 
 }  // namespace

@@ -160,28 +160,24 @@ TEST(GpuOptionsTest, InvalidOptionsThrowNamingTheField) {
 
 TEST(GpuOptionsTest, FixedBoxSmallerThanTheInteractionRadiusThrows) {
   // A 4 um box under diameter-10 cells 9.5 um apart bins the overlapping
-  // pair more than one box apart, so the 27-box scheme would drop it. Both
-  // device lattices reject the box, as the CPU grid does.
-  for (bool persistent : {false, true}) {
-    ResourceManager rm;
-    NewAgentSpec a, b;
-    a.position = {20, 20, 20};
-    b.position = {29.5, 20, 20};
-    rm.AddAgent(std::move(a));
-    rm.AddAgent(std::move(b));
-    Param param;
-    param.min_bound = 0.0;
-    param.max_bound = 50.0;
-    GpuMechanicsOptions opts = GpuMechanicsOptions::Version(0);
-    opts.fixed_box_length = 4.0;
-    opts.persistent_device_state = persistent;
-    GpuMechanicalOp op(std::move(opts));
-    NullEnvironment env;
-    env.Update(rm, param, ExecMode::kSerial);
-    EXPECT_THROW(op.Step(rm, env, param, ExecMode::kSerial, nullptr),
-                 std::invalid_argument)
-        << "persistent " << persistent;
-  }
+  // pair more than one box apart, so the 27-box scheme would drop it. The
+  // device lattice rejects the box, as the CPU grid does.
+  ResourceManager rm;
+  NewAgentSpec a, b;
+  a.position = {20, 20, 20};
+  b.position = {29.5, 20, 20};
+  rm.AddAgent(std::move(a));
+  rm.AddAgent(std::move(b));
+  Param param;
+  param.min_bound = 0.0;
+  param.max_bound = 50.0;
+  GpuMechanicsOptions opts = GpuMechanicsOptions::Version(0);
+  opts.fixed_box_length = 4.0;
+  GpuMechanicalOp op(std::move(opts));
+  NullEnvironment env;
+  env.Update(rm, param, ExecMode::kSerial);
+  EXPECT_THROW(op.Step(rm, env, param, ExecMode::kSerial, nullptr),
+               std::invalid_argument);
 }
 
 TEST(GpuOptionsTest, VersionOutsideTheLadderThrowsNamingGpuVersion) {

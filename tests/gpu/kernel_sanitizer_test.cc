@@ -1,7 +1,7 @@
 // Sanitizer coverage of the production GPU pipeline: every kernel
-// generation of the paper's version ladder (plus the grid build and the
-// persistent-mode apply kernel) must run hazard-free, while the
-// deliberately-defective diagnostic kernels must each be caught.
+// generation of the paper's version ladder (plus the grid build) must run
+// hazard-free, while the deliberately-defective diagnostic kernels must
+// each be caught.
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
@@ -20,24 +20,16 @@ using gpusim::Lane;
 
 /// One mechanics step of the given paper version with the sanitizer
 /// attached; returns the accumulated report.
-gpusim::SanitizerReport RunSanitizedStep(int version,
-                                         bool persistent = false) {
+gpusim::SanitizerReport RunSanitizedStep(int version) {
   ResourceManager rm;
   testutil::FillLatticeCells(&rm, 8, 10.0, 10.0, /*jitter=*/1.5);
   Param param;
   GpuMechanicsOptions opts = GpuMechanicsOptions::Version(version);
   opts.sanitize = true;
-  if (persistent) {
-    opts.zorder_sort = false;
-    opts.persistent_device_state = true;
-  }
   GpuMechanicalOp op(opts);
   NullEnvironment env;
   env.Update(rm, param, ExecMode::kSerial);
   op.Step(rm, env, param, ExecMode::kSerial, nullptr);
-  if (persistent) {  // exercise the on-device apply kernel a second step
-    op.Step(rm, env, param, ExecMode::kSerial, nullptr);
-  }
   return op.device().sanitizer()->report();
 }
 
@@ -63,11 +55,6 @@ TEST(KernelSanitizerTest, SharedMemoryKernelIsClean) {
 
 TEST(KernelSanitizerTest, NeighborParallelKernelIsClean) {
   gpusim::SanitizerReport r = RunSanitizedStep(4);
-  EXPECT_TRUE(r.clean()) << r.ToString();
-}
-
-TEST(KernelSanitizerTest, PersistentModeApplyKernelIsClean) {
-  gpusim::SanitizerReport r = RunSanitizedStep(1, /*persistent=*/true);
   EXPECT_TRUE(r.clean()) << r.ToString();
 }
 

@@ -28,9 +28,28 @@ TEST(GpuPipelineTest, FullDivisionModelRunsOnGpuBackend) {
   sim.Simulate(10);
   EXPECT_GT(sim.rm().size(), 64u);
   // GPU sub-operations appear in the profile.
-  EXPECT_GT(sim.profile().TotalMs("gpu kernels (sim)"), 0.0);
-  EXPECT_GT(sim.profile().TotalMs("gpu h2d (sim)"), 0.0);
-  EXPECT_GT(sim.profile().TotalMs("gpu z-order sort (sim)"), 0.0);
+  const OpProfile& profile = sim.profile();
+  EXPECT_GT(profile.TotalMs("gpu kernels (sim)"), 0.0);
+  EXPECT_GT(profile.TotalMs("gpu h2d (sim)"), 0.0);
+  EXPECT_GT(profile.TotalMs("gpu z-order sort (sim)"), 0.0);
+  // Each GPU phase is also a host-timed stage, nested in "mechanical
+  // forces", so the TOTAL still sums the top-level stages only.
+  for (const char* phase :
+       {"gpu z-order sort", "gpu h2d", "gpu kernels", "gpu d2h"}) {
+    const OpProfile::Entry* e = profile.Find(phase);
+    ASSERT_NE(e, nullptr) << phase;
+    EXPECT_TRUE(e->nested) << phase;
+    EXPECT_EQ(e->calls(), 10u) << phase;
+  }
+  EXPECT_LE(profile.TotalMs("gpu kernels"),
+            profile.TotalMs("mechanical forces"));
+  // No diffusion grid: the TOTAL is the four pipeline stages.
+  double stages = 0.0;
+  for (const char* stage : {"cell behaviors", "commit", "neighborhood update",
+                            "mechanical forces"}) {
+    stages += profile.TotalMs(stage);
+  }
+  EXPECT_DOUBLE_EQ(profile.GrandTotalMs(), stages);
 }
 
 TEST(GpuPipelineTest, GpuAndCpuBackendsProduceTheSameBiology) {
