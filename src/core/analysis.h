@@ -7,8 +7,7 @@
 //      container toolchain) every attribute expands to nothing and Mutex is a
 //      zero-cost veneer over std::mutex, so behavior and codegen are
 //      unchanged; under Clang the lock discipline around the obs ring
-//      buffers, the resource manager's deferred-change queues and the
-//      deposit merge becomes a compile-time check.
+//      buffers becomes a compile-time check.
 //
 //   2. BIOSIM_HOT_LOOP_BEGIN/END region markers consumed by biosim-lint
 //      (tools/biosim_lint): inside a marked region the linter rejects

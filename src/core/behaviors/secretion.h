@@ -25,7 +25,7 @@ class Secretion : public Behavior {
       : substance_(std::move(substance)), rate_(rate) {}
 
   void Run(Cell& cell, SimContext& ctx) const override {
-    // Routed through the context's deposit sink: applied after the parallel
+    // Buffered in the context's effects: applied after the parallel
     // behaviors pass in agent-index order, so the field stays bitwise
     // reproducible at any thread count. Name-routed secretion resolves its
     // own grid — every substance keeps its own field (the pre-fix merge

@@ -45,7 +45,7 @@ void Cell::Divide(SimContext& ctx, const Double3& axis) {
   rm_->volumes()[index_] = mother_volume;
   rm_->diameters()[index_] = 2.0 * mother_radius;
 
-  rm_->PushDeferredAgent(index_, std::move(daughter));
+  ctx.effects().births.push_back(std::move(daughter));
 }
 
 }  // namespace biosim

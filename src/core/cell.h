@@ -2,8 +2,9 @@
 //
 // Cell is a non-owning *view* onto one row of the ResourceManager's SoA
 // arrays — the modeler-facing handle BioDynaMo calls a "simulation object".
-// Mutations write straight through to the attribute arrays; Divide() defers
-// the structural insertion of the daughter to the commit phase.
+// Mutations write straight through to the attribute arrays; Divide() and
+// RemoveFromSimulation() append to the context's effects buffer, which the
+// commit phase applies.
 #ifndef BIOSIM_CORE_CELL_H_
 #define BIOSIM_CORE_CELL_H_
 
@@ -65,8 +66,7 @@ class Cell {
 
   /// Enqueue removal of this cell (apoptosis).
   void RemoveFromSimulation(SimContext& ctx) {
-    (void)ctx;
-    rm_->PushDeferredRemoval(index_);
+    ctx.effects().removals.push_back(index_);
   }
 
  private:

@@ -33,16 +33,6 @@ AgentIndex ResourceManager::AddAgent(NewAgentSpec spec) {
   return positions_.size() - 1;
 }
 
-void ResourceManager::PushDeferredAgent(AgentIndex mother, NewAgentSpec spec) {
-  MutexLock lock(*deferred_mutex_);
-  deferred_new_.emplace_back(mother, std::move(spec));
-}
-
-void ResourceManager::PushDeferredRemoval(AgentIndex idx) {
-  MutexLock lock(*deferred_mutex_);
-  deferred_removals_.push_back(idx);
-}
-
 void ResourceManager::RemoveRowSwap(AgentIndex idx) {
   size_t last = positions_.size() - 1;
   if (idx != last) {
@@ -65,39 +55,22 @@ void ResourceManager::RemoveRowSwap(AgentIndex idx) {
   behaviors_.pop_back();
 }
 
-size_t ResourceManager::CommitStructuralChanges() {
-  // Commit runs single-threaded between operations, so the lock is never
-  // contended; holding it anyway keeps the guarded-by contract on the
-  // deferred queues unconditional (and checkable by clang -Wthread-safety
-  // and TSan) instead of relying on the scheduling convention.
-  MutexLock lock(*deferred_mutex_);
-  size_t changes = deferred_new_.size() + deferred_removals_.size();
-
+size_t ResourceManager::CommitStructuralChanges(
+    std::vector<AgentIndex> removals, std::vector<NewAgentSpec> births) {
   // Removals first, from highest row to lowest so swap-with-last never moves
   // a row that is itself scheduled for removal into an already-processed
   // slot.
-  std::sort(deferred_removals_.begin(), deferred_removals_.end());
-  deferred_removals_.erase(
-      std::unique(deferred_removals_.begin(), deferred_removals_.end()),
-      deferred_removals_.end());
-  for (auto it = deferred_removals_.rbegin(); it != deferred_removals_.rend();
-       ++it) {
+  std::sort(removals.begin(), removals.end());
+  removals.erase(std::unique(removals.begin(), removals.end()),
+                 removals.end());
+  for (auto it = removals.rbegin(); it != removals.rend(); ++it) {
     assert(*it < positions_.size());
     RemoveRowSwap(*it);
   }
-  deferred_removals_.clear();
-
-  // Insertions ordered by mother row so the result (including assigned UIDs)
-  // is identical for serial and parallel behavior execution.
-  std::stable_sort(deferred_new_.begin(), deferred_new_.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (auto& [mother, spec] : deferred_new_) {
-    (void)mother;
+  for (NewAgentSpec& spec : births) {
     AppendRow(std::move(spec));
   }
-  deferred_new_.clear();
-
-  return changes;
+  return removals.size() + births.size();
 }
 
 void ResourceManager::ApplyPermutation(const std::vector<AgentIndex>& perm) {
@@ -163,9 +136,6 @@ void ResourceManager::RestorePopulation(
   behaviors_.resize(n);
   owned_behaviors_.clear();
   next_uid_ = next_uid;
-  MutexLock lock(*deferred_mutex_);
-  deferred_new_.clear();
-  deferred_removals_.clear();
 }
 
 double ResourceManager::TotalVolume() const {

@@ -7,8 +7,9 @@
 // structs first, and (b) Improvement II sorts these arrays by Z-order so
 // spatially local agents become memory-local.
 //
-// Structural changes (division, death) are *deferred*: behaviors enqueue
-// them and CommitStructuralChanges() applies them between operations, so
+// Structural changes (division, death) are *deferred*: behaviors append
+// them to their chunk's effects buffer (core/sim_context.h) and the
+// simulation hands them to CommitStructuralChanges() between operations, so
 // attribute arrays are stable while an operation iterates them in parallel.
 #ifndef BIOSIM_CORE_RESOURCE_MANAGER_H_
 #define BIOSIM_CORE_RESOURCE_MANAGER_H_
@@ -18,7 +19,6 @@
 #include <vector>
 
 #include "core/agent_uid.h"
-#include "core/analysis.h"
 #include "core/behavior.h"
 #include "core/math.h"
 
@@ -63,18 +63,14 @@ class ResourceManager {
   /// (model setup, commit phase). Returns the row index.
   AgentIndex AddAgent(NewAgentSpec spec);
 
-  /// Thread-safe deferred insertion; applied by CommitStructuralChanges().
-  /// `mother` orders deferred agents deterministically regardless of thread
-  /// scheduling.
-  void PushDeferredAgent(AgentIndex mother, NewAgentSpec spec);
-
-  /// Thread-safe deferred removal by row index.
-  void PushDeferredRemoval(AgentIndex idx);
-
-  /// Apply pending insertions and removals. Removal uses swap-with-last, so
-  /// row indices held across a commit are invalidated. Returns the number of
-  /// structural changes applied.
-  size_t CommitStructuralChanges();
+  /// Apply one behaviors pass's structural changes: first remove the rows
+  /// in `removals` (any order; a row listed twice dies once) with
+  /// swap-with-last from the highest row down, then append `births` in
+  /// order, assigning uids in that order. Row indices held across a commit
+  /// are invalidated. Only safe outside parallel operations. Returns the
+  /// number of structural changes applied.
+  size_t CommitStructuralChanges(std::vector<AgentIndex> removals,
+                                 std::vector<NewAgentSpec> births);
 
   /// Reorder all attribute arrays so that new_row i holds old_row perm[i].
   /// `perm` must be a permutation of [0, size). Used by Z-order sorting.
@@ -144,16 +140,6 @@ class ResourceManager {
   std::vector<std::unique_ptr<const Behavior>> owned_behaviors_;
 
   AgentUid next_uid_ = 0;
-
-  // The deferred queues are the only state behaviors mutate concurrently
-  // (PushDeferredAgent/PushDeferredRemoval from parallel chunks); everything
-  // else is stable while an operation runs. unique_ptr so the manager (and
-  // Simulation) stays movable; clang -Wthread-safety tracks the capability
-  // through the smart pointer.
-  std::unique_ptr<Mutex> deferred_mutex_ = std::make_unique<Mutex>();
-  std::vector<std::pair<AgentIndex, NewAgentSpec>> deferred_new_
-      BIOSIM_GUARDED_BY(deferred_mutex_);
-  std::vector<AgentIndex> deferred_removals_ BIOSIM_GUARDED_BY(deferred_mutex_);
 };
 
 }  // namespace biosim

@@ -1,9 +1,12 @@
 // Per-step execution context handed to behaviors.
 //
 // Bundles everything a behavior may touch besides its own agent: the
-// parameters, a deterministic per-agent RNG, and the deferred structural
-// change queues. Passing a context rather than a global Simulation keeps
-// behaviors testable in isolation.
+// parameters, a deterministic per-agent RNG, and the effects buffer of the
+// chunk it runs in. Every change a behavior makes beyond its own row (a
+// birth, a death, a substance deposit) is appended to that buffer and
+// applied after the pass, so parallel behaviors share no mutable state.
+// Passing a context rather than a global Simulation keeps behaviors
+// testable in isolation.
 #ifndef BIOSIM_CORE_SIM_CONTEXT_H_
 #define BIOSIM_CORE_SIM_CONTEXT_H_
 
@@ -21,24 +24,40 @@ namespace biosim {
 
 class DiffusionGrid;
 
-/// A substance deposit requested by a behavior, to be applied after the
-/// (possibly parallel) behaviors pass. Carries its target grid: deposits
-/// buffered for different substances must not be collapsed into one field
-/// (the pre-fix merge routed every deposit into the *first* grid).
+/// A substance deposit requested by a behavior. Carries its target grid:
+/// deposits buffered for different substances must not be collapsed into
+/// one field (the pre-fix merge routed every deposit into the *first* grid).
 struct PendingDeposit {
   Double3 position;
   double amount;
   DiffusionGrid* grid = nullptr;
 };
 
+/// What one chunk of the behaviors pass asks to change beyond its own rows,
+/// each list in the row order the chunk ran. Chunks are contiguous
+/// ascending row ranges, so reading the chunks in order yields the global
+/// row order at any worker count: Simulation applies the deposits and
+/// commits the removals and births that way, without a lock or a sort.
+/// Cache-line aligned: workers append to neighboring slots at once.
+struct alignas(64) BehaviorEffects {
+  std::vector<NewAgentSpec> births;
+  std::vector<AgentIndex> removals;
+  std::vector<PendingDeposit> deposits;
+};
+
 class SimContext {
  public:
-  SimContext(const Param& param, ResourceManager& rm, uint64_t step)
-      : param_(param), rm_(rm), step_(step) {}
+  SimContext(const Param& param, ResourceManager& rm, uint64_t step,
+             BehaviorEffects& effects)
+      : param_(param), rm_(rm), step_(step), effects_(effects) {}
 
   const Param& param() const { return param_; }
   ResourceManager& rm() { return rm_; }
   uint64_t step() const { return step_; }
+
+  /// The buffer of the chunk this context runs: Cell::Divide appends
+  /// births, Cell::RemoveFromSimulation removals, DepositSubstance deposits.
+  BehaviorEffects& effects() { return effects_; }
 
   /// RNG stream that depends only on (seed, agent uid, step): results are
   /// reproducible across thread counts and iteration orders.
@@ -46,20 +65,24 @@ class SimContext {
     return Random::ForStream(param_.random_seed, uid, step_);
   }
 
-  /// Deposit `amount` of the context's default substance (the first grid)
-  /// into the voxel containing `pos`. When a deposit sink is installed
-  /// (Simulation::RunBehaviors does this), the deposit is buffered and
-  /// applied after the behaviors pass in agent-index order — the same order
-  /// at any thread count, so the concentration field stays bitwise
-  /// reproducible. Without a sink (direct serial use, unit tests) the
-  /// deposit applies immediately. No-op when no diffusion grid is attached.
-  void DepositSubstance(const Double3& pos, double amount);
+  /// Buffer a deposit of `amount` of the context's default substance (the
+  /// first grid) into the voxel containing `pos`. Simulation applies the
+  /// buffered deposits after the behaviors pass in agent-index order — the
+  /// same order at any thread count, so the concentration field stays
+  /// bitwise reproducible. No-op when no diffusion grid is attached.
+  void DepositSubstance(const Double3& pos, double amount) {
+    DepositSubstance(pos, amount, diffusion_grid);
+  }
 
   /// Deposit into an explicit grid (resolve named substances with
   /// FindSubstance); same buffering contract as above. No-op when `grid` is
   /// nullptr, matching a grid-less context.
   void DepositSubstance(const Double3& pos, double amount,
-                        DiffusionGrid* grid);
+                        DiffusionGrid* grid) {
+    if (grid != nullptr) {
+      effects_.deposits.push_back({pos, amount, grid});
+    }
+  }
 
   /// The registered grid for `name`, or nullptr when absent (or when the
   /// context has no grid list installed).
@@ -78,14 +101,11 @@ class SimContext {
   /// nullptr for contexts built without a Simulation (unit tests).
   const std::vector<std::unique_ptr<DiffusionGrid>>* diffusion_grids = nullptr;
 
-  /// Deferred-deposit sink (owned by the caller running the behaviors pass;
-  /// one per worker chunk). Installed/cleared by Simulation::RunBehaviors.
-  std::vector<PendingDeposit>* deposit_sink = nullptr;
-
  private:
   const Param& param_;
   ResourceManager& rm_;
   uint64_t step_;
+  BehaviorEffects& effects_;
 };
 
 }  // namespace biosim

@@ -1,6 +1,6 @@
 #include "core/simulation.h"
 
-#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -17,24 +17,6 @@ namespace biosim {
 
 // Defined here rather than in a sim_context.cc so the engine layer (which
 // already links biosim_diffusion) owns the dependency on DiffusionGrid.
-void SimContext::DepositSubstance(const Double3& pos, double amount) {
-  DepositSubstance(pos, amount, diffusion_grid);
-}
-
-void SimContext::DepositSubstance(const Double3& pos, double amount,
-                                  DiffusionGrid* grid) {
-  if (grid == nullptr) {
-    return;
-  }
-  if (deposit_sink != nullptr) {
-    deposit_sink->push_back({pos, amount, grid});
-    return;
-  }
-  // Direct-apply fallback for serial use without an installed sink; this is
-  // one of the two sanctioned call sites of the raw field write.
-  grid->IncreaseConcentrationBy(pos, amount);  // biosim-lint: allow(direct-deposit)
-}
-
 DiffusionGrid* SimContext::FindSubstance(const std::string& name) const {
   if (diffusion_grids == nullptr) {
     return nullptr;
@@ -123,30 +105,27 @@ void Simulation::CreateRandomCells(size_t count, double diameter) {
 }
 
 void Simulation::RunBehaviors() {
-  size_t n = rm_.size();
-
-  // Deferred structural changes make parallel execution safe; the commit
-  // phase re-sorts them by mother row, so the outcome is thread-count
-  // independent (each agent's RNG stream is keyed by uid and step). A
-  // behavior reads only its own row and buffers every global effect, so the
-  // sharded step runs this same pass: ownership is irrelevant here. Chunked
-  // so each worker emits one trace span covering its contiguous range —
-  // the per-worker tracks in the timeline come from here.
-  //
-  // Substance deposits are buffered per chunk and applied below in chunk
-  // order. Chunks are contiguous ascending agent ranges, so the merged
-  // sequence is the global agent-index order no matter how many workers ran
-  // — the concentration field receives the same FP additions in the same
-  // order at any thread count (docs/determinism.md).
-  Mutex deposit_mutex;
-  std::vector<std::pair<size_t, std::vector<PendingDeposit>>> deposit_chunks;
-  ParallelForChunks(mode_, n, [&](size_t begin, size_t end) {
+  // A behavior writes only its own row and appends every other effect to
+  // its chunk's buffer, so the chunks share no mutable state and the
+  // sharded step runs this same pass: ownership is irrelevant here. Each
+  // agent's RNG stream is keyed by uid and step, and chunks are contiguous
+  // ascending row ranges, so reading the buffers in chunk order yields the
+  // global row order at any worker count (docs/determinism.md). One trace
+  // span per chunk gives the timeline its per-worker tracks.
+  const size_t n = rm_.size();
+  const size_t chunks = mode_ == ExecMode::kParallel ? HardwareThreads() : 1;
+  effects_.resize(chunks);
+  DiffusionGrid* default_grid = diffusion_grid();
+  ParallelFor(mode_, chunks, [&](size_t c) {
+    const size_t begin = n * c / chunks;
+    const size_t end = n * (c + 1) / chunks;
+    if (begin == end) {
+      return;
+    }
     TRACE_SCOPE("behaviors chunk");
-    SimContext ctx(param_, rm_, step_);
-    ctx.diffusion_grid = diffusion_grid();
+    SimContext ctx(param_, rm_, step_, effects_[c]);
+    ctx.diffusion_grid = default_grid;
     ctx.diffusion_grids = &diffusion_grids_;
-    std::vector<PendingDeposit> deposits;
-    ctx.deposit_sink = &deposits;
     for (size_t i = begin; i < end; ++i) {
       if (rm_.behaviors_of(i).empty()) {
         continue;
@@ -156,27 +135,32 @@ void Simulation::RunBehaviors() {
         b->Run(cell, ctx);
       }
     }
-    if (!deposits.empty()) {
-      MutexLock lock(deposit_mutex);
-      deposit_chunks.emplace_back(begin, std::move(deposits));
-    }
   });
 
-  if (!deposit_chunks.empty()) {
-    std::sort(deposit_chunks.begin(), deposit_chunks.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [begin, deposits] : deposit_chunks) {
-      (void)begin;
-      for (const PendingDeposit& d : deposits) {
-        // The serial chunk-ordered merge: the other sanctioned raw-write
-        // site (docs/determinism.md). Each deposit carries its target grid
-        // (the old code collapsed every substance into the first grid), and
-        // each grid still receives its own deposits in global agent-index
-        // order — a subsequence of an ordered stream stays ordered.
-        d.grid->IncreaseConcentrationBy(d.position, d.amount);  // biosim-lint: allow(direct-deposit)
-      }
+  for (BehaviorEffects& effects : effects_) {
+    for (const PendingDeposit& d : effects.deposits) {
+      // The serial chunk-ordered merge, the one sanctioned raw-write site
+      // (docs/determinism.md). Each grid receives its own deposits in
+      // global agent-index order: a subsequence of an ordered stream stays
+      // ordered.
+      d.grid->IncreaseConcentrationBy(d.position, d.amount);  // biosim-lint: allow(direct-deposit)
     }
+    effects.deposits.clear();
   }
+}
+
+void Simulation::CommitBehaviorEffects() {
+  std::vector<AgentIndex> removals;
+  std::vector<NewAgentSpec> births;
+  for (BehaviorEffects& effects : effects_) {
+    removals.insert(removals.end(), effects.removals.begin(),
+                    effects.removals.end());
+    births.insert(births.end(), std::make_move_iterator(effects.births.begin()),
+                  std::make_move_iterator(effects.births.end()));
+    effects.removals.clear();
+    effects.births.clear();
+  }
+  rm_.CommitStructuralChanges(std::move(removals), std::move(births));
 }
 
 uint64_t Simulation::StateHash() const {
@@ -238,7 +222,7 @@ void Simulation::Simulate(uint64_t steps) {
     }
     {
       STAGE_SCOPE(&profile_, "commit");
-      rm_.CommitStructuralChanges();
+      CommitBehaviorEffects();
     }
     {
       STAGE_SCOPE(&profile_, "neighborhood update");

@@ -30,6 +30,7 @@
 #include "core/profiler.h"
 #include "core/resource_manager.h"
 #include "core/shard_runtime.h"
+#include "core/sim_context.h"
 #include "core/thread_pool.h"
 #include "diffusion/diffusion_grid.h"
 #include "physics/mechanics_backend.h"
@@ -74,8 +75,8 @@ class Simulation {
   ExecMode exec_mode() const { return mode_; }
 
   // --- population helpers ------------------------------------------------
-  /// Create one agent; returns a Cell view valid until the next structural
-  /// change.
+  /// Create one agent immediately (model setup, outside Simulate); returns
+  /// its row index, valid until the next structural change.
   AgentIndex AddCell(const Double3& position, double diameter);
 
   /// The paper's benchmark A initial condition: `cells_per_dim`^3 cells of
@@ -120,9 +121,13 @@ class Simulation {
   const ShardRuntime* shard_runtime() const { return shard_runtime_.get(); }
 
  private:
-  /// The one behaviors pass, sharded or not: contiguous row chunks, with
-  /// substance deposits merged serially in chunk (= row) order.
+  /// The one behaviors pass, sharded or not: contiguous row chunks, each
+  /// appending its births, removals and deposits to its slot of effects_;
+  /// the deposits are then applied serially in chunk (= row) order.
   void RunBehaviors();
+  /// The commit stage: every chunk's removals, then its births in chunk
+  /// order, through ResourceManager::CommitStructuralChanges.
+  void CommitBehaviorEffects();
 
   Param param_;
   ResourceManager rm_;
@@ -137,6 +142,9 @@ class Simulation {
   uint64_t random_cells_calls_ = 0;
   std::unique_ptr<ShardRuntime> shard_runtime_;
   OpProfile profile_;
+  /// One effects buffer per chunk of the behaviors pass; kept across steps
+  /// so the buffers reuse their capacity.
+  std::vector<BehaviorEffects> effects_;
 };
 
 }  // namespace biosim

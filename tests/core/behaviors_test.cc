@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "../test_util.h"
 #include "core/behaviors/apoptosis.h"
 #include "core/behaviors/chemotaxis.h"
 #include "core/behaviors/grow_divide.h"
@@ -17,7 +18,8 @@ namespace {
 TEST(RandomWalkTest, SetsUnitScaledTractorForce) {
   Param param;
   ResourceManager rm;
-  SimContext ctx(param, rm, /*step=*/3);
+  BehaviorEffects effects;
+  SimContext ctx(param, rm, /*step=*/3, effects);
   NewAgentSpec s;
   s.position = {50, 50, 50};
   AgentIndex i = rm.AddAgent(std::move(s));
@@ -34,10 +36,11 @@ TEST(RandomWalkTest, DirectionChangesAcrossSteps) {
   AgentIndex i = rm.AddAgent(std::move(s));
   Cell cell(rm, i);
   RandomWalk walk(1.0);
-  SimContext ctx0(param, rm, 0);
+  BehaviorEffects effects;
+  SimContext ctx0(param, rm, 0, effects);
   walk.Run(cell, ctx0);
   Double3 f0 = cell.tractor_force();
-  SimContext ctx1(param, rm, 1);
+  SimContext ctx1(param, rm, 1, effects);
   walk.Run(cell, ctx1);
   EXPECT_NE(cell.tractor_force(), f0);
 }
@@ -49,7 +52,8 @@ TEST(RandomWalkTest, ReproducibleForSameUidAndStep) {
   rm2.AddAgent(NewAgentSpec{});
   Cell c1(rm1, 0), c2(rm2, 0);
   RandomWalk walk(1.0);
-  SimContext a(param, rm1, 5), b(param, rm2, 5);
+  BehaviorEffects effects;
+  SimContext a(param, rm1, 5, effects), b(param, rm2, 5, effects);
   walk.Run(c1, a);
   walk.Run(c2, b);
   EXPECT_EQ(c1.tractor_force(), c2.tractor_force());
@@ -122,7 +126,8 @@ TEST(BehaviorSharingTest, DaughterRunsTheMothersObjectsInOrder) {
   // pointers, in order, and allocates no behavior object.
   Param p;
   ResourceManager rm;
-  SimContext ctx(p, rm, 0);
+  BehaviorEffects effects;
+  SimContext ctx(p, rm, 0, effects);
   NewAgentSpec s;
   s.diameter = 12.0;
   AgentIndex i = rm.AddAgent(std::move(s));
@@ -132,7 +137,7 @@ TEST(BehaviorSharingTest, DaughterRunsTheMothersObjectsInOrder) {
   const std::vector<const Behavior*> mother = rm.behaviors_of(i);
 
   Cell(rm, i).Divide(ctx);
-  rm.CommitStructuralChanges();
+  testutil::CommitEffects(rm, effects);
   ASSERT_EQ(rm.size(), 2u);
   EXPECT_EQ(rm.behaviors_of(0), mother);
   EXPECT_EQ(rm.behaviors_of(1), mother);
@@ -144,7 +149,8 @@ TEST(BehaviorSharingTest, DaughterRunsTheMothersObjectsInOrder) {
 TEST(BehaviorCloneTest, CopyToNewControlsInheritance) {
   Param p;
   ResourceManager rm;
-  SimContext ctx(p, rm, 0);
+  BehaviorEffects effects;
+  SimContext ctx(p, rm, 0, effects);
   NewAgentSpec s;
   s.position = {100, 100, 100};
   s.diameter = 12.0;
@@ -157,7 +163,7 @@ TEST(BehaviorCloneTest, CopyToNewControlsInheritance) {
   rm.AttachBehavior(i, std::move(not_inherited));
 
   Cell(rm, i).Divide(ctx);
-  rm.CommitStructuralChanges();
+  testutil::CommitEffects(rm, effects);
   ASSERT_EQ(rm.size(), 2u);
   EXPECT_EQ(rm.behaviors_of(0).size(), 2u);  // mother keeps both
   ASSERT_EQ(rm.behaviors_of(1).size(), 1u);  // daughter only the walk
@@ -196,18 +202,17 @@ TEST(BehaviorSharingTest, ObjectsKeepTheirAddressAcrossAManagerMove) {
   EXPECT_DOUBLE_EQ(dynamic_cast<const RandomWalk*>(walk)->speed(), 2.5);
 }
 
-TEST(SecretionTest, DepositsDeferThroughTheSinkWhenInstalled) {
+TEST(SecretionTest, DepositsDeferToTheChunkBuffer) {
   // The determinism contract for behaviors (docs/determinism.md): writes to
-  // the field go through SimContext::DepositSubstance, which buffers while a
-  // sink is installed (the parallel behaviors pass) and applies immediately
-  // otherwise.
+  // the field go through SimContext::DepositSubstance, which appends them to
+  // the context's effects buffer; Simulation applies the buffers after the
+  // behaviors pass in row order.
   Param p;
   ResourceManager rm;
   DiffusionGrid grid("s", 0.0, 100.0, 4, 1.0, 0.0);
-  SimContext ctx(p, rm, 0);
+  BehaviorEffects effects;
+  SimContext ctx(p, rm, 0, effects);
   ctx.diffusion_grid = &grid;
-  std::vector<PendingDeposit> sink;
-  ctx.deposit_sink = &sink;
 
   NewAgentSpec s;
   s.position = {50, 50, 50};
@@ -217,12 +222,9 @@ TEST(SecretionTest, DepositsDeferThroughTheSinkWhenInstalled) {
   sec.Run(cell, ctx);
 
   EXPECT_DOUBLE_EQ(grid.TotalAmount(), 0.0);  // deferred, not applied
-  ASSERT_EQ(sink.size(), 1u);
-  EXPECT_DOUBLE_EQ(sink[0].amount, 5.0 * p.simulation_time_step);
-
-  ctx.deposit_sink = nullptr;  // outside the parallel pass: immediate
-  sec.Run(cell, ctx);
-  EXPECT_DOUBLE_EQ(grid.TotalAmount(), 5.0 * p.simulation_time_step);
+  ASSERT_EQ(effects.deposits.size(), 1u);
+  EXPECT_DOUBLE_EQ(effects.deposits[0].amount, 5.0 * p.simulation_time_step);
+  EXPECT_EQ(effects.deposits[0].grid, &grid);
 }
 
 TEST(SecretionTest, SimulationAppliesEachDepositExactlyOncePerStep) {
@@ -245,7 +247,8 @@ TEST(SecretionTest, SimulationAppliesEachDepositExactlyOncePerStep) {
 TEST(SecretionTest, NoGridIsSafeNoop) {
   Param p;
   ResourceManager rm;
-  SimContext ctx(p, rm, 0);  // no diffusion grid attached
+  BehaviorEffects effects;
+  SimContext ctx(p, rm, 0, effects);  // no diffusion grid attached
   AgentIndex i = rm.AddAgent(NewAgentSpec{});
   Cell cell(rm, i);
   Secretion sec(5.0);
@@ -253,6 +256,7 @@ TEST(SecretionTest, NoGridIsSafeNoop) {
   Chemotaxis chem(2.0);
   chem.Run(cell, ctx);
   EXPECT_EQ(cell.tractor_force(), (Double3{0, 0, 0}));
+  EXPECT_TRUE(effects.deposits.empty());
 }
 
 }  // namespace

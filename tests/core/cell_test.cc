@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../test_util.h"
 #include "core/behaviors/grow_divide.h"
 #include "core/sim_context.h"
 
@@ -10,7 +11,7 @@ namespace {
 
 class CellTest : public ::testing::Test {
  protected:
-  CellTest() : ctx_(param_, rm_, /*step=*/0) {}
+  CellTest() : ctx_(param_, rm_, /*step=*/0, effects_) {}
 
   AgentIndex MakeCell(double diameter = 10.0) {
     NewAgentSpec s;
@@ -21,8 +22,11 @@ class CellTest : public ::testing::Test {
     return rm_.AddAgent(std::move(s));
   }
 
+  void Commit() { testutil::CommitEffects(rm_, effects_); }
+
   Param param_;
   ResourceManager rm_;
+  BehaviorEffects effects_;
   SimContext ctx_;
 };
 
@@ -63,7 +67,7 @@ TEST_F(CellTest, DivideConservesVolume) {
   double v0 = rm_.volumes()[i];
   Cell c(rm_, i);
   c.Divide(ctx_);
-  rm_.CommitStructuralChanges();
+  Commit();
   ASSERT_EQ(rm_.size(), 2u);
   EXPECT_NEAR(rm_.volumes()[0] + rm_.volumes()[1], v0, 1e-9);
 }
@@ -72,7 +76,7 @@ TEST_F(CellTest, DivideRatioWithinCortexRange) {
   AgentIndex i = MakeCell(12.0);
   Cell c(rm_, i);
   c.Divide(ctx_);
-  rm_.CommitStructuralChanges();
+  Commit();
   double ratio = rm_.volumes()[1] / rm_.volumes()[0];
   EXPECT_GE(ratio, 0.9 - 1e-9);
   EXPECT_LE(ratio, 1.1 + 1e-9);
@@ -83,7 +87,7 @@ TEST_F(CellTest, DivideAlongAxisPreservesCenterOfMass) {
   Double3 p0 = rm_.positions()[i];
   Cell c(rm_, i);
   c.Divide(ctx_, {1.0, 0.0, 0.0});
-  rm_.CommitStructuralChanges();
+  Commit();
   double vm = rm_.volumes()[0];
   double vd = rm_.volumes()[1];
   Double3 com =
@@ -97,7 +101,7 @@ TEST_F(CellTest, DivideDaughterTouchesMother) {
   AgentIndex i = MakeCell(12.0);
   Cell c(rm_, i);
   c.Divide(ctx_, {0.0, 0.0, 1.0});
-  rm_.CommitStructuralChanges();
+  Commit();
   double dist = Distance(rm_.positions()[0], rm_.positions()[1]);
   double r_sum = (rm_.diameters()[0] + rm_.diameters()[1]) / 2.0;
   EXPECT_NEAR(dist, r_sum, 1e-9);
@@ -110,7 +114,7 @@ TEST_F(CellTest, DivideInheritsAttributesAndBehaviors) {
   rm_.AttachBehavior(i, std::make_unique<GrowDivide>(30.0, 5000.0));
   Cell c(rm_, i);
   c.Divide(ctx_);
-  rm_.CommitStructuralChanges();
+  Commit();
   EXPECT_DOUBLE_EQ(rm_.adherences()[1], 0.77);
   EXPECT_DOUBLE_EQ(rm_.densities()[1], 1.3);
   ASSERT_EQ(rm_.behaviors_of(1).size(), 1u);
@@ -127,13 +131,14 @@ TEST_F(CellTest, DivideIsDeterministicPerUidAndStep) {
   s.position = {50.0, 50.0, 50.0};
   s.diameter = 12.0;
   rm2.AddAgent(std::move(s));
-  SimContext ctx2(param_, rm2, 0);
+  BehaviorEffects effects2;
+  SimContext ctx2(param_, rm2, 0, effects2);
 
   AgentIndex i = MakeCell(12.0);
   Cell(rm_, i).Divide(ctx_);
   Cell(rm2, 0).Divide(ctx2);
-  rm_.CommitStructuralChanges();
-  rm2.CommitStructuralChanges();
+  Commit();
+  testutil::CommitEffects(rm2, effects2);
   EXPECT_EQ(rm_.positions()[1], rm2.positions()[1]);
   EXPECT_DOUBLE_EQ(rm_.volumes()[1], rm2.volumes()[1]);
 }
@@ -143,7 +148,8 @@ TEST_F(CellTest, RemoveFromSimulation) {
   Cell c(rm_, i);
   c.RemoveFromSimulation(ctx_);
   EXPECT_EQ(rm_.size(), 1u);
-  rm_.CommitStructuralChanges();
+  EXPECT_EQ(effects_.removals, std::vector<AgentIndex>{i});
+  Commit();
   EXPECT_EQ(rm_.size(), 0u);
 }
 
@@ -154,7 +160,7 @@ TEST_F(CellTest, GrowDivideGrowsBelowThreshold) {
   double v0 = c.volume();
   gd.Run(c, ctx_);
   EXPECT_NEAR(c.volume(), v0 + 3000.0 * param_.simulation_time_step, 1e-9);
-  EXPECT_EQ(rm_.size(), 1u);  // no division yet
+  EXPECT_TRUE(effects_.births.empty());  // no division yet
 }
 
 TEST_F(CellTest, GrowDivideDividesAtThreshold) {
@@ -162,7 +168,7 @@ TEST_F(CellTest, GrowDivideDividesAtThreshold) {
   Cell c(rm_, i);
   GrowDivide gd(/*threshold=*/20.0, /*rate=*/3000.0);
   gd.Run(c, ctx_);
-  rm_.CommitStructuralChanges();
+  Commit();
   EXPECT_EQ(rm_.size(), 2u);
 }
 

@@ -46,27 +46,33 @@ TEST(ResourceManagerTest, UidsAreUniqueAndMonotonic) {
 TEST(ResourceManagerTest, DeferredAgentsAppearOnlyAfterCommit) {
   ResourceManager rm;
   rm.AddAgent(MakeSpec(0.0));
-  rm.PushDeferredAgent(0, MakeSpec(5.0));
+  std::vector<NewAgentSpec> births;
+  births.push_back(MakeSpec(5.0));
   EXPECT_EQ(rm.size(), 1u);
-  EXPECT_EQ(rm.CommitStructuralChanges(), 1u);
+  EXPECT_EQ(rm.CommitStructuralChanges({}, std::move(births)), 1u);
   EXPECT_EQ(rm.size(), 2u);
   EXPECT_DOUBLE_EQ(rm.positions()[1].x, 5.0);
 }
 
-TEST(ResourceManagerTest, DeferredAgentsOrderedByMotherRow) {
+TEST(ResourceManagerTest, BirthsAppendInTheGivenOrder) {
+  // The caller passes births in mother-row order (Simulation reads its
+  // chunk buffers in chunk order); the commit keeps that order and assigns
+  // uids along it.
   ResourceManager rm;
   for (int i = 0; i < 3; ++i) {
     rm.AddAgent(MakeSpec(i));
   }
-  // Push out of order, as parallel behavior execution would.
-  rm.PushDeferredAgent(2, MakeSpec(102.0));
-  rm.PushDeferredAgent(0, MakeSpec(100.0));
-  rm.PushDeferredAgent(1, MakeSpec(101.0));
-  rm.CommitStructuralChanges();
+  std::vector<NewAgentSpec> births;
+  births.push_back(MakeSpec(102.0));
+  births.push_back(MakeSpec(100.0));
+  births.push_back(MakeSpec(101.0));
+  rm.CommitStructuralChanges({}, std::move(births));
   ASSERT_EQ(rm.size(), 6u);
-  EXPECT_DOUBLE_EQ(rm.positions()[3].x, 100.0);
-  EXPECT_DOUBLE_EQ(rm.positions()[4].x, 101.0);
-  EXPECT_DOUBLE_EQ(rm.positions()[5].x, 102.0);
+  EXPECT_DOUBLE_EQ(rm.positions()[3].x, 102.0);
+  EXPECT_DOUBLE_EQ(rm.positions()[4].x, 100.0);
+  EXPECT_DOUBLE_EQ(rm.positions()[5].x, 101.0);
+  EXPECT_EQ(rm.uids()[3], 3u);
+  EXPECT_EQ(rm.uids()[5], 5u);
 }
 
 TEST(ResourceManagerTest, DeferredRemovalSwapsWithLast) {
@@ -74,8 +80,7 @@ TEST(ResourceManagerTest, DeferredRemovalSwapsWithLast) {
   for (int i = 0; i < 4; ++i) {
     rm.AddAgent(MakeSpec(i));
   }
-  rm.PushDeferredRemoval(1);
-  rm.CommitStructuralChanges();
+  rm.CommitStructuralChanges({1}, {});
   ASSERT_EQ(rm.size(), 3u);
   // Row 1 now holds what was row 3.
   EXPECT_DOUBLE_EQ(rm.positions()[1].x, 3.0);
@@ -87,9 +92,7 @@ TEST(ResourceManagerTest, DuplicateRemovalIsIdempotent) {
   for (int i = 0; i < 3; ++i) {
     rm.AddAgent(MakeSpec(i));
   }
-  rm.PushDeferredRemoval(2);
-  rm.PushDeferredRemoval(2);
-  rm.CommitStructuralChanges();
+  EXPECT_EQ(rm.CommitStructuralChanges({2, 2}, {}), 1u);
   EXPECT_EQ(rm.size(), 2u);
 }
 
@@ -98,9 +101,7 @@ TEST(ResourceManagerTest, RemoveMultipleHighestFirst) {
   for (int i = 0; i < 5; ++i) {
     rm.AddAgent(MakeSpec(i));
   }
-  rm.PushDeferredRemoval(4);
-  rm.PushDeferredRemoval(0);
-  rm.CommitStructuralChanges();
+  rm.CommitStructuralChanges({0, 4}, {});
   ASSERT_EQ(rm.size(), 3u);
   // Surviving x values are {1, 2, 3} in some arrangement.
   double sum = 0.0;
@@ -108,6 +109,21 @@ TEST(ResourceManagerTest, RemoveMultipleHighestFirst) {
     sum += p.x;
   }
   EXPECT_DOUBLE_EQ(sum, 6.0);
+}
+
+TEST(ResourceManagerTest, RemovalsApplyBeforeBirths) {
+  // A birth never lands in a removed row: the removals shrink the arrays
+  // first, then the births append after the survivors.
+  ResourceManager rm;
+  for (int i = 0; i < 3; ++i) {
+    rm.AddAgent(MakeSpec(i));
+  }
+  std::vector<NewAgentSpec> births;
+  births.push_back(MakeSpec(10.0));
+  EXPECT_EQ(rm.CommitStructuralChanges({2}, std::move(births)), 2u);
+  ASSERT_EQ(rm.size(), 3u);
+  EXPECT_DOUBLE_EQ(rm.positions()[2].x, 10.0);
+  EXPECT_EQ(rm.uids()[2], 3u);
 }
 
 TEST(ResourceManagerTest, ApplyPermutationReordersAllArrays) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
+#include <vector>
 
 #include "../test_util.h"
 #include "gpu/gpu_mechanical_op.h"
@@ -209,10 +211,9 @@ TEST(GpuEquivalenceEdgeTest, EmptiedPopulationClearsLastDisplacements) {
   op.Step(rm, env, param, ExecMode::kSerial, nullptr);
   ASSERT_EQ(op.last_displacements().size(), 50u);
 
-  for (AgentIndex i = 0; i < rm.size(); ++i) {
-    rm.PushDeferredRemoval(i);
-  }
-  rm.CommitStructuralChanges();
+  std::vector<AgentIndex> everyone(rm.size());
+  std::iota(everyone.begin(), everyone.end(), AgentIndex{0});
+  rm.CommitStructuralChanges(std::move(everyone), {});
   ASSERT_TRUE(rm.empty());
   env.Update(rm, param, ExecMode::kSerial);
   op.Step(rm, env, param, ExecMode::kSerial, nullptr);

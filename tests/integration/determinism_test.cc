@@ -4,7 +4,7 @@
 // order-sensitive subsystem at once — growth + division (deferred
 // structural changes), the parallel uniform-grid rebuild (stable radix
 // sort into ascending box runs), force accumulation, and substance
-// deposits from behaviors (chunk-ordered deposit sink) on a diffusing
+// deposits from behaviors (chunk-ordered effects buffers) on a diffusing
 // field.
 //
 // The CLI contract rides along: `biosim_run --verify-determinism` exits 0

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "../test_util.h"
+#include "core/behaviors/apoptosis.h"
 #include "core/behaviors/chemotaxis.h"
+#include "core/behaviors/grow_divide.h"
 #include "core/behaviors/secretion.h"
 #include "spatial/kd_tree.h"
 
@@ -230,6 +235,100 @@ TEST(SimulationTest, ChemotaxisPullsCellUpGradient) {
   double x0 = sim.rm().positions()[i].x;
   sim.Simulate(20);
   EXPECT_GT(sim.rm().positions()[i].x, x0 + 1.0);
+}
+
+enum class RowFate { kKeep, kDivide, kDie, kDivideAndDie, kDivideTwice };
+
+struct CommittedRow {
+  AgentUid uid;
+  Double3 position;
+  bool operator==(const CommittedRow&) const = default;
+};
+
+void PrintTo(const CommittedRow& r, std::ostream* os) {
+  *os << "{uid " << r.uid << ", " << r.position << "}";
+}
+
+/// One step at `workers` host workers over cells 40 um apart, row k given
+/// fates[k]; returns every row after the commit. Displacements are frozen,
+/// so the rows show the commit alone: removals in descending row order by
+/// swap-with-last, then births in mother-row order with fresh uids.
+std::vector<CommittedRow> CommitOneStep(uint32_t workers,
+                                        const std::vector<RowFate>& fates) {
+  testutil::ScopedWorkers scoped(workers);
+  Param p;
+  p.simulation_max_displacement = 0.0;
+  Simulation sim(p);
+  for (size_t k = 0; k < fates.size(); ++k) {
+    AgentIndex i = sim.AddCell(
+        {100.0 + 40.0 * static_cast<double>(k), 500.0, 500.0}, 12.0);
+    auto divide = [&] {
+      sim.rm().AttachBehavior(i, std::make_unique<GrowDivide>(5.0, 0.0));
+    };
+    auto die = [&] {
+      // rate * dt >= 1: certain death.
+      sim.rm().AttachBehavior(
+          i, std::make_unique<Apoptosis>(2.0 / p.simulation_time_step));
+    };
+    switch (fates[k]) {
+      case RowFate::kKeep:
+        break;
+      case RowFate::kDivide:
+        divide();
+        break;
+      case RowFate::kDie:
+        die();
+        break;
+      case RowFate::kDivideAndDie:
+        divide();
+        die();
+        break;
+      case RowFate::kDivideTwice:
+        divide();
+        divide();
+        break;
+    }
+  }
+  sim.Simulate(1);
+  std::vector<CommittedRow> rows;
+  for (size_t i = 0; i < sim.rm().size(); ++i) {
+    rows.push_back({sim.rm().uids()[i], sim.rm().positions()[i]});
+  }
+  return rows;
+}
+
+TEST(SimulationTest, CommitOfAMixedStepIsPinnedAtAnyWorkerCount) {
+  using enum RowFate;
+  // Rows 5, 3 and 2 die in that order, each taking the last row's place;
+  // the daughters of rows 1, 3, 4, 4 and 6 get uids 8..12 in that order.
+  // The values were recorded with the mutex-queued commit this one
+  // replaced.
+  const std::vector<RowFate> fates{kKeep,        kDivide, kDie,    kDivideAndDie,
+                                   kDivideTwice, kDie,    kDivide, kKeep};
+  const std::vector<CommittedRow> expected{
+      {0, {0x1.9p+6, 0x1.f4p+8, 0x1.f4p+8}},
+      {1, {0x1.20726ebd7c57fp+7, 0x1.f27663502d466p+8, 0x1.f34d7c9717b4cp+8}},
+      {7, {0x1.7cp+8, 0x1.f4p+8, 0x1.f4p+8}},
+      {6, {0x1.54d1f1f5a094cp+8, 0x1.f052deb6ecc56p+8, 0x1.f1498890a5ec7p+8}},
+      {4, {0x1.01b30e7c34e4bp+8, 0x1.ed368b71fb1bp+8, 0x1.ef4062f35cff2p+8}},
+      {8, {0x1.0ec34fe157853p+7, 0x1.f5ae6d59dc373p+8, 0x1.f4c335bd8f694p+8}},
+      {9, {0x1.bd9b83cdbc388p+7, 0x1.f3ed02a659b18p+8, 0x1.f06c0320d7c42p+8}},
+      {10, {0x1.0543c9e2c1c91p+8, 0x1.f7bb375385a81p+8, 0x1.f69c518bd4d19p+8}},
+      {11, {0x1.03b7a343aa13ep+8, 0x1.f32a85c225709p+8, 0x1.f36aa3de2e7b4p+8}},
+      {12, {0x1.532332af89632p+8, 0x1.f7ddcc6ab8611p+8, 0x1.f6da611de325fp+8}},
+  };
+  EXPECT_EQ(CommitOneStep(1, fates), expected);
+  EXPECT_EQ(CommitOneStep(4, fates), expected);
+
+  // Fewer rows than workers: at 4 workers two of the four chunks are empty.
+  const std::vector<RowFate> small{kDie, kDivideTwice};
+  const std::vector<CommittedRow> small_expected{
+      {1, {0x1.273ff1d85122fp+7, 0x1.f139649c2f314p+8, 0x1.f2bdb8a202b3cp+8}},
+      {2, {0x1.0ec34fe157853p+7, 0x1.f5ae6d59dc373p+8, 0x1.f4c335bd8f694p+8}},
+      {3, {0x1.190208cb1857dp+7, 0x1.f3d1082820eb1p+8, 0x1.f3eab2dfba53ap+8}},
+  };
+  EXPECT_EQ(CommitOneStep(1, small), small_expected);
+  EXPECT_EQ(CommitOneStep(4, small), small_expected);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Fixture: the sanctioned deposit path — behaviors go through the buffered
-// SimContext sink; declaring IncreaseConcentrationBy (no receiver) is fine.
+// SimContext::DepositSubstance; declaring IncreaseConcentrationBy (no receiver) is fine.
 namespace fixture {
 struct Double3 {
   double x, y, z;

@@ -194,8 +194,9 @@ TEST(IncrementalGridTest, PopulationGrowthForcesFullRebuild) {
       NewAgentSpec spec;
       spec.position = rng.UniformInCube(0.0, 64.0);
       spec.diameter = 8.0;
-      rm.PushDeferredAgent(/*mother=*/0, std::move(spec));
-      rm.CommitStructuralChanges();
+      std::vector<NewAgentSpec> births;
+      births.push_back(std::move(spec));
+      rm.CommitStructuralChanges({}, std::move(births));
     } else {
       rm.positions()[s].x = 32.0;  // keep some motion in the quiet steps
     }
@@ -212,9 +213,7 @@ TEST(IncrementalGridTest, RemovalForcesFullRebuild) {
   UniformGridEnvironment inc;
   RunMotionProperty(rm, param, inc, 4, [&](uint64_t s) {
     if (s == 1) {
-      rm.PushDeferredRemoval(7);
-      rm.PushDeferredRemoval(42);
-      rm.CommitStructuralChanges();
+      rm.CommitStructuralChanges({7, 42}, {});
     }
   });
   EXPECT_EQ(inc.csr().box_agents().size(), 98u);

@@ -7,13 +7,23 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/random.h"
 #include "core/resource_manager.h"
+#include "core/sim_context.h"
 #include "core/thread_pool.h"
 
 namespace biosim::testutil {
+
+/// Commit the births and removals that behaviors run outside a Simulation
+/// appended to `effects`, as Simulation's commit stage does, and empty
+/// those lists. Returns the number of structural changes applied.
+inline size_t CommitEffects(ResourceManager& rm, BehaviorEffects& effects) {
+  return rm.CommitStructuralChanges(std::exchange(effects.removals, {}),
+                                    std::exchange(effects.births, {}));
+}
 
 /// Populate `rm` with `n` cells of the given diameter at uniform random
 /// positions inside [lo, hi)^3.
