@@ -97,7 +97,7 @@ constexpr double kMeanNeighbors = 16.0;
 
 /// Clustered-sphere population: `n` agents uniformly distributed in a ball
 /// sized so the mean neighbor count within the interaction radius (= the
-/// diameter, margin 0) is ~kMeanNeighbors. A ball, not a cube: box occupancy
+/// diameter) is ~kMeanNeighbors. A ball, not a cube: box occupancy
 /// then varies from dense core boxes to empty corners, which is the shape
 /// the Morton-ordered box traversal is built for.
 void FillClusteredSphere(ResourceManager* rm, size_t n, uint64_t seed) {

@@ -1,6 +1,7 @@
 #include "app/config.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -66,6 +67,9 @@ double ToDouble(const std::string& v, const std::string& ctx) {
   double d = std::strtod(v.c_str(), &end);
   if (end == v.c_str() || *end != '\0') {
     throw std::runtime_error(ctx + " must be a number, got '" + v + "'");
+  }
+  if (!std::isfinite(d)) {
+    Reject(ctx, "a finite number", v);
   }
   return d;
 }

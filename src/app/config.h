@@ -72,7 +72,8 @@ namespace biosim::app {
 // throws std::runtime_error; a well-formed value outside the parser's
 // domain (a zero count, a negative diameter) throws std::invalid_argument.
 
-/// A number in strtod syntax, with nothing after it.
+/// A finite number in strtod syntax, with nothing after it: `nan`, `inf`
+/// and values that overflow a double are rejected.
 double ToDouble(const std::string& v, const std::string& ctx);
 /// A number > 0.
 double ToPositive(const std::string& v, const std::string& ctx);

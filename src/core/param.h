@@ -6,6 +6,7 @@
 #ifndef BIOSIM_CORE_PARAM_H_
 #define BIOSIM_CORE_PARAM_H_
 
+#include <cmath>
 #include <cstdint>
 #include <cstddef>
 #include <stdexcept>
@@ -64,12 +65,6 @@ struct Param {
   /// Default mass density of cells (used for the diameter/volume/mass link).
   double default_density = 1.0;
 
-  // --- neighborhood -------------------------------------------------------
-  /// Extra margin added to the largest agent diameter when sizing uniform
-  /// grid boxes / the kd-tree query radius, so that agents that will touch
-  /// within one step are already seen as neighborhood candidates.
-  double interaction_radius_margin = 0.0;
-
   // --- reproducibility ------------------------------------------------------
   uint64_t random_seed = 42;
 
@@ -96,31 +91,33 @@ struct Param {
 
   /// Throw std::invalid_argument on inconsistent settings. Called by the
   /// Simulation constructor so misconfiguration fails fast, and again by
-  /// Simulation::Validate at every Simulate().
+  /// Simulation::Validate at every Simulate(). NaN fails every test below;
+  /// the bounds, their span and the timestep must also be finite.
   void Validate() const {
     auto fail = [](const std::string& what) {
       throw std::invalid_argument("Param: " + what);
     };
+    if (!std::isfinite(SpaceEdge())) {
+      fail("min_bound, max_bound and their difference must be finite");
+    }
     if (!(max_bound > min_bound)) {
       fail("max_bound must exceed min_bound");
     }
-    if (!(simulation_time_step > 0.0)) {
-      fail("simulation_time_step must be positive");
+    if (!(simulation_time_step > 0.0) ||
+        !std::isfinite(simulation_time_step)) {
+      fail("simulation_time_step must be positive and finite");
     }
-    if (simulation_max_displacement < 0.0) {
+    if (!(simulation_max_displacement >= 0.0)) {
       fail("simulation_max_displacement must be non-negative");
     }
-    if (repulsion_coefficient < 0.0 || attraction_coefficient < 0.0) {
+    if (!(repulsion_coefficient >= 0.0) || !(attraction_coefficient >= 0.0)) {
       fail("force coefficients must be non-negative");
     }
-    if (default_adherence < 0.0) {
+    if (!(default_adherence >= 0.0)) {
       fail("default_adherence must be non-negative");
     }
     if (!(default_density > 0.0)) {
       fail("default_density must be positive");
-    }
-    if (interaction_radius_margin < 0.0) {
-      fail("interaction_radius_margin must be non-negative");
     }
   }
 };

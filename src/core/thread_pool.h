@@ -2,24 +2,26 @@
 //
 // BioDynaMo parallelizes its operations with OpenMP; we do the same when
 // OpenMP is available and fall back to a plain serial loop otherwise, so the
-// library builds on any toolchain. All loops are deterministic: reductions
-// combine per-chunk partials in chunk order.
+// library builds on any toolchain. All loops are deterministic: a reduction
+// fixes its chunk boundaries up front, writes one partial per chunk and
+// merges the partials in chunk order after the join
+// (Simulation::RunBehaviors, ShardGrid::Build).
 //
 // Concurrency contract (enforced statically — docs/static-analysis.md):
 // these are the ONLY sanctioned parallel primitives in sim code. Raw
 // `#pragma omp ... reduction(...)` clauses and atomic float accumulation are
 // rejected by biosim-lint (`fp-omp-reduction`) because their combine order
-// depends on thread scheduling; ParallelReduce is the deterministic
-// replacement. Shared state mutated inside a ParallelFor(Chunks) body must
-// be guarded (core/analysis.h BIOSIM_GUARDED_BY + Mutex) or be provably
-// per-chunk/per-thread; the TSan build mode (`BIOSIM_SANITIZE=thread
-// scripts/check.sh`) checks this dynamically.
+// depends on thread scheduling; per-chunk partials merged in chunk order
+// are the deterministic replacement. Shared state mutated inside a
+// ParallelFor(Chunks) body must be guarded (core/analysis.h
+// BIOSIM_GUARDED_BY + Mutex) or be provably per-chunk/per-thread; the TSan
+// build mode (`BIOSIM_SANITIZE=thread scripts/check.sh`) checks this
+// dynamically.
 #ifndef BIOSIM_CORE_THREAD_POOL_H_
 #define BIOSIM_CORE_THREAD_POOL_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "core/analysis.h"
 
@@ -116,46 +118,6 @@ void ParallelForChunks(ExecMode mode, size_t n, F&& fn) {
   if (n > 0) {
     fn(size_t{0}, n);
   }
-}
-
-/// Deterministic parallel reduction: `fn(i)` values combined with `combine`,
-/// partials merged in chunk order so the result is independent of scheduling.
-template <typename T, typename F, typename C>
-T ParallelReduce(ExecMode mode, size_t n, T init, F&& fn, C&& combine) {
-  if (mode == ExecMode::kParallel) {
-#ifdef _OPENMP
-    int nthreads = omp_get_max_threads();
-    std::vector<T> partials(static_cast<size_t>(nthreads), init);
-    char fork_token = 0;
-    char join_token = 0;
-    TsanRelease(&fork_token);
-#pragma omp parallel
-    {
-      TsanAcquire(&fork_token);
-      size_t tid = static_cast<size_t>(omp_get_thread_num());
-      T local = init;
-#pragma omp for schedule(static) nowait
-      for (int64_t i = 0; i < static_cast<int64_t>(n); ++i) {
-        local = combine(local, fn(static_cast<size_t>(i)));
-      }
-      partials[tid] = local;
-      TsanRelease(&join_token);
-    }
-    // The acquire also orders the workers' partials[] stores before the
-    // chunk-ordered merge below.
-    TsanAcquire(&join_token);
-    T result = init;
-    for (const T& p : partials) {
-      result = combine(result, p);
-    }
-    return result;
-#endif
-  }
-  T result = init;
-  for (size_t i = 0; i < n; ++i) {
-    result = combine(result, fn(i));
-  }
-  return result;
 }
 
 }  // namespace biosim

@@ -13,14 +13,13 @@ namespace biosim {
 DiffusionGrid::DiffusionGrid(std::string substance_name, double min_bound,
                              double max_bound, size_t resolution,
                              double diffusion_coefficient,
-                             double decay_constant, BoundaryCondition bc)
+                             double decay_constant)
     : name_(std::move(substance_name)),
       min_(min_bound),
       max_(max_bound),
       res_(resolution),
       d_coef_(diffusion_coefficient),
-      mu_(decay_constant),
-      bc_(bc) {
+      mu_(decay_constant) {
   if (resolution < 2) {
     throw std::invalid_argument("DiffusionGrid resolution must be >= 2");
   }
@@ -52,7 +51,6 @@ void DiffusionGrid::SubStep(double dt, ExecMode mode) {
   double alpha = d_coef_ * dt / (h_ * h_);
   double decay = mu_ * dt;
   size_t r = res_;
-  const bool closed = bc_ == BoundaryCondition::kClosed;
 
   // Parallelize over z-slabs: each voxel update reads only its 6-neighborhood
   // of the current field and writes its own cell of the next field.
@@ -64,12 +62,11 @@ void DiffusionGrid::SubStep(double dt, ExecMode mode) {
       for (size_t x = 0; x < r; ++x) {
         size_t i = Index(x, y, z);
         double center = c_[i];
-        // For closed boundaries, out-of-domain neighbors mirror the center
-        // (zero flux); for Dirichlet they read as zero.
+        // Out-of-domain neighbors mirror the center (zero flux).
         auto neighbor = [&](int64_t nx, int64_t ny, int64_t nz) -> double {
           if (nx < 0 || ny < 0 || nz < 0 || nx >= static_cast<int64_t>(r) ||
               ny >= static_cast<int64_t>(r) || nz >= static_cast<int64_t>(r)) {
-            return closed ? center : 0.0;
+            return center;
           }
           return c_[Index(static_cast<size_t>(nx), static_cast<size_t>(ny),
                           static_cast<size_t>(nz))];

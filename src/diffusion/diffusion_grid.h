@@ -7,10 +7,9 @@
 //
 //     dc/dt = D * laplacian(c) - mu * c + sources
 //
-// with an explicit central-difference scheme (FTCS) and either zero-flux
-// (closed) or zero-value (open/Dirichlet) boundaries. Agents couple to the
-// field through IncreaseConcentrationBy (secretion), GetConcentration and
-// GetGradient (chemotaxis).
+// with an explicit central-difference scheme (FTCS) and zero-flux (closed)
+// boundaries. Agents couple to the field through IncreaseConcentrationBy
+// (secretion), GetConcentration and GetGradient (chemotaxis).
 #ifndef BIOSIM_DIFFUSION_DIFFUSION_GRID_H_
 #define BIOSIM_DIFFUSION_DIFFUSION_GRID_H_
 
@@ -23,19 +22,14 @@
 
 namespace biosim {
 
-enum class BoundaryCondition : uint8_t {
-  kClosed,     // zero-flux (Neumann): substance is conserved up to decay
-  kDirichlet,  // zero concentration at the boundary (substance leaks out)
-};
-
 class DiffusionGrid {
  public:
   /// A lattice of `resolution`^3 voxels spanning [min_bound, max_bound]^3.
-  /// `diffusion_coefficient` D in µm²/h, `decay_constant` mu in 1/h.
+  /// `diffusion_coefficient` D in µm²/h, `decay_constant` mu in 1/h. The
+  /// boundary is zero-flux: substance is conserved up to decay.
   DiffusionGrid(std::string substance_name, double min_bound, double max_bound,
                 size_t resolution, double diffusion_coefficient,
-                double decay_constant,
-                BoundaryCondition bc = BoundaryCondition::kClosed);
+                double decay_constant);
 
   const std::string& substance_name() const { return name_; }
   size_t resolution() const { return res_; }
@@ -107,7 +101,6 @@ class DiffusionGrid {
   double min_, max_, h_;
   size_t res_;
   double d_coef_, mu_;
-  BoundaryCondition bc_;
   std::vector<double> c_, c_next_;
   uint64_t dropped_deposits_ = 0;
   bool warned_dropped_ = false;

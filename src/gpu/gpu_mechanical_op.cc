@@ -169,7 +169,7 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
   if (options_.zorder_sort) {
     STAGE_SCOPE(profile, "gpu z-order sort");
     double before = device().ElapsedMs();
-    double cell = rm.LargestDiameter() + param.interaction_radius_margin;
+    double cell = rm.LargestDiameter();
     SortAgentsByZOrder(rm, cell, mode);
 
     uint64_t elem = options_.precision == GpuPrecision::kFp32 ? 4 : 8;

@@ -31,7 +31,7 @@ namespace biosim::gpu {
 
 template <typename T>
 struct MechKernelParams {
-  T interaction_radius;  // largest agent diameter (+margin)
+  T interaction_radius;  // largest agent diameter
   T repulsion;           // kappa
   T attraction;          // gamma
   T dt;

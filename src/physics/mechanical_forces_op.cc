@@ -72,8 +72,7 @@ void MechanicalForcesOp::ComputeDisplacements(const ResourceManager& rm,
             // it so p_i - p_j is the minimum-image separation.
             Double3 pj = torus ? pi - MinImageVector(pi, positions[j], edge)
                                : positions[j];
-            force += EvaluateForce(force_law_, pi, ri, pj,
-                                   diameters[j] / 2.0, fp);
+            force += SphereSphereForce(pi, ri, pj, diameters[j] / 2.0, fp);
             ++local_evals;
           });
 
@@ -110,7 +109,6 @@ void MechanicalForcesOp::RunFusedPasses(
   detail::FusedPassArgs args;
   args.dt = param.simulation_time_step;
   args.max_disp = param.simulation_max_displacement;
-  args.law = force_law_;
   args.repulsion = param.repulsion_coefficient;
   args.attraction = param.attraction_coefficient;
   args.r2 = interaction_radius * interaction_radius;

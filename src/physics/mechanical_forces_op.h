@@ -36,18 +36,12 @@
 #include "core/param.h"
 #include "core/resource_manager.h"
 #include "core/thread_pool.h"
-#include "physics/force_law.h"
 #include "spatial/environment.h"
 
 namespace biosim {
 
 class MechanicalForcesOp {
  public:
-  /// Contact law used for pairwise forces (the GPU kernels always use the
-  /// paper's Cortex3D law; see force_law.h).
-  explicit MechanicalForcesOp(ForceLaw law = ForceLaw::kCortex3D)
-      : force_law_(law) {}
-
   /// Compute per-agent displacements into an internal buffer: the fused
   /// pass over env.ForceInputs() when it returns windows, else the generic
   /// query path. The environment must be up to date.
@@ -93,7 +87,6 @@ class MechanicalForcesOp {
                       double interaction_radius, double box_length,
                       const Param& param, ExecMode mode);
 
-  ForceLaw force_law_;
   std::vector<Double3> displacements_;
 
   size_t force_evaluations_ = 0;

@@ -54,7 +54,6 @@
 #include "core/analysis.h"
 #include "core/simd.h"
 #include "core/thread_pool.h"
-#include "physics/force_law.h"
 #include "spatial/csr_grid_view.h"
 
 namespace biosim::detail {
@@ -101,7 +100,6 @@ struct FusedPassArgs {
   /// candidate sequence, so it is bitwise-free).
   uint32_t first_box = 0;
   size_t num_boxes = 0;
-  ForceLaw law = ForceLaw::kCortex3D;
   double repulsion = 0.0;
   double attraction = 0.0;
   /// Interaction radius squared.
@@ -136,7 +134,6 @@ void RunFusedSimdKernel(const FusedPassArgs& a) {
   const V edgev = V::Broadcast(edge);
   const V half_edgev = V::Broadcast(half_edge);
   const V neg_half_edgev = V::Broadcast(-half_edge);
-  const bool hertz = a.law == ForceLaw::kHertz;
   const bool torus = a.torus;
 
   // Minimum-image wrap of one separation component: MinImageVector's
@@ -216,7 +213,7 @@ void RunFusedSimdKernel(const FusedPassArgs& a) {
         // +0.0, and a -0.0 sum stays -0.0 only while every addend is
         // -0.0), without lengthening the accumulation chain.
         bool zero_hit = false;
-        // The force law (physics/force_law.h) on hit c, accumulated onto
+        // Eq. (1) (physics/interaction_force.h) on hit c, accumulated onto
         // the tractor force in candidate order. Returns 0 for the agent's
         // own slot, which is not an evaluation.
         const auto hit = [&](size_t c) -> size_t {
@@ -247,12 +244,8 @@ void RunFusedSimdKernel(const FusedPassArgs& a) {
             return 1;
           }
           const double reduced = (ri * rj) / (ri + rj);
-          double magnitude;
-          if (hertz) {
-            magnitude = kappa * std::sqrt(reduced) * delta * std::sqrt(delta);
-          } else {
-            magnitude = kappa * delta - gamma * std::sqrt(reduced * delta);
-          }
+          const double magnitude =
+              kappa * delta - gamma * std::sqrt(reduced * delta);
           const double scale = magnitude / dist;
           fx += dx * scale;
           fy += dy * scale;

@@ -55,8 +55,8 @@ class Environment {
                                            double radius,
                                            NeighborFn fn) const = 0;
 
-  /// Interaction radius the index was built for (= largest agent diameter +
-  /// margin). Queries with a larger radius are out of contract for the
+  /// Interaction radius the index was built for (= largest agent
+  /// diameter). Queries with a larger radius are out of contract for the
   /// uniform grid (it only visits the 27 surrounding boxes) and throw
   /// std::invalid_argument rather than silently dropping neighbors.
   virtual double interaction_radius() const = 0;

@@ -32,8 +32,7 @@ GridGeometry GridGeometry::Derive(const ResourceManager& rm,
                                   const Param& param,
                                   double fixed_box_length) {
   GridGeometry g;
-  g.interaction_radius =
-      rm.LargestDiameter() + param.interaction_radius_margin;
+  g.interaction_radius = rm.LargestDiameter();
 
   if (rm.size() == 0) {
     // Degenerate population: a single empty box (a zero interaction radius

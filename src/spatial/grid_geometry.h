@@ -28,8 +28,7 @@ class ResourceManager;
 struct Param;
 
 struct GridGeometry {
-  /// Largest agent diameter + param.interaction_radius_margin, the radius
-  /// the 27-box scheme must cover.
+  /// Largest agent diameter, the radius the 27-box scheme must cover.
   double interaction_radius = 0.0;
   double box_length = 1.0;
   /// 1 / box_length, precomputed so binning costs a multiply per axis.

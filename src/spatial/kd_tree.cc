@@ -5,9 +5,10 @@
 
 namespace biosim {
 
-void KdTreeEnvironment::Update(const ResourceManager& rm, const Param& param,
-                               ExecMode mode, OpProfile* /*profile*/) {
-  interaction_radius_ = rm.LargestDiameter() + param.interaction_radius_margin;
+void KdTreeEnvironment::Update(const ResourceManager& rm,
+                               const Param& /*param*/, ExecMode mode,
+                               OpProfile* /*profile*/) {
+  interaction_radius_ = rm.LargestDiameter();
 
   // Step 1: build. Serial regardless of `mode` — this is the structural
   // property of the baseline that the paper's uniform grid removes. (A

@@ -13,11 +13,11 @@ namespace biosim {
 
 class NullEnvironment : public Environment {
  public:
-  void Update(const ResourceManager& rm, const Param& param, ExecMode mode,
-              OpProfile* profile = nullptr) override {
+  void Update(const ResourceManager& rm, const Param& /*param*/,
+              ExecMode mode, OpProfile* profile = nullptr) override {
     (void)mode;
     (void)profile;
-    interaction_radius_ = rm.LargestDiameter() + param.interaction_radius_margin;
+    interaction_radius_ = rm.LargestDiameter();
   }
 
   void ForEachNeighborWithinRadius(AgentIndex, const ResourceManager&, double,

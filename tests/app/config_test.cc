@@ -123,6 +123,41 @@ TEST(ConfigTest, MalformedNumberFails) {
                std::runtime_error);  // integer key
 }
 
+TEST(ConfigTest, NonFiniteNumbersFailNamingTheKey) {
+  const std::pair<const char*, const char*> keys[] = {
+      {"simulation", "max_bound"},
+      {"simulation", "timestep"},
+      {"simulation", "max_displacement"},
+      {"model", "density"},
+      {"model", "diameter"},
+      {"model", "divide_threshold"},
+      {"model", "growth_rate"},
+      {"model", "substance_diffusion"},
+      {"model", "substance_decay"},
+      {"model", "secretion_rate"}};
+  for (const auto& [section, key] : keys) {
+    // 1e999 overflows to inf inside strtod.
+    for (const char* value : {"nan", "inf", "-inf", "NAN", "infinity",
+                              "1e999"}) {
+      const std::string text = std::string("[") + section + "]\n" + key +
+                               " = " + value + "\n";
+      try {
+        ParseConfigString(text);
+        ADD_FAILURE() << "accepted " << key << " = " << value;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string("line 2: ") + key),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  RunConfig cfg;
+  EXPECT_THROW(SetConfigValue(&cfg, "simulation", "timestep", "inf",
+                              "--timestep"),
+               std::invalid_argument);
+  EXPECT_THROW(ToDouble("nan", "--x"), std::invalid_argument);
+}
+
 TEST(ConfigTest, MissingEqualsFails) {
   EXPECT_THROW(ParseConfigString("[simulation]\nsteps 5\n"),
                std::runtime_error);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/simulation.h"
 
 namespace biosim {
@@ -45,8 +47,36 @@ TEST(ParamTest, RejectsNegativePhysicsCoefficients) {
   p = Param{};
   p.default_density = 0.0;
   EXPECT_THROW(p.Validate(), std::invalid_argument);
+}
+
+TEST(ParamTest, RejectsNaNInEveryFloatingField) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double Param::*field :
+       {&Param::min_bound, &Param::max_bound, &Param::simulation_time_step,
+        &Param::simulation_max_displacement, &Param::repulsion_coefficient,
+        &Param::attraction_coefficient, &Param::default_adherence,
+        &Param::default_density}) {
+    Param p;
+    p.*field = nan;
+    EXPECT_THROW(p.Validate(), std::invalid_argument);
+  }
+}
+
+TEST(ParamTest, RejectsNonFiniteBoundsAndTimestep) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Param p;
+  p.max_bound = inf;
+  EXPECT_THROW(p.Validate(), std::invalid_argument);
   p = Param{};
-  p.interaction_radius_margin = -1.0;
+  p.min_bound = -inf;
+  EXPECT_THROW(p.Validate(), std::invalid_argument);
+  p = Param{};
+  // Finite bounds whose span overflows a double.
+  p.min_bound = -1e308;
+  p.max_bound = 1e308;
+  EXPECT_THROW(p.Validate(), std::invalid_argument);
+  p = Param{};
+  p.simulation_time_step = inf;
   EXPECT_THROW(p.Validate(), std::invalid_argument);
 }
 

@@ -40,23 +40,6 @@ TEST(ThreadPoolTest, ParallelForChunksCoverRangeExactly) {
   }
 }
 
-TEST(ThreadPoolTest, ParallelReduceSum) {
-  for (ExecMode mode : {ExecMode::kSerial, ExecMode::kParallel}) {
-    int64_t sum = ParallelReduce<int64_t>(
-        mode, 1000, 0, [](size_t i) { return static_cast<int64_t>(i); },
-        [](int64_t a, int64_t b) { return a + b; });
-    EXPECT_EQ(sum, 999 * 1000 / 2);
-  }
-}
-
-TEST(ThreadPoolTest, ParallelReduceMax) {
-  std::vector<int> data{3, 1, 4, 1, 5, 9, 2, 6};
-  int m = ParallelReduce<int>(
-      ExecMode::kParallel, data.size(), 0, [&](size_t i) { return data[i]; },
-      [](int a, int b) { return a > b ? a : b; });
-  EXPECT_EQ(m, 9);
-}
-
 TEST(ThreadPoolTest, HardwareThreadsPositive) {
   EXPECT_GE(HardwareThreads(), 1u);
 }

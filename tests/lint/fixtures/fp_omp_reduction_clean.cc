@@ -1,5 +1,6 @@
-// Fixture: deterministic reductions — chunk-ordered partial merge (the
-// ParallelReduce idiom) and integer atomics, which carry no FP ordering.
+// Fixture: deterministic reductions — one partial per chunk, merged in
+// chunk order after the join (the idiom of Simulation::RunBehaviors and
+// ShardGrid::Build), and integer atomics, which carry no FP ordering.
 #include <atomic>
 #include <cstddef>
 #include <vector>

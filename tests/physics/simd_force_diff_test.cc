@@ -28,7 +28,6 @@
 #include "core/resource_manager.h"
 #include "core/simd.h"
 #include "core/thread_pool.h"
-#include "physics/force_law.h"
 #include "physics/mechanical_forces_op.h"
 #include "spatial/forwarding_environment.h"
 #include "spatial/kd_tree.h"
@@ -48,15 +47,14 @@ struct PathResult {
 enum class Path { kGeneric, kScalarWidth, kNative };
 
 PathResult RunPath(const ResourceManager& rm, const Param& param, Path path,
-                   ExecMode mode = ExecMode::kSerial,
-                   ForceLaw law = ForceLaw::kCortex3D) {
+                   ExecMode mode = ExecMode::kSerial) {
   setenv("BIOSIM_SIMD", path == Path::kScalarWidth ? "scalar" : "native", 1);
   std::unique_ptr<Environment> env = std::make_unique<UniformGridEnvironment>();
   if (path == Path::kGeneric) {
     env = std::make_unique<ForwardingEnvironment>(std::move(env));
   }
   env->Update(rm, param, mode);
-  MechanicalForcesOp op(law);
+  MechanicalForcesOp op;
   op.ComputeDisplacements(rm, *env, param, mode);
   return {op.displacements(), op.last_force_evaluations(),
           op.last_used_fast_path()};
@@ -127,14 +125,12 @@ class SimdForceDiffTest : public ::testing::Test {
   /// The core differential: the callback oracle, the W = 1 reference and
   /// the native width over one population, serial and parallel. Bitwise
   /// displacements and equal evaluation counts everywhere.
-  static void CheckAllPaths(const ResourceManager& rm, const Param& param,
-                            ForceLaw law = ForceLaw::kCortex3D) {
-    const PathResult generic =
-        RunPath(rm, param, Path::kGeneric, ExecMode::kSerial, law);
+  static void CheckAllPaths(const ResourceManager& rm, const Param& param) {
+    const PathResult generic = RunPath(rm, param, Path::kGeneric);
     EXPECT_FALSE(generic.used_fast_path);
     for (Path path : {Path::kScalarWidth, Path::kNative}) {
       for (ExecMode mode : {ExecMode::kSerial, ExecMode::kParallel}) {
-        const PathResult fused = RunPath(rm, param, path, mode, law);
+        const PathResult fused = RunPath(rm, param, path, mode);
         const std::string what =
             std::string(path == Path::kScalarWidth ? "W=1" : "native") +
             (mode == ExecMode::kSerial ? " serial" : " parallel");
@@ -278,17 +274,6 @@ TEST_F(SimdForceDiffTest, TractorForcesAreTheAccumulatorStart) {
   CheckAllPaths(rm, param);
   param.boundary_mode = BoundaryMode::kTorus;
   CheckAllPaths(rm, param);
-}
-
-TEST_F(SimdForceDiffTest, HertzLawAllPathsAgree) {
-  ResourceManager rm;
-  FillClusteredBall(&rm, 1000, 41);
-  Param param;
-  param.boundary_mode = BoundaryMode::kOpen;
-  CheckAllPaths(rm, param, ForceLaw::kHertz);
-  param.boundary_mode = BoundaryMode::kTorus;
-  param.max_bound = 60.0;
-  CheckAllPaths(rm, param, ForceLaw::kHertz);
 }
 
 TEST_F(SimdForceDiffTest, DegeneratePopulations) {

@@ -141,10 +141,9 @@ TEST(KdTreeTest, InteractionRadiusTracksLargestDiameter) {
   big.diameter = 22.0;
   rm.AddAgent(std::move(big));
   Param param;
-  param.interaction_radius_margin = 1.5;
   KdTreeEnvironment env;
   env.Update(rm, param, ExecMode::kSerial);
-  EXPECT_DOUBLE_EQ(env.interaction_radius(), 23.5);
+  EXPECT_DOUBLE_EQ(env.interaction_radius(), 22.0);
 }
 
 }  // namespace

@@ -109,11 +109,12 @@ const std::vector<LineRulePattern>& LinePatterns() {
         "in agent-index order); direct IncreaseConcentrationBy calls are "
         "only sanctioned at the deposit-merge sites");
     // fp-omp-reduction: reduction clauses and FP atomics combine in
-    // schedule order; ParallelReduce combines per-chunk partials in chunk
-    // order instead.
+    // schedule order; per-chunk partials merged in chunk order after the
+    // join (Simulation::RunBehaviors, ShardGrid::Build) do not.
     add(kFpOmpReduction, R"(^\s*#\s*pragma\s+omp\b.*\breduction\s*\()",
-        "OpenMP reduction clauses combine partials in schedule order; use "
-        "ParallelReduce (chunk-ordered) from core/thread_pool.h");
+        "OpenMP reduction clauses combine partials in schedule order; fix "
+        "the chunk boundaries up front, write one partial per chunk and "
+        "merge them in chunk order after the join");
     add(kFpOmpReduction, R"(^\s*#\s*pragma\s+omp\s+atomic\b)",
         "'#pragma omp atomic' accumulation is schedule-ordered; buffer "
         "per-chunk and merge in chunk order");
@@ -480,7 +481,7 @@ const std::vector<RuleInfo>& Rules() {
        "DiffusionGrid::IncreaseConcentrationBy directly"},
       {kFpOmpReduction,
        "no OpenMP reduction clauses / omp atomic / atomic<float|double>; "
-       "use chunk-ordered ParallelReduce"},
+       "write per-chunk partials and merge them in chunk order"},
       {kUncheckedIo,
        "every fwrite/fread result is checked (checkpoint truncation must "
        "fail loudly)"},
