@@ -7,8 +7,10 @@
 // record CI archives per commit: the metered-path throughput (threads/s of a
 // fully metered saxpy, the quantity the batched access-stream refactor
 // targets), the sampled-path throughput (threads/s of a mechanics-shaped
-// gather kernel at meter_stride 8, the regime every figure bench runs in)
-// and the wall time of a scaled-down Fig. 8 benchmark-A run. Set
+// gather kernel at meter_stride 8, the regime every figure bench runs in),
+// the unmetered-path throughput (the same gather at a stride that meters
+// only warp 0, so nearly every warp runs the unchecked lane) and the wall
+// time of a scaled-down Fig. 8 benchmark-A run. Set
 // BIOSIM_BENCH_BASELINE_METERED=<threads/s> to also record a baseline and
 // the speedup against it (used to pin the pre-refactor comparison).
 #include <benchmark/benchmark.h>
@@ -86,7 +88,7 @@ void BM_SimtFunctionalExecution(benchmark::State& state) {
   }
   for (auto _ : state) {
     dev.Launch({"saxpy", n / 256, 256}, [&](BlockCtx& blk) {
-      blk.for_each_lane([&](Lane& t) {
+      blk.for_each_lane([&](auto& t) {
         size_t i = t.gtid();
         t.st(out, i, t.ld(in, i) * 2.0f + 1.0f);
       });
@@ -104,7 +106,7 @@ void BM_SimtMeteredExecution(benchmark::State& state) {
   auto out = dev.Alloc<float>(n);
   for (auto _ : state) {
     dev.Launch({"saxpy", n / 256, 256}, [&](BlockCtx& blk) {
-      blk.for_each_lane([&](Lane& t) {
+      blk.for_each_lane([&](auto& t) {
         size_t i = t.gtid();
         float v = t.ld(in, i);
         t.flops32(2);
@@ -169,7 +171,7 @@ class GatherKernel {
 
   void Launch() {
     dev_->Launch({"gather", kAgents / 128, 128}, [&](BlockCtx& blk) {
-      blk.for_each_lane([&](Lane& t) {
+      blk.for_each_lane([&](auto& t) {
         const size_t i = t.gtid();
         const float xi = t.ld(x_, i);
         const float yi = t.ld(y_, i);
@@ -211,7 +213,7 @@ class GatherKernel {
 
 void BM_SimtSampledGather(benchmark::State& state) {
   Device dev(DeviceSpec::TeslaV100());
-  dev.SetMeterStride(8);
+  dev.SetMeterStride(static_cast<int>(state.range(0)));
   GatherKernel kernel(&dev);
   for (auto _ : state) {
     kernel.Launch();
@@ -220,7 +222,8 @@ void BM_SimtSampledGather(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(GatherKernel::kAgents));
 }
-BENCHMARK(BM_SimtSampledGather);
+// Stride 8 is the figure benches' default; 1 << 20 meters only warp 0.
+BENCHMARK(BM_SimtSampledGather)->Arg(8)->Arg(1 << 20);
 
 // --- BENCH_gpusim.json emission -------------------------------------------
 
@@ -257,7 +260,7 @@ double MeteredThreadsPerSec() {
   return BestThreadsPerSec(n, reps, [&](int k) {
     for (int r = 0; r < k; ++r) {
       dev.Launch({"saxpy", n / 256, 256}, [&](BlockCtx& blk) {
-        blk.for_each_lane([&](Lane& t) {
+        blk.for_each_lane([&](auto& t) {
           size_t i = t.gtid();
           float v = t.ld(in, i);
           t.flops32(2);
@@ -268,12 +271,13 @@ double MeteredThreadsPerSec() {
   });
 }
 
-/// Threads/second of the gather kernel at meter_stride 8 on a V100 — the
-/// default stride of every figure bench and the runner, where one warp in
-/// eight is metered and the rest take the lane fast path.
-double SampledThreadsPerSec() {
+/// Threads/second of the gather kernel on a V100 at `stride`. At 8 — the
+/// default stride of every figure bench and the runner — one warp in eight
+/// is metered and the rest run the unchecked lane; at 1 << 20 only warp 0
+/// of the launch's 1024 is metered, so this is the unchecked lane's rate.
+double GatherThreadsPerSec(int stride) {
   Device dev(DeviceSpec::TeslaV100());
-  dev.SetMeterStride(8);
+  dev.SetMeterStride(stride);
   GatherKernel kernel(&dev);
   return BestThreadsPerSec(GatherKernel::kAgents, 5, [&](int k) {
     for (int r = 0; r < k; ++r) {
@@ -304,7 +308,8 @@ double Fig8ProxyWallSeconds() {
 void WriteBenchJson(const std::string& path) {
   namespace json = biosim::obs::json;
   const double metered = MeteredThreadsPerSec();
-  const double sampled = SampledThreadsPerSec();
+  const double sampled = GatherThreadsPerSec(8);
+  const double unmetered = GatherThreadsPerSec(1 << 20);
   const double fig8_s = Fig8ProxyWallSeconds();
 
   // The historical BENCH_gpusim.json keys (bench, schema, metered_path,
@@ -331,6 +336,12 @@ void WriteBenchJson(const std::string& path) {
          "27-neighbor gather, 32^3 threads, V100, meter_stride 8");
   sp.Set("threads_per_sec", std::floor(sampled));
   doc.Set("sampled_path", std::move(sp));
+  json::Value up = json::Value::MakeObject();
+  up.Set("workload",
+         "27-neighbor gather, 32^3 threads, V100, meter_stride 2^20 (warp 0 "
+         "metered)");
+  up.Set("threads_per_sec", std::floor(unmetered));
+  doc.Set("unmetered_path", std::move(up));
   json::Value fp = json::Value::MakeObject();
   fp.Set("workload",
          "benchmark A 20^3 cells, 5 iterations, GPU v2, meter_stride 1");
@@ -342,9 +353,9 @@ void WriteBenchJson(const std::string& path) {
     std::exit(1);
   }
   std::printf(
-      "wrote %s: metered %.3g threads/s, sampled %.3g threads/s, fig8 proxy "
-      "%.3f s\n",
-      path.c_str(), metered, sampled, fig8_s);
+      "wrote %s: metered %.3g threads/s, sampled %.3g threads/s, unmetered "
+      "%.3g threads/s, fig8 proxy %.3f s\n",
+      path.c_str(), metered, sampled, unmetered, fig8_s);
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ namespace biosim::gpu {
 template <typename T>
 void RacyUgBuildKernelBody(gpusim::BlockCtx& blk, MechDeviceState<T>& s,
                            const GridParams<T>& g, size_t n) {
-  blk.for_each_lane([&](gpusim::Lane& t) {
+  blk.for_each_lane([&](auto& t) {
     size_t i = t.gtid();
     if (i >= n) {
       return;
@@ -46,12 +46,12 @@ void RacyUgBuildKernelBody(gpusim::BlockCtx& blk, MechDeviceState<T>& s,
 /// counters[0] with a plain load/store. racecheck: shared-memory race.
 inline void SharedRaceKernelBody(gpusim::BlockCtx& blk) {
   auto counters = blk.shared<int32_t>(2);
-  blk.for_each_lane([&](gpusim::Lane& t) {
+  blk.for_each_lane([&](auto& t) {
     if (t.lane() == 0) {
       t.shared_st(counters, 0, int32_t{0});
     }
   });
-  blk.for_each_lane([&](gpusim::Lane& t) {
+  blk.for_each_lane([&](auto& t) {
     // BUG: should be t.atomic_add_shared(counters, 0, 1).
     t.shared_st(counters, 0, t.shared_ld(counters, 0) + 1);
   });
@@ -64,7 +64,7 @@ template <typename T>
 void OobReadKernelBody(gpusim::BlockCtx& blk,
                        const gpusim::DeviceBuffer<T>& in,
                        gpusim::DeviceBuffer<T>& out, size_t n) {
-  blk.for_each_lane([&](gpusim::Lane& t) {
+  blk.for_each_lane([&](auto& t) {
     size_t i = t.gtid();
     if (i >= n) {
       return;
@@ -80,12 +80,12 @@ void OobReadKernelBody(gpusim::BlockCtx& blk,
 inline void UninitSharedReadKernelBody(gpusim::BlockCtx& blk,
                                        gpusim::DeviceBuffer<int32_t>& out) {
   auto scratch = blk.shared<int32_t>(64);
-  blk.for_each_lane([&](gpusim::Lane& t) {
+  blk.for_each_lane([&](auto& t) {
     if (t.lane() < 32) {
       t.shared_st(scratch, t.lane(), static_cast<int32_t>(t.lane()));
     }
   });
-  blk.for_each_lane([&](gpusim::Lane& t) {
+  blk.for_each_lane([&](auto& t) {
     if (t.lane() == 0) {
       int32_t sum = 0;
       for (size_t i = 0; i < scratch.size(); ++i) {
@@ -101,11 +101,11 @@ inline void UninitSharedReadKernelBody(gpusim::BlockCtx& blk,
 /// flow. synccheck: barrier divergence.
 inline void DivergentBarrierKernelBody(gpusim::BlockCtx& blk,
                                        gpusim::DeviceBuffer<int32_t>& out) {
-  blk.for_each_lane([&](gpusim::Lane& t) {
+  blk.for_each_lane([&](auto& t) {
     t.st(out, t.gtid(), static_cast<int32_t>(t.gtid()));
   });
   if (blk.block() % 2 == 0) {  // BUG: barrier under block-dependent control
-    blk.for_each_lane([&](gpusim::Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       t.st(out, t.gtid(), t.ld(out, t.gtid()) + 1);
     });
   }

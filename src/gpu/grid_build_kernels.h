@@ -21,8 +21,8 @@ namespace biosim::gpu {
 inline constexpr int32_t kEmptyBox = -1;
 
 /// Account floating-point work in the precision the kernel instantiates.
-template <typename T>
-inline void CountFlops(gpusim::Lane& t, uint64_t n) {
+template <typename T, bool kChecked>
+inline void CountFlops(gpusim::BasicLane<kChecked>& t, uint64_t n) {
   if constexpr (std::is_same_v<T, float>) {
     t.flops32(n);
   } else {
@@ -33,7 +33,7 @@ inline void CountFlops(gpusim::Lane& t, uint64_t n) {
 template <typename T>
 void UgResetKernelBody(gpusim::BlockCtx& blk, MechDeviceState<T>& s,
                        size_t total_boxes) {
-  blk.for_each_lane([&](gpusim::Lane& t) {
+  blk.for_each_lane([&](auto& t) {
     size_t b = t.gtid();
     if (b >= total_boxes) {
       return;
@@ -46,7 +46,7 @@ void UgResetKernelBody(gpusim::BlockCtx& blk, MechDeviceState<T>& s,
 template <typename T>
 void UgBuildKernelBody(gpusim::BlockCtx& blk, MechDeviceState<T>& s,
                        const GridParams<T>& g, size_t n) {
-  blk.for_each_lane([&](gpusim::Lane& t) {
+  blk.for_each_lane([&](auto& t) {
     size_t i = t.gtid();
     if (i >= n) {
       return;

@@ -41,9 +41,9 @@ struct MechKernelParams {
 /// Distance-gated Eq. (1) force accumulation for one candidate pair.
 /// Returns true if the candidate was within the interaction radius (a
 /// "force evaluation" in the CPU op's sense).
-template <typename T>
-inline bool AccumulatePairForce(gpusim::Lane& t, T xi, T yi, T zi, T ri,
-                                T xj, T yj, T zj, T rj, T r2,
+template <typename T, bool kChecked>
+inline bool AccumulatePairForce(gpusim::BasicLane<kChecked>& t, T xi, T yi,
+                                T zi, T ri, T xj, T yj, T zj, T rj, T r2,
                                 const MechKernelParams<T>& p, T* fx, T* fy,
                                 T* fz) {
   T dx = xi - xj;
@@ -70,9 +70,10 @@ inline bool AccumulatePairForce(gpusim::Lane& t, T xi, T yi, T zi, T ri,
 }
 
 /// Adherence gate + integration + clamp, then store the displacement.
-template <typename T>
-inline void StoreDisplacement(gpusim::Lane& t, MechDeviceState<T>& s, size_t i,
-                              T fx, T fy, T fz, T adherence,
+template <typename T, bool kChecked>
+inline void StoreDisplacement(gpusim::BasicLane<kChecked>& t,
+                              MechDeviceState<T>& s, size_t i, T fx, T fy,
+                              T fz, T adherence,
                               const MechKernelParams<T>& p) {
   T f2 = fx * fx + fy * fy + fz * fz;
   T ox{}, oy{}, oz{};
@@ -100,7 +101,7 @@ template <typename T>
 void MechKernelBody(gpusim::BlockCtx& blk, MechDeviceState<T>& s,
                     const GridParams<T>& g, size_t n,
                     const MechKernelParams<T>& p) {
-  blk.for_each_lane([&](gpusim::Lane& t) {
+  blk.for_each_lane([&](auto& t) {
     size_t i = t.gtid();
     if (i >= n) {
       return;
@@ -210,7 +211,7 @@ void MechSharedKernelBody(gpusim::BlockCtx& blk, MechDeviceState<T>& s,
   // real hardware — the atomic appends below read-modify-write the
   // counters, so they must be seeded explicitly, not by the simulator's
   // zero-fill.
-  blk.for_each_lane([&](gpusim::Lane& t) {
+  blk.for_each_lane([&](auto& t) {
     if (t.lane() == 0) {
       t.shared_st(counters, 0, int32_t{0});
       t.shared_st(counters, 1, int32_t{0});
@@ -222,7 +223,7 @@ void MechSharedKernelBody(gpusim::BlockCtx& blk, MechDeviceState<T>& s,
   // Each lane walks a subset of the 64 region boxes; every append is an
   // atomic increment of the shared counter — the parallel-build race the
   // paper resolves with atomics (Section IV-E).
-  blk.for_each_lane([&](gpusim::Lane& t) {
+  blk.for_each_lane([&](auto& t) {
     for (int32_t box = static_cast<int32_t>(t.lane());
          box < kRegion * kRegion * kRegion;
          box += static_cast<int32_t>(t.block_dim())) {
@@ -262,7 +263,7 @@ void MechSharedKernelBody(gpusim::BlockCtx& blk, MechDeviceState<T>& s,
   // Phase 2: each lane processes center agents in a strided loop, testing
   // them against the staged region. Falls back to the global 27-box walk if
   // the staging overflowed.
-  blk.for_each_lane([&](gpusim::Lane& t) {
+  blk.for_each_lane([&](auto& t) {
     int32_t region_count = t.shared_ld(counters, 0);
     int32_t center_count = t.shared_ld(counters, 1);
     bool overflow = static_cast<size_t>(region_count) > SharedRegionCap<T>() ||

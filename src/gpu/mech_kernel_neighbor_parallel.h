@@ -36,7 +36,7 @@ void MechNeighborParallelKernelBody(gpusim::BlockCtx& blk,
 
   // Phase 1: every lane accumulates the forces from one of the 27 boxes of
   // its warp's cell.
-  blk.for_each_lane([&](gpusim::Lane& t) {
+  blk.for_each_lane([&](auto& t) {
     size_t warp = t.lane() / 32;
     size_t lane_in_warp = t.lane() % 32;
     size_t i = blk.block() * warps_per_block + warp;
@@ -83,7 +83,7 @@ void MechNeighborParallelKernelBody(gpusim::BlockCtx& blk,
 
   // Phase 2: lane 0 of each warp reduces its warp's 27 partials, adds the
   // tractor force, and computes the displacement.
-  blk.for_each_lane([&](gpusim::Lane& t) {
+  blk.for_each_lane([&](auto& t) {
     if (t.lane() % 32 != 0) {
       return;
     }

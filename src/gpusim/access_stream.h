@@ -1,17 +1,17 @@
 // Batched per-warp access streams for the metered SIMT path.
 //
-// Lanes used to bucket every global access into per-instruction
-// vector-of-vectors rebuilt for every warp — one heap round-trip per memory
-// instruction plus a gather pass at flush. The batched design appends
-// {addr, bytes} records into one stream per lane and kind: a lane numbers
-// its accesses 0, 1, 2, ..., so its appends are sequential however long
-// its neighbor walk runs. WarpTracker::Flush reads the streams back as
-// (kind, seq) rows — the seq-th access of every lane that made one, in lane
-// order — reads by seq ascending, then writes, then atomics, which is
-// exactly the order the memory model consumed before and keeps the
-// counters *byte-identical* (see tests/gpusim/golden_counters_test.cc for
-// the pinned counters). All buffers retain their capacity across warps, so
-// the steady-state hot path never allocates.
+// A metered lane appends one 64-bit record per global access into one
+// stream per lane and kind (WarpTracker::Record decides what a record
+// holds: the cache line of a load or store, the address of an atomic). A
+// lane numbers its accesses 0, 1, 2, ..., so its appends are sequential
+// however long its neighbor walk runs. WarpTracker::Flush walks the
+// streams in place as (kind, seq) rows — the seq-th access of every lane
+// that made one, in lane order — reads by seq ascending, then writes, then
+// atomics, which is exactly the order the memory model has always consumed
+// and keeps the counters *byte-identical* (see
+// tests/gpusim/golden_counters_test.cc for the pinned counters). All
+// buffers retain their capacity across warps, so the steady-state hot path
+// never allocates.
 #ifndef BIOSIM_GPUSIM_ACCESS_STREAM_H_
 #define BIOSIM_GPUSIM_ACCESS_STREAM_H_
 
@@ -34,6 +34,8 @@ class WarpAccessStream {
  public:
   static constexpr size_t kWarpSize = 32;
   static constexpr size_t kKinds = 3;
+  /// The record of an access the sanitizer suppressed; rows skip it.
+  static constexpr uint64_t kHole = ~uint64_t{0};
 
   /// Forget the warp's records.
   void Clear() {
@@ -42,97 +44,66 @@ class WarpAccessStream {
     }
   }
 
-  /// Record lane `lane`'s access number `seq` of a kind. A lane numbers its
-  /// accesses 0, 1, 2, ... and so writes its records in sequence, one
-  /// stream per lane; a number it skipped (an access the sanitizer
-  /// suppressed) becomes a hole that Gather passes over.
-  void Append(StreamKind kind, size_t lane, uint32_t seq, uint64_t addr,
-              uint32_t bytes) {
+  /// Store lane `lane`'s access number `seq` of a kind. A lane numbers
+  /// its accesses 0, 1, 2, ... and writes a record (or a hole) for each, so
+  /// its writes are sequential in its own stream.
+  void Put(StreamKind kind, size_t lane, size_t seq, uint64_t rec) {
     const size_t k = static_cast<size_t>(kind);
-    if (seq >= stride_[k] || seq != ends_[k][lane]) [[unlikely]] {
-      AppendSlow(k, lane, seq, addr, bytes);
-      return;
+    if (seq >= stride_[k]) [[unlikely]] {
+      Grow(k, seq);
     }
-    const size_t slot = lane * stride_[k] + seq;
-    addrs_[k][slot] = addr;
-    bytes_[k][slot] = bytes;
-    ends_[k][lane] = seq + 1;
+    recs_[k][lane * stride_[k] + seq] = rec;
   }
 
-  /// Rows in use for a kind (max recorded seq + 1).
+  /// Close lane `lane`'s stream of `kind` after `n` records.
+  void SetEnd(size_t kind, size_t lane, size_t n) {
+    ends_[kind][lane] = static_cast<uint32_t>(n);
+  }
+
+  /// Rows in use for a kind (the longest lane stream).
   size_t rows(size_t kind) const {
     return *std::max_element(std::begin(ends_[kind]), std::end(ends_[kind]));
   }
 
-  /// Copy row (kind, seq) — the records of every lane that made access
-  /// `seq`, in lane order — into `addrs`/`bytes` (32 slots each); returns
-  /// the record count.
-  size_t Gather(size_t kind, size_t seq, uint64_t* addrs,
-                uint32_t* bytes) const {
-    size_t n = 0;
+  /// Call `f(rec)` for row (kind, seq) — the record of every lane that made
+  /// access `seq`, in lane order — read in place from the lane streams.
+  template <typename F>
+  void ForEachInRow(size_t kind, size_t seq, F&& f) const {
+    const uint64_t* recs = recs_[kind].data() + seq;
+    const size_t stride = stride_[kind];
     for (size_t lane = 0; lane < kWarpSize; ++lane) {
-      if (seq >= ends_[kind][lane]) {
-        continue;
+      if (seq < ends_[kind][lane]) {
+        const uint64_t rec = recs[lane * stride];
+        if (rec != kHole) {
+          f(rec);
+        }
       }
-      const size_t slot = lane * stride_[kind] + seq;
-      const uint32_t b = bytes_[kind][slot];
-      if (b == 0) {
-        continue;  // hole: the sanitizer suppressed this access
-      }
-      addrs[n] = addrs_[kind][slot];
-      bytes[n] = b;
-      ++n;
     }
-    return n;
   }
 
  private:
-  /// Append through a full stream or after a hole: grow, then mark the
-  /// skipped seqs as holes. Out of line so Append's fast path needs no
-  /// saved registers.
-  [[gnu::noinline]] void AppendSlow(size_t kind, size_t lane, uint32_t seq,
-                                    uint64_t addr, uint32_t bytes) {
-    if (seq >= stride_[kind]) {
-      Grow(kind, seq);
-    }
-    const size_t base = lane * stride_[kind];
-    const uint32_t end = ends_[kind][lane];
-    assert(seq >= end && "one record per lane and seq");
-    std::fill_n(bytes_[kind].begin() + static_cast<ptrdiff_t>(base + end),
-                seq - end, uint32_t{0});
-    addrs_[kind][base + seq] = addr;
-    bytes_[kind][base + seq] = bytes;
-    ends_[kind][lane] = seq + 1;
-  }
-
   /// Widen every lane's stream of `kind` to hold record `seq`, keeping the
-  /// records already written. Capacity is retained across warps. The
-  /// stride is an odd number of 64-byte lines of addresses, so the 32
-  /// lanes' records of one seq — the row Gather reads — fall into
-  /// different host cache sets instead of piling into one.
-  void Grow(size_t kind, uint32_t seq) {
+  /// records already written. Out of line so Put's fast path needs no
+  /// saved registers; capacity is retained across warps. The stride is an
+  /// odd number of 64-byte lines of records, so the 32 lanes' records of
+  /// one seq — one row — fall into different host cache sets instead of
+  /// piling into one.
+  [[gnu::noinline]] void Grow(size_t kind, size_t seq) {
     const size_t old_stride = stride_[kind];
-    const size_t want =
-        std::max<size_t>({2 * old_stride, size_t{seq} + 1, size_t{64}});
+    const size_t want = std::max<size_t>({2 * old_stride, seq + 1, 64});
     const size_t stride = (want + 15) / 16 * 16 + 8;
-    std::vector<uint64_t> addrs(kWarpSize * stride);
-    std::vector<uint32_t> bytes(kWarpSize * stride);
+    std::vector<uint64_t> recs(kWarpSize * stride);
     for (size_t lane = 0; lane < kWarpSize; ++lane) {
-      const size_t n = ends_[kind][lane];
-      std::copy_n(addrs_[kind].begin() + lane * old_stride, n,
-                  addrs.begin() + lane * stride);
-      std::copy_n(bytes_[kind].begin() + lane * old_stride, n,
-                  bytes.begin() + lane * stride);
+      std::copy_n(recs_[kind].begin() + lane * old_stride, old_stride,
+                  recs.begin() + lane * stride);
     }
-    addrs_[kind] = std::move(addrs);
-    bytes_[kind] = std::move(bytes);
+    recs_[kind] = std::move(recs);
     stride_[kind] = stride;
   }
 
-  std::vector<uint64_t> addrs_[kKinds];  // [lane][seq], lane-major
-  std::vector<uint32_t> bytes_[kKinds];  // 0 marks a hole
-  size_t stride_[kKinds] = {};           // seq capacity of each lane
-  uint32_t ends_[kKinds][kWarpSize] = {};  // per lane: last seq + 1
+  std::vector<uint64_t> recs_[kKinds];     // [lane][seq], lane-major
+  size_t stride_[kKinds] = {};             // seq capacity of each lane
+  uint32_t ends_[kKinds][kWarpSize] = {};  // per lane: records written
 };
 
 /// Deferred metering output of one launch chunk after the first (a
@@ -150,10 +121,6 @@ struct MeterBuffer {
   /// Counter-only shard: integer counters accumulated by this block range
   /// (timing fields stay zero; the launch fills them after the merge).
   KernelStats stats;
-  /// Per-shard coalescer scratch. The MemoryModel's own scratch vector is
-  /// shared state — concurrent chunks must each coalesce into their own
-  /// buffer (MemoryModel::CoalesceInto).
-  std::vector<uint64_t> coalesce_scratch;
 };
 
 }  // namespace biosim::gpusim

@@ -6,85 +6,80 @@
 
 namespace biosim::gpusim {
 
-void WarpTracker::Record(StreamKind kind, size_t seq, uint64_t addr,
-                         uint32_t bytes, size_t warp_lane) {
-  stream_.Append(kind, warp_lane, static_cast<uint32_t>(seq), addr, bytes);
-  lane_ops_[warp_lane] += 1;
-  lane_mem_ops_[warp_lane] += 1;
+uint64_t WarpTracker::AddWide(uint64_t addr, uint32_t bytes) {
+  wide_.push_back({addr, bytes});
+  return kWide | (wide_.size() - 1);
 }
 
-void WarpTracker::RecordSharedAtomic(size_t seq, uint64_t addr,
-                                     uint32_t bytes, size_t warp_lane) {
-  stream_.Append(StreamKind::kAtomic, warp_lane, static_cast<uint32_t>(seq),
-                 addr, bytes);
-  lane_ops_[warp_lane] += 1;
-}
-
-void WarpTracker::ConsumeGroup(MemoryModel* mem, KernelStats* stats,
-                               MeterBuffer* defer, bool write,
-                               const uint64_t* addrs, const uint32_t* bytes,
-                               size_t n) {
+void WarpTracker::ConsumeLines(MemoryModel* mem, KernelStats* stats,
+                               MeterBuffer* defer, bool write) {
+  (write ? stats->write_transactions : stats->read_transactions) +=
+      lines_.size();
   if (defer == nullptr) {
-    const std::vector<uint64_t>& lines =
-        mem->Coalesce(addrs, bytes, n, write, stats);
-    mem->ProbeLines(lines.data(), lines.size(), write, stats);
-  } else {
-    // Deferred (block-parallel) path: chunks run concurrently against one
-    // MemoryModel, so coalesce into the shard's own scratch — the member
-    // scratch inside Coalesce() is shared state.
-    mem->CoalesceInto(&defer->coalesce_scratch, addrs, bytes, n, write,
-                      stats);
-    for (uint64_t line : defer->coalesce_scratch) {
-      defer->line_entries.push_back((line << 1) |
-                                    static_cast<uint64_t>(write));
-    }
+    mem->ProbeLines(lines_.data(), lines_.size(), write, stats);
+    return;
+  }
+  // Deferred (block-parallel) path: the caches are shared and stateful, so
+  // the lines wait for the in-block-order replay after the join.
+  for (uint64_t line : lines_) {
+    defer->line_entries.push_back((line << 1) | static_cast<uint64_t>(write));
   }
 }
 
 void WarpTracker::Flush(MemoryModel* mem, KernelStats* stats,
                         MeterBuffer* defer) {
-  if (!metered_) {
-    return;
+  // Walk the (kind, seq) rows in the legacy consumption order — read seqs
+  // ascending, then write seqs; lane order within a row — coalescing each
+  // row straight from the lane streams.
+  for (StreamKind kind : {StreamKind::kRead, StreamKind::kWrite}) {
+    const size_t k = static_cast<size_t>(kind);
+    const size_t rows = stream_.rows(k);
+    for (size_t seq = 0; seq < rows; ++seq) {
+      MemoryModel::CoalesceLines(&lines_, [&](auto&& emit) {
+        stream_.ForEachInRow(k, seq, [&](uint64_t rec) {
+          EmitRecordLines(kind, rec, emit);
+        });
+      });
+      ConsumeLines(mem, stats, defer, kind == StreamKind::kWrite);
+    }
   }
 
-  // The stream is pre-grouped: walk the (kind, seq) rows in the legacy
-  // consumption order — read seqs ascending, then write seqs, then atomic
-  // seqs; lane order within a row — feeding each row to the coalescer in
-  // place.
-  for (size_t kind = 0; kind < WarpAccessStream::kKinds; ++kind) {
-    const bool atomic = kind == static_cast<size_t>(StreamKind::kAtomic);
-    const bool write = kind != static_cast<size_t>(StreamKind::kRead);
-    const size_t rows = stream_.rows(kind);
-    for (size_t seq = 0; seq < rows; ++seq) {
-      uint64_t addrs[WarpAccessStream::kWarpSize];
-      uint32_t bytes[WarpAccessStream::kWarpSize];
-      const size_t n = stream_.Gather(kind, seq, addrs, bytes);
-      if (n == 0) {
-        continue;
+  // Then atomic seqs. Atomics charge their traffic like writes.
+  const size_t k = static_cast<size_t>(StreamKind::kAtomic);
+  const size_t rows = stream_.rows(k);
+  for (size_t seq = 0; seq < rows; ++seq) {
+    uint64_t recs[WarpAccessStream::kWarpSize];
+    size_t n = 0;
+    stream_.ForEachInRow(k, seq, [&](uint64_t rec) { recs[n++] = rec; });
+    MemoryModel::CoalesceLines(&lines_, [&](auto&& emit) {
+      for (size_t i = 0; i < n; ++i) {
+        EmitRecordLines(StreamKind::kAtomic, recs[i], emit);
       }
-      // Atomics charge their traffic like writes.
-      ConsumeGroup(mem, stats, defer, write, addrs, bytes, n);
-      if (!atomic) {
-        continue;
+    });
+    ConsumeLines(mem, stats, defer, /*write=*/true);
+    // Atomic serialization: k lanes updating the same address serialize
+    // into k steps, k-1 of which are stalls. The row has been coalesced, so
+    // its records may become addresses and be sorted in place.
+    for (size_t i = 0; i < n; ++i) {
+      if (recs[i] & kWide) [[unlikely]] {
+        recs[i] = wide_[recs[i] & ~kWide].addr;
       }
-      // Atomic serialization: k lanes updating the same address serialize
-      // into k steps, k-1 of which are stalls. The row has been consumed,
-      // so the in-place sort is safe.
-      stats->atomic_ops += n;
-      std::sort(addrs, addrs + n);
-      size_t i = 0;
-      while (i < n) {
-        size_t j = i;
-        while (j < n && addrs[j] == addrs[i]) {
-          ++j;
-        }
-        stats->atomic_serialized += (j - i) - 1;
-        i = j;
+    }
+    stats->atomic_ops += n;
+    std::sort(recs, recs + n);
+    size_t i = 0;
+    while (i < n) {
+      size_t j = i;
+      while (j < n && recs[j] == recs[i]) {
+        ++j;
       }
+      stats->atomic_serialized += (j - i) - 1;
+      i = j;
     }
   }
 
   stream_.Clear();
+  wide_.clear();
 
   // Divergence: a warp issues in lockstep, so the warp occupies
   // 32 * max(lane ops) issue slots while only sum(lane ops) do useful work.
@@ -165,7 +160,8 @@ KernelStats Device::Launch(const LaunchConfig& cfg,
   // Chunk 0 follows block 0 and probes L1/L2 directly; every later chunk
   // buffers its line transactions (the only order-dependent metering) and
   // keeps its counters in a private shard.
-  std::vector<WarpTracker> trackers(n_chunks);
+  std::vector<WarpTracker> trackers(n_chunks,
+                                    WarpTracker(mem_.line_shift()));
   std::vector<MeterBuffer> shards(n_chunks);  // shards[0] stays unused
   std::vector<size_t> first_bad(n_chunks, cfg.grid_dim);
   if (cfg.grid_dim > 0) {

@@ -1,12 +1,13 @@
 // SIMT execution simulator: functional GPU kernels with hardware counters.
 //
 // This is the repository's CUDA/OpenCL substitute (see DESIGN.md §1). Device
-// code is written as C++ lambdas against the Lane API below and *actually
-// executes* — outputs are real and tested against the CPU reference. While
-// executing, every global access flows through a per-warp coalescer and a
-// simulated L2 (memory_model.h), FLOPs and divergence are counted per warp,
-// and the analytic model (timing.h) converts the counters into kernel time
-// for the configured DeviceSpec.
+// code is written as generic C++ lambdas against the lane API below
+// (BasicLane) and *actually executes* — outputs are real and tested against
+// the CPU reference. While executing, every global access of a metered warp
+// flows through a per-warp coalescer and a simulated L1/L2
+// (memory_model.h), FLOPs and divergence are counted per warp, and the
+// analytic model (timing.h) converts the counters into kernel time for the
+// configured DeviceSpec.
 //
 // Execution model: blocks run in block order, or, for launches flagged
 // block_parallel_safe, in contiguous chunks on the host thread pool whose
@@ -18,21 +19,23 @@
 // semantics use the standard loop-fission translation: one for_each_lane()
 // region is the code between two __syncthreads().
 //
-// Every lane of every warp runs on the host, metered or not, so the lane
-// path is built to be cheap: for_each_lane is flattened (the body and its
-// Lane are inlined into the lane loop), and Lane::ld/st inline only a
-// sanitizer null test, a test of the Lane's own metered flag, the sequence
-// bump and the access. The sanitizer hooks (Lane::SanCheck) and the metered
-// record (WarpTracker::Record) are out of line and take their inputs by
-// value, so an unmetered warp — seven in eight at meter stride 8 — pays for
-// neither. See docs/gpusim.md, "Lane fast path".
+// Every lane of every warp runs on the host, metered or not, so only the
+// warps that are metered pay for metering. for_each_lane runs a warp that
+// is metered, or any warp of a sanitized launch, through the checked lane
+// (BasicLane<true>), whose accesses test the sanitizer and the metered
+// flag and record inline into the warp's access stream; every other warp —
+// seven in eight at meter stride 8 — runs through the unchecked lane
+// (BasicLane<false>), whose loads, stores and atomics are the bare access.
+// Each kernel body is one source instantiated for both; for_each_lane is
+// flattened, so both bodies are inlined into their lane loops. See
+// docs/gpusim.md, "Lane fast path".
 //
 //   dev.Launch({"my_kernel", blocks, 256}, [&](BlockCtx& blk) {
 //     auto cache = blk.shared<float>(256);                 // __shared__
-//     blk.for_each_lane([&](Lane& t) {                     // phase 1
-//       cache.st(t, t.lane(), t.ld(input, t.gtid()));
+//     blk.for_each_lane([&](auto& t) {                     // phase 1
+//       t.shared_st(cache, t.lane(), t.ld(input, t.gtid()));
 //     });                                                  // __syncthreads()
-//     blk.for_each_lane([&](Lane& t) {                     // phase 2
+//     blk.for_each_lane([&](auto& t) {                     // phase 2
 //       ...
 //     });
 //   });
@@ -59,7 +62,12 @@ namespace biosim::gpusim {
 
 class Device;
 class BlockCtx;
-class Lane;
+template <bool kChecked>
+class BasicLane;
+
+/// Base of the per-block shared-memory address space, disjoint from global
+/// addresses (SharedArray::addr).
+inline constexpr uint64_t kSharedBase = 1ull << 62;
 
 /// Typed device allocation. Storage lives host-side (this is a simulator)
 /// but is addressed through a device-global address space so the cache
@@ -74,7 +82,7 @@ class DeviceBuffer {
   uint64_t addr(size_t i) const { return base_ + i * sizeof(T); }
 
   /// Direct host access — the simulator equivalent of unified memory; tests
-  /// use it, kernels must go through Lane::ld/st so traffic is metered.
+  /// use it, kernels must go through the lane's ld/st so traffic is metered.
   /// Mutable access conservatively marks the buffer initialized for the
   /// sanitizer's never-written-read check (it cannot see host writes).
   T* data() {
@@ -94,7 +102,8 @@ class DeviceBuffer {
 
  private:
   friend class Device;
-  friend class Lane;
+  template <bool>
+  friend class BasicLane;
   std::vector<T> storage_;
   uint64_t base_ = 0;
   /// Element initialization shadow; only allocated while the device has a
@@ -103,30 +112,50 @@ class DeviceBuffer {
 };
 
 /// Tracks one warp's accounting while its lanes execute. Global accesses
-/// append to per-lane streams (access_stream.h); Flush walks the (kind,
-/// seq) rows in the exact legacy order (reads by seq, then writes, then
-/// atomics; lane order within a group) and feeds each row to the
-/// coalescer. One tracker serves every warp of a launch chunk and every
-/// buffer retains its capacity, so the hot path stops allocating once the
-/// longest lane of the chunk has run.
+/// append one record each to per-lane streams (access_stream.h); Flush
+/// walks the (kind, seq) rows in place in the exact legacy order (reads by
+/// seq, then writes, then atomics; lane order within a row) and feeds each
+/// row to the coalescer. One tracker serves every warp of a launch chunk
+/// and every buffer retains its capacity, so the hot path stops allocating
+/// once the longest lane of the chunk has run.
 class WarpTracker {
  public:
-  /// Start a warp. Flush leaves the tracker empty, so this only latches
-  /// the sampling decision.
-  void Reset(bool metered) { metered_ = metered; }
+  /// `line_shift` is log2 of the device's cache line (MemoryModel).
+  explicit WarpTracker(int line_shift) : line_shift_(line_shift) {}
 
-  /// Metered records (device.cc, deliberately out of line so Lane's
-  /// load/store fast path stays small enough to inline). Record appends a
-  /// global access to the stream and charges the lane one op and one link
-  /// of its dependent-memory-op chain; a shared-memory atomic stays on
-  /// chip, so RecordSharedAtomic charges the op but not the chain link.
-  void Record(StreamKind kind, size_t seq, uint64_t addr, uint32_t bytes,
-              size_t warp_lane);
-  void RecordSharedAtomic(size_t seq, uint64_t addr, uint32_t bytes,
-                          size_t warp_lane);
-  void AddLaneOps(size_t warp_lane, uint64_t n) { lane_ops_[warp_lane] += n; }
+  /// Record access number `seq` of `kind` made by lane `warp_lane` of a
+  /// metered warp. Inlined into the checked lane: a load or store records
+  /// its cache line, an atomic its address (serialization compares
+  /// addresses). An access that crosses a line — never a naturally aligned
+  /// one — records kWide and the index of its (addr, bytes) in wide_.
+  [[gnu::always_inline]] void Record(StreamKind kind, size_t warp_lane,
+                                     size_t seq, uint64_t addr,
+                                     uint32_t bytes) {
+    const uint64_t line = addr >> line_shift_;
+    uint64_t rec = kind == StreamKind::kAtomic ? addr : line;
+    if (((addr + bytes - 1) >> line_shift_) != line) [[unlikely]] {
+      rec = AddWide(addr, bytes);
+    }
+    stream_.Put(kind, warp_lane, seq, rec);
+  }
+  /// A metered access the sanitizer suppressed: a hole in its row.
+  void Hole(StreamKind kind, size_t warp_lane, size_t seq) {
+    stream_.Put(kind, warp_lane, seq, WarpAccessStream::kHole);
+  }
+  /// Close lane `warp_lane` of a metered warp: it made `seqs[k]` accesses
+  /// of kind k, `ops` ops in all and `mem_ops` global memory ops (its
+  /// dependent-memory-op chain).
+  void EndLane(size_t warp_lane,
+               const size_t (&seqs)[WarpAccessStream::kKinds], uint64_t ops,
+               uint64_t mem_ops) {
+    for (size_t k = 0; k < WarpAccessStream::kKinds; ++k) {
+      stream_.SetEnd(k, warp_lane, seqs[k]);
+    }
+    lane_ops_[warp_lane] = ops;
+    lane_mem_ops_[warp_lane] = mem_ops;
+  }
 
-  /// Consume this warp's access stream: coalesce every instruction group
+  /// Consume a metered warp's access stream: coalesce every instruction row
   /// and either probe the caches immediately (defer == nullptr, the
   /// launch's first chunk) or buffer the line transactions into `defer` for
   /// an in-block-order replay (every later chunk). Divergence and atomic
@@ -136,13 +165,30 @@ class WarpTracker {
              MeterBuffer* defer = nullptr);
 
  private:
-  /// Feed one coalesced instruction group to the caches or the buffer.
-  void ConsumeGroup(MemoryModel* mem, KernelStats* stats, MeterBuffer* defer,
-                    bool write, const uint64_t* addrs, const uint32_t* bytes,
-                    size_t n);
+  /// Tag of a record that indexes wide_ instead of holding a line or an
+  /// address (no device address reaches bit 63).
+  static constexpr uint64_t kWide = uint64_t{1} << 63;
 
-  bool metered_ = false;
+  /// Keep a line-crossing access in wide_; returns its record.
+  [[gnu::noinline]] uint64_t AddWide(uint64_t addr, uint32_t bytes);
+  /// `emit(line)` for each line of a record of `kind`.
+  template <typename Emit>
+  void EmitRecordLines(StreamKind kind, uint64_t rec, Emit&& emit) const {
+    if (rec & kWide) [[unlikely]] {
+      const LaneAccess& a = wide_[rec & ~kWide];
+      MemoryModel::EmitLines(a.addr, a.bytes, line_shift_, emit);
+    } else {
+      emit(kind == StreamKind::kAtomic ? rec >> line_shift_ : rec);
+    }
+  }
+  /// Count the row just coalesced into lines_ and probe or buffer it.
+  void ConsumeLines(MemoryModel* mem, KernelStats* stats, MeterBuffer* defer,
+                    bool write);
+
+  int line_shift_;
   WarpAccessStream stream_;
+  std::vector<LaneAccess> wide_;  // this warp's line-crossing accesses
+  std::vector<uint64_t> lines_;   // one row's coalesced lines (scratch)
   uint64_t lane_ops_[32] = {};
   uint64_t lane_mem_ops_[32] = {};
 };
@@ -161,7 +207,8 @@ class SharedArray {
   T* raw() { return data_; }
 
  private:
-  friend class Lane;
+  template <bool>
+  friend class BasicLane;
   T* data_ = nullptr;
   size_t n_ = 0;
   uint64_t base_ = 0;
@@ -169,7 +216,21 @@ class SharedArray {
 };
 
 /// The view device code gets of one thread (CUDA thread / OpenCL work-item).
-class Lane {
+/// A kernel body is generic over it (`[&](auto& t)`), so each body has one
+/// source and two instantiations:
+///
+/// * `BasicLane<true>`, the checked lane, runs every warp that is metered
+///   and every warp of a sanitized launch: each access tests the sanitizer
+///   and the warp's metered flag, numbers itself for coalescing, and a
+///   metered access is recorded inline (WarpTracker::Record).
+/// * `BasicLane<false>`, the unchecked lane, runs every other warp — seven
+///   in eight at meter stride 8. Its loads, stores and atomics are the bare
+///   access and its work annotations compile to nothing.
+///
+/// BlockCtx::for_each_lane picks the lane per warp; results are identical
+/// either way, only the checked lane feeds the counters and the sanitizer.
+template <bool kChecked>
+class BasicLane {
  public:
   size_t lane() const { return lane_; }            // threadIdx.x
   size_t block() const { return block_; }          // blockIdx.x
@@ -182,56 +243,48 @@ class Lane {
   /// Account `n` floating-point operations (double precision).
   void flops64(uint64_t n) { Ops(n, &fp64_); }
 
-  /// Metered global load. The fast path below is always inlined into the
-  /// kernel: one sanitizer test, one test of the Lane-local metered flag,
-  /// the sequence bump and the load. The sanitizer hooks and the metered
-  /// record live out of line, so an unmetered warp pays for neither.
+  /// Metered global load. Always inlined into the kernel body. The checked
+  /// lane adds one sanitizer test, one test of the warp's metered flag, the
+  /// inline record of a metered access and the sequence bump; only the
+  /// sanitizer hooks live out of line.
   template <typename T>
   [[gnu::always_inline]] T ld(const DeviceBuffer<T>& b, size_t i) {
-    if (san_ != nullptr) [[unlikely]] {
-      if (!SanCheck(san_, b, MemSpace::kGlobal, AccessKind::kRead, i, block_,
-                    lane_, phase_)) {
-        ++read_seq_;  // keep coalescing sequence aligned across lanes
-        return T{};
+    if constexpr (kChecked) {
+      if (san_ != nullptr) [[unlikely]] {
+        if (!SanCheck(san_, b, MemSpace::kGlobal, AccessKind::kRead, i,
+                      block_, lane_, phase_)) {
+          Suppressed(StreamKind::kRead);
+          return T{};
+        }
       }
+      MeterGlobal(StreamKind::kRead, b.addr(i), sizeof(T));
     }
     assert(i < b.size());
-    if (metered_) {
-      wt_->Record(StreamKind::kRead, read_seq_, b.addr(i), sizeof(T),
-                  lane_ & 31);
-    }
-    ++read_seq_;
     return b.storage_.data()[i];
   }
 
-  /// Metered global store (same fast-path shape as ld).
+  /// Metered global store (same shape as ld).
   template <typename T>
   [[gnu::always_inline]] void st(DeviceBuffer<T>& b, size_t i, T v) {
-    if (san_ != nullptr) [[unlikely]] {
-      if (!SanCheck(san_, b, MemSpace::kGlobal, AccessKind::kWrite, i, block_,
-                    lane_, phase_)) {
-        ++write_seq_;
-        return;  // suppress the wild store so execution can continue
+    if constexpr (kChecked) {
+      if (san_ != nullptr) [[unlikely]] {
+        if (!SanCheck(san_, b, MemSpace::kGlobal, AccessKind::kWrite, i,
+                      block_, lane_, phase_)) {
+          Suppressed(StreamKind::kWrite);
+          return;  // suppress the wild store so execution can continue
+        }
       }
+      MeterGlobal(StreamKind::kWrite, b.addr(i), sizeof(T));
     }
     assert(i < b.size());
-    if (metered_) {
-      wt_->Record(StreamKind::kWrite, write_seq_, b.addr(i), sizeof(T),
-                  lane_ & 31);
-    }
-    ++write_seq_;
     b.storage_.data()[i] = v;
   }
 
   /// Global atomic add; returns the old value.
   template <typename T>
   T atomic_add(DeviceBuffer<T>& b, size_t i, T v) {
-    if (san_ != nullptr) [[unlikely]] {
-      if (!SanCheck(san_, b, MemSpace::kGlobal, AccessKind::kAtomic, i,
-                    block_, lane_, phase_)) {
-        ++atomic_seq_;
-        return T{};
-      }
+    if (!CheckAtomic(b, MemSpace::kGlobal, i)) {
+      return T{};
     }
     T old = b.storage_.data()[i];
     b.storage_.data()[i] = old + v;
@@ -243,12 +296,8 @@ class Lane {
   /// kernel's linked-list push is exactly this, Section IV-A.)
   template <typename T>
   T atomic_exch(DeviceBuffer<T>& b, size_t i, T v) {
-    if (san_ != nullptr) [[unlikely]] {
-      if (!SanCheck(san_, b, MemSpace::kGlobal, AccessKind::kAtomic, i,
-                    block_, lane_, phase_)) {
-        ++atomic_seq_;
-        return T{};
-      }
+    if (!CheckAtomic(b, MemSpace::kGlobal, i)) {
+      return T{};
     }
     T old = b.storage_.data()[i];
     b.storage_.data()[i] = v;
@@ -260,26 +309,30 @@ class Lane {
   /// DRAM involvement).
   template <typename T>
   T shared_ld(const SharedArray<T>& s, size_t i) {
-    if (san_ != nullptr) [[unlikely]] {
-      if (!SanCheck(san_, s, MemSpace::kShared, AccessKind::kRead, i, block_,
-                    lane_, phase_)) {
-        return T{};
+    if constexpr (kChecked) {
+      if (san_ != nullptr) [[unlikely]] {
+        if (!SanCheck(san_, s, MemSpace::kShared, AccessKind::kRead, i,
+                      block_, lane_, phase_)) {
+          return T{};
+        }
       }
+      SharedTraffic(sizeof(T));
     }
     assert(i < s.size());
-    SharedTraffic(sizeof(T));
     return s.data_[i];
   }
   template <typename T>
   void shared_st(SharedArray<T>& s, size_t i, T v) {
-    if (san_ != nullptr) [[unlikely]] {
-      if (!SanCheck(san_, s, MemSpace::kShared, AccessKind::kWrite, i, block_,
-                    lane_, phase_)) {
-        return;
+    if constexpr (kChecked) {
+      if (san_ != nullptr) [[unlikely]] {
+        if (!SanCheck(san_, s, MemSpace::kShared, AccessKind::kWrite, i,
+                      block_, lane_, phase_)) {
+          return;
+        }
       }
+      SharedTraffic(sizeof(T));
     }
     assert(i < s.size());
-    SharedTraffic(sizeof(T));
     s.data_[i] = v;
   }
 
@@ -287,11 +340,8 @@ class Lane {
   /// the old value; warp-internal address conflicts serialize.
   template <typename T>
   T atomic_add_shared(SharedArray<T>& s, size_t i, T v) {
-    if (san_ != nullptr) [[unlikely]] {
-      if (!SanCheck(san_, s, MemSpace::kShared, AccessKind::kAtomic, i,
-                    block_, lane_, phase_)) {
-        return T{};
-      }
+    if (!CheckAtomic(s, MemSpace::kShared, i)) {
+      return T{};
     }
     T old = s.data_[i];
     s.data_[i] = old + v;
@@ -302,9 +352,10 @@ class Lane {
 
  private:
   friend class BlockCtx;
-  Lane(size_t lane, size_t block, size_t block_dim, size_t grid_dim,
-       WarpTracker* wt, KernelStats* raw, Sanitizer* san, size_t phase,
-       bool metered)
+  /// The unchecked lane is built from its geometry alone.
+  BasicLane(size_t lane, size_t block, size_t block_dim, size_t grid_dim,
+            WarpTracker* wt = nullptr, KernelStats* raw = nullptr,
+            Sanitizer* san = nullptr, size_t phase = 0, bool metered = false)
       : lane_(lane),
         block_(block),
         block_dim_(block_dim),
@@ -321,8 +372,8 @@ class Lane {
   /// the never-written shadow (an atomic's RMW reads the old value — shared
   /// memory is garbage on real hardware even though the simulator zero-
   /// fills it), writes and atomics mark it, and the race detector records
-  /// the access. Cold and out of line, and static so the caller's Lane
-  /// never has its address taken: with no sanitizer attached the Lane lives
+  /// the access. Cold and out of line, and static so the caller's lane
+  /// never has its address taken: with no sanitizer attached the lane lives
   /// in registers.
   template <template <typename> class Buf, typename T>
   [[gnu::cold, gnu::noinline]] static bool SanCheck(Sanitizer* san,
@@ -348,51 +399,123 @@ class Lane {
     return true;
   }
 
-  void Ops(uint64_t n, uint64_t* counter) {
+  /// Sanitizer gate of an atomic; false suppresses it. A suppressed global
+  /// atomic leaves a hole in its row, as a load does; a suppressed shared
+  /// atomic has always left the sequence as it was.
+  template <template <typename> class Buf, typename T>
+  bool CheckAtomic(const Buf<T>& b, MemSpace space, size_t i) {
+    if constexpr (kChecked) {
+      if (san_ != nullptr) [[unlikely]] {
+        if (!SanCheck(san_, b, space, AccessKind::kAtomic, i, block_, lane_,
+                      phase_)) {
+          if (space == MemSpace::kGlobal) {
+            Suppressed(StreamKind::kAtomic);
+          }
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
+  /// The seq counter of `kind`.
+  size_t& Seq(StreamKind kind) {
+    return kind == StreamKind::kRead    ? read_seq_
+           : kind == StreamKind::kWrite ? write_seq_
+                                        : atomic_seq_;
+  }
+
+  /// A metered global access: record it and charge the lane one op and one
+  /// link of its dependent-memory-op chain. The sequence advances either
+  /// way, so the lanes' i-th accesses stay one instruction.
+  [[gnu::always_inline]] void MeterGlobal(StreamKind kind, uint64_t addr,
+                                          uint32_t bytes) {
+    size_t& seq = Seq(kind);
     if (metered_) {
-      *counter += n;
-      wt_->AddLaneOps(lane_ & 31, n);
+      wt_->Record(kind, lane_ & 31, seq, addr, bytes);
+      requested_[kind != StreamKind::kRead] += bytes;
+      ++ops_;
+      ++mem_ops_;
+    }
+    ++seq;
+  }
+
+  /// An access the sanitizer suppressed: a hole in its instruction, and
+  /// the sequence still advances to keep the lanes aligned.
+  [[gnu::cold]] void Suppressed(StreamKind kind) {
+    size_t& seq = Seq(kind);
+    if (metered_) {
+      wt_->Hole(kind, lane_ & 31, seq);
+    }
+    ++seq;
+  }
+
+  void Ops(uint64_t n, uint64_t* counter) {
+    if constexpr (kChecked) {
+      if (metered_) {
+        *counter += n;
+        ops_ += n;
+      }
     }
   }
 
   void RecordAtomicSite(uint64_t addr, uint32_t bytes,
                         bool counts_as_mem_op) {
-    if (metered_) {
-      // Global atomics round-trip to L2/DRAM, so they extend the per-lane
-      // dependent-memory-op chain; shared atomics stay on-chip.
+    if constexpr (kChecked) {
       if (counts_as_mem_op) {
-        wt_->Record(StreamKind::kAtomic, atomic_seq_, addr, bytes,
-                    lane_ & 31);
-      } else {
-        wt_->RecordSharedAtomic(atomic_seq_, addr, bytes, lane_ & 31);
+        // Global atomics round-trip to L2/DRAM, so they extend the per-lane
+        // dependent-memory-op chain.
+        MeterGlobal(StreamKind::kAtomic, addr, bytes);
+        return;
       }
+      // Shared atomics stay on-chip: an op, but no chain link.
+      if (metered_) {
+        wt_->Record(StreamKind::kAtomic, lane_ & 31, atomic_seq_, addr, bytes);
+        requested_[1] += bytes;
+        ++ops_;
+      }
+      ++atomic_seq_;
     }
-    ++atomic_seq_;
   }
 
   void SharedTraffic(uint32_t bytes) {
     if (metered_) {
-      raw_->shared_bytes += bytes;
-      wt_->AddLaneOps(lane_ & 31, 1);
+      shared_bytes_ += bytes;
+      ++ops_;
     }
   }
 
+  /// End of a checked lane: hand a metered lane's counters to the warp.
+  void Commit() {
+    if (!metered_) {
+      return;
+    }
+    raw_->fp32_flops += fp32_;
+    raw_->fp64_flops += fp64_;
+    raw_->requested_read_bytes += requested_[0];
+    raw_->requested_write_bytes += requested_[1];
+    raw_->shared_bytes += shared_bytes_;
+    wt_->EndLane(lane_ & 31, {read_seq_, write_seq_, atomic_seq_}, ops_,
+                 mem_ops_);
+  }
+
   size_t lane_, block_, block_dim_, grid_dim_;
+  // The rest is the checked lane's; the unchecked lane never reads it.
   WarpTracker* wt_;
   KernelStats* raw_;
-  Sanitizer* san_ = nullptr;  // non-owning; null unless EnableSanitizer
-  size_t phase_ = 0;          // barrier interval this lane is executing in
-  bool metered_;              // this lane's warp is sampled (WarpTracker)
+  Sanitizer* san_;  // non-owning; null unless EnableSanitizer
+  size_t phase_;    // barrier interval this lane is executing in
+  bool metered_;    // this lane's warp is sampled (WarpTracker)
   size_t read_seq_ = 0;
   size_t write_seq_ = 0;
   size_t atomic_seq_ = 0;
+  // A metered lane's counters, kept in the lane until Commit.
   uint64_t fp32_ = 0;
   uint64_t fp64_ = 0;
-
-  void CommitFlops() {
-    raw_->fp32_flops += fp32_;
-    raw_->fp64_flops += fp64_;
-  }
+  uint64_t requested_[2] = {};  // bytes: reads; writes and atomics
+  uint64_t shared_bytes_ = 0;
+  uint64_t ops_ = 0;
+  uint64_t mem_ops_ = 0;
 };
 
 /// The view device code gets of one thread block (CUDA block / OpenCL
@@ -430,11 +553,14 @@ class BlockCtx {
     return s;
   }
 
-  /// Run `body(Lane&)` for every thread of the block; the end of the call is
-  /// a block-wide barrier (__syncthreads()). Flattened so the body is
-  /// inlined into the lane loop: a kernel body is too large for GCC to
-  /// inline on its own, and a body called out of line would take the Lane
-  /// by reference and keep it in memory.
+  /// Run `body(t)` for every thread of the block; the end of the call is a
+  /// block-wide barrier (__syncthreads()). A warp runs through the checked
+  /// lane when it is metered or a sanitizer is attached, and through the
+  /// unchecked lane otherwise (BasicLane), so `body` must be generic over
+  /// the lane. Flattened so the body is inlined into the lane loops: a
+  /// kernel body is too large for GCC to inline on its own, and a body
+  /// called out of line would take the lane by reference and keep it in
+  /// memory.
   template <typename F>
   [[gnu::flatten]] void for_each_lane(F&& body) {
     if (san_ != nullptr) {
@@ -444,20 +570,27 @@ class BlockCtx {
     for (size_t w0 = 0; w0 < block_dim_; w0 += 32) {
       size_t lanes = std::min<size_t>(32, block_dim_ - w0);
       bool metered = (warp_counter_++ % static_cast<size_t>(stride_)) == 0;
-      wt_->Reset(metered);
-      for (size_t l = 0; l < lanes; ++l) {
-        Lane t(w0 + l, block_, block_dim_, grid_dim_, wt_, raw_, san_,
-               phase, metered);
-        body(t);
-        t.CommitFlops();
+      if (!metered && san_ == nullptr) {
+        for (size_t l = 0; l < lanes; ++l) {
+          BasicLane<false> t(w0 + l, block_, block_dim_, grid_dim_);
+          body(t);
+        }
+        continue;
       }
-      wt_->Flush(mem_, raw_, defer_);
+      for (size_t l = 0; l < lanes; ++l) {
+        BasicLane<true> t(w0 + l, block_, block_dim_, grid_dim_, wt_, raw_,
+                          san_, phase, metered);
+        body(t);
+        t.Commit();
+      }
+      if (metered) {
+        wt_->Flush(mem_, raw_, defer_);
+      }
     }
   }
 
  private:
   friend class Device;
-  static constexpr uint64_t kSharedBase = 1ull << 62;  // disjoint from global
 
   BlockCtx(size_t block, size_t block_dim, size_t grid_dim,
            const DeviceSpec* spec, MemoryModel* mem, KernelStats* raw,

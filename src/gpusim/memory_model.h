@@ -1,13 +1,13 @@
 // Global-memory traffic model: per-warp coalescing in front of a simulated
 // L2 in front of DRAM byte counters.
 //
-// The SIMT engine hands this model the addresses each warp accesses per
-// memory instruction. Addresses are merged into cache-line transactions
-// (the coalescer), each transaction probes the L2, and misses count as DRAM
-// traffic. This chain is what makes the paper's improvements measurable:
-// FP32 halves the requested bytes, Z-order sorting makes warp-neighbor
-// addresses share lines (fewer transactions) and repeat lines across warps
-// (more L2 hits).
+// The SIMT engine hands this model the cache lines each warp touches per
+// memory instruction. They are merged into unique line transactions (the
+// coalescer), each transaction probes the L1 and then the L2, and misses
+// count as DRAM traffic. This chain is what makes the paper's improvements
+// measurable: FP32 halves the requested bytes, Z-order sorting makes
+// warp-neighbor addresses share lines (fewer transactions) and repeat lines
+// across warps (more L2 hits).
 #ifndef BIOSIM_GPUSIM_MEMORY_MODEL_H_
 #define BIOSIM_GPUSIM_MEMORY_MODEL_H_
 
@@ -38,51 +38,89 @@ class MemoryModel {
 
   /// Process one warp-wide memory instruction: coalesce the lane accesses
   /// into line transactions and run them through the L2. Counters land in
-  /// `stats` (unscaled; the engine scales for sampling at the end).
+  /// `stats` (unscaled; the engine scales for sampling at the end). The
+  /// SIMT engine records its accesses as line ids and calls CoalesceLines
+  /// and ProbeLines itself (WarpTracker::Flush); this entry point serves
+  /// callers that hold (addr, bytes) pairs.
   void AccessWarp(const std::vector<LaneAccess>& accesses, bool write,
                   KernelStats* stats) {
     AccessWarp(accesses.data(), accesses.size(), write, stats);
   }
   void AccessWarp(const LaneAccess* accesses, size_t n, bool write,
                   KernelStats* stats) {
-    const std::vector<uint64_t>& lines = Coalesce(accesses, n, write, stats);
-    ProbeLines(lines.data(), lines.size(), write, stats);
+    uint64_t requested = 0;
+    CoalesceLines(&lines_, [&](auto&& emit) {
+      for (size_t i = 0; i < n; ++i) {
+        requested += accesses[i].bytes;
+        EmitLines(accesses[i].addr, accesses[i].bytes, line_shift_, emit);
+      }
+    });
+    if (write) {
+      stats->requested_write_bytes += requested;
+      stats->write_transactions += lines_.size();
+    } else {
+      stats->requested_read_bytes += requested;
+      stats->read_transactions += lines_.size();
+    }
+    ProbeLines(lines_.data(), lines_.size(), write, stats);
   }
 
-  /// Coalescer half of AccessWarp: merge the lane accesses of one warp
-  /// instruction into unique line transactions, accounting the requested
-  /// bytes and transaction count. Returns the line indices (a reference to
-  /// internal scratch — valid until the next Coalesce call). The caller
-  /// either probes them immediately (ProbeLines) or buffers them for an
-  /// in-order replay (a launch's later chunks, Device::Launch).
-  const std::vector<uint64_t>& Coalesce(const LaneAccess* accesses, size_t n,
-                                        bool write, KernelStats* stats) {
-    CoalesceImpl(
-        &lines_, n, [accesses](size_t i) { return accesses[i].addr; },
-        [accesses](size_t i) { return accesses[i].bytes; }, write, stats);
-    return lines_;
+  /// The coalescer: merge the lines of one warp instruction into its unique
+  /// line transactions, in ascending order, in `*out`. `for_each_line(emit)`
+  /// calls `emit(line)` for every line each lane access touches, in lane
+  /// order. Pure apart from `*out`, so concurrent launch chunks may run it
+  /// at once, each into its own scratch.
+  template <typename ForEachLine>
+  static void CoalesceLines(std::vector<uint64_t>* out,
+                            ForEachLine&& for_each_line) {
+    std::vector<uint64_t>& lines = *out;
+    lines.clear();
+    bool sorted = true;  // false once a scattered row starts appending
+    uint64_t prev = ~uint64_t{0};
+    for_each_line([&](uint64_t line) {
+      if (line == prev) {
+        return;  // neighboring lanes share a line: already counted
+      }
+      prev = line;
+      if (sorted && lines.size() < kInsertLines) {
+        // Few lines so far: lanes revisit them in no predictable order,
+        // so the membership test is branch-free and only a new line
+        // branches (into an ordered insert).
+        bool seen = false;
+        for (uint64_t l : lines) {
+          seen |= l == line;
+        }
+        if (!seen) {
+          InsertLine(&lines, line);
+        }
+      } else {
+        // A scattered row (an unsorted gather touches a line per lane):
+        // append (the skip above drops adjacent repeats) and sort once at
+        // the end.
+        sorted = false;
+        lines.push_back(line);
+      }
+    });
+    if (!sorted) {
+      std::sort(lines.begin(), lines.end());
+      lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+    }
   }
-  /// Same, over the access stream's SoA planes (access_stream.h).
-  const std::vector<uint64_t>& Coalesce(const uint64_t* addrs,
-                                        const uint32_t* bytes, size_t n,
-                                        bool write, KernelStats* stats) {
-    CoalesceImpl(
-        &lines_, n, [addrs](size_t i) { return addrs[i]; },
-        [bytes](size_t i) { return bytes[i]; }, write, stats);
-    return lines_;
+
+  /// `emit(line)` for each line of the `bytes`-wide access at `addr`, given
+  /// log2 of the line size. Lines are a power of two wide; the shift keeps
+  /// the line math free of hardware divisions.
+  template <typename Emit>
+  static void EmitLines(uint64_t addr, uint32_t bytes, int line_shift,
+                        Emit&& emit) {
+    const uint64_t last = (addr + bytes - 1) >> line_shift;
+    for (uint64_t line = addr >> line_shift; line <= last; ++line) {
+      emit(line);
+    }
   }
-  /// Coalesce into caller-owned scratch. The coalescer is pure apart from
-  /// its output vector, so threads sharing one MemoryModel may run it
-  /// concurrently as long as each brings its own scratch — a launch's later
-  /// chunks do (MeterBuffer::coalesce_scratch). The member scratch stays
-  /// reserved for the first chunk, which probes the caches directly.
-  void CoalesceInto(std::vector<uint64_t>* out, const uint64_t* addrs,
-                    const uint32_t* bytes, size_t n, bool write,
-                    KernelStats* stats) const {
-    CoalesceImpl(
-        out, n, [addrs](size_t i) { return addrs[i]; },
-        [bytes](size_t i) { return bytes[i]; }, write, stats);
-  }
+
+  /// log2 of the line size: a line id is `addr >> line_shift()`.
+  int line_shift() const { return line_shift_; }
 
   /// Cache half of AccessWarp: run line transactions through L1 then L2,
   /// attributing each line's bytes to its service level. Order-dependent
@@ -116,54 +154,6 @@ class MemoryModel {
   }
 
  private:
-  template <typename AddrAt, typename BytesAt>
-  void CoalesceImpl(std::vector<uint64_t>* out, size_t n, AddrAt addr_at,
-                    BytesAt bytes_at, bool write, KernelStats* stats) const {
-    std::vector<uint64_t>& lines = *out;
-    uint64_t requested = 0;
-    lines.clear();
-    bool sorted = true;  // false once a scattered row starts appending
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t addr = addr_at(i);
-      const uint32_t bytes = bytes_at(i);
-      requested += bytes;
-      // Lines are a power of two wide; the shift keeps this per-access
-      // hot loop free of hardware divisions.
-      uint64_t first = addr >> line_shift_;
-      uint64_t last = (addr + bytes - 1) >> line_shift_;
-      for (uint64_t line = first; line <= last; ++line) {
-        if (sorted && lines.size() < kInsertLines) {
-          // Few lines so far: lanes revisit them in no predictable order,
-          // so the membership test is branch-free and only a new line
-          // branches (into an ordered insert).
-          bool seen = false;
-          for (uint64_t l : lines) {
-            seen |= l == line;
-          }
-          if (!seen) {
-            InsertLine(&lines, line);
-          }
-        } else if (line != lines.back()) {
-          // A scattered row (an unsorted gather touches a line per lane):
-          // append, dropping adjacent repeats, and sort once at the end.
-          sorted = false;
-          lines.push_back(line);
-        }
-      }
-    }
-    if (!sorted) {
-      std::sort(lines.begin(), lines.end());
-      lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-    }
-    if (write) {
-      stats->requested_write_bytes += requested;
-      stats->write_transactions += lines.size();
-    } else {
-      stats->requested_read_bytes += requested;
-      stats->read_transactions += lines.size();
-    }
-  }
-
   /// Lines a row may reach before the coalescer stops inserting in order
   /// and appends the rest for one sort. A mechanics gather on sorted agents
   /// touches about five lines per row and never gets there.

@@ -56,13 +56,28 @@ class CommandQueue {
   Device dev_;
 };
 
-/// OpenCL work-item vocabulary over the Lane API, so kernel bodies written
+/// OpenCL work-item vocabulary over the lane API, so kernel bodies written
 /// for the CUDA front-end read naturally under OpenCL review too:
-/// get_global_id(t) == blockIdx.x * blockDim.x + threadIdx.x.
-inline size_t get_global_id(const Lane& t) { return t.gtid(); }
-inline size_t get_local_id(const Lane& t) { return t.lane(); }
-inline size_t get_group_id(const Lane& t) { return t.block(); }
-inline size_t get_local_size(const Lane& t) { return t.block_dim(); }
+/// get_global_id(t) == blockIdx.x * blockDim.x + threadIdx.x. Templates
+/// over the lane, like the kernel bodies that call them: a body runs
+/// through the checked lane on metered (or sanitized) warps and the
+/// unchecked lane on every other warp (BasicLane).
+template <bool kChecked>
+size_t get_global_id(const BasicLane<kChecked>& t) {
+  return t.gtid();
+}
+template <bool kChecked>
+size_t get_local_id(const BasicLane<kChecked>& t) {
+  return t.lane();
+}
+template <bool kChecked>
+size_t get_group_id(const BasicLane<kChecked>& t) {
+  return t.block();
+}
+template <bool kChecked>
+size_t get_local_size(const BasicLane<kChecked>& t) {
+  return t.block_dim();
+}
 
 }  // namespace biosim::gpusim::opencl
 

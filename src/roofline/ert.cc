@@ -27,7 +27,7 @@ double RunStream(gpusim::Device& dev, size_t n, int flops_per_elem) {
   dev.Launch(
       {"ert_stream", (n + 255) / 256, 256, /*block_parallel_safe=*/true},
       [&](gpusim::BlockCtx& blk) {
-        blk.for_each_lane([&](gpusim::Lane& t) {
+        blk.for_each_lane([&](auto& t) {
           size_t i = t.gtid();
           if (i >= n) {
             return;

@@ -69,13 +69,29 @@ TEST(GpuOptionsTest, ResultsIndependentOfBlockSize) {
 }
 
 TEST(GpuOptionsTest, ResultsIndependentOfMeterStride) {
-  // Sampling only affects counters, never functional results.
-  auto exact = RunAndCollect(GpuMechanicsOptions::Version(2));
-  GpuMechanicsOptions sampled_opts = GpuMechanicsOptions::Version(2);
-  sampled_opts.meter_stride = 16;
-  auto sampled = RunAndCollect(sampled_opts);
-  for (const auto& [uid, disp] : exact) {
-    ASSERT_EQ(sampled.at(uid), disp);
+  // Sampling only affects counters, never functional results. An
+  // unmetered warp runs the kernel through the unchecked lane, so this
+  // holds that lane to the checked one on every kernel of every version,
+  // ug_build's atomics included: stride 1 meters every warp, 8 one in
+  // eight, and 1 << 20 only warp 0 of each launch.
+  for (int v = 0; v <= 4; ++v) {
+    for (GpuBackendKind backend :
+         {GpuBackendKind::kCudaLike, GpuBackendKind::kOpenClLike}) {
+      GpuMechanicsOptions exact_opts = GpuMechanicsOptions::Version(v);
+      exact_opts.backend = backend;
+      auto exact = RunAndCollect(exact_opts);
+      for (int stride : {8, 1 << 20}) {
+        GpuMechanicsOptions sampled_opts = exact_opts;
+        sampled_opts.meter_stride = stride;
+        auto sampled = RunAndCollect(sampled_opts);
+        ASSERT_EQ(sampled.size(), exact.size());
+        for (const auto& [uid, disp] : exact) {
+          ASSERT_EQ(sampled.at(uid), disp)
+              << "v" << v << " backend " << static_cast<int>(backend)
+              << " stride " << stride;
+        }
+      }
+    }
   }
 }
 

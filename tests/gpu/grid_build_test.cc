@@ -18,7 +18,6 @@ namespace biosim::gpu {
 namespace {
 
 using gpusim::BlockCtx;
-using gpusim::Lane;
 
 class GridBuildTest : public ::testing::Test {
  protected:

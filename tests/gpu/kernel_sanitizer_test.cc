@@ -16,7 +16,6 @@ namespace {
 
 using gpusim::BlockCtx;
 using gpusim::HazardKind;
-using gpusim::Lane;
 
 /// One mechanics step of the given paper version with the sanitizer
 /// attached; returns the accumulated report.

@@ -17,7 +17,7 @@ TEST(FrontendTest, CudaVocabularyRoundTrip) {
   rt.MemcpyHostToDevice(buf, std::span<const float>(host));
   rt.LaunchKernel("square", cuda::Runtime::BlocksFor(n, 128), 128,
                   [&](BlockCtx& blk) {
-                    blk.for_each_lane([&](Lane& t) {
+                    blk.for_each_lane([&](auto& t) {
                       if (t.gtid() < n) {
                         float v = t.ld(buf, t.gtid());
                         t.st(buf, t.gtid(), v * v);
@@ -38,7 +38,7 @@ TEST(FrontendTest, OpenClVocabularyRoundTrip) {
   std::vector<float> host(n, 2.0f);
   q.EnqueueWriteBuffer(buf, std::span<const float>(host));
   q.EnqueueNDRangeKernel("triple", n, 64, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       size_t gid = opencl::get_global_id(t);
       if (gid < n) {
         t.st(buf, gid, t.ld(buf, gid) * 3.0f);
@@ -56,7 +56,7 @@ TEST(FrontendTest, OpenClWorkItemFunctions) {
   opencl::CommandQueue q(DeviceSpec::TeslaV100());
   auto ids = q.CreateBuffer<int32_t>(128);
   q.EnqueueNDRangeKernel("ids", 128, 64, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       EXPECT_EQ(opencl::get_local_size(t), 64u);
       EXPECT_EQ(opencl::get_global_id(t),
                 opencl::get_group_id(t) * 64 + opencl::get_local_id(t));
@@ -75,7 +75,7 @@ TEST(FrontendTest, OpenClRoundsGlobalSizeUp) {
   buf[0] = 0;
   // 100 items at local size 64 -> 2 groups (128 slots), guarded to 100.
   auto stats = q.EnqueueNDRangeKernel("tail", 100, 64, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       if (t.gtid() < 100) {
         (void)t.atomic_add(buf, 0, int32_t{1});
       }
@@ -88,7 +88,7 @@ TEST(FrontendTest, OpenClRoundsGlobalSizeUp) {
 TEST(FrontendTest, BothFrontEndsProduceIdenticalCountersAndTiming) {
   auto kernel = [](auto& buf, size_t n) {
     return [&buf, n](BlockCtx& blk) {
-      blk.for_each_lane([&](Lane& t) {
+      blk.for_each_lane([&](auto& t) {
         size_t i = t.gtid();
         if (i >= n) {
           return;
@@ -131,14 +131,14 @@ TEST(FrontendTest, ProfileReportAggregatesLaunches) {
   auto buf = rt.Malloc<float>(1024);
   for (int rep = 0; rep < 3; ++rep) {
     rt.LaunchKernel("repeated", 8, 128, [&](BlockCtx& blk) {
-      blk.for_each_lane([&](Lane& t) {
+      blk.for_each_lane([&](auto& t) {
         t.flops32(2);
         t.st(buf, t.gtid(), 1.0f);
       });
     });
   }
   rt.LaunchKernel("other", 1, 32, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) { t.st(buf, t.lane(), 0.0f); });
+    blk.for_each_lane([&](auto& t) { t.st(buf, t.lane(), 0.0f); });
   });
 
   ProfileReport report(rt.device());
@@ -163,7 +163,7 @@ TEST(FrontendTest, ProfileReportSumsLatencyOfLatencyBoundLaunches) {
   auto buf = rt.Malloc<int32_t>(n);
   auto chase = [&](size_t depth) {
     return rt.LaunchKernel("chase", 1, 32, [&](BlockCtx& blk) {
-      blk.for_each_lane([&](Lane& t) {
+      blk.for_each_lane([&](auto& t) {
         size_t j = t.lane();
         for (size_t k = 0; k < depth; ++k) {
           j = static_cast<size_t>(t.ld(buf, j)) % n;
@@ -194,7 +194,7 @@ TEST(FrontendTest, MeterSamplingApproximatesExactCounters) {
     auto buf = rt.Malloc<float>(n);
     return rt.LaunchKernel("k", cuda::Runtime::BlocksFor(n, 128), 128,
                            [&](BlockCtx& blk) {
-                             blk.for_each_lane([&](Lane& t) {
+                             blk.for_each_lane([&](auto& t) {
                                size_t i = t.gtid();
                                if (i >= n) {
                                  return;

@@ -394,11 +394,11 @@ TEST(GoldenCountersTest, NonUniformPhaseCountBreaksBlockParallelContract) {
     auto buf = dev.Alloc<float>(8 * 64);
     dev.Launch({"uneven", 8, 64, /*block_parallel_safe=*/true},
                [&](gpusim::BlockCtx& blk) {
-                 blk.for_each_lane([&](gpusim::Lane& t) {
+                 blk.for_each_lane([&](auto& t) {
                    t.st(buf, t.gtid(), 1.0f);
                  });
                  if (!uniform && blk.block() == 5) {
-                   blk.for_each_lane([&](gpusim::Lane& t) {
+                   blk.for_each_lane([&](auto& t) {
                      t.st(buf, t.gtid(), 2.0f);
                    });
                  }

@@ -59,7 +59,7 @@ TEST(LatencyModelTest, EngineTracksDeepestLaneChain) {
   const size_t n = 256;
   auto buf = dev.Alloc<float>(n);
   auto stats = dev.Launch({"chains", 1, 64}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       // Lane 5 walks a 50-load chain; everyone else loads once.
       size_t loads = t.lane() == 5 ? 50 : 1;
       float acc = 0.0f;
@@ -77,7 +77,7 @@ TEST(LatencyModelTest, SharedAccessesDoNotCountAsLatencyOps) {
   Device dev(DeviceSpec::GTX1080Ti());
   auto stats = dev.Launch({"sharedonly", 1, 32}, [&](BlockCtx& blk) {
     auto sm = blk.shared<float>(32);
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       for (int k = 0; k < 100; ++k) {
         t.shared_st(sm, t.lane(), t.shared_ld(sm, t.lane()) + 1.0f);
       }

@@ -57,7 +57,7 @@ KernelStats RunWorkload(const Workload& w, int stride) {
 
   size_t blocks = (w.n_threads + w.block_dim - 1) / w.block_dim;
   dev.Launch({"random_gather", blocks, w.block_dim}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       size_t i = t.gtid();
       if (i >= w.n_threads) {
         return;

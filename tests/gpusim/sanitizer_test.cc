@@ -23,7 +23,7 @@ TEST(SanitizerRacecheckTest, SharedMemoryRaceDetectedWithAttribution) {
   Sanitizer* san = dev.EnableSanitizer();
   KernelStats st = dev.Launch({"shared_race", 1, 64}, [&](BlockCtx& blk) {
     auto counter = blk.shared<int32_t>(1);
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       t.shared_st(counter, 0, static_cast<int32_t>(t.lane()));
     });
   });
@@ -49,7 +49,7 @@ TEST(SanitizerRacecheckTest, ReadWriteSharedConflictIsARace) {
   Sanitizer* san = dev.EnableSanitizer();
   dev.Launch({"rw_race", 1, 64}, [&](BlockCtx& blk) {
     auto cell = blk.shared<int32_t>(1);
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       if (t.lane() == 0) {
         t.shared_st(cell, 0, 7);
       } else if (t.lane() == 1) {
@@ -65,7 +65,7 @@ TEST(SanitizerRacecheckTest, CrossBlockGlobalWriteConflictDetected) {
   Sanitizer* san = dev.EnableSanitizer();
   auto buf = dev.Alloc<int32_t>(4);
   dev.Launch({"global_race", 2, 32}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       if (t.lane() == 0) {
         t.st(buf, 0, static_cast<int32_t>(t.block()));
       }
@@ -82,13 +82,13 @@ TEST(SanitizerRacecheckTest, BarrierOrderedAccessesDoNotRace) {
   Sanitizer* san = dev.EnableSanitizer();
   dev.Launch({"ordered", 1, 64}, [&](BlockCtx& blk) {
     auto cell = blk.shared<int32_t>(1);
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       if (t.lane() == 0) {
         t.shared_st(cell, 0, 1);
       }
     });
     // __syncthreads(): every lane may now read lane 0's value.
-    blk.for_each_lane([&](Lane& t) { (void)t.shared_ld(cell, 0); });
+    blk.for_each_lane([&](auto& t) { (void)t.shared_ld(cell, 0); });
   });
   EXPECT_TRUE(san->report().clean()) << san->report().ToString();
 }
@@ -100,15 +100,15 @@ TEST(SanitizerRacecheckTest, AtomicContentionIsNotARace) {
   sum[0] = 0;  // host-initialized
   dev.Launch({"atomic_sum", 2, 64}, [&](BlockCtx& blk) {
     auto local = blk.shared<int32_t>(1);
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       if (t.lane() == 0) {
         t.shared_st(local, 0, 0);
       }
     });
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       t.atomic_add_shared(local, 0, int32_t{1});
     });
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       if (t.lane() == 0) {
         t.atomic_add(sum, 0, t.shared_ld(local, 0));
       }
@@ -123,10 +123,10 @@ TEST(SanitizerRacecheckTest, DistinctPerLaneAddressesAreClean) {
   Sanitizer* san = dev.EnableSanitizer();
   auto buf = dev.Alloc<float>(256);
   dev.Launch({"disjoint", 2, 128}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       t.st(buf, t.gtid(), static_cast<float>(t.gtid()));
     });
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       t.st(buf, t.gtid(), t.ld(buf, t.gtid()) * 2.0f);
     });
   });
@@ -144,7 +144,7 @@ TEST(SanitizerMemcheckTest, OutOfBoundsReadDetectedAndSuppressed) {
     buf[i] = 1.0f;
   }
   dev.Launch({"oob_read", 1, 64}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       // Off-by-one: lane 63 reads buf[64].
       (void)t.ld(buf, t.gtid() + 1);
     });
@@ -159,12 +159,44 @@ TEST(SanitizerMemcheckTest, OutOfBoundsReadDetectedAndSuppressed) {
   EXPECT_NE(std::string::npos, h.detail.find("index 64"));
 }
 
+TEST(SanitizerMemcheckTest, OutOfBoundsInUnmeteredWarpReported) {
+  // At stride 8 only warp 0 of the block is metered; an unmetered warp
+  // would run the unchecked lane, which has no sanitizer hooks. With a
+  // sanitizer attached every warp must take the checked lane, so the
+  // off-by-one read in warp 3 is still reported and suppressed.
+  Device dev(TestSpec());
+  dev.SetMeterStride(8);
+  Sanitizer* san = dev.EnableSanitizer();
+  const size_t n = 128;
+  auto buf = dev.Alloc<float>(n);
+  auto out = dev.Alloc<float>(n);
+  for (size_t i = 0; i < n; ++i) {
+    buf[i] = 1.0f;
+  }
+  dev.Launch({"oob_read_unmetered", 1, 128}, [&](BlockCtx& blk) {
+    blk.for_each_lane([&](auto& t) {
+      if (t.lane() >= 96) {  // lanes of warp 3 only
+        // Off-by-one: lane 127 reads buf[128].
+        t.st(out, t.gtid(), t.ld(buf, t.gtid() + 1));
+      }
+    });
+  });
+  ASSERT_EQ(san->report().Count(HazardKind::kOutOfBounds), 1u);
+  const Hazard& h = san->report().hazards()[0];
+  EXPECT_EQ(h.lane, 127u);
+  EXPECT_EQ(h.addr, buf.addr(n));
+  EXPECT_EQ(h.access, AccessKind::kRead);
+  // Suppressed: the wild read returned 0 instead of host memory.
+  EXPECT_EQ(out[127], 0.0f);
+  EXPECT_EQ(out[126], 1.0f);
+}
+
 TEST(SanitizerMemcheckTest, OutOfBoundsWriteSuppressedNotExecuted) {
   Device dev(TestSpec());
   Sanitizer* san = dev.EnableSanitizer();
   auto buf = dev.Alloc<int32_t>(32);
   dev.Launch({"oob_write", 1, 64}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       t.st(buf, t.gtid(), static_cast<int32_t>(t.gtid()));
     });
   });
@@ -180,7 +212,7 @@ TEST(SanitizerMemcheckTest, NeverWrittenGlobalReadDetected) {
   Sanitizer* san = dev.EnableSanitizer();
   auto buf = dev.Alloc<float>(64);  // allocated, never written
   dev.Launch({"uninit_global", 1, 32}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) { (void)t.ld(buf, t.gtid()); });
+    blk.for_each_lane([&](auto& t) { (void)t.ld(buf, t.gtid()); });
   });
   EXPECT_GE(san->report().Count(HazardKind::kUninitializedRead), 1u);
   EXPECT_EQ(san->report().hazards()[0].kernel, "uninit_global");
@@ -193,11 +225,11 @@ TEST(SanitizerMemcheckTest, H2DCopyInitializesPrefixOnly) {
   std::vector<float> host(32, 1.0f);
   dev.CopyToDevice(buf, std::span<const float>(host));
   dev.Launch({"read_prefix", 1, 32}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) { (void)t.ld(buf, t.gtid()); });
+    blk.for_each_lane([&](auto& t) { (void)t.ld(buf, t.gtid()); });
   });
   EXPECT_TRUE(san->report().clean());
   dev.Launch({"read_tail", 1, 32}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) { (void)t.ld(buf, 32 + t.gtid()); });
+    blk.for_each_lane([&](auto& t) { (void)t.ld(buf, 32 + t.gtid()); });
   });
   EXPECT_GE(san->report().Count(HazardKind::kUninitializedRead), 1u);
 }
@@ -207,7 +239,7 @@ TEST(SanitizerMemcheckTest, UninitializedSharedReadDetected) {
   Sanitizer* san = dev.EnableSanitizer();
   dev.Launch({"uninit_shared", 1, 32}, [&](BlockCtx& blk) {
     auto scratch = blk.shared<float>(32);
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       // Relies on the simulator's zero-fill — garbage on real hardware.
       (void)t.shared_ld(scratch, t.lane());
     });
@@ -223,7 +255,7 @@ TEST(SanitizerMemcheckTest, SharedOverAllocationReported) {
   dev.Launch({"shared_overflow", 1, 32}, [&](BlockCtx& blk) {
     auto big = blk.shared<char>(limit + 1);
     (void)big;
-    blk.for_each_lane([&](Lane&) {});
+    blk.for_each_lane([&](auto&) {});
   });
   ASSERT_EQ(san->report().Count(HazardKind::kSharedOverflow), 1u);
   EXPECT_NE(std::string::npos,
@@ -237,11 +269,11 @@ TEST(SanitizerSynccheckTest, BarrierCountDivergenceDetected) {
   Sanitizer* san = dev.EnableSanitizer();
   auto buf = dev.Alloc<int32_t>(128);
   dev.Launch({"divergent_sync", 2, 64}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       t.st(buf, t.gtid(), 1);
     });
     if (blk.block() == 0) {  // barrier under block-dependent control flow
-      blk.for_each_lane([&](Lane& t) {
+      blk.for_each_lane([&](auto& t) {
         t.st(buf, t.gtid(), 2);
       });
     }
@@ -258,7 +290,7 @@ TEST(SanitizerSynccheckTest, SharedAllocationDivergenceDetected) {
   dev.Launch({"divergent_shared", 2, 32}, [&](BlockCtx& blk) {
     auto a = blk.shared<float>(blk.block() == 0 ? 64 : 32);
     (void)a;
-    blk.for_each_lane([&](Lane&) {});
+    blk.for_each_lane([&](auto&) {});
   });
   EXPECT_EQ(san->report().Count(HazardKind::kSharedAllocDivergence), 1u);
 }
@@ -269,10 +301,10 @@ TEST(SanitizerSynccheckTest, UniformBlocksAreClean) {
   auto buf = dev.Alloc<int32_t>(256);
   dev.Launch({"uniform", 4, 64}, [&](BlockCtx& blk) {
     auto s = blk.shared<int32_t>(64);
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       t.shared_st(s, t.lane(), static_cast<int32_t>(t.lane()));
     });
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       t.st(buf, t.gtid(), t.shared_ld(s, t.lane()));
     });
   });
@@ -286,7 +318,7 @@ TEST(SanitizerReportTest, TextReportNamesToolsAndSummarizes) {
   Sanitizer* san = dev.EnableSanitizer();
   dev.Launch({"reported_race", 1, 64}, [&](BlockCtx& blk) {
     auto c = blk.shared<int32_t>(1);
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       t.shared_st(c, 0, static_cast<int32_t>(t.lane()));
     });
   });
@@ -305,7 +337,7 @@ TEST(SanitizerReportTest, MaxHazardsCapsStorageNotCounts) {
   Sanitizer* san = dev.EnableSanitizer(cfg);
   auto buf = dev.Alloc<float>(8);
   dev.Launch({"many_oob", 1, 64}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       (void)t.ld(buf, 100 + t.lane());  // 64 distinct OOB reads
     });
   });
@@ -321,7 +353,7 @@ TEST(SanitizerConfigTest, DisabledToolsReportNothing) {
   Sanitizer* san = dev.EnableSanitizer(cfg);
   dev.Launch({"race_ignored", 1, 64}, [&](BlockCtx& blk) {
     auto c = blk.shared<int32_t>(1);
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       t.shared_st(c, 0, static_cast<int32_t>(t.lane()));
     });
   });
@@ -338,7 +370,7 @@ TEST(SanitizerStatsTest, HooksFireOnUnmeteredWarps) {
   Sanitizer* san = dev.EnableSanitizer();
   dev.Launch({"unmetered_race", 1, 128}, [&](BlockCtx& blk) {
     auto c = blk.shared<int32_t>(1);
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       if (t.lane() >= 96) {  // lanes of warp 3 only
         t.shared_st(c, 0, static_cast<int32_t>(t.lane()));
       }
@@ -360,7 +392,7 @@ TEST(SanitizerStatsTest, SuppressedLoadLeavesAHoleInItsInstruction) {
   std::vector<float> host(n, 1.0f);
   dev.CopyToDevice(in, std::span<const float>(host));
   KernelStats st = dev.Launch({"holes", 1, 32}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       const size_t l = t.lane();
       float v = t.ld(in, l);                           // in[0..31]
       v += t.ld(in, l % 2 == 0 ? 64 + l : n + l);      // even: in[64..95]
@@ -387,7 +419,7 @@ TEST(SanitizerStatsTest, EnablingSanitizerDoesNotDriftCleanKernelStats) {
     std::vector<float> host(n, 1.5f);
     dev.CopyToDevice(in, std::span<const float>(host));
     return dev.Launch({"saxpy", n / 128, 128}, [&](BlockCtx& blk) {
-      blk.for_each_lane([&](Lane& t) {
+      blk.for_each_lane([&](auto& t) {
         t.flops32(2);
         t.st(out, t.gtid(), 2.0f * t.ld(in, t.gtid()) + 1.0f);
       });
@@ -415,7 +447,7 @@ TEST(SanitizerStatsTest, GlobalAtomicsCountAsLaneMemOps) {
   sum[0] = 0;
   KernelStats global_st = dev.Launch({"global_atomics", 1, 32},
                                      [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       for (int i = 0; i < 5; ++i) {
         t.atomic_add(sum, 0, int32_t{1});
       }
@@ -426,7 +458,7 @@ TEST(SanitizerStatsTest, GlobalAtomicsCountAsLaneMemOps) {
   KernelStats shared_st = dev.Launch({"shared_atomics", 1, 32},
                                      [&](BlockCtx& blk) {
     auto c = blk.shared<int32_t>(1);
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       for (int i = 0; i < 5; ++i) {
         t.atomic_add_shared(c, 0, int32_t{1});
       }

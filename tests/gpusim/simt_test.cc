@@ -14,7 +14,7 @@ TEST(SimtTest, ThreadIndexingCoversGrid) {
   const size_t n = 1000;
   auto out = dev.Alloc<int32_t>(n);
   dev.Launch({"ids", 8, 128}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       if (t.gtid() < n) {
         t.st(out, t.gtid(), static_cast<int32_t>(t.gtid()));
       }
@@ -32,7 +32,7 @@ TEST(SimtTest, LaneAndBlockGeometry) {
   dev.Launch({"geom", 4, 64}, [&](BlockCtx& blk) {
     EXPECT_EQ(blk.block_dim(), 64u);
     EXPECT_EQ(blk.grid_dim(), 4u);
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       t.st(lanes, t.gtid(), static_cast<int32_t>(t.lane()));
       t.st(blocks, t.gtid(), static_cast<int32_t>(t.block()));
     });
@@ -54,7 +54,7 @@ TEST(SimtTest, FunctionalLoadStoreRoundTrip) {
     in[i] = static_cast<float>(i) * 0.5f;
   }
   dev.Launch({"copy2x", 2, 256}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       t.st(out, t.gtid(), t.ld(in, t.gtid()) * 2.0f);
     });
   });
@@ -75,11 +75,11 @@ TEST(SimtTest, SharedMemoryVisibleAcrossPhases) {
   }
   dev.Launch({"reverse", 2, 128}, [&](BlockCtx& blk) {
     auto cache = blk.shared<int32_t>(128);
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       t.shared_st(cache, t.lane(), t.ld(in, t.gtid()));
     });
     // __syncthreads()
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       int32_t v = t.shared_ld(cache, blk.block_dim() - 1 - t.lane());
       t.st(out, t.gtid(), v);
     });
@@ -97,7 +97,7 @@ TEST(SimtTest, SharedMemoryZeroInitialized) {
   dev.Launch({"zeroinit", 1, 32}, [&](BlockCtx& blk) {
     auto sm = blk.shared<float>(32);
     blk.for_each_lane(
-        [&](Lane& t) { t.st(out, t.lane(), t.shared_ld(sm, t.lane())); });
+        [&](auto& t) { t.st(out, t.lane(), t.shared_ld(sm, t.lane())); });
   });
   for (size_t i = 0; i < 32; ++i) {
     ASSERT_EQ(out[i], 0.0f);
@@ -109,7 +109,7 @@ TEST(SimtTest, GlobalAtomicAddAccumulates) {
   auto counter = dev.Alloc<int32_t>(1);
   counter[0] = 0;
   dev.Launch({"count", 10, 100}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       (void)t.atomic_add(counter, 0, int32_t{1});
     });
   });
@@ -123,13 +123,13 @@ TEST(SimtTest, SharedAtomicAppendProducesDenseSlots) {
   dev.Launch({"append", 1, 256}, [&](BlockCtx& blk) {
     auto count = blk.shared<int32_t>(1);
     auto slots = blk.shared<int32_t>(256);
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       if (t.lane() < n) {
         int32_t slot = t.atomic_add_shared(count, 0, int32_t{1});
         t.shared_st(slots, slot, static_cast<int32_t>(t.lane()));
       }
     });
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       if (t.lane() < n) {
         t.st(out, t.lane(), t.shared_ld(slots, t.lane()));
       }
@@ -153,7 +153,7 @@ TEST(SimtTest, AtomicExchangeBuildsLinkedList) {
   auto next = dev.Alloc<int32_t>(n);
   head[0] = -1;
   dev.Launch({"list", 1, 128}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       if (t.lane() < n) {
         int32_t old = t.atomic_exch(head, 0, static_cast<int32_t>(t.lane()));
         t.st(next, t.lane(), old);
@@ -177,7 +177,7 @@ TEST(SimtTest, DivergenceLowersSimdEfficiency) {
   auto out = dev.Alloc<float>(n);
 
   auto uniform = dev.Launch({"uniform", 64, 32}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       float v = t.ld(buf, t.gtid());
       t.flops32(64);
       t.st(out, t.gtid(), v);
@@ -185,7 +185,7 @@ TEST(SimtTest, DivergenceLowersSimdEfficiency) {
   });
 
   auto divergent = dev.Launch({"divergent", 64, 32}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       float v = t.ld(buf, t.gtid());
       // Only lane 0 of each warp does the heavy loop.
       if (t.lane() % 32 == 0) {
@@ -204,7 +204,7 @@ TEST(SimtTest, PartialWarpCountsAsIdleLanes) {
   Device dev(TestSpec());
   auto out = dev.Alloc<float>(8);
   auto stats = dev.Launch({"partial", 1, 8}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       t.flops32(10);
       t.st(out, t.lane(), 1.0f);
     });
@@ -217,7 +217,7 @@ TEST(SimtTest, FlopCountersSeparatePrecision) {
   Device dev(TestSpec());
   auto out = dev.Alloc<float>(32);
   auto stats = dev.Launch({"flops", 1, 32}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       t.flops32(7);
       t.flops64(3);
       t.st(out, t.lane(), 0.0f);
@@ -233,7 +233,7 @@ TEST(SimtTest, AtomicConflictCounting) {
 
   // All 32 lanes of one warp update the same address: 31 serialized steps.
   auto conflicted = dev.Launch({"conflict", 1, 32}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       (void)t.atomic_add(target, 0, int32_t{1});
     });
   });
@@ -242,7 +242,7 @@ TEST(SimtTest, AtomicConflictCounting) {
 
   // Each lane updates its own address: no serialization.
   auto clean = dev.Launch({"noconflict", 1, 32}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) {
+    blk.for_each_lane([&](auto& t) {
       (void)t.atomic_add(target, t.lane(), int32_t{1});
     });
   });
@@ -260,7 +260,7 @@ TEST(SimtTest, ExecutionIsDeterministic) {
       a[i] = static_cast<float>(i % 17);
     }
     auto st = dev.Launch({"k", (n + 127) / 128, 128}, [&](BlockCtx& blk) {
-      blk.for_each_lane([&](Lane& t) {
+      blk.for_each_lane([&](auto& t) {
         size_t i = t.gtid();
         if (i >= n) {
           return;
@@ -281,7 +281,7 @@ TEST(SimtTest, DeviceClockAccumulates) {
   auto buf = dev.Alloc<float>(1024);
   EXPECT_DOUBLE_EQ(dev.ElapsedMs(), 0.0);
   dev.Launch({"a", 8, 128}, [&](BlockCtx& blk) {
-    blk.for_each_lane([&](Lane& t) { t.st(buf, t.gtid(), 1.0f); });
+    blk.for_each_lane([&](auto& t) { t.st(buf, t.gtid(), 1.0f); });
   });
   double after_one = dev.ElapsedMs();
   EXPECT_GT(after_one, 0.0);
