@@ -44,7 +44,9 @@ void WarpTracker::Flush(MemoryModel* mem, KernelStats* stats,
     }
   }
 
-  // Then atomic seqs. Atomics charge their traffic like writes.
+  // Then atomic seqs. A global atomic charges its traffic like a write; a
+  // shared one stays on chip (its lane charged shared bytes), so only the
+  // serialization below sees it.
   const size_t k = static_cast<size_t>(StreamKind::kAtomic);
   const size_t rows = stream_.rows(k);
   for (size_t seq = 0; seq < rows; ++seq) {
@@ -53,7 +55,9 @@ void WarpTracker::Flush(MemoryModel* mem, KernelStats* stats,
     stream_.ForEachInRow(k, seq, [&](uint64_t rec) { recs[n++] = rec; });
     MemoryModel::CoalesceLines(&lines_, [&](auto&& emit) {
       for (size_t i = 0; i < n; ++i) {
-        EmitRecordLines(StreamKind::kAtomic, recs[i], emit);
+        if (AtomicAddr(recs[i]) < kSharedBase) {
+          EmitRecordLines(StreamKind::kAtomic, recs[i], emit);
+        }
       }
     });
     ConsumeLines(mem, stats, defer, /*write=*/true);
@@ -61,9 +65,7 @@ void WarpTracker::Flush(MemoryModel* mem, KernelStats* stats,
     // into k steps, k-1 of which are stalls. The row has been coalesced, so
     // its records may become addresses and be sorted in place.
     for (size_t i = 0; i < n; ++i) {
-      if (recs[i] & kWide) [[unlikely]] {
-        recs[i] = wide_[recs[i] & ~kWide].addr;
-      }
+      recs[i] = AtomicAddr(recs[i]);
     }
     stats->atomic_ops += n;
     std::sort(recs, recs + n);

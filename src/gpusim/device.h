@@ -171,6 +171,10 @@ class WarpTracker {
 
   /// Keep a line-crossing access in wide_; returns its record.
   [[gnu::noinline]] uint64_t AddWide(uint64_t addr, uint32_t bytes);
+  /// The address of an atomic's record.
+  uint64_t AtomicAddr(uint64_t rec) const {
+    return rec & kWide ? wide_[rec & ~kWide].addr : rec;
+  }
   /// `emit(line)` for each line of a record of `kind`.
   template <typename Emit>
   void EmitRecordLines(StreamKind kind, uint64_t rec, Emit&& emit) const {
@@ -468,10 +472,12 @@ class BasicLane {
         MeterGlobal(StreamKind::kAtomic, addr, bytes);
         return;
       }
-      // Shared atomics stay on-chip: an op, but no chain link.
+      // Shared atomics stay on-chip: an op and shared bytes, but no global
+      // traffic and no chain link. The record serves the serialization
+      // count alone (WarpTracker::Flush).
       if (metered_) {
         wt_->Record(StreamKind::kAtomic, lane_ & 31, atomic_seq_, addr, bytes);
-        requested_[1] += bytes;
+        shared_bytes_ += bytes;
         ++ops_;
       }
       ++atomic_seq_;

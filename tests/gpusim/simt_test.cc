@@ -250,6 +250,32 @@ TEST(SimtTest, AtomicConflictCounting) {
   EXPECT_EQ(clean.atomic_serialized, 0u);
 }
 
+TEST(SimtTest, SharedAtomicsStayOnChip) {
+  // A shared-memory atomic serializes like a global one but is on-chip
+  // traffic: it charges shared bytes, never a global transaction, L1, L2
+  // or DRAM bytes.
+  Device dev(DeviceSpec::TeslaV100());
+  auto st = dev.Launch({"shared_atomics", 1, 32}, [&](BlockCtx& blk) {
+    auto counters = blk.shared<int32_t>(5);
+    blk.for_each_lane([&](auto& t) {
+      for (size_t k = 0; k < 5; ++k) {
+        (void)t.atomic_add_shared(counters, k, int32_t{1});
+      }
+    });
+  });
+  // Five instructions of 32 lanes on one address each: 31 stalls apiece.
+  EXPECT_EQ(st.atomic_ops, 160u);
+  EXPECT_EQ(st.atomic_serialized, 155u);
+  EXPECT_EQ(st.shared_bytes, 160u * sizeof(int32_t));
+  EXPECT_EQ(st.write_transactions, 0u);
+  EXPECT_EQ(st.requested_write_bytes, 0u);
+  EXPECT_EQ(st.l1_write_hit_bytes, 0u);
+  EXPECT_EQ(st.l2_write_hit_bytes, 0u);
+  EXPECT_EQ(st.dram_write_bytes, 0u);
+  // The on-chip atomics are not links of the global dependent chain.
+  EXPECT_EQ(st.max_lane_mem_ops, 0u);
+}
+
 TEST(SimtTest, ExecutionIsDeterministic) {
   auto run = [] {
     Device dev(TestSpec());
