@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "gpusim/device.h"
 
@@ -248,6 +249,46 @@ TEST(SimtTest, AtomicConflictCounting) {
   });
   EXPECT_EQ(clean.atomic_ops, 32u);
   EXPECT_EQ(clean.atomic_serialized, 0u);
+}
+
+TEST(SimtTest, LineCrossingAccessesChargeEveryLine) {
+  // A 12-byte element is not naturally aligned to the 128-byte line, so
+  // some elements straddle two lines. The engine's records must charge the
+  // same lines as the coalescer given (addr, bytes) pairs directly.
+  struct Vec3 {
+    float x, y, z;
+  };
+  Device dev(TestSpec());
+  auto buf = dev.Alloc<Vec3>(128);
+  auto out = dev.Alloc<float>(32);
+  // One lane: element 10 spans bytes 120..131, two lines.
+  auto one = dev.Launch({"straddle", 1, 1}, [&](BlockCtx& blk) {
+    blk.for_each_lane([&](auto& t) { t.st(out, 0, t.ld(buf, 10).x); });
+  });
+  EXPECT_EQ(one.read_transactions, 2u);
+  EXPECT_EQ(one.requested_read_bytes, sizeof(Vec3));
+
+  // A warp reading every third element against the coalescer oracle.
+  dev.ResetCache();
+  auto warp = dev.Launch({"straddle_warp", 1, 32}, [&](BlockCtx& blk) {
+    blk.for_each_lane([&](auto& t) {
+      t.st(out, t.lane(), t.ld(buf, 3 * t.lane() + 1).y);
+    });
+  });
+  MemoryModel mm(TestSpec());
+  KernelStats want;
+  std::vector<LaneAccess> reads;
+  std::vector<LaneAccess> writes;
+  for (size_t l = 0; l < 32; ++l) {
+    reads.push_back({buf.addr(3 * l + 1), sizeof(Vec3)});
+    writes.push_back({out.addr(l), sizeof(float)});
+  }
+  mm.AccessWarp(reads, false, &want);
+  mm.AccessWarp(writes, true, &want);
+  EXPECT_EQ(warp.read_transactions, want.read_transactions);
+  EXPECT_EQ(warp.requested_read_bytes, want.requested_read_bytes);
+  EXPECT_EQ(warp.dram_read_bytes, want.dram_read_bytes);
+  EXPECT_EQ(warp.write_transactions, want.write_transactions);
 }
 
 TEST(SimtTest, SharedAtomicsStayOnChip) {
