@@ -9,6 +9,12 @@ handy locally too:
     biosim_run cfg.ini --trace t.json --metrics m.jsonl --report r.json
     scripts/validate_obs.py --trace t.json --metrics m.jsonl --report r.json
 
+Given both --trace and --report, it also checks that the views agree: every
+profile stage (an "op/<name>/ms" histogram, not counting the device-clock
+"... (sim)" rows) is a host trace span name with the same call count and
+the same summed time within 1 ns per call, and when perf counters were
+available, perf_counters.ops holds exactly those stages.
+
 Report versions 1 and 2 are both accepted (the v1->v2 change is documented
 in src/obs/report.h); v2 additionally requires environment.worker_threads
 and validates the optional "perf_counters" / "roofline" sections.
@@ -182,6 +188,57 @@ def validate_report(path):
           f"version={version}{extra}")
 
 
+STAGE_HIST = re.compile(r"op/(.+)/ms")
+
+
+def validate_cross_views(trace_path, report_path):
+    """One stage instrument feeds the profile, trace and perf views."""
+    trace = load(trace_path, "trace")
+    report = load(report_path, "report")
+    dropped = trace.get("otherData", {}).get("dropped_events", 0)
+    if dropped:
+        fail(f"{trace_path}: {dropped} dropped events; the trace cannot be "
+             f"compared with the profile")
+    host = {e["pid"] for e in trace["traceEvents"]
+            if e.get("ph") == "M" and e.get("name") == "process_name"
+            and e["args"]["name"] == "host"}
+    spans = {}  # name -> [calls, summed µs]
+    for e in trace["traceEvents"]:
+        if e.get("ph") == "X" and e["pid"] in host:
+            row = spans.setdefault(e["name"], [0, 0.0])
+            row[0] += 1
+            row[1] += e["dur"]
+    stages = {}
+    hists = report.get("metrics", {}).get("histograms", {})
+    for key, h in hists.items():
+        m = STAGE_HIST.fullmatch(key)
+        if m and not m.group(1).endswith(" (sim)"):
+            stages[m.group(1)] = h
+    if not stages:
+        fail(f"{report_path}: no op/<stage>/ms histograms")
+    for name, h in stages.items():
+        if name not in spans:
+            fail(f"profile stage {name!r} has no trace span")
+        calls, trace_us = spans[name]
+        if calls != h["count"]:
+            fail(f"stage {name!r}: {calls} trace spans, {h['count']} "
+                 f"profile samples")
+        gap_ns = abs(trace_us * 1e3 - h["sum"] * 1e6)
+        if gap_ns > calls:
+            fail(f"stage {name!r}: trace {trace_us:.3f} us vs profile "
+                 f"{h['sum'] * 1e3:.3f} us, {gap_ns / calls:.1f} ns per "
+                 f"call apart (bound 1 ns)")
+    perf = report.get("perf_counters", {})
+    if perf.get("available"):
+        ops = set(perf.get("ops", {}))
+        if ops != set(stages):
+            fail(f"perf_counters.ops {sorted(ops)} differs from the profile "
+                 f"stages {sorted(stages)}")
+    print(f"validate_obs: views agree: {len(stages)} stages in the profile "
+          f"and the trace" + (", perf_counters.ops" if perf.get("available")
+                              else ""))
+
+
 def validate_flight(path):
     doc = load(path, "flight recorder dump")
     if doc.get("flight_recorder_version") != 1:
@@ -225,6 +282,8 @@ def main():
         validate_metrics(args.metrics)
     if args.report:
         validate_report(args.report)
+    if args.trace and args.report:
+        validate_cross_views(args.trace, args.report)
     if args.flight:
         validate_flight(args.flight)
 

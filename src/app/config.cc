@@ -121,7 +121,7 @@ Schema MakeSchema(RunConfig& cfg) {
        {{"type",
          Into(&cfg.model_type, OneOf({"cell_division", "random_cloud"}))},
         {"cells_per_dim", Into(&cfg.cells_per_dim, ToCount<uint64_t>)},
-        {"agents", Into(&cfg.agents, ToInt<size_t>)},
+        {"agents", Into(&cfg.agents, ToCount<size_t>)},
         {"density", Into(&cfg.density, ToPositive)},
         {"diameter", Into(&cfg.diameter, ToPositive)},
         {"divide_threshold", Into(&cfg.divide_threshold, ToPositive)},

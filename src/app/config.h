@@ -183,9 +183,9 @@ struct RunConfig {
   uint64_t metrics_every = 1;
   /// Versioned machine-readable run report (obs/report.h); empty disables.
   std::string report_path;
-  /// Sample per-op hardware counters (obs/perf_counters.h) and add the
-  /// "perf_counters" + "roofline" report sections. Off by default (the
-  /// hot loop keeps PERF_SCOPE on its nullptr fast path); degrades to
+  /// Sample per-stage hardware counters (obs/perf_counters.h) and add the
+  /// "perf_counters" + "roofline" report sections. Off by default (a stage
+  /// then reads no counters); degrades to
   /// `available: false` where perf_event_open is forbidden.
   bool perf_counters = false;
   /// Crash flight recorder (obs/flight_recorder.h): dump the last-N-step

@@ -103,7 +103,7 @@ std::vector<std::pair<const char*, double>> OpDeltas(
 /// Build the flight-recorder summary for the step just completed.
 obs::FlightRecorder::StepRecord MakeStepRecord(
     const Simulation& sim, double step_wall_ms,
-    std::vector<double>* prev_totals, const obs::CounterSample* delta) {
+    std::vector<double>* prev_totals, const CounterSample* delta) {
   obs::FlightRecorder::StepRecord rec;
   rec.step = sim.step();
   rec.state_hash = sim.StateHash();
@@ -352,7 +352,7 @@ RunSummary ExecuteRun(const RunConfig& cfg) {
     }
     obs::CollectRuntime(reg, ResolvedWorkerThreads(cfg));
     if (perf != nullptr) {
-      obs::CollectPerfSession(perf.get(), reg);
+      obs::CollectPerfSession(perf.get(), sim->profile(), reg);
     }
     const ShardRuntime* srt = sim->shard_runtime();
     if (srt != nullptr && srt->partition().shards == srt->shards()) {
@@ -386,7 +386,7 @@ RunSummary ExecuteRun(const RunConfig& cfg) {
 
   // Hardware counters mirror tracing: opt-in, installed for exactly the
   // stepped run, harmless when the syscall is unavailable (the session
-  // then reports available: false and PERF_SCOPE reads nothing).
+  // then reports available: false and no stage reads counters).
   if (cfg.perf_counters) {
     perf = std::make_unique<obs::PerfSession>();
     obs::PerfSession::SetCurrent(perf.get());
@@ -410,7 +410,7 @@ RunSummary ExecuteRun(const RunConfig& cfg) {
   double last_heartbeat_ms = 0.0;
   for (uint64_t s = 0; s < cfg.steps; ++s) {
     recorder.Record(*sim);
-    obs::CounterSample perf_before;
+    CounterSample perf_before;
     if (flight != nullptr && perf != nullptr && perf->available()) {
       perf_before = perf->Read();
     }
@@ -420,7 +420,7 @@ RunSummary ExecuteRun(const RunConfig& cfg) {
       force_evaluations += cpu_backend->last_force_evaluations();
     }
     if (flight != nullptr) {
-      obs::CounterSample delta;
+      CounterSample delta;
       bool have_delta = perf != nullptr && perf->available();
       if (have_delta) {
         delta = perf->Read() - perf_before;
@@ -513,7 +513,7 @@ RunSummary ExecuteRun(const RunConfig& cfg) {
     report.Set("summary", std::move(s));
     report.Set("metrics", final_metrics.ToJson());
     if (perf != nullptr) {
-      report.Set("perf_counters", perf->ToJson());
+      report.Set("perf_counters", perf->ToJson(sim->profile()));
       // Roofline join: the measured column for fig12, model accounting
       // from the physics layer, traffic from the LLC-miss counter. Only
       // the CPU backend has the evaluation-count accounting.
@@ -521,13 +521,11 @@ RunSummary ExecuteRun(const RunConfig& cfg) {
         std::vector<roofline::OpMeasurement> ops;
         roofline::OpMeasurement force = roofline::ForceOpMeasurement(
             sim->profile().TotalMs("mechanical forces"), force_evaluations);
-        if (perf->available()) {
-          if (const obs::PerfSession::OpEntry* e =
-                  perf->Find("mechanical forces")) {
-            force.has_counters = true;
-            force.has_llc = perf->has_llc_misses();
-            force.counters = e->total;
-          }
+        const OpProfile::Entry* e = sim->profile().Find("mechanical forces");
+        if (e != nullptr && e->counter_samples > 0) {
+          force.has_counters = true;
+          force.has_llc = perf->events().llc_misses;
+          force.counters = e->counters;
         }
         ops.push_back(std::move(force));
         report.Set("roofline", roofline::MeasuredRooflineJson(ops));

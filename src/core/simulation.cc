@@ -1,7 +1,11 @@
 #include "core/simulation.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/analysis.h"
@@ -73,10 +77,33 @@ AgentIndex Simulation::AddCell(const Double3& position, double diameter) {
   return rm_.AddAgent(std::move(spec));
 }
 
+namespace {
+
+/// Reserves `added` more agents, or throws naming `arg` if the population
+/// would pass the 2^31-1 the grid's int32 CSR offsets address (which
+/// UniformGridEnvironment only checks at its first Update).
+void ReserveAgents(ResourceManager& rm, const char* arg, size_t value,
+                   size_t added) {
+  constexpr size_t kMaxAgents = std::numeric_limits<int32_t>::max();
+  if (added > kMaxAgents - std::min(rm.size(), kMaxAgents)) {
+    throw std::invalid_argument(
+        std::string(arg) + " " + std::to_string(value) +
+        " would grow the population of " + std::to_string(rm.size()) +
+        " past the 2^31-1 agents the grid can address");
+  }
+  rm.Reserve(rm.size() + added);
+}
+
+}  // namespace
+
 void Simulation::Create3DCellGrid(size_t cells_per_dim, double spacing,
                                   double diameter, double divide_threshold,
                                   double growth_rate) {
-  rm_.Reserve(rm_.size() + cells_per_dim * cells_per_dim * cells_per_dim);
+  // Saturates instead of wrapping: a cube past 2^63 is oversized anyway.
+  const size_t cells = cells_per_dim < (size_t{1} << 21)
+                           ? cells_per_dim * cells_per_dim * cells_per_dim
+                           : SIZE_MAX;
+  ReserveAgents(rm_, "Create3DCellGrid: cells_per_dim", cells_per_dim, cells);
   for (size_t x = 0; x < cells_per_dim; ++x) {
     for (size_t y = 0; y < cells_per_dim; ++y) {
       for (size_t z = 0; z < cells_per_dim; ++z) {
@@ -92,13 +119,13 @@ void Simulation::Create3DCellGrid(size_t cells_per_dim, double spacing,
 }
 
 void Simulation::CreateRandomCells(size_t count, double diameter) {
+  ReserveAgents(rm_, "CreateRandomCells: count", count, count);
   // Each call gets its own seed-derived stream; a second fill used to reuse
   // the first call's stream and stack every new cell onto an existing one.
   // Call 0 keeps the historical positions byte-identical.
   const uint64_t call = random_cells_calls_++;
   Random rng(call == 0 ? param_.random_seed
                        : SplitMix64::Mix(param_.random_seed + call));
-  rm_.Reserve(rm_.size() + count);
   for (size_t i = 0; i < count; ++i) {
     AddCell(rng.UniformInCube(param_.min_bound, param_.max_bound), diameter);
   }

@@ -81,7 +81,8 @@ class Simulation {
 
   /// The paper's benchmark A initial condition: `cells_per_dim`^3 cells of
   /// equal volume on a regular 3D lattice with the given spacing, each with
-  /// a GrowDivide behavior.
+  /// a GrowDivide behavior. Both builders throw std::invalid_argument
+  /// before allocating a population past 2^31-1 agents.
   void Create3DCellGrid(size_t cells_per_dim, double spacing, double diameter,
                         double divide_threshold, double growth_rate);
 

@@ -1,4 +1,4 @@
-// Wall-clock stopwatch used by the scheduler profiler and benches.
+// Wall-clock stopwatch used by the runner, the benches and the examples.
 #ifndef BIOSIM_CORE_TIMER_H_
 #define BIOSIM_CORE_TIMER_H_
 

@@ -167,8 +167,7 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
   // radix sort-by-key over the Morton codes plus a gather of the attribute
   // arrays — how a production implementation (thrust/CUB) does it.
   if (options_.zorder_sort) {
-    STAGE_SCOPE(profile, "gpu z-order sort");
-    double before = device().ElapsedMs();
+    STAGE_SCOPE(profile, "gpu z-order sort", &device());
     double cell = rm.LargestDiameter();
     SortAgentsByZOrder(rm, cell, mode);
 
@@ -181,9 +180,6 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
     uint64_t gather = static_cast<uint64_t>(n) * 8 * elem;
     device().AddModeledKernel("zorder_sort (modeled)", sort_read + gather,
                               sort_write + gather);
-    if (profile != nullptr) {
-      profile->Add("gpu z-order sort (sim)", device().ElapsedMs() - before);
-    }
   }
 
   const GridGeometry geometry =
@@ -217,8 +213,7 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
 
   // --- H2D: stage attribute arrays in kernel precision -------------------
   {
-    STAGE_SCOPE(profile, "gpu h2d");
-    double sim_before = device().ElapsedMs();
+    STAGE_SCOPE(profile, "gpu h2d", &device());
     std::vector<T> staging(n);
     auto upload_axis = [&](gpusim::DeviceBuffer<T>& dst, auto getter) {
       const auto& positions = rm.positions();
@@ -247,16 +242,12 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
     upload_tractor(s.tx, [](const Double3& v) { return v.x; });
     upload_tractor(s.ty, [](const Double3& v) { return v.y; });
     upload_tractor(s.tz, [](const Double3& v) { return v.z; });
-    if (profile != nullptr) {
-      profile->Add("gpu h2d (sim)", device().ElapsedMs() - sim_before);
-    }
   }
 
   // --- device: grid build + mechanics ------------------------------------
   device().ResetCache();  // conservatively cold per step
   {
-    STAGE_SCOPE(profile, "gpu kernels");
-    double sim_before = device().ElapsedMs();
+    STAGE_SCOPE(profile, "gpu kernels", &device());
 
     MechKernelParams<T> p;
     p.interaction_radius = static_cast<T>(geometry.interaction_radius);
@@ -312,21 +303,14 @@ void GpuMechanicalOp::StepImpl(ResourceManager& rm, const Param& param,
           [&](gpusim::BlockCtx& blk) { MechKernelBody(blk, s, g, n, p); },
           /*block_parallel_safe=*/true);
     }
-    if (profile != nullptr) {
-      profile->Add("gpu kernels (sim)", device().ElapsedMs() - sim_before);
-    }
   }
 
   // --- D2H + host apply --------------------------------------------------
-  STAGE_SCOPE(profile, "gpu d2h");
-  double sim_before_d2h = device().ElapsedMs();
+  STAGE_SCOPE(profile, "gpu d2h", &device());
   std::vector<T> ox(n), oy(n), oz(n);
   D2H(ox, s.out_x);
   D2H(oy, s.out_y);
   D2H(oz, s.out_z);
-  if (profile != nullptr) {
-    profile->Add("gpu d2h (sim)", device().ElapsedMs() - sim_before_d2h);
-  }
 
   last_displacements_.resize(n);
   auto& positions = rm.positions();

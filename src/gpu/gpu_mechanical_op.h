@@ -25,8 +25,8 @@
 //
 // Timing: all device work (kernels + transfers + the sort) accrues on the
 // *simulated* clock (device().ElapsedMs()); see EXPERIMENTS.md for how the
-// harness reports it. Each phase is also a host-timed STAGE_SCOPE nested in
-// "mechanical forces", beside its "(sim)" profile row.
+// harness reports it. Each phase is one STAGE_SCOPE nested in "mechanical
+// forces" that times its host row and, on the device clock, a "(sim)" row.
 #ifndef BIOSIM_GPU_GPU_MECHANICAL_OP_H_
 #define BIOSIM_GPU_GPU_MECHANICAL_OP_H_
 

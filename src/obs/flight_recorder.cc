@@ -1,5 +1,6 @@
 #include "obs/flight_recorder.h"
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 

@@ -38,8 +38,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/profiler.h"
 #include "obs/json.h"
-#include "obs/perf_counters.h"
 
 namespace biosim::obs {
 

@@ -240,29 +240,28 @@ void CollectShards(const std::vector<ShardObsStats>& shards,
   reg->GetGauge("shard/load_imbalance_mean")->Set(mean_dev);
 }
 
-void CollectPerfSession(const PerfSession* session, MetricsRegistry* reg) {
+void CollectPerfSession(const PerfSession* session, const OpProfile& profile,
+                        MetricsRegistry* reg) {
   if (session == nullptr) {
     return;
   }
   reg->GetGauge("perf/available")->Set(session->available() ? 1.0 : 0.0);
-  if (!session->available()) {
-    return;
+  if (session->available()) {
+    CollectStageCounters(profile, session->events(), reg);
   }
-  for (const PerfSession::OpEntry& e : session->entries()) {
-    const std::string prefix = "perf/" + e.name + "/";
-    reg->GetGauge(prefix + "cycles")
-        ->Set(static_cast<double>(e.total.cycles));
-    reg->GetGauge(prefix + "instructions")
-        ->Set(static_cast<double>(e.total.instructions));
-    if (session->has_llc_misses()) {
-      reg->GetGauge(prefix + "llc_misses")
-          ->Set(static_cast<double>(e.total.llc_misses));
+}
+
+void CollectStageCounters(const OpProfile& profile, const PerfEvents& events,
+                          MetricsRegistry* reg) {
+  // Read back from the "ops" table, so the gauges and the report agree.
+  const json::Value ops = StageCountersJson(profile, events);
+  for (const auto& [stage, row] : ops.members()) {
+    for (const char* key :
+         {"cycles", "instructions", "llc_misses", "branch_misses", "ipc"}) {
+      if (const json::Value* v = row.Find(key)) {
+        reg->GetGauge("perf/" + stage + "/" + key)->Set(v->AsDouble());
+      }
     }
-    if (session->has_branch_misses()) {
-      reg->GetGauge(prefix + "branch_misses")
-          ->Set(static_cast<double>(e.total.branch_misses));
-    }
-    reg->GetGauge(prefix + "ipc")->Set(e.total.Ipc());
   }
 }
 

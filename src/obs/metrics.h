@@ -42,6 +42,7 @@ class Device;
 namespace biosim::obs {
 
 class PerfSession;
+struct PerfEvents;
 
 class Counter {
  public:
@@ -151,10 +152,16 @@ void CollectUniformGrid(const UniformGridEnvironment& env,
 /// (0/1).
 void CollectRuntime(MetricsRegistry* reg, int worker_threads = 0);
 
-/// Per-op hardware-counter totals from an installed PerfSession:
-/// "perf/<op>/{cycles,instructions,llc_misses,branch_misses,ipc}" plus
-/// "perf/available" (0/1). No-op gauges-wise when `session` is null.
-void CollectPerfSession(const PerfSession* session, MetricsRegistry* reg);
+/// "perf/available" (0/1) of a non-null `session`, plus, when it is
+/// available, CollectStageCounters of `profile`.
+void CollectPerfSession(const PerfSession* session, const OpProfile& profile,
+                        MetricsRegistry* reg);
+
+/// Per-stage hardware-counter totals of every `profile` entry that carries
+/// counter samples: "perf/<stage>/{cycles,instructions,llc_misses,
+/// branch_misses,ipc}", the miss counters only when `events` has them.
+void CollectStageCounters(const OpProfile& profile, const PerfEvents& events,
+                          MetricsRegistry* reg);
 
 /// One spatial shard's per-step accounting, copied out of the engine's
 /// ShardRuntime by the caller (plain data: obs does not link the engine).

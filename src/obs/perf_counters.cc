@@ -104,14 +104,15 @@ PerfSession::PerfSession() {
   perf_event_attr llc = MakeAttr(PERF_TYPE_HARDWARE,
                                  PERF_COUNT_HW_CACHE_MISSES);
   fds_[2] = PerfEventOpen(&llc, fds_[0]);
-  has_llc_ = fds_[2] >= 0;
+  events_.llc_misses = fds_[2] >= 0;
   perf_event_attr branch =
       MakeAttr(PERF_TYPE_HARDWARE, PERF_COUNT_HW_BRANCH_MISSES);
   fds_[3] = PerfEventOpen(&branch, fds_[0]);
-  has_branch_ = fds_[3] >= 0;
+  events_.branch_misses = fds_[3] >= 0;
   perf_event_attr clock =
       MakeAttr(PERF_TYPE_SOFTWARE, PERF_COUNT_SW_TASK_CLOCK);
   fds_[4] = PerfEventOpen(&clock, fds_[0]);
+  events_.task_clock = fds_[4] >= 0;
 
   ioctl(fds_[0], PERF_EVENT_IOC_RESET, PERF_IOC_FLAG_GROUP);
   available_ = true;
@@ -151,71 +152,62 @@ CounterSample PerfSession::Read() const {
   auto next = [&]() -> uint64_t { return slot - 3 < nr ? buf[slot++] : 0; };
   s.cycles = next();
   s.instructions = next();
-  if (has_llc_) {
+  if (events_.llc_misses) {
     s.llc_misses = next();
   }
-  if (has_branch_) {
+  if (events_.branch_misses) {
     s.branch_misses = next();
   }
-  if (fds_[4] >= 0) {
+  if (events_.task_clock) {
     s.task_clock_ns = next();
   }
 #endif
   return s;
 }
 
-void PerfSession::Accumulate(const char* name, const CounterSample& delta) {
-  auto it = index_.find(name);
-  if (it == index_.end()) {
-    it = index_.emplace(name, entries_.size()).first;
-    entries_.push_back(OpEntry{name, {}, 0});
-  }
-  OpEntry& e = entries_[it->second];
-  e.total.Accumulate(delta);
-  ++e.samples;
-}
-
-const PerfSession::OpEntry* PerfSession::Find(const std::string& name) const {
-  auto it = index_.find(name);
-  return it == index_.end() ? nullptr : &entries_[it->second];
-}
-
-json::Value PerfSession::ToJson() const {
+json::Value PerfSession::ToJson(const OpProfile& profile) const {
   json::Value v = json::Value::MakeObject();
   v.Set("available", available_);
   if (!available_) {
     v.Set("reason", reason_);
     return v;
   }
-  v.Set("events", [&] {
-    json::Value ev = json::Value::MakeObject();
-    ev.Set("cycles", true);
-    ev.Set("instructions", true);
-    ev.Set("llc_misses", has_llc_);
-    ev.Set("branch_misses", has_branch_);
-    ev.Set("task_clock", fds_[4] >= 0);
-    return ev;
-  }());
+  json::Value ev = json::Value::MakeObject();
+  ev.Set("cycles", true);
+  ev.Set("instructions", true);
+  ev.Set("llc_misses", events_.llc_misses);
+  ev.Set("branch_misses", events_.branch_misses);
+  ev.Set("task_clock", events_.task_clock);
+  v.Set("events", std::move(ev));
+  v.Set("ops", StageCountersJson(profile, events_));
+  return v;
+}
+
+json::Value StageCountersJson(const OpProfile& profile,
+                              const PerfEvents& events) {
   json::Value ops = json::Value::MakeObject();
-  for (const OpEntry& e : entries_) {
+  for (const OpProfile::Entry& e : profile.entries()) {
+    if (e.counter_samples == 0) {
+      continue;
+    }
+    const CounterSample& c = e.counters;
     json::Value o = json::Value::MakeObject();
-    o.Set("samples", e.samples);
-    o.Set("cycles", e.total.cycles);
-    o.Set("instructions", e.total.instructions);
-    if (has_llc_) {
-      o.Set("llc_misses", e.total.llc_misses);
+    o.Set("samples", e.counter_samples);
+    o.Set("cycles", c.cycles);
+    o.Set("instructions", c.instructions);
+    if (events.llc_misses) {
+      o.Set("llc_misses", c.llc_misses);
     }
-    if (has_branch_) {
-      o.Set("branch_misses", e.total.branch_misses);
+    if (events.branch_misses) {
+      o.Set("branch_misses", c.branch_misses);
     }
-    o.Set("task_clock_ns", e.total.task_clock_ns);
-    o.Set("ipc", e.total.Ipc());
-    o.Set("effective_ghz", e.total.EffectiveGhz());
-    o.Set("running_fraction", e.total.RunningFraction());
+    o.Set("task_clock_ns", c.task_clock_ns);
+    o.Set("ipc", c.Ipc());
+    o.Set("effective_ghz", c.EffectiveGhz());
+    o.Set("running_fraction", c.RunningFraction());
     ops.Set(e.name, std::move(o));
   }
-  v.Set("ops", std::move(ops));
-  return v;
+  return ops;
 }
 
 }  // namespace biosim::obs

@@ -1,17 +1,17 @@
-// Hardware performance-counter sampling for the scheduler's per-op spans.
+// Hardware performance-counter sampling for the scheduler's stages.
 //
 // A PerfSession owns one perf_event_open group — cycles (leader),
 // instructions, LLC misses, branch misses, plus the task-clock software
 // event — opened for the calling (scheduler) thread and read atomically as
-// a group at span boundaries. PERF_SCOPE("op") mirrors TRACE_SCOPE: the
-// delta between the group read at construction and at destruction is
-// accumulated under the op name, so the run report can state what the
-// hardware actually did per scheduler operation, next to the wall clock.
+// a group at stage boundaries. The session only opens and reads the group:
+// STAGE_SCOPE (obs/stage_scope.h) adds the delta between its open and close
+// reads to the stage's OpProfile entry, beside the stage's wall time, so
+// the run report can state what the hardware actually did per stage.
 //
 // Design constraints, in order (same contract as obs/trace.h):
 //
-//   1. Zero overhead when off. PERF_SCOPE compiles to one relaxed atomic
-//      load and a branch on a nullptr session — no syscall, no read.
+//   1. Zero overhead when off. With no session installed a stage makes one
+//      relaxed atomic load and a branch on a nullptr — no syscall, no read.
 //   2. Graceful degradation. perf_event_open is Linux-only and gated by
 //      /proc/sys/kernel/perf_event_paranoid (and seccomp in many
 //      containers). Whenever the group cannot be opened — wrong OS, ENOSYS,
@@ -26,82 +26,38 @@
 // Scope of measurement: the group counts the thread that constructed the
 // session (plus nothing else), which is the scheduler thread. Under
 // ExecMode::kParallel that thread is one OpenMP worker among N doing ~1/N
-// of the work, so per-op counters are a per-worker sample, not a machine
+// of the work, so per-stage counters are a per-worker sample, not a machine
 // total; serial runs are covered exactly. docs/observability.md discusses
 // reading both.
 #ifndef BIOSIM_OBS_PERF_COUNTERS_H_
 #define BIOSIM_OBS_PERF_COUNTERS_H_
 
 #include <atomic>
-#include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
 
+#include "core/profiler.h"
 #include "obs/json.h"
 
 namespace biosim::obs {
 
-/// One group read (cumulative since enable) or a difference of two reads.
-/// All zeros when the backend is unavailable.
-struct CounterSample {
-  uint64_t cycles = 0;
-  uint64_t instructions = 0;
-  uint64_t llc_misses = 0;
-  uint64_t branch_misses = 0;
-  uint64_t task_clock_ns = 0;
-  /// Group scheduling times, for multiplexing detection: running < enabled
-  /// means the PMU was oversubscribed and the raw counts cover only the
-  /// running fraction.
-  uint64_t time_enabled_ns = 0;
-  uint64_t time_running_ns = 0;
-
-  CounterSample operator-(const CounterSample& o) const {
-    auto sub = [](uint64_t a, uint64_t b) { return a >= b ? a - b : 0; };
-    CounterSample d;
-    d.cycles = sub(cycles, o.cycles);
-    d.instructions = sub(instructions, o.instructions);
-    d.llc_misses = sub(llc_misses, o.llc_misses);
-    d.branch_misses = sub(branch_misses, o.branch_misses);
-    d.task_clock_ns = sub(task_clock_ns, o.task_clock_ns);
-    d.time_enabled_ns = sub(time_enabled_ns, o.time_enabled_ns);
-    d.time_running_ns = sub(time_running_ns, o.time_running_ns);
-    return d;
-  }
-
-  void Accumulate(const CounterSample& d) {
-    cycles += d.cycles;
-    instructions += d.instructions;
-    llc_misses += d.llc_misses;
-    branch_misses += d.branch_misses;
-    task_clock_ns += d.task_clock_ns;
-    time_enabled_ns += d.time_enabled_ns;
-    time_running_ns += d.time_running_ns;
-  }
-
-  double Ipc() const {
-    return cycles > 0 ? static_cast<double>(instructions) /
-                            static_cast<double>(cycles)
-                      : 0.0;
-  }
-  /// Mean clock while the thread was on-CPU, in GHz.
-  double EffectiveGhz() const {
-    return task_clock_ns > 0 ? static_cast<double>(cycles) /
-                                   static_cast<double>(task_clock_ns)
-                             : 0.0;
-  }
-  /// Fraction of the enabled time the group was actually counting (1.0 =
-  /// no multiplexing).
-  double RunningFraction() const {
-    return time_enabled_ns > 0 ? static_cast<double>(time_running_ns) /
-                                     static_cast<double>(time_enabled_ns)
-                               : 1.0;
-  }
+/// Events an available group counts beyond cycles and instructions (some
+/// PMUs lack the miss counters).
+struct PerfEvents {
+  bool llc_misses = false;
+  bool branch_misses = false;
+  bool task_clock = false;
 };
 
-/// Per-op accumulation of counter deltas, installed like a TraceSession.
-/// Not thread-safe by design: only the scheduler thread records (the group
-/// counts only that thread, so cross-thread records would be meaningless).
+/// The per-stage counter table of the report's "perf_counters" section: one
+/// row per `profile` entry that carries counter samples, in profile order
+/// (the order the stages first opened), with the raw deltas of `events` and
+/// the derived rates (ipc, effective GHz, running fraction).
+json::Value StageCountersJson(const OpProfile& profile,
+                              const PerfEvents& events);
+
+/// The scheduler thread's counter group, installed like a TraceSession.
+/// Not thread-safe by design: only the scheduler thread reads (the group
+/// counts only that thread, so cross-thread reads would be meaningless).
 class PerfSession {
  public:
   /// Opens the counter group for the calling thread. On any failure the
@@ -125,30 +81,16 @@ class PerfSession {
   /// Human-readable cause when !available() ("perf_event_open: EACCES
   /// (perf_event_paranoid?)", "disabled by BIOSIM_PERF=off", ...).
   const std::string& unavailable_reason() const { return reason_; }
-  /// Which optional events opened (cycles/instructions always accompany an
-  /// available group; LLC or branch counters may be missing on some PMUs).
-  bool has_llc_misses() const { return has_llc_; }
-  bool has_branch_misses() const { return has_branch_; }
+  const PerfEvents& events() const { return events_; }
 
   /// Cumulative group read since session construction; zeros when
   /// unavailable.
   CounterSample Read() const;
 
-  /// Add a delta under `name` (created on first use, first-seen order).
-  void Accumulate(const char* name, const CounterSample& delta);
-
-  struct OpEntry {
-    std::string name;
-    CounterSample total;
-    uint64_t samples = 0;
-  };
-  const std::deque<OpEntry>& entries() const { return entries_; }
-  const OpEntry* Find(const std::string& name) const;
-
-  /// The report-v2 "perf_counters" section: availability plus the per-op
-  /// table of raw deltas and derived rates (ipc, effective GHz, running
-  /// fraction). Op keys are emitted in first-seen (pipeline) order.
-  json::Value ToJson() const;
+  /// The report-v2 "perf_counters" section: availability (with the reason
+  /// when unavailable), the events that opened, and StageCountersJson of
+  /// `profile` as "ops".
+  json::Value ToJson(const OpProfile& profile) const;
 
  private:
   static std::atomic<PerfSession*> current_;
@@ -157,46 +99,10 @@ class PerfSession {
   // Opaque ints so the header stays OS-neutral.
   int fds_[5] = {-1, -1, -1, -1, -1};
   bool available_ = false;
-  bool has_llc_ = false;
-  bool has_branch_ = false;
+  PerfEvents events_;
   std::string reason_;
-
-  std::deque<OpEntry> entries_;  // stable addresses, first-seen order
-  std::unordered_map<std::string, size_t> index_;
-};
-
-/// RAII per-op sampling scope: group-read at construction and destruction,
-/// accumulate the delta under `name` (a string literal in practice).
-class PerfScope {
- public:
-  explicit PerfScope(const char* name)
-      : session_(PerfSession::current()), name_(name) {
-    if (session_ != nullptr && session_->available()) {
-      start_ = session_->Read();
-    }
-  }
-  ~PerfScope() {
-    if (session_ != nullptr && session_->available()) {
-      session_->Accumulate(name_, session_->Read() - start_);
-    }
-  }
-
-  PerfScope(const PerfScope&) = delete;
-  PerfScope& operator=(const PerfScope&) = delete;
-
- private:
-  PerfSession* session_;
-  const char* name_;
-  CounterSample start_;
 };
 
 }  // namespace biosim::obs
-
-#define BIOSIM_PERF_CONCAT2(a, b) a##b
-#define BIOSIM_PERF_CONCAT(a, b) BIOSIM_PERF_CONCAT2(a, b)
-/// Hardware-counter span covering the enclosing scope; pairs with
-/// TRACE_SCOPE on the scheduler's operations.
-#define PERF_SCOPE(name) \
-  ::biosim::obs::PerfScope BIOSIM_PERF_CONCAT(perf_scope_, __LINE__)(name)
 
 #endif  // BIOSIM_OBS_PERF_COUNTERS_H_

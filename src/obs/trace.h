@@ -72,12 +72,14 @@ class TraceSession {
     current_.store(session, std::memory_order_release);
   }
 
-  /// Nanoseconds since the session epoch (steady clock).
-  uint64_t NowNs() const {
+  /// Nanoseconds from the session epoch to `t` (steady clock).
+  uint64_t SinceEpochNs(std::chrono::steady_clock::time_point t) const {
     return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - epoch_)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
             .count());
+  }
+  uint64_t NowNs() const {
+    return SinceEpochNs(std::chrono::steady_clock::now());
   }
 
   /// Record a completed span on the calling thread's track.

@@ -74,29 +74,4 @@ obs::json::Value MeasuredRooflineJson(const std::vector<OpMeasurement>& ops) {
   return section;
 }
 
-std::vector<RooflinePoint> MeasuredPoints(
-    const std::vector<OpMeasurement>& ops) {
-  std::vector<RooflinePoint> points;
-  for (const OpMeasurement& op : ops) {
-    if (op.model_flops == 0 || op.wall_ms <= 0) {
-      continue;
-    }
-    RooflinePoint p;
-    p.label = op.name + " (measured)";
-    double wall_s = op.wall_ms / 1e3;
-    p.gflops = static_cast<double>(op.model_flops) / wall_s / 1e9;
-    uint64_t dram_bytes =
-        op.has_counters && op.has_llc ? op.counters.llc_misses *
-                                            kCacheLineBytes
-                                      : op.model_bytes;
-    if (dram_bytes == 0) {
-      continue;
-    }
-    p.arithmetic_intensity = static_cast<double>(op.model_flops) /
-                             static_cast<double>(dram_bytes);
-    points.push_back(std::move(p));
-  }
-  return points;
-}
-
 }  // namespace biosim::roofline

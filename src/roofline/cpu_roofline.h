@@ -5,8 +5,7 @@
 // FLOP/byte (interaction_force.h's kForceFlops accounting) and the
 // simulated device's ceilings. This header supplies the measured column:
 // given an op's wall clock, its model work (flops/bytes from the same
-// accounting), and the per-op counter deltas from obs/perf_counters.h, it
-// derives
+// accounting), and the op's counter deltas (core/profiler.h), it derives
 //
 //   measured.gflops          model flops over measured seconds — the
 //                            "achieved" y-coordinate, fig12 convention
@@ -28,9 +27,8 @@
 #include <string>
 #include <vector>
 
+#include "core/profiler.h"
 #include "obs/json.h"
-#include "obs/perf_counters.h"
-#include "roofline/ert.h"
 
 namespace biosim::roofline {
 
@@ -52,7 +50,7 @@ struct OpMeasurement {
   uint64_t model_bytes = 0;
   bool has_counters = false;
   bool has_llc = false;
-  obs::CounterSample counters;  // per-op delta, not cumulative
+  CounterSample counters;  // per-op delta, not cumulative
 };
 
 /// Convenience: the mechanical-forces op's model work from its evaluation
@@ -62,13 +60,6 @@ OpMeasurement ForceOpMeasurement(double wall_ms, uint64_t force_evaluations);
 /// The report-v2 "roofline" section: one entry per op, model and measured
 /// columns as described above. Ops appear in input order.
 obs::json::Value MeasuredRooflineJson(const std::vector<OpMeasurement>& ops);
-
-/// Places measured ops on the fig12 plot: one RooflinePoint per op that
-/// has both a model and measured data, using measured AI when LLC misses
-/// are available and the model AI otherwise. Feed to
-/// EmpiricalRoofline::Table next to the analytical points.
-std::vector<RooflinePoint> MeasuredPoints(
-    const std::vector<OpMeasurement>& ops);
 
 }  // namespace biosim::roofline
 

@@ -325,6 +325,15 @@ TEST(ConfigTest, IntegerKeysRangeCheckTheirTargetType) {
   EXPECT_THROW(ToCount<int>("0", "--reps"), std::invalid_argument);
   EXPECT_THROW(ParseConfigString("[model]\ncells_per_dim = 0\n"),
                std::invalid_argument);
+  // agents sizes the random cloud's cube (BuildSimulation derives
+  // max_bound from it), so 0 fails here, naming the key the user set.
+  try {
+    ParseConfigString("[model]\ntype = random_cloud\nagents = 0\n");
+    ADD_FAILURE() << "accepted agents = 0";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3: agents"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ConfigTest, SetConfigValueChecksLikeTheFileAndNamesTheSource) {

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../test_util.h"
@@ -92,6 +93,24 @@ TEST(RunnerTest, BuildRejectsCrossKeyCombinations) {
         EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
             << c.ini << ": " << e.what();
       }
+    }
+  }
+}
+
+TEST(RunnerTest, BuildRejectsOversizedPopulationsBeforeAllocating) {
+  // The INI reaches the builders' population check, naming the argument
+  // just as the C++ API does (SimulationTest.OversizedPopulations...).
+  RunConfig grid = ParseConfigString("[model]\ncells_per_dim = 1291\n");
+  RunConfig cloud = ParseConfigString(
+      "[model]\ntype = random_cloud\nagents = 2147483648\n");
+  for (const auto& [cfg, name] :
+       {std::pair{grid, "cells_per_dim"}, std::pair{cloud, "count"}}) {
+    try {
+      BuildSimulation(cfg);
+      ADD_FAILURE() << "built " << name;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
     }
   }
 }

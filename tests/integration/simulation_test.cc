@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "../test_util.h"
@@ -59,6 +61,41 @@ TEST(SimulationTest, CreateRandomCellsStaysInBounds) {
     EXPECT_GE(pos.x, 0.0);
     EXPECT_LT(pos.x, 200.0);
   }
+}
+
+TEST(SimulationTest, OversizedPopulationsAreRejectedBeforeAllocating) {
+  // The uniform grid's int32 CSR offsets address at most 2^31-1 agents.
+  // The builders check the population they would make before reserving
+  // it, so these throw at once instead of allocating (1291^3 > 2^31-1;
+  // 2642246^3 wraps a 64-bit size_t).
+  Param p;
+  Simulation sim(p);
+  for (size_t cells_per_dim : {size_t{1291}, size_t{2642246}}) {
+    try {
+      sim.Create3DCellGrid(cells_per_dim, 20.0, 10.0, 16.0, 1000.0);
+      ADD_FAILURE() << "built a grid of " << cells_per_dim << "^3 cells";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("cells_per_dim"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(sim.CreateRandomCells(size_t{1} << 31, 10.0),
+               std::invalid_argument);
+  EXPECT_EQ(sim.rm().size(), 0u);
+  // The check counts the agents that already exist.
+  sim.AddCell({1, 1, 1}, 8.0);
+  try {
+    sim.CreateRandomCells((size_t{1} << 31) - 1, 10.0);
+    ADD_FAILURE() << "grew the population past 2^31-1";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("count"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sim.rm().size(), 1u);
+  // Within the bound the fill proceeds.
+  sim.CreateRandomCells(2, 10.0);
+  EXPECT_EQ(sim.rm().size(), 3u);
 }
 
 TEST(SimulationTest, StepAdvancesAndProfiles) {

@@ -6,7 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "core/profiler.h"
 #include "obs/json.h"
+#include "obs/stage_scope.h"
 
 namespace biosim::obs {
 namespace {
@@ -32,6 +34,53 @@ std::vector<const json::Value*> EventsOfPhase(const json::Value& doc,
 TEST(TraceSessionTest, DisabledByDefaultAndScopesAreNoOps) {
   ASSERT_EQ(TraceSession::current(), nullptr);
   { TRACE_SCOPE("ignored"); }  // must not crash without a session
+}
+
+TEST(TraceSessionTest, StageSpansSumToTheProfileTotal) {
+  // A stage's trace span and its profile sample are one clock interval, so
+  // the summed spans equal the profile total to within float rounding
+  // (bounded here at 1 ns per call), nested stages included.
+  TraceSession session;
+  OpProfile profile;
+  TraceSession::SetCurrent(&session);
+  volatile uint64_t sink = 0;
+  for (int i = 0; i < 50; ++i) {
+    STAGE_SCOPE(&profile, "outer");
+    STAGE_SCOPE(&profile, "inner");
+    for (int k = 0; k < 1000; ++k) {
+      sink = sink + static_cast<uint64_t>(k);
+    }
+  }
+  { STAGE_SCOPE(nullptr, "traced only"); }
+  TraceSession::SetCurrent(nullptr);
+
+  std::string error;
+  auto doc = json::Parse(session.ToChromeJson(), &error);
+  ASSERT_NE(doc, nullptr) << error;
+  auto spans = [&](const std::string& name, double* sum_us) {
+    uint64_t calls = 0;
+    *sum_us = 0.0;
+    for (const json::Value* e : EventsOfPhase(*doc, "X")) {
+      if (e->Find("name")->AsString() == name) {
+        ++calls;
+        *sum_us += e->Find("dur")->AsDouble();
+      }
+    }
+    return calls;
+  };
+  for (const char* name : {"outer", "inner"}) {
+    const OpProfile::Entry* e = profile.Find(name);
+    ASSERT_NE(e, nullptr);
+    double sum_us = 0.0;
+    EXPECT_EQ(spans(name, &sum_us), e->calls()) << name;
+    EXPECT_NEAR(sum_us * 1e3, e->total_ms() * 1e6,
+                static_cast<double>(e->calls()))
+        << name;
+  }
+  EXPECT_TRUE(profile.Find("inner")->nested);
+  double sum_us = 0.0;
+  EXPECT_EQ(spans("traced only", &sum_us), 1u);
+  EXPECT_EQ(profile.Find("traced only"), nullptr);
 }
 
 TEST(TraceSessionTest, RecordsScopedSpansOnTheMainTrack) {
